@@ -194,15 +194,11 @@ def cmd_spectrum(args) -> int:
         which = "qr" if args.operator == "qr-projector" else "naive"
         report = projector_spectrum(basis, which)
     else:
-        if scenario.n_cells > 200:
-            raise ValueError("CR-Jacobian spectra need --n <= 200 (dense eigensolve)")
         cfg = _cr_config(scenario, args.order, None)
         stepper = scenario.make_stepper(warm_start=False)
         f0 = scenario.initial_field().values
         naive_P = naive_projector(basis)[0] if args.operator == "cr-naive" else None
-        report = cr_jacobian_spectrum(
-            stepper, basis, f0, cfg, naive_P=naive_P, threads=args.threads
-        )
+        report = cr_jacobian_spectrum(stepper, basis, f0, cfg, naive_P=naive_P)
 
     comments = _comment_block(
         scenario,
@@ -286,10 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="klift",
         description="Discrete-velocity BGK solver with constrained-runs lifting",
     )
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for Jacobian column assembly")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized test utilities")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run-reference", help="run the reference time integration")

@@ -195,7 +195,7 @@ class TestCLI:
     def test_spectrum_cr_jacobian_radius(self, tmp_path):
         cfg, _ = tiny_config(tmp_path, n_cells=8, n_velocities=16)
         out = tmp_path / "crspec.csv"
-        assert main(["--threads", "2", "spectrum", "--config", str(cfg),
+        assert main(["spectrum", "--config", str(cfg),
                      "--operator", "cr-qr", "--out", str(out)]) == EXIT_OK
         rows = read_rows(out)
         radius = max(math.hypot(float(r[0]), float(r[1])) for r in rows[1:])

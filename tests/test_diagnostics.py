@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from klift import BasisKind, CRConfig, build_moment_basis, lift_picard
+from klift.cr import cr_map
 from klift.diagnostics import (
     cr_jacobian_matrix,
     cr_jacobian_spectrum,
     eigenpair_residuals,
     projector_spectrum,
+    ring_colors,
     spectral_radius_arnoldi,
 )
+from klift.errors import NumericalError
 from klift.moments import naive_projector, unconserved_basis
 from klift.steppers import D1Q3Stepper, _d1q3_update
 
-from conftest import IdentityStepper, reference_vgrid
+from conftest import IdentityStepper, load_shipped, reference_vgrid
 
 
 class TestProjectorSpectrum:
@@ -38,10 +41,13 @@ class TestProjectorSpectrum:
         assert rep.params["cond_1"] < 100
 
     def test_naive_monomial_degrades(self):
+        # The eigenvalues of the float P are rounding noise that varies with
+        # the LAPACK build; that P is no projector to within the rounding of
+        # its own square does not.
         basis = build_moment_basis(BasisKind.MONOMIAL, reference_vgrid(56), 3)
-        rep = projector_spectrum(basis, "naive")
-        dev = np.minimum(np.abs(rep.eigenvalues), np.abs(rep.eigenvalues - 1.0))
-        assert dev.max() > 0.5
+        P, _ = naive_projector(basis)
+        rounding = basis.q * np.finfo(float).eps * (np.abs(P) @ np.abs(P)).max()
+        assert np.abs(P @ P - P).max() > rounding
 
     def test_trace_matches_eigenvalue_sum(self):
         basis = build_moment_basis(BasisKind.MONOMIAL, reference_vgrid(24), 3)
@@ -53,6 +59,29 @@ class TestProjectorSpectrum:
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
         with pytest.raises(ValueError):
             projector_spectrum(basis, "oblique")
+
+
+def fd_reference_jacobian(stepper, basis, f0, order_m):
+    """Per-column forward differences with the step cr_jacobian_matrix uses."""
+    U = unconserved_basis(basis)
+    n_cells, r = f0.shape[0], U.shape[1]
+    h = math.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(f0)))
+    base = cr_map(stepper, basis, f0, f0, order_m)
+    J = np.empty((n_cells * r, n_cells * r))
+    for j in range(n_cells):
+        for l in range(r):
+            pert = f0.copy()
+            pert[j] += h * U[:, l]
+            out = cr_map(stepper, basis, f0, pert, order_m)
+            J[:, j * r + l] = ((out - base) @ U).reshape(-1) / h
+    return J
+
+
+class MeanCoupledStepper(D1Q3Stepper):
+    """D1Q3 plus a tenth of the cell mean: every cell couples to every other."""
+
+    def step(self, values):
+        return _d1q3_update(values, self.omega) + 0.1 * values.mean(axis=0)
 
 
 def d1q3_exact_jacobian(basis, n_cells, omega, order_m):
@@ -100,14 +129,47 @@ class TestCRJacobian:
         J_exact = d1q3_exact_jacobian(basis, n_cells, omega, order_m)
         assert np.abs(J_fd - J_exact).max() < 1e-6
 
-    def test_threaded_assembly_matches_serial(self, rng):
+    @pytest.mark.parametrize("order_m", [0, 1, 2])
+    def test_colored_matches_columns_bgk_ghosts(self, order_m, rng):
+        sc = load_shipped("helium_L30000.cfg").with_overrides(n_cells=14, n_velocities=16)
+        basis = build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3)
+        st = sc.make_stepper(warm_start=False)
+        f0 = sc.initial_field().values * (1.0 + 0.05 * rng.random((14, 16)))
+        J = cr_jacobian_matrix(st, basis, f0, CRConfig(order_m=order_m))
+        J_ref = fd_reference_jacobian(st, basis, f0, order_m)
+        np.testing.assert_allclose(J, J_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_cells, order_m", [(11, 0), (11, 1), (16, 2), (3, 0), (5, 2)])
+    def test_colored_matches_columns_d1q3_ring(self, n_cells, order_m, rng):
+        # 11 and 16 are no multiple of 2b + 1, so colours meet across the
+        # wrap; 3 and 5 cells are too few to share a colour.
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
-        st = D1Q3Stepper(omega=0.8)
-        f0 = rng.random((6, 3)) + 0.5
-        cfg = CRConfig(order_m=1)
-        J1 = cr_jacobian_matrix(st, basis, f0, cfg, threads=1)
-        J4 = cr_jacobian_matrix(st, basis, f0, cfg, threads=4)
-        np.testing.assert_allclose(J4, J1, atol=1e-12)
+        st = D1Q3Stepper(omega=1.3)
+        f0 = rng.random((n_cells, 3)) + 0.5
+        J = cr_jacobian_matrix(st, basis, f0, CRConfig(order_m=order_m))
+        J_ref = fd_reference_jacobian(st, basis, f0, order_m)
+        np.testing.assert_allclose(J, J_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("half_band", [1, 2, 3])
+    def test_ring_colors_keep_distance(self, half_band):
+        for n_cells in range(1, 40):
+            colors = ring_colors(n_cells, half_band)
+            if n_cells <= 2 * half_band + 1:
+                np.testing.assert_array_equal(colors, np.arange(n_cells))
+            else:
+                assert colors.max() < 4 * half_band + 1
+            for i in range(n_cells):
+                for j in range(i + 1, n_cells):
+                    if colors[i] == colors[j]:
+                        assert min(j - i, n_cells - (j - i)) > 2 * half_band
+
+    @pytest.mark.parametrize("order_m", [0, 1])
+    def test_coupling_beyond_band_raises(self, order_m, rng):
+        basis = build_moment_basis(BasisKind.D1Q3, None, 1)
+        f0 = rng.random((12, 3)) + 0.5
+        with pytest.raises(NumericalError, match="misses couplings"):
+            cr_jacobian_matrix(MeanCoupledStepper(omega=1.3), basis, f0,
+                               CRConfig(order_m=order_m))
 
     def test_trace_and_eigenpair_sanity(self, rng):
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
