@@ -42,12 +42,9 @@ from .steppers import (
     BGKStepper,
     BoundaryMode,
     BoundarySpec,
-    D1Q3State,
     D1Q3Stepper,
     FluxScheme,
     StepConfig,
-    fv_step,
-    lbm_step,
     stable_dt,
 )
 

@@ -81,7 +81,7 @@ def cmd_run_reference(args) -> int:
         raise ValueError("steps must be nonnegative")
 
     field = scenario.initial_field()
-    stepper = scenario.make_stepper(warm_start=True)
+    stepper = scenario.make_stepper()
     dv, dx = field.vgrid.dv, field.grid.dx
     v = field.vgrid.velocities
     print(f"# scenario hash {config_hash(scenario)}: N={scenario.n_cells} "
@@ -117,7 +117,7 @@ def cmd_lift(args) -> int:
     cfg = _cr_config(scenario, args.order, args.solver)
 
     macro = restrict(reference, gas)
-    stepper = scenario.make_stepper(warm_start=False)
+    stepper = scenario.make_stepper()
     basis = build_moment_basis(BasisKind.MONOMIAL, reference.vgrid, CONSERVED_MOMENTS)
 
     feq_field = equilibrium_field(
@@ -195,7 +195,7 @@ def cmd_spectrum(args) -> int:
         report = projector_spectrum(basis, which)
     else:
         cfg = _cr_config(scenario, args.order, None)
-        stepper = scenario.make_stepper(warm_start=False)
+        stepper = scenario.make_stepper()
         f0 = scenario.initial_field().values
         naive_P = naive_projector(basis)[0] if args.operator == "cr-naive" else None
         report = cr_jacobian_spectrum(stepper, basis, f0, cfg, naive_P=naive_P)
@@ -224,7 +224,7 @@ def cmd_sweep(args) -> int:
     for n in grid_sizes:
         scen = scenario.with_overrides(n_cells=n)
         gas = scen.gas
-        stepper = scen.make_stepper(warm_start=True)
+        stepper = scen.make_stepper()
         field = scen.initial_field()
         values = field.values
         for _ in range(steps):
@@ -234,10 +234,9 @@ def cmd_sweep(args) -> int:
         basis = build_moment_basis(BasisKind.MONOMIAL, scen.vgrid, CONSERVED_MOMENTS)
         for m in orders:
             cfg = _cr_config(scen, m, "newton")
-            lift_stepper = scen.make_stepper(warm_start=False)
             try:
                 _, report = lift_macro(
-                    lift_stepper, basis, macro, gas, cfg,
+                    stepper, basis, macro, gas, cfg,
                     grid=scen.grid, vgrid=scen.vgrid, scale=scen.scale,
                 )
                 rows.append((n, m, report.gmres_iterations, report.iterations, 1))
@@ -259,6 +258,7 @@ def cmd_sweep(args) -> int:
 def cmd_restrict(args) -> int:
     scenario = load_scenario(args.config)
     field = read_snapshot(args.snapshot)
+    _check_snapshot_matches(scenario, field)
     macro = restrict(field, scenario.gas)
     comments = _comment_block(scenario)
     x = field.grid.centers

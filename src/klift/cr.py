@@ -1,9 +1,9 @@
 """Constrained-runs lifting: the one-step CR map, Picard iteration, and the
 matrix-free Newton-GMRES solve of s - C_m(r0, s) = 0.
 
-A microscopic stepper is anything with ``dt`` and
-``advance(values, n_steps) -> [values at dt, 2dt, ...]`` acting on (N, q)
-arrays.  One CR map advances the guess m+1 steps, backward-extrapolates with
+A microscopic stepper is anything with a pure ``step(values) -> values``
+acting on (N, q) arrays: the output depends on the input values alone.  One
+CR map applies ``step`` m+1 times to the guess, backward-extrapolates with
 the order-m weights, and resets the conserved moments to those of the target
 state f0.
 """
@@ -91,7 +91,7 @@ def cr_map(
     *,
     naive_P: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One CR step C_m: advance, extrapolate backward, reset conserved moments.
+    """One CR step C_m: m+1 micro-steps, backward extrapolation, moment reset.
 
     ``naive_P`` switches the reset to the inverse-based projector
     P = I - M^{-1} M0 (failure-study mode); by default the QR projector is
@@ -103,10 +103,11 @@ def cr_map(
     if f0.shape != f_guess.shape:
         raise ValueError("f0 and f_guess must share shapes")
     w = cr_weights(order_m)
-    states = stepper.advance(f_guess, order_m + 1)
-    f_pre = w[0] * states[0]
-    for wj, st in zip(w[1:], states[1:]):
-        f_pre += wj * st
+    cur = stepper.step(f_guess)
+    f_pre = w[0] * cur
+    for wj in w[1:]:
+        cur = stepper.step(cur)
+        f_pre += wj * cur
     if not np.all(np.isfinite(f_pre)):
         raise NumericalError(f"non-finite extrapolation in CR map (order {order_m})")
     if naive_P is None:
@@ -325,8 +326,12 @@ def restrict_lift_error(reference: DistributionField, lifted: DistributionField)
 
 
 def lift_report_rows(report: LiftReport):
-    """CSV rows (iter, residual, drift, seconds) for a lift report."""
-    rows = []
-    for i, r in enumerate(report.residual_history, start=1):
-        rows.append((i, r, report.conserved_drift, report.wall_time))
+    """CSV rows (iter, residual, drift, seconds) for a lift report.
+
+    Drift and seconds describe the finished lift, so they fill the final row
+    only and are blank on the others, as in the failure report.
+    """
+    rows = [(i, r, "", "") for i, r in enumerate(report.residual_history, start=1)]
+    if rows:
+        rows[-1] = rows[-1][:2] + (report.conserved_drift, report.wall_time)
     return rows

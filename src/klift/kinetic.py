@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ConvergenceError, NumericalError, ZeroDensityError
 
 BOLTZMANN = 1.380649e-23  # J/K
+# Relative residual tolerance and iteration cap of the equilibrium Newton solve.
+EQUILIBRIUM_TOL = 1e-13
+EQUILIBRIUM_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -136,19 +139,15 @@ def equilibrium_coeffs(
     T: np.ndarray,
     vgrid: VelocityGrid,
     gas: GasParams,
-    *,
-    B0: np.ndarray | None = None,
-    D0: np.ndarray | None = None,
-    tol: float = 1e-13,
-    max_iter: int = 50,
 ) -> EquilibriumCoeffs:
     """Solve the discrete conservation equations for (A, B, D).
 
     Newton on the pair R_1 = 0, R_2 - R_0 k_B T / m = 0 with
     R_j = dv sum_i (v_i - u)^j exp(-B^2 (v_i - D)^2), then A = n / R_0.
     The 2x2 Jacobian is closed form.  Residuals are nondimensionalized with
-    the thermal speed so ``tol`` is a relative tolerance.  Vectorized over
-    cells.
+    the thermal speed so ``EQUILIBRIUM_TOL`` is a relative tolerance.  Newton
+    starts from the continuous Maxwellian's B = sqrt(m / (2 k_B T)), D = u.
+    Vectorized over cells.
     """
     n = np.atleast_1d(np.asarray(n, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -163,15 +162,15 @@ def equilibrium_coeffs(
     dv = vgrid.dv
     vt = np.sqrt(kB * T / m)  # thermal speed scale
 
-    B = np.sqrt(m / (2.0 * kB * T)) if B0 is None else np.array(B0, dtype=float)
-    D = u.copy() if D0 is None else np.array(D0, dtype=float)
+    B = np.sqrt(m / (2.0 * kB * T))
+    D = u.copy()
 
     w = v[None, :] - u[:, None]
     w2 = w * w
     active = np.ones(n.shape, dtype=bool)
     res = np.full(n.shape, np.inf)
     E = None
-    for _ in range(max_iter):
+    for _ in range(EQUILIBRIUM_MAX_ITER):
         S = v[None, :] - D[:, None]
         E = np.exp(-((B[:, None] * S) ** 2))
         R0 = dv * E.sum(axis=1)
@@ -180,7 +179,7 @@ def equilibrium_coeffs(
         F1 = R1
         F2 = R2 - R0 * kB * T / m
         res = np.maximum(np.abs(F1) / (R0 * vt), np.abs(F2) / (R0 * vt * vt))
-        active = res > tol
+        active = res > EQUILIBRIUM_TOL
         if not active.any():
             break
 
@@ -222,7 +221,6 @@ def discrete_equilibrium(
     T,
     vgrid: VelocityGrid,
     gas: GasParams,
-    **kwargs,
 ) -> tuple[np.ndarray, EquilibriumCoeffs]:
     """Discrete Maxwell-Boltzmann equilibrium for cell values (n, u, T).
 
@@ -230,7 +228,7 @@ def discrete_equilibrium(
     scalars).  The three dv-weighted sums reproduce n, n u and n k_B T / m
     to the Newton tolerance.
     """
-    coeffs = equilibrium_coeffs(n, u, T, vgrid, gas, **kwargs)
+    coeffs = equilibrium_coeffs(n, u, T, vgrid, gas)
     S = vgrid.velocities[None, :] - coeffs.D[:, None]
     feq = coeffs.A[:, None] * np.exp(-((coeffs.B[:, None] * S) ** 2))
     return feq, coeffs
@@ -244,11 +242,10 @@ def equilibrium_field(
     *,
     scale: float = 1.0,
     time: float = 0.0,
-    **kwargs,
 ) -> DistributionField:
     """Equilibrium DistributionField matching per-cell (n, u, T)."""
     feq, _ = discrete_equilibrium(
-        macro.number_density, macro.velocity, macro.temperature, vgrid, gas, **kwargs
+        macro.number_density, macro.velocity, macro.temperature, vgrid, gas
     )
     return DistributionField(grid, vgrid, scale * feq, time=time, scale=scale)
 

@@ -10,6 +10,7 @@ primary parameters, never stored.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,11 +148,14 @@ class Scenario:
     def step_config(self) -> StepConfig:
         return StepConfig(dt=self.dt, scheme=self.flux, boundary=self.boundary())
 
-    def make_stepper(self, *, warm_start: bool = True) -> BGKStepper:
-        return BGKStepper(
-            self.grid, self.vgrid, self.gas, self.step_config(),
-            scale=self.scale, warm_start=warm_start,
-        )
+    def make_stepper(self, *, warm_start: bool = False) -> BGKStepper:
+        """The scenario's BGK stepper.
+
+        ``warm_start`` does nothing.  It is kept so that callers which still
+        pass it (the benchmark's workloads) keep working; the stepper is a
+        pure map and has no equilibrium state to carry between steps.
+        """
+        return BGKStepper(self.grid, self.vgrid, self.gas, self.step_config(), scale=self.scale)
 
     def initial_field(self):
         """Ambient-equilibrium initial state."""
@@ -216,24 +220,39 @@ class Scenario:
             surface_p=float(take("surface.p")),
             surface_T=float(take("surface.T")),
             surface_u=float(take("surface.u", 0.0)),
-            n_cells=int(take("grid.N")),
-            n_velocities=int(take("grid.Nv")),
+            n_cells=_integer("grid.N", take("grid.N")),
+            n_velocities=_integer("grid.Nv", take("grid.Nv")),
             lambda_multiple=float(take("domain.lambda_multiple")),
             bound_multiple=float(take("velocity.bound_multiple", 4.0)),
             flux=FluxScheme(take("flux.scheme", "upwind")),
-            reference_steps=int(take("run.steps", 10000)),
-            order_m=int(take("cr.order_m", 0)),
+            reference_steps=_integer("run.steps", take("run.steps", 10000)),
+            order_m=_integer("cr.order_m", take("cr.order_m", 0)),
             solver=str(take("cr.solver", "newton")),
             newton_tol=float(take("cr.newton_tol", 1e-10)),
             picard_tol=float(take("cr.picard_tol", 1e-12)),
             gmres_tol=float(take("gmres.tol", 1e-6)),
-            gmres_max_iters=int(take("gmres.max_iters", 200)),
-            mass_rescaled=bool(take("field.mass_rescaled", True)),
+            gmres_max_iters=_integer("gmres.max_iters", take("gmres.max_iters", 200)),
+            mass_rescaled=_boolean("field.mass_rescaled", take("field.mass_rescaled", True)),
             cfl_safety=float(take("run.cfl_safety", 0.9)),
         )
         if d:
             raise ValueError(f"unrecognized config keys: {sorted(d)}")
         return sc
+
+
+def _integer(key: str, val) -> int:
+    """An integral config value; booleans and fractional numbers are rejected."""
+    if isinstance(val, numbers.Integral) and not isinstance(val, bool):
+        return int(val)
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    raise ValueError(f"config key {key!r} must be an integer, got {val!r}")
+
+
+def _boolean(key: str, val) -> bool:
+    if isinstance(val, bool):
+        return val
+    raise ValueError(f"config key {key!r} must be true or false, got {val!r}")
 
 
 def parse_config(text: str) -> dict:

@@ -41,7 +41,12 @@ def read_snapshot(path) -> DistributionField:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a klift snapshot (bad magic {magic!r})")
-        version, n, nv, dx, dv, v_min, time, scale = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(
+                f"{path}: truncated snapshot header ({len(header)} of {_HEADER.size} bytes)"
+            )
+        version, n, nv, dx, dv, v_min, time, scale = _HEADER.unpack(header)
         if version != VERSION:
             raise ValueError(f"{path}: unsupported snapshot version {version}")
         payload = fh.read()

@@ -1,6 +1,8 @@
 """Time integrators: explicit finite-volume BGK scheme and the D1Q3 LBM.
 
-The finite-volume step follows the integrated form
+A stepper is any object with a pure ``step(values) -> values`` on (N, q)
+arrays; that is all the constrained-runs machinery needs.  The finite-volume
+step follows the integrated form
 f_i(x_j, t+dt) = f_i - (dt/dx)(phi_{i,j+1/2} - phi_{i,j-1/2}) + dt w (f_eq - f_i)
 with upwind or centered fluxes and equilibrium ghost cells.  The three-speed
 diffusive lattice Boltzmann model is kept as a small exact oracle for the
@@ -9,7 +11,7 @@ constrained-runs machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -17,7 +19,6 @@ import numpy as np
 from .errors import NumericalError
 from .kinetic import (
     DistributionField,
-    EquilibriumCoeffs,
     GasParams,
     SpatialGrid,
     VelocityGrid,
@@ -70,11 +71,9 @@ def stable_dt(vgrid: VelocityGrid, dx: float, omega0: np.ndarray, safety: float 
 class BGKStepper:
     """Explicit finite-volume BGK integrator on (N, Nv) value arrays.
 
+    ``step`` is a pure map: the output depends only on the input values.
     Ghost equilibria are frozen at construction (boundary parameters are
-    scenario constants).  With ``warm_start`` the per-cell equilibrium
-    coefficients (B, D) seed the next step's Newton solve; constrained-runs
-    callers disable it so repeated advances from perturbed states stay
-    bitwise reproducible.
+    scenario constants).
     """
 
     def __init__(
@@ -85,20 +84,13 @@ class BGKStepper:
         cfg: StepConfig,
         *,
         scale: float = 1.0,
-        warm_start: bool = True,
     ):
         self.grid = grid
         self.vgrid = vgrid
         self.gas = gas
         self.cfg = cfg
         self.scale = scale
-        self.warm_start = warm_start
-        self._coeffs: EquilibriumCoeffs | None = None
         self._ghosts = self._build_ghosts()
-
-    @property
-    def dt(self) -> float:
-        return self.cfg.dt
 
     def _build_ghosts(self):
         b = self.cfg.boundary
@@ -110,21 +102,12 @@ class BGKStepper:
             ghosts.append(self.scale * feq[0])
         return tuple(ghosts)
 
-    def _field(self, values: np.ndarray, time: float = 0.0) -> DistributionField:
-        return DistributionField(self.grid, self.vgrid, values, time=time, scale=self.scale)
-
     def step(self, values: np.ndarray) -> np.ndarray:
-        f = self._field(values)
+        f = DistributionField(self.grid, self.vgrid, values, scale=self.scale)
         macro = restrict(f, self.gas)
-        b0 = d0 = None
-        if self.warm_start and self._coeffs is not None:
-            b0, d0 = self._coeffs.B, self._coeffs.D
-        feq, coeffs = discrete_equilibrium(
-            macro.number_density, macro.velocity, macro.temperature,
-            self.vgrid, self.gas, B0=b0, D0=d0,
+        feq, _ = discrete_equilibrium(
+            macro.number_density, macro.velocity, macro.temperature, self.vgrid, self.gas
         )
-        if self.warm_start:
-            self._coeffs = coeffs
         feq = self.scale * feq
         omega = relaxation_frequency(macro, self.gas)
 
@@ -148,74 +131,25 @@ class BGKStepper:
             raise NumericalError("finite-volume step produced non-finite values")
         return new
 
-    def advance(self, values: np.ndarray, n_steps: int) -> list[np.ndarray]:
-        """States at dt, 2dt, ..., n_steps*dt."""
-        out = []
-        cur = values
-        for _ in range(n_steps):
-            cur = self.step(cur)
-            out.append(cur)
-        return out
-
-
-def fv_step(f: DistributionField, cfg: StepConfig, gas: GasParams) -> DistributionField:
-    """One finite-volume BGK step; convenience wrapper around BGKStepper."""
-    stepper = BGKStepper(f.grid, f.vgrid, gas, cfg, scale=f.scale, warm_start=False)
-    return f.with_values(stepper.step(f.values), time=f.time + cfg.dt)
-
-
-@dataclass(frozen=True, eq=False)
-class D1Q3State:
-    """Three-speed diffusive LBM state; populations ordered (f_+1, f_0, f_-1)."""
-
-    f: np.ndarray  # (N, 3)
-    omega: float
-    dx: float = 1.0
-    dt: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.omega < 2.0:
-            raise ValueError("omega must lie in (0, 2)")
-        if self.f.ndim != 2 or self.f.shape[1] != 3:
-            raise ValueError("populations must have shape (N, 3)")
-
-    @property
-    def density(self) -> np.ndarray:
-        return self.f.sum(axis=1)
-
-
-def _d1q3_update(f: np.ndarray, omega: float) -> np.ndarray:
-    rho = f.sum(axis=1)
-    feq = rho[:, None] / 3.0
-    post = (1.0 - omega) * f + omega * feq
-    out = np.empty_like(post)
-    out[:, 0] = np.roll(post[:, 0], 1)   # speed +1
-    out[:, 1] = post[:, 1]               # rest
-    out[:, 2] = np.roll(post[:, 2], -1)  # speed -1
-    return out
-
-
-def lbm_step(state: D1Q3State) -> D1Q3State:
-    """Relax toward rho/3, then stream periodically."""
-    return replace(state, f=_d1q3_update(state.f, state.omega))
-
 
 class D1Q3Stepper:
-    """Adapter exposing the LBM update through the MicroStepper interface."""
+    """Three-speed diffusive LBM on (N, 3) populations ordered (f_+1, f_0, f_-1).
 
-    def __init__(self, omega: float, dt: float = 1.0):
+    One step relaxes toward rho/3, then streams periodically.
+    """
+
+    def __init__(self, omega: float):
         if not 0.0 < omega < 2.0:
             raise ValueError("omega must lie in (0, 2)")
         self.omega = omega
-        self.dt = dt
 
     def step(self, values: np.ndarray) -> np.ndarray:
-        return _d1q3_update(values, self.omega)
-
-    def advance(self, values: np.ndarray, n_steps: int) -> list[np.ndarray]:
-        out = []
-        cur = values
-        for _ in range(n_steps):
-            cur = self.step(cur)
-            out.append(cur)
+        if values.ndim != 2 or values.shape[1] != 3:
+            raise ValueError("populations must have shape (N, 3)")
+        rho = values.sum(axis=1)
+        post = (1.0 - self.omega) * values + self.omega * (rho[:, None] / 3.0)
+        out = np.empty_like(post)
+        out[:, 0] = np.roll(post[:, 0], 1)   # speed +1
+        out[:, 1] = post[:, 1]               # rest
+        out[:, 2] = np.roll(post[:, 2], -1)  # speed -1
         return out

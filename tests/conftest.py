@@ -84,7 +84,6 @@ class LinearODEStepper:
 
     def __init__(self, eps: float, dt: float):
         self.eps = eps
-        self.dt = dt
         A = np.array([[0.0, 1.0], [1.0 / eps, -1.0 / eps]])
         self._phi = scipy.linalg.expm(dt * A)
 
@@ -95,22 +94,9 @@ class LinearODEStepper:
     def step(self, values):
         return values @ self._phi.T
 
-    def advance(self, values, n_steps):
-        out = []
-        cur = values
-        for _ in range(n_steps):
-            cur = self.step(cur)
-            out.append(cur)
-        return out
-
 
 class IdentityStepper:
-    """advance = no-op; turns the CR map into reset_conserved alone."""
-
-    dt = 1.0
+    """step = no-op; turns the CR map into reset_conserved alone."""
 
     def step(self, values):
         return values.copy()
-
-    def advance(self, values, n_steps):
-        return [values.copy() for _ in range(n_steps)]

@@ -1,6 +1,6 @@
 """Acceptance gate: one test per criterion, each printing PASS/FAIL.
 
-Criterion 7 (full-scale reference run, about 140 s) is opt-in via KLIFT_FULL=1.
+Criterion 7 (full-scale reference run, about 80 s) is opt-in via KLIFT_FULL=1.
 Criterion 4 is asserted on the conserved and momentum moments of the two CR
 forms; the full-state outputs of the orthogonal and inverse-based resets are
 different projections by construction (see the repository notes).
@@ -25,8 +25,15 @@ from klift.cr import conserved_drift
 from klift.diagnostics import cr_jacobian_spectrum, projector_spectrum
 from klift.kinetic import equilibrium_field
 from klift.moments import basis_from_matrix, naive_projector, reset_conserved
-from klift.steppers import D1Q3Stepper, FluxScheme, fv_step, StepConfig, BoundarySpec, BoundaryMode
-from klift.steppers import stable_dt
+from klift.steppers import (
+    BGKStepper,
+    BoundaryMode,
+    BoundarySpec,
+    D1Q3Stepper,
+    FluxScheme,
+    StepConfig,
+    stable_dt,
+)
 from klift.kinetic import (
     DistributionField,
     build_spatial_grid,
@@ -140,7 +147,7 @@ def test_criterion_5_ode_slow_manifold():
 
 def test_criterion_6_desk_scale_order_trend():
     sc = load_shipped("helium_desk.cfg")
-    stepper = sc.make_stepper(warm_start=True)
+    stepper = sc.make_stepper()
     values = sc.initial_field().values
     for _ in range(sc.reference_steps):
         values = stepper.step(values)
@@ -151,9 +158,8 @@ def test_criterion_6_desk_scale_order_trend():
     errs, drifts = [], []
     for m in (0, 1, 2):
         cfg = CRConfig(order_m=m, solver="newton", newton_tol=sc.newton_tol)
-        lift_stepper = sc.make_stepper(warm_start=False)
         lifted, rep = lift_macro(
-            lift_stepper, basis, macro, sc.gas, cfg,
+            stepper, basis, macro, sc.gas, cfg,
             grid=sc.grid, vgrid=sc.vgrid, scale=sc.scale, time=reference.time,
         )
         errs.append(restrict_lift_error(reference, lifted).two_norm)
@@ -172,10 +178,10 @@ def test_criterion_6_desk_scale_order_trend():
 
 
 @pytest.mark.skipif(os.environ.get("KLIFT_FULL") != "1",
-                    reason="full-scale run (about 140 s); set KLIFT_FULL=1 to enable")
+                    reason="full-scale run (about 80 s); set KLIFT_FULL=1 to enable")
 def test_criterion_7_full_scale_reference():
     sc = load_shipped("helium_L30000.cfg")
-    stepper = sc.make_stepper(warm_start=True)
+    stepper = sc.make_stepper()
     values = sc.initial_field().values
     for _ in range(sc.reference_steps):
         values = stepper.step(values)
@@ -205,9 +211,8 @@ def test_criterion_7_full_scale_reference():
     }
     guess = None
     for m, target in targets.items():
-        lift_stepper = sc.make_stepper(warm_start=False)
         lifted, _ = lift_macro(
-            lift_stepper, basis, macro, sc.gas, solver_cfgs[m],
+            stepper, basis, macro, sc.gas, solver_cfgs[m],
             grid=sc.grid, vgrid=sc.vgrid, scale=sc.scale, time=reference.time,
             f_guess=guess,
         )
@@ -242,7 +247,7 @@ def test_criterion_8_stability_dichotomy():
 
     def radius_and_drift(scenario, naive_P=None):
         basis = build_moment_basis(BasisKind.MONOMIAL, scenario.vgrid, 3)
-        stepper = scenario.make_stepper(warm_start=False)
+        stepper = scenario.make_stepper()
         f0 = scenario.initial_field().values
         out = cr_map(stepper, basis, f0, f0, cfg.order_m, naive_P=naive_P)
         rep = cr_jacobian_spectrum(stepper, basis, f0, cfg, naive_P=naive_P)
@@ -272,15 +277,16 @@ def test_criterion_9_periodic_mass_conservation():
     )
     base = feq * (1.0 + 0.2 * rng.random((32, 16)))
     bc = BoundarySpec(BoundaryMode.PERIODIC)
+    omega = relaxation_frequency(restrict(DistributionField(grid, vg, base), gas), gas)
+    dt = stable_dt(vg, grid.dx, omega)
     worst = 0.0
     for scheme in (FluxScheme.UPWIND, FluxScheme.CENTERED):
-        f = DistributionField(grid, vg, base.copy())
-        omega = relaxation_frequency(restrict(f, gas), gas)
-        cfg = StepConfig(stable_dt(vg, grid.dx, omega), scheme, bc)
-        mass = vg.dv * grid.dx * f.values.sum()
+        stepper = BGKStepper(grid, vg, gas, StepConfig(dt, scheme, bc))
+        f = base
+        mass = vg.dv * grid.dx * f.sum()
         for _ in range(100):
-            f = fv_step(f, cfg, gas)
-            new_mass = vg.dv * grid.dx * f.values.sum()
+            f = stepper.step(f)
+            new_mass = vg.dv * grid.dx * f.sum()
             worst = max(worst, abs(new_mass - mass) / mass)
             mass = new_mass
     report(9, worst < 1e-12,

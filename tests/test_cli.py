@@ -11,7 +11,7 @@ from klift.cli import EXIT_ARG, EXIT_NUMERICAL, EXIT_OK, main
 from klift.scenario import config_hash, parse_config, serialize_config
 from klift.snapshots import read_snapshot, write_snapshot
 
-from conftest import KB, load_shipped
+from conftest import KB, load_shipped, scenario_path
 
 
 def tiny_config(tmp_path, **overrides):
@@ -56,6 +56,26 @@ class TestConfigFormat:
         d["grid.Nx"] = 5
         with pytest.raises(ValueError, match="unrecognized"):
             Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("key,value", [
+        ("field.mass_rescaled", "no"),
+        ("field.mass_rescaled", 1),
+        ("grid.N", 20.7),
+        ("grid.Nv", True),
+        ("run.steps", 1500.5),
+        ("cr.order_m", "2"),
+        ("gmres.max_iters", float("inf")),
+    ])
+    def test_rejects_coerced_values(self, key, value):
+        d = load_shipped("helium_L30000.cfg").to_dict()
+        d[key] = value
+        with pytest.raises(ValueError, match=key):
+            Scenario.from_dict(d)
+
+    def test_integral_float_accepted(self):
+        d = load_shipped("helium_L30000.cfg").to_dict()
+        d["grid.N"] = 20.0
+        assert Scenario.from_dict(d).n_cells == 20
 
     def test_save_load_file(self, tmp_path):
         sc = load_shipped("helium_desk.cfg")
@@ -118,6 +138,12 @@ class TestSnapshots:
         p = tmp_path / "junk.snap"
         p.write_bytes(b"NOTASNAPSHOT")
         with pytest.raises(ValueError, match="magic"):
+            read_snapshot(p)
+
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "short.snap"
+        p.write_bytes(b"KLIFT1\x01\x00")
+        with pytest.raises(ValueError, match="short.snap.*header"):
             read_snapshot(p)
 
     def test_truncated_payload(self, tmp_path, rng):
@@ -228,6 +254,21 @@ class TestCLI:
         n_a, _, T_a = sc.ambient
         assert float(rows[1][2]) == pytest.approx(n_a, rel=1e-9)
         assert float(rows[1][4]) == pytest.approx(T_a, rel=1e-9)
+
+    def test_restrict_truncated_snapshot_is_arg_error(self, tmp_path, capsys):
+        cfg, _ = tiny_config(tmp_path)
+        snap = tmp_path / "cut.snap"
+        snap.write_bytes(b"KLIFT1\x01\x00")
+        assert main(["restrict", "--config", str(cfg), "--snapshot", str(snap),
+                     "--out", str(tmp_path / "macro.csv")]) == EXIT_ARG
+        assert "cut.snap" in capsys.readouterr().err
+
+    def test_restrict_grid_mismatch_is_arg_error(self, tmp_path):
+        snap = tmp_path / "seven.snap"
+        write_snapshot(snap, load_shipped("helium_desk.cfg").with_overrides(n_cells=7)
+                       .initial_field())
+        assert main(["restrict", "--config", str(scenario_path("helium_desk.cfg")),
+                     "--snapshot", str(snap), "--out", str(tmp_path / "macro.csv")]) == EXIT_ARG
 
     def test_missing_config_is_arg_error(self, tmp_path):
         assert main(["run-reference", "--config", str(tmp_path / "nope.cfg"),

@@ -21,7 +21,7 @@ from klift import (
     restrict,
     restrict_lift_error,
 )
-from klift.cr import conserved_drift, lift_report_rows
+from klift.cr import LiftReport, conserved_drift, lift_report_rows
 from klift.kinetic import DistributionField
 from klift.moments import basis_from_matrix, naive_projector, project_complement
 from klift.steppers import D1Q3Stepper
@@ -33,21 +33,11 @@ class PolyStepper:
     """Jordan-block stepper: trajectories are exactly polynomial in the step
     index, with degree set by the highest nonzero state component."""
 
-    dt = 1.0
-
     def __init__(self, q: int):
         self.J = np.eye(q) + np.diag(np.ones(q - 1), 1)
 
     def step(self, values):
         return values @ self.J.T
-
-    def advance(self, values, n_steps):
-        out = []
-        cur = values
-        for _ in range(n_steps):
-            cur = self.step(cur)
-            out.append(cur)
-        return out
 
 
 class TestWeights:
@@ -123,8 +113,11 @@ class TestCRMap:
         w = cr_weights(2)
         f0 = rng.random((10, 3))
         guess = rng.random((10, 3))
-        states = st.advance(guess, 3)
-        f_pre = sum(wj * s for wj, s in zip(w, states))
+        f_pre = np.zeros_like(guess)
+        cur = guess
+        for wj in w:
+            cur = st.step(cur)
+            f_pre += wj * cur
         out_qr = cr_map(st, basis, f0, guess, 2)
         out_inv = cr_map(st, basis, f0, guess, 2, naive_P=P_naive)
         got = (out_qr - out_inv) @ basis.M[2]
@@ -133,7 +126,7 @@ class TestCRMap:
 
     def test_helium_conserved_drift(self, rng):
         sc = load_shipped("helium_L30000.cfg").with_overrides(n_cells=16)
-        stepper = sc.make_stepper(warm_start=False)
+        stepper = sc.make_stepper()
         basis = build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3)
         f0 = sc.initial_field().values
         guess = f0 * (1.0 + 0.05 * rng.random(f0.shape))
@@ -198,9 +191,11 @@ class TestNewton:
 
     def test_cross_solver_agreement(self):
         sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=20)
-        stepper = sc.make_stepper(warm_start=False)
+        stepper = sc.make_stepper()
         basis = build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3)
-        reference = stepper.advance(sc.initial_field().values, 50)[-1]
+        reference = sc.initial_field().values
+        for _ in range(50):
+            reference = stepper.step(reference)
         field = sc.initial_field().with_values(reference)
         macro = restrict(field, sc.gas)
         common = dict(grid=sc.grid, vgrid=sc.vgrid, scale=sc.scale)
@@ -218,6 +213,13 @@ class TestNewton:
         assert report.gmres_iterations > 0
         rows = lift_report_rows(report)
         assert len(rows) == len(report.residual_history)
+
+    def test_report_rows_fill_drift_and_seconds_on_final_row(self):
+        report = LiftReport(solver="newton", iterations=2, final_residual=1e-11,
+                            residual_history=[1e-3, 1e-7, 1e-11],
+                            conserved_drift=2e-16, wall_time=0.5)
+        assert lift_report_rows(report) == [
+            (1, 1e-3, "", ""), (2, 1e-7, "", ""), (3, 1e-11, 2e-16, 0.5)]
 
 
 class TestErrorDiagnostics:

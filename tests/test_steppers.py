@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 from klift import (
+    BGKStepper,
     BoundaryMode,
     BoundarySpec,
-    D1Q3State,
+    D1Q3Stepper,
     FluxScheme,
     StepConfig,
     build_spatial_grid,
     build_velocity_grid,
     discrete_equilibrium,
-    fv_step,
-    lbm_step,
     relaxation_frequency,
     restrict,
     stable_dt,
 )
 from klift.kinetic import DistributionField, MacroFields
-from klift.steppers import D1Q3Stepper
 
 from conftest import KB, helium_gas, load_shipped
 
@@ -67,9 +65,8 @@ class TestFvStep:
         dt = stable_dt(vg, grid.dx, omega)
         bc = BoundarySpec(BoundaryMode.EQUILIBRIUM_INFLOW, left=(n, u, T), right=(n, u, T))
         for scheme in (FluxScheme.UPWIND, FluxScheme.CENTERED):
-            out = fv_step(f, StepConfig(dt, scheme, bc), gas)
-            np.testing.assert_allclose(out.values, f.values, rtol=1e-12)
-            assert out.time == pytest.approx(dt)
+            out = BGKStepper(grid, vg, gas, StepConfig(dt, scheme, bc)).step(f.values)
+            np.testing.assert_allclose(out, f.values, rtol=1e-12)
 
     def test_upwind_exact_shift_at_cfl_one(self):
         # nearly collisionless gas: the velocity column at CFL = 1 is an
@@ -85,14 +82,11 @@ class TestFvStep:
             np.full(32, 1e25), np.full(32, 1000.0), np.full(32, 77.0), vg, quiet
         )
         vals = feq * (1.0 + 0.3 * np.sin(2 * np.pi * np.arange(32) / 32))[:, None]
-        f = DistributionField(grid, vg, vals)
         v_fast = vg.velocities[-1]
         dt = grid.dx / v_fast
         bc = BoundarySpec(BoundaryMode.PERIODIC)
-        out = fv_step(f, StepConfig(dt, FluxScheme.UPWIND, bc), quiet)
-        np.testing.assert_allclose(
-            out.values[:, -1], np.roll(vals[:, -1], 1), rtol=1e-12
-        )
+        out = BGKStepper(grid, vg, quiet, StepConfig(dt, FluxScheme.UPWIND, bc)).step(vals)
+        np.testing.assert_allclose(out[:, -1], np.roll(vals[:, -1], 1), rtol=1e-12)
 
     def test_periodic_mass_conservation_both_schemes(self, rng):
         gas = helium_gas()
@@ -103,15 +97,15 @@ class TestFvStep:
         )
         vals = feq * (1.0 + 0.2 * rng.random((32, 16)))
         bc = BoundarySpec(BoundaryMode.PERIODIC)
+        omega = relaxation_frequency(restrict(DistributionField(grid, vg, vals), gas), gas)
+        dt = stable_dt(vg, grid.dx, omega)
         for scheme in (FluxScheme.UPWIND, FluxScheme.CENTERED):
-            f = DistributionField(grid, vg, vals.copy())
-            omega = relaxation_frequency(restrict(f, gas), gas)
-            dt = stable_dt(vg, grid.dx, omega)
-            cfg = StepConfig(dt, scheme, bc)
-            mass = vg.dv * grid.dx * f.values.sum()
+            stepper = BGKStepper(grid, vg, gas, StepConfig(dt, scheme, bc))
+            f = vals
+            mass = vg.dv * grid.dx * f.sum()
             for _ in range(5):
-                f = fv_step(f, cfg, gas)
-                new_mass = vg.dv * grid.dx * f.values.sum()
+                f = stepper.step(f)
+                new_mass = vg.dv * grid.dx * f.sum()
                 assert abs(new_mass - mass) <= 1e-12 * mass
                 mass = new_mass
 
@@ -153,35 +147,37 @@ class TestFvStep:
                 BoundaryMode.EQUILIBRIUM_INFLOW, left=(-1.0, 0.0, 1.0), right=(1.0, 0.0, 1.0)
             )
 
-    def test_determinism_without_warm_start(self):
+    def test_step_is_pure(self, rng):
+        # stepping another state in between must not change the result for A
         sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=20)
-        f0 = sc.initial_field().values * (1 + 1e-3)
-        a = sc.make_stepper(warm_start=False).advance(f0, 3)
-        b = sc.make_stepper(warm_start=False).advance(f0, 3)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        stepper = sc.make_stepper()
+        f = sc.initial_field().values
+        a = f * (1 + 1e-3)
+        b = f * (1 + 0.05 * rng.random(f.shape))
+        first = stepper.step(a)
+        stepper.step(b)
+        assert np.array_equal(stepper.step(a), first)
 
 
 class TestD1Q3:
     def test_equilibrium_invariant(self):
         f = np.full((10, 3), 0.7)
-        state = D1Q3State(f=f, omega=1.4)
-        out = lbm_step(state)
-        np.testing.assert_allclose(out.f, f, rtol=1e-14)
+        out = D1Q3Stepper(omega=1.4).step(f)
+        np.testing.assert_allclose(out, f, rtol=1e-14)
 
     def test_global_density_conserved(self, rng):
         f = rng.random((20, 3))
-        state = D1Q3State(f=f, omega=0.9)
-        total = state.density.sum()
+        st = D1Q3Stepper(omega=0.9)
+        total = f.sum()
         for _ in range(10):
-            state = lbm_step(state)
-            assert state.density.sum() == pytest.approx(total, rel=1e-14)
+            f = st.step(f)
+            assert f.sum() == pytest.approx(total, rel=1e-14)
 
     def test_single_site_pulse_hand_oracle(self):
         n, j, rho0 = 9, 4, 3.0
         f = np.zeros((n, 3))
         f[j, 1] = rho0
-        out = lbm_step(D1Q3State(f=f, omega=1.0)).f
+        out = D1Q3Stepper(omega=1.0).step(f)
         expected = np.zeros((n, 3))
         expected[j + 1, 0] = rho0 / 3.0  # speed +1 streamed right
         expected[j, 1] = rho0 / 3.0      # rest population stays
@@ -193,7 +189,7 @@ class TestD1Q3:
 
         f = rng.random((12, 3))
         omega = 1.3
-        out = lbm_step(D1Q3State(f=f, omega=omega)).f
+        out = D1Q3Stepper(omega=omega).step(f)
         # pre-streaming moment update: rho fixed, higher moments relaxed
         m_pre = f @ M.T
         post = np.empty_like(m_pre)
@@ -207,18 +203,10 @@ class TestD1Q3:
         unstreamed[:, 2] = np.roll(out[:, 2], 1)
         np.testing.assert_allclose(unstreamed @ M.T, post, atol=1e-14)
 
-    def test_stepper_adapter(self, rng):
-        f = rng.random((6, 3))
-        st = D1Q3Stepper(omega=1.1)
-        states = st.advance(f, 3)
-        assert len(states) == 3
-        direct = lbm_step(lbm_step(lbm_step(D1Q3State(f=f, omega=1.1)))).f
-        np.testing.assert_allclose(states[-1], direct, rtol=1e-15)
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            D1Q3State(f=np.zeros((4, 3)), omega=2.5)
-        with pytest.raises(ValueError):
-            D1Q3State(f=np.zeros((4, 2)), omega=1.0)
+            D1Q3Stepper(omega=2.5)
         with pytest.raises(ValueError):
             D1Q3Stepper(omega=0.0)
+        with pytest.raises(ValueError):
+            D1Q3Stepper(omega=1.0).step(np.zeros((4, 2)))
