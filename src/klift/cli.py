@@ -14,13 +14,14 @@ import sys
 import numpy as np
 
 from .cr import (
+    SOLVERS,
     CRConfig,
     GMRESParams,
     lift_macro,
     lift_report_rows,
     restrict_lift_error,
 )
-from .diagnostics import cr_jacobian_spectrum, projector_spectrum
+from .diagnostics import check_dense_dimension, cr_jacobian_spectrum, projector_spectrum
 from .errors import KliftError
 from .kinetic import equilibrium_field, restrict
 from .moments import BasisKind, build_moment_basis, naive_projector
@@ -194,6 +195,7 @@ def cmd_spectrum(args) -> int:
         which = "qr" if args.operator == "qr-projector" else "naive"
         report = projector_spectrum(basis, which)
     else:
+        check_dense_dimension(scenario.n_cells, basis)
         cfg = _cr_config(scenario, args.order, None)
         stepper = scenario.make_stepper()
         f0 = scenario.initial_field().values
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--solver", choices=("picard", "newton"), default=None)
+    p.add_argument("--solver", choices=SOLVERS, default=None)
     p.add_argument("--out", required=True, help="output file prefix")
     p.set_defaults(func=cmd_lift)
 

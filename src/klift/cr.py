@@ -28,6 +28,11 @@ from .kinetic import (
 from .moments import MomentBasis, project_complement, reset_conserved
 
 MAX_ORDER = 8
+MAX_NEWTON_ITERS = 20
+SOLVERS = ("picard", "newton")
+# Relative forward-difference step: the square root of machine epsilon
+# balances truncation against rounding for a smooth map.
+FD_EPSILON = math.sqrt(np.finfo(float).eps)
 
 
 def cr_weights(order_m: int) -> np.ndarray:
@@ -52,18 +57,16 @@ class GMRESParams:
 @dataclass(frozen=True)
 class CRConfig:
     order_m: int = 0
-    solver: str = "newton"          # "picard" | "newton"
+    solver: str = "newton"          # one of SOLVERS
     picard_tol: float = 1e-12
     newton_tol: float = 1e-10
-    fd_epsilon: float | None = None  # None = sqrt(machine eps), norm-scaled
     max_picard_iters: int = 2000
-    max_newton_iters: int = 20
     gmres: GMRESParams = field(default_factory=GMRESParams)
 
     def __post_init__(self):
         cr_weights(self.order_m)  # validates the order
-        if self.solver not in ("picard", "newton"):
-            raise ValueError("solver must be 'picard' or 'newton'")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
 
     @property
     def weights(self) -> np.ndarray:
@@ -116,6 +119,25 @@ def cr_map(
     return f_pre @ naive_P.T + f0 @ (np.eye(q) - naive_P).T
 
 
+def fd_step(f: np.ndarray, vnorm: float = 1.0) -> float:
+    """Forward-difference step FD_EPSILON (1 + ||f||) / vnorm for a direction of norm vnorm."""
+    return FD_EPSILON * (1.0 + float(np.linalg.norm(f))) / vnorm
+
+
+def cr_jvp(apply_map, f: np.ndarray, Cf: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Forward difference (apply_map(f + h v) - Cf) / h: the CR-map Jacobian along v.
+
+    ``Cf`` is apply_map(f).  The step h = fd_step(f, ||v||) makes the
+    perturbation h v of norm FD_EPSILON (1 + ||f||) whatever the length of
+    v.  A zero direction returns zeros without running the map.
+    """
+    vnorm = float(np.linalg.norm(v))
+    if vnorm == 0.0:
+        return np.zeros_like(v)
+    h = fd_step(f, vnorm)
+    return (apply_map(f + h * v) - Cf) / h
+
+
 def conserved_drift(basis: MomentBasis, f: np.ndarray, f0: np.ndarray) -> float:
     """Max relative deviation of the first k raw moments from those of f0.
 
@@ -137,7 +159,6 @@ def lift_picard(
     cfg: CRConfig,
     *,
     f_guess: np.ndarray | None = None,
-    naive_P: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LiftReport]:
     """Fixed-point iteration f <- C_m(r0, f) starting from f0.
 
@@ -150,7 +171,7 @@ def lift_picard(
     f = f0.copy() if f_guess is None else f_guess.copy()
     history: list[float] = []
     for it in range(1, cfg.max_picard_iters + 1):
-        f_new = cr_map(stepper, basis, f0, f, cfg.order_m, naive_P=naive_P)
+        f_new = cr_map(stepper, basis, f0, f, cfg.order_m)
         resid = float(np.linalg.norm(project_complement(basis, f_new - f)))
         history.append(resid)
         f = f_new
@@ -179,25 +200,26 @@ def lift_newton(
     cfg: CRConfig,
     *,
     f_guess: np.ndarray | None = None,
-    naive_P: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LiftReport]:
     """Newton-GMRES solve of g(f) = f - C_m(r0, f) = 0.
 
-    The Jacobian action is matrix-free: forward differences of the CR map
-    with a perturbation scaled by fd_epsilon * (1 + ||f||) / ||v||.  The
-    conserved moments stay pinned because every CR evaluation resets them;
-    a final reset removes the last rounding-level drift.
+    The Jacobian action is matrix-free: ``cr_jvp``, a forward difference of
+    the CR map.  The conserved moments stay pinned because every CR
+    evaluation resets them; a final reset removes the last rounding-level
+    drift.
     """
     t0 = _time.perf_counter()
     shape = f0.shape
     dim = f0.size
-    eps0 = cfg.fd_epsilon if cfg.fd_epsilon is not None else math.sqrt(np.finfo(float).eps)
     f = f0.copy() if f_guess is None else f_guess.copy()
     history: list[float] = []
     gmres_total = 0
 
-    for it in range(cfg.max_newton_iters + 1):
-        Cf = cr_map(stepper, basis, f0, f, cfg.order_m, naive_P=naive_P)
+    def apply_map(state):
+        return cr_map(stepper, basis, f0, state, cfg.order_m)
+
+    for it in range(MAX_NEWTON_ITERS + 1):
+        Cf = apply_map(f)
         g = (f - Cf).ravel()
         resid = float(np.linalg.norm(g))
         history.append(resid)
@@ -213,7 +235,7 @@ def lift_newton(
                 gmres_iterations=gmres_total,
             )
             return f, report
-        if it == cfg.max_newton_iters:
+        if it == MAX_NEWTON_ITERS:
             break
         if len(history) >= 3 and history[-1] > history[-2] > history[-3]:
             raise ConvergenceError(
@@ -222,16 +244,8 @@ def lift_newton(
                 history=history,
             )
 
-        fnorm = float(np.linalg.norm(f))
-
-        def matvec(v, _f=f, _Cf=Cf, _fnorm=fnorm):
-            vnorm = float(np.linalg.norm(v))
-            if vnorm == 0.0:
-                return np.zeros_like(v)
-            h = eps0 * (1.0 + _fnorm) / vnorm
-            pert = _f + h * v.reshape(shape)
-            Cp = cr_map(stepper, basis, f0, pert, cfg.order_m, naive_P=naive_P)
-            return v - ((Cp - _Cf).ravel() / h)
+        def matvec(v):
+            return v - cr_jvp(apply_map, f, Cf, v.reshape(shape)).ravel()
 
         counter = {"n": 0}
 
@@ -262,7 +276,7 @@ def lift_newton(
 
     raise ConvergenceError(
         f"Newton CR iteration did not reach {cfg.newton_tol:g} "
-        f"in {cfg.max_newton_iters} iterations (last residual {history[-1]:.3e})",
+        f"in {MAX_NEWTON_ITERS} iterations (last residual {history[-1]:.3e})",
         residual=history[-1],
         history=history,
     )

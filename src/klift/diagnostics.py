@@ -17,13 +17,12 @@ Nv = 24, m = 0 that is 4 colours and 4 * 21 + 1 + 1 = 86 maps instead of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigs
 
-from .cr import CRConfig, cr_map
+from .cr import CRConfig, cr_jvp, cr_map, fd_step
 from .errors import NumericalError
 from .moments import MomentBasis, naive_projector, unconserved_basis
 
@@ -121,6 +120,17 @@ def _colored_jacobian(apply_map, base_out, f0, U, h, half_band):
     return J.reshape(n_cells * r, n_cells * r)
 
 
+def check_dense_dimension(n_cells: int, basis: MomentBasis) -> int:
+    """The CR-Jacobian dimension N (q - k); ValueError above ``DENSE_SPECTRUM_CAP``."""
+    dim = n_cells * (basis.q - basis.k)
+    if dim > DENSE_SPECTRUM_CAP:
+        raise ValueError(
+            f"CR Jacobian dimension N*(q-k) = {n_cells}*{basis.q - basis.k} = {dim} exceeds "
+            f"the dense cap {DENSE_SPECTRUM_CAP}; lower N (klift spectrum --n)"
+        )
+    return dim
+
+
 def cr_jacobian_matrix(
     stepper,
     basis: MomentBasis,
@@ -128,47 +138,37 @@ def cr_jacobian_matrix(
     cfg: CRConfig,
     *,
     naive_P: np.ndarray | None = None,
-    max_dim: int = DENSE_SPECTRUM_CAP,
     threads: int = 1,
 ) -> np.ndarray:
     """FD-assembled Jacobian of the CR map in unconserved coordinates.
 
-    The state dimension is N (q - k); the dense assembly caps it at
-    ``max_dim`` (use spectral_radius_arnoldi beyond that) and raises
-    ValueError before it runs any map.  The stepper must couple only
-    nearest-neighbour cells per step (periodic wrap allowed), so the m + 1
-    steps of one CR map give a cell half-bandwidth b = m + 1; the columns
-    are assembled by ring colouring in colours * (q - k) + 2 CR maps (the
-    base map and one check map; see ``ring_colors``).  The check map runs
-    along a fixed random direction z and raises NumericalError when its
-    forward difference disagrees with J z beyond ``BAND_CHECK_RTOL``, i.e.
-    when the stepper couples cells further apart.
+    The state dimension is N (q - k); ``check_dense_dimension`` caps it
+    before any map runs.  The stepper must couple only nearest-neighbour
+    cells per step (periodic wrap allowed), so the m + 1 steps of one CR map
+    give a cell half-bandwidth b = m + 1; the columns are assembled by ring
+    colouring in colours * (q - k) + 2 CR maps (the base map and one check
+    map; see ``ring_colors``), each column with the unit-direction step
+    ``fd_step(f0)``.  The check map is ``cr_jvp`` along a fixed random
+    direction z and raises NumericalError when it disagrees with J z beyond
+    ``BAND_CHECK_RTOL``, i.e. when the stepper couples cells further apart.
 
     ``threads`` does nothing.  It is kept so that callers which still pass
     it (the benchmark's spectrum workload) keep working; the thread pool it
     once sized was slower than a serial loop, and the colored assembly runs
     only a few dozen maps.
     """
-    n_cells, q = f0.shape
+    n_cells = f0.shape[0]
+    dim = check_dense_dimension(n_cells, basis)
     U = unconserved_basis(basis)
-    dim = n_cells * U.shape[1]
-    if dim > max_dim:
-        raise ValueError(
-            f"CR Jacobian dimension N*(q-k) = {dim} exceeds the dense cap {max_dim}; "
-            "use spectral_radius_arnoldi instead"
-        )
 
     def apply_map(state):
         return cr_map(stepper, basis, f0, state, cfg.order_m, naive_P=naive_P)
 
     base_out = apply_map(f0)
-    eps = cfg.fd_epsilon if cfg.fd_epsilon is not None else math.sqrt(np.finfo(float).eps)
-    h = eps * (1.0 + float(np.linalg.norm(f0)))
-    J = _colored_jacobian(apply_map, base_out, f0, U, h, cfg.order_m + 1)
+    J = _colored_jacobian(apply_map, base_out, f0, U, fd_step(f0), cfg.order_m + 1)
 
     z = np.random.default_rng(0).standard_normal(dim)
-    hz = h / float(np.linalg.norm(z))
-    fd = (((apply_map(f0 + hz * (z.reshape(n_cells, -1) @ U.T)) - base_out) @ U) / hz).ravel()
+    fd = (cr_jvp(apply_map, f0, base_out, z.reshape(n_cells, -1) @ U.T) @ U).ravel()
     Jz = J @ z
     scale = max(float(np.linalg.norm(Jz)), float(np.linalg.norm(fd)), np.finfo(float).tiny)
     mismatch = float(np.linalg.norm(fd - Jz)) / scale
@@ -188,9 +188,7 @@ def cr_jacobian_spectrum(
     cfg: CRConfig,
     *,
     naive_P: np.ndarray | None = None,
-    max_dim: int = DENSE_SPECTRUM_CAP,
     threads: int = 1,
-    params: dict | None = None,
 ) -> SpectrumReport:
     """Dense nonsymmetric spectrum of d C_m / d s around f0.
 
@@ -198,13 +196,12 @@ def cr_jacobian_spectrum(
     and is kept for the same reason as there.
     """
     n_cells, q = f0.shape
-    J = cr_jacobian_matrix(stepper, basis, f0, cfg, naive_P=naive_P, max_dim=max_dim)
+    J = cr_jacobian_matrix(stepper, basis, f0, cfg, naive_P=naive_P)
     ev = np.linalg.eigvals(J)
-    p = {"N": n_cells, "q": q, "k": basis.k, "m": cfg.order_m,
-         "projector": "naive" if naive_P is not None else "qr"}
-    if params:
-        p.update(params)
-    return _report(ev, "cr-jacobian", p)
+    return _report(ev, "cr-jacobian", {
+        "N": n_cells, "q": q, "k": basis.k, "m": cfg.order_m,
+        "projector": "naive" if naive_P is not None else "qr",
+    })
 
 
 def spectral_radius_arnoldi(
@@ -213,33 +210,25 @@ def spectral_radius_arnoldi(
     f0: np.ndarray,
     cfg: CRConfig,
     *,
-    naive_P: np.ndarray | None = None,
     tol: float = 1e-6,
 ) -> float:
     """Matrix-free dominant-eigenvalue estimate of |d C_m / d s|.
 
-    Radius-only mode for configurations too large for the dense path.
+    Radius-only mode for configurations too large for the dense path; the
+    matvec is ``cr_jvp`` in unconserved coordinates.
     """
-    n_cells, q = f0.shape
+    n_cells = f0.shape[0]
     U = unconserved_basis(basis)
     r = U.shape[1]
     dim = n_cells * r
 
     def apply_map(state):
-        return cr_map(stepper, basis, f0, state, cfg.order_m, naive_P=naive_P)
+        return cr_map(stepper, basis, f0, state, cfg.order_m)
 
     base_out = apply_map(f0)
-    eps = cfg.fd_epsilon if cfg.fd_epsilon is not None else math.sqrt(np.finfo(float).eps)
-    fnorm = float(np.linalg.norm(f0))
 
     def matvec(x):
-        xn = float(np.linalg.norm(x))
-        if xn == 0.0:
-            return np.zeros_like(x)
-        h = eps * (1.0 + fnorm) / xn
-        pert = f0 + h * (x.reshape(n_cells, r) @ U.T)
-        out = apply_map(pert)
-        return (((out - base_out) @ U) / h).reshape(dim)
+        return (cr_jvp(apply_map, f0, base_out, x.reshape(n_cells, r) @ U.T) @ U).reshape(dim)
 
     op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
     vals = eigs(op, k=1, which="LM", tol=tol, return_eigenvectors=False)

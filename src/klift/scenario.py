@@ -7,14 +7,15 @@ stability time step).  Derived quantities are always recomputed from the
 primary parameters, never stored.
 """
 
-from __future__ import annotations
-
 import hashlib
 import numbers
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import MISSING, dataclass, field, fields, replace
+from enum import Enum
 
 import numpy as np
 
+from .cr import SOLVERS
 from .kinetic import (
     GasParams,
     MacroFields,
@@ -38,39 +39,52 @@ from .steppers import (
 _BOOL_WORDS = {"true": True, "false": False}
 
 
-@dataclass(frozen=True)
+def _key(key: str, **kwargs):
+    """A Scenario field stored under ``key`` in the flat config."""
+    return field(metadata={"key": key}, **kwargs)
+
+
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    """Primary parameters of a laser-ablation run."""
+    """Primary parameters of a laser-ablation run.
+
+    The fields are the config schema: each names its flat config key, and a
+    field with a default may be left out of a config file.
+    """
 
     # gas
-    molecular_mass: float
-    molecular_diameter: float
-    mu_ref: float
-    T_ref: float
-    viscosity_index: float
+    molecular_mass: float = _key("gas.molecular_mass")
+    molecular_diameter: float = _key("gas.molecular_diameter")
+    mu_ref: float = _key("gas.mu_ref")
+    T_ref: float = _key("gas.T_ref")
+    viscosity_index: float = _key("gas.viscosity_index")
     # boundary states, given as pressure/temperature/flow velocity
-    ambient_p: float
-    ambient_T: float
-    ambient_u: float
-    surface_p: float
-    surface_T: float
-    surface_u: float
+    ambient_p: float = _key("ambient.p")
+    ambient_T: float = _key("ambient.T")
+    ambient_u: float = _key("ambient.u", default=0.0)
+    surface_p: float = _key("surface.p")
+    surface_T: float = _key("surface.T")
+    surface_u: float = _key("surface.u", default=0.0)
     # discretization
-    n_cells: int
-    n_velocities: int
-    lambda_multiple: float
-    bound_multiple: float = 4.0
-    flux: FluxScheme = FluxScheme.UPWIND
-    reference_steps: int = 10000
+    n_cells: int = _key("grid.N")
+    n_velocities: int = _key("grid.Nv")
+    lambda_multiple: float = _key("domain.lambda_multiple")
+    bound_multiple: float = _key("velocity.bound_multiple", default=4.0)
+    flux: FluxScheme = _key("flux.scheme", default=FluxScheme.UPWIND)
+    reference_steps: int = _key("run.steps", default=10000)
     # lifting defaults
-    order_m: int = 0
-    solver: str = "newton"
-    newton_tol: float = 1e-10
-    picard_tol: float = 1e-12
-    gmres_tol: float = 1e-6
-    gmres_max_iters: int = 200
-    mass_rescaled: bool = True
-    cfl_safety: float = 0.9
+    order_m: int = _key("cr.order_m", default=0)
+    solver: str = _key("cr.solver", default="newton")
+    newton_tol: float = _key("cr.newton_tol", default=1e-10)
+    picard_tol: float = _key("cr.picard_tol", default=1e-12)
+    gmres_tol: float = _key("gmres.tol", default=1e-6)
+    gmres_max_iters: int = _key("gmres.max_iters", default=200)
+    mass_rescaled: bool = _key("field.mass_rescaled", default=True)
+    cfl_safety: float = _key("run.cfl_safety", default=0.9)
+
+    def __post_init__(self):
+        if self.solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
 
     # ---- derived quantities -------------------------------------------------
 
@@ -169,90 +183,46 @@ class Scenario:
     # ---- config round trip --------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "gas.molecular_mass": self.molecular_mass,
-            "gas.molecular_diameter": self.molecular_diameter,
-            "gas.mu_ref": self.mu_ref,
-            "gas.T_ref": self.T_ref,
-            "gas.viscosity_index": self.viscosity_index,
-            "ambient.p": self.ambient_p,
-            "ambient.T": self.ambient_T,
-            "ambient.u": self.ambient_u,
-            "surface.p": self.surface_p,
-            "surface.T": self.surface_T,
-            "surface.u": self.surface_u,
-            "grid.N": self.n_cells,
-            "grid.Nv": self.n_velocities,
-            "domain.lambda_multiple": self.lambda_multiple,
-            "velocity.bound_multiple": self.bound_multiple,
-            "flux.scheme": self.flux.value,
-            "run.steps": self.reference_steps,
-            "cr.order_m": self.order_m,
-            "cr.solver": self.solver,
-            "cr.newton_tol": self.newton_tol,
-            "cr.picard_tol": self.picard_tol,
-            "gmres.tol": self.gmres_tol,
-            "gmres.max_iters": self.gmres_max_iters,
-            "field.mass_rescaled": self.mass_rescaled,
-            "run.cfl_safety": self.cfl_safety,
-        }
+        out = {}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            out[f.metadata["key"]] = val.value if isinstance(val, Enum) else val
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         d = dict(d)
-
-        def take(key, default=None):
+        kwargs = {}
+        for f in fields(cls):
+            key = f.metadata["key"]
             if key in d:
-                return d.pop(key)
-            if default is None:
+                kwargs[f.name] = _parse_value(key, f.type, d.pop(key))
+            elif f.default is MISSING:
                 raise ValueError(f"missing config key {key!r}")
-            return default
-
-        sc = cls(
-            molecular_mass=float(take("gas.molecular_mass")),
-            molecular_diameter=float(take("gas.molecular_diameter")),
-            mu_ref=float(take("gas.mu_ref")),
-            T_ref=float(take("gas.T_ref")),
-            viscosity_index=float(take("gas.viscosity_index")),
-            ambient_p=float(take("ambient.p")),
-            ambient_T=float(take("ambient.T")),
-            ambient_u=float(take("ambient.u", 0.0)),
-            surface_p=float(take("surface.p")),
-            surface_T=float(take("surface.T")),
-            surface_u=float(take("surface.u", 0.0)),
-            n_cells=_integer("grid.N", take("grid.N")),
-            n_velocities=_integer("grid.Nv", take("grid.Nv")),
-            lambda_multiple=float(take("domain.lambda_multiple")),
-            bound_multiple=float(take("velocity.bound_multiple", 4.0)),
-            flux=FluxScheme(take("flux.scheme", "upwind")),
-            reference_steps=_integer("run.steps", take("run.steps", 10000)),
-            order_m=_integer("cr.order_m", take("cr.order_m", 0)),
-            solver=str(take("cr.solver", "newton")),
-            newton_tol=float(take("cr.newton_tol", 1e-10)),
-            picard_tol=float(take("cr.picard_tol", 1e-12)),
-            gmres_tol=float(take("gmres.tol", 1e-6)),
-            gmres_max_iters=_integer("gmres.max_iters", take("gmres.max_iters", 200)),
-            mass_rescaled=_boolean("field.mass_rescaled", take("field.mass_rescaled", True)),
-            cfl_safety=float(take("run.cfl_safety", 0.9)),
-        )
         if d:
             raise ValueError(f"unrecognized config keys: {sorted(d)}")
-        return sc
+        return cls(**kwargs)
 
 
-def _integer(key: str, val) -> int:
-    """An integral config value; booleans and fractional numbers are rejected."""
-    if isinstance(val, numbers.Integral) and not isinstance(val, bool):
-        return int(val)
-    if isinstance(val, float) and val.is_integer():
-        return int(val)
-    raise ValueError(f"config key {key!r} must be an integer, got {val!r}")
+_KINDS = {float: "a finite number", int: "an integer", bool: "true or false"}
 
 
-def _boolean(key: str, val) -> bool:
-    if isinstance(val, bool):
+def _parse_value(key: str, typ: type, val):
+    """``val`` as a value of the field type ``typ``.
+
+    Numbers are never read from booleans or strings: an int must be integral
+    (20.0 reads as 20) and a float finite.
+    """
+    if typ not in _KINDS:
+        return typ(val)
+    number = isinstance(val, numbers.Real) and not isinstance(val, bool)
+    if typ is bool and isinstance(val, bool):
         return val
-    raise ValueError(f"config key {key!r} must be true or false, got {val!r}")
+    if typ is int and number and (isinstance(val, numbers.Integral) or float(val).is_integer()):
+        return int(val)
+    if typ is float and number and abs(val) <= sys.float_info.max:
+        return float(val)
+    raise ValueError(f"config key {key!r} must be {_KINDS[typ]}, got {val!r}")
 
 
 def parse_config(text: str) -> dict:

@@ -24,6 +24,25 @@ def tiny_config(tmp_path, **overrides):
     return path, sc
 
 
+FLOAT_KEYS = [
+    "gas.molecular_mass", "gas.molecular_diameter", "gas.mu_ref", "gas.T_ref",
+    "gas.viscosity_index", "ambient.p", "ambient.T", "ambient.u", "surface.p",
+    "surface.T", "surface.u", "domain.lambda_multiple", "velocity.bound_multiple",
+    "cr.newton_tol", "cr.picard_tol", "gmres.tol", "run.cfl_safety",
+]
+# values a float key rejects: (config text, value as parse_config reads it)
+BAD_FLOAT_WORDS = [("true", True), ("nan", math.nan), ("inf", math.inf), ("fast", "fast")]
+
+
+def config_with(tmp_path, key, text):
+    """The desk config with one value replaced by ``text``, written to a file."""
+    d = load_shipped("helium_desk.cfg").to_dict()
+    d[key] = text
+    path = tmp_path / "edited.cfg"
+    path.write_text(serialize_config(d), encoding="utf-8")
+    return path
+
+
 def read_rows(path):
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
@@ -65,12 +84,22 @@ class TestConfigFormat:
         ("run.steps", 1500.5),
         ("cr.order_m", "2"),
         ("gmres.max_iters", float("inf")),
-    ])
+    ] + [(key, value) for key in FLOAT_KEYS for _, value in BAD_FLOAT_WORDS])
     def test_rejects_coerced_values(self, key, value):
         d = load_shipped("helium_L30000.cfg").to_dict()
         d[key] = value
         with pytest.raises(ValueError, match=key):
             Scenario.from_dict(d)
+
+    def test_float_keys_are_the_float_fields(self):
+        d = load_shipped("helium_L30000.cfg").to_dict()
+        assert sorted(k for k, v in d.items() if type(v) is float) == sorted(FLOAT_KEYS)
+
+    def test_shipped_config_hashes(self):
+        # CSV headers carry these hashes; a schema change must not move them
+        assert config_hash(load_shipped("helium_desk.cfg")) == "8743d8f59c925b8f"
+        assert config_hash(load_shipped("helium_L30.cfg")) == "7599581bbc6d032b"
+        assert config_hash(load_shipped("helium_L30000.cfg")) == "327bc3f39397636e"
 
     def test_integral_float_accepted(self):
         d = load_shipped("helium_L30000.cfg").to_dict()
@@ -231,6 +260,42 @@ class TestCLI:
         cfg, _ = tiny_config(tmp_path, n_cells=400)
         assert main(["spectrum", "--config", str(cfg), "--operator", "cr-qr",
                      "--out", str(tmp_path / "x.csv")]) == EXIT_ARG
+
+    def test_spectrum_cap_checked_before_field(self, tmp_path, monkeypatch, capsys):
+        def no_field(self):
+            raise AssertionError("initial_field built before the cap check")
+
+        monkeypatch.setattr(Scenario, "initial_field", no_field)
+        assert main(["spectrum", "--config", str(scenario_path("helium_desk.cfg")),
+                     "--operator", "cr-qr", "--n", "200000",
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_ARG
+        err = capsys.readouterr().err
+        assert "dense cap 2000" in err and "--n" in err
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("text", [w for w, _ in BAD_FLOAT_WORDS])
+    def test_bad_float_value_is_arg_error(self, tmp_path, capsys, key, text):
+        cfg = config_with(tmp_path, key, text)
+        assert main(["run-reference", "--config", str(cfg), "--steps", "0",
+                     "--out", str(tmp_path / "o.snap")]) == EXIT_ARG
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run-reference", "--steps", "0"],
+        ["restrict", "--snapshot", "ref.snap"],
+        ["lift", "--reference", "ref.snap"],
+        ["spectrum", "--operator", "qr-projector"],
+        ["sweep", "--grid-sizes", "8", "--orders", "0", "--steps", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_solver_is_arg_error(self, tmp_path, capsys, argv):
+        # a valid snapshot, so that only the solver can fail the command
+        write_snapshot(tmp_path / "ref.snap",
+                       load_shipped("helium_desk.cfg").initial_field())
+        cfg = config_with(tmp_path, "cr.solver", "bogus")
+        argv = [a.replace("ref.snap", str(tmp_path / "ref.snap")) for a in argv]
+        assert main([argv[0], "--config", str(cfg), *argv[1:],
+                     "--out", str(tmp_path / "out")]) == EXIT_ARG
+        assert "bogus" in capsys.readouterr().err
 
     def test_sweep(self, tmp_path):
         cfg, _ = tiny_config(tmp_path)

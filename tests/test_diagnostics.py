@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from klift import BasisKind, CRConfig, build_moment_basis, lift_picard
-from klift.cr import cr_map
+from klift.cr import cr_jvp, cr_map
 from klift.diagnostics import (
     cr_jacobian_matrix,
     cr_jacobian_spectrum,
@@ -75,6 +75,11 @@ def fd_reference_jacobian(stepper, basis, f0, order_m):
             out = cr_map(stepper, basis, f0, pert, order_m)
             J[:, j * r + l] = ((out - base) @ U).reshape(-1) / h
     return J
+
+
+class RaisingStepper:
+    def step(self, values):
+        raise AssertionError("the stepper ran")
 
 
 class MeanCoupledStepper(D1Q3Stepper):
@@ -182,11 +187,11 @@ class TestCRJacobian:
         assert eigenpair_residuals(J, n_samples=5).max() < 1e-8
 
     def test_dimension_cap(self, rng):
+        # N (q - k) = 1001 * 2 = 2002 > 2000: the cap fires before any map runs
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
-        st = D1Q3Stepper(omega=1.0)
-        f0 = rng.random((4, 3))
-        with pytest.raises(ValueError):
-            cr_jacobian_matrix(st, basis, f0, CRConfig(order_m=0), max_dim=4)
+        f0 = rng.random((1001, 3))
+        with pytest.raises(ValueError, match="dense cap"):
+            cr_jacobian_matrix(RaisingStepper(), basis, f0, CRConfig(order_m=0))
 
     def test_arnoldi_matches_dense_radius(self, rng):
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
@@ -211,3 +216,33 @@ class TestCRJacobian:
                        max_picard_iters=budget)
         _, report = lift_picard(st, basis, f0, cfg)
         assert report.iterations <= budget
+
+
+class TestCRJvp:
+    @pytest.mark.parametrize("order_m", [0, 2])
+    def test_matches_colored_jacobian_on_d1q3(self, order_m, rng):
+        # the D1Q3 CR map is linear, so the forward difference along any
+        # direction is J z up to FD rounding
+        basis = build_moment_basis(BasisKind.D1Q3, None, 1)
+        st = D1Q3Stepper(omega=1.3)
+        f0 = rng.random((9, 3)) + 0.5
+        J = cr_jacobian_matrix(st, basis, f0, CRConfig(order_m=order_m))
+        U = unconserved_basis(basis)
+
+        def apply_map(state):
+            return cr_map(st, basis, f0, state, order_m)
+
+        z = rng.standard_normal(J.shape[1])
+        jvp = cr_jvp(apply_map, f0, apply_map(f0), z.reshape(9, -1) @ U.T)
+        Jz = J @ z
+        assert np.linalg.norm((jvp @ U).ravel() - Jz) <= 1e-6 * np.linalg.norm(Jz)
+
+    def test_zero_direction_gives_zeros(self, rng):
+        f = rng.random((4, 3))
+
+        def apply_map(state):
+            raise AssertionError("the map ran")
+
+        out = cr_jvp(apply_map, f, f, np.zeros((4, 3)))
+        np.testing.assert_array_equal(out, 0.0)
+        assert out.shape == (4, 3)
