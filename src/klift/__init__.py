@@ -15,7 +15,6 @@ from .errors import ConvergenceError, KliftError, NumericalError, ZeroDensityErr
 from .kinetic import (
     BOLTZMANN,
     DistributionField,
-    EquilibriumCoeffs,
     GasParams,
     MacroFields,
     SpatialGrid,

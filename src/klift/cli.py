@@ -13,14 +13,7 @@ import sys
 
 import numpy as np
 
-from .cr import (
-    SOLVERS,
-    CRConfig,
-    GMRESParams,
-    lift_macro,
-    lift_report_rows,
-    restrict_lift_error,
-)
+from .cr import SOLVERS, lift_macro, lift_report_rows, restrict_lift_error
 from .diagnostics import check_dense_dimension, cr_jacobian_spectrum, projector_spectrum
 from .errors import KliftError
 from .kinetic import equilibrium_field, restrict
@@ -50,16 +43,6 @@ def _write_csv(path, comments, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _cr_config(scenario: Scenario, order: int | None, solver: str | None) -> CRConfig:
-    return CRConfig(
-        order_m=scenario.order_m if order is None else order,
-        solver=scenario.solver if solver is None else solver,
-        picard_tol=scenario.picard_tol,
-        newton_tol=scenario.newton_tol,
-        gmres=GMRESParams(tol=scenario.gmres_tol, max_iters=scenario.gmres_max_iters),
-    )
 
 
 def _check_snapshot_matches(scenario: Scenario, field) -> None:
@@ -115,7 +98,7 @@ def cmd_lift(args) -> int:
     reference = read_snapshot(args.reference)
     _check_snapshot_matches(scenario, reference)
     gas = scenario.gas
-    cfg = _cr_config(scenario, args.order, args.solver)
+    cfg = scenario.cr_config(args.order, args.solver)
 
     macro = restrict(reference, gas)
     stepper = scenario.make_stepper()
@@ -196,7 +179,7 @@ def cmd_spectrum(args) -> int:
         report = projector_spectrum(basis, which)
     else:
         check_dense_dimension(scenario.n_cells, basis)
-        cfg = _cr_config(scenario, args.order, None)
+        cfg = scenario.cr_config(args.order)
         stepper = scenario.make_stepper()
         f0 = scenario.initial_field().values
         naive_P = naive_projector(basis)[0] if args.operator == "cr-naive" else None
@@ -235,7 +218,7 @@ def cmd_sweep(args) -> int:
         macro = restrict(reference, gas)
         basis = build_moment_basis(BasisKind.MONOMIAL, scen.vgrid, CONSERVED_MOMENTS)
         for m in orders:
-            cfg = _cr_config(scen, m, "newton")
+            cfg = scen.cr_config(m, "newton")
             try:
                 _, report = lift_macro(
                     stepper, basis, macro, gas, cfg,

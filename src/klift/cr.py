@@ -53,6 +53,12 @@ class GMRESParams:
     max_iters: int = 200
     restart: int | None = None  # None = single cycle of max_iters iterations
 
+    def __post_init__(self):
+        if not self.tol > 0.0:
+            raise ValueError(f"GMRESParams.tol must be positive, got {self.tol!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"GMRESParams.max_iters must be at least 1, got {self.max_iters!r}")
+
 
 @dataclass(frozen=True)
 class CRConfig:
@@ -67,6 +73,9 @@ class CRConfig:
         cr_weights(self.order_m)  # validates the order
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
+        for name in ("picard_tol", "newton_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"CRConfig.{name} must be positive, got {getattr(self, name)!r}")
 
     @property
     def weights(self) -> np.ndarray:
@@ -82,7 +91,6 @@ class LiftReport:
     conserved_drift: float
     wall_time: float
     gmres_iterations: int = 0
-    converged: bool = True
 
 
 def cr_map(

@@ -1,12 +1,11 @@
-"""Spectral and convergence diagnostics for the projectors and the CR map.
+"""Spectral diagnostics for the projectors and the CR map.
 
-Full spectra use a dense eigensolve and are capped in dimension; for larger
-cases a matrix-free Arnoldi estimate of the spectral radius is available.
-The CR-map Jacobian is assembled from forward differences by
-Curtis-Powell-Reid column colouring.  It relies on the stepper contract that
-one step couples each cell only to its nearest neighbours (with periodic
-wrap or frozen ghost cells), while restriction, the equilibrium solve and the
-conserved-moment reset act per cell.  One CR map takes m + 1 steps, so cell i
+Full spectra use a dense eigensolve and are capped in dimension.  The CR-map
+Jacobian is assembled from forward differences by Curtis-Powell-Reid column
+colouring.  It relies on the stepper contract that one step couples each
+cell only to its nearest neighbours (with periodic wrap or frozen ghost
+cells), while restriction, the equilibrium solve and the conserved-moment
+reset act per cell.  One CR map takes m + 1 steps, so cell i
 of its output depends only on cells i - b .. i + b with b = m + 1.  Cells
 more than 2b apart on the ring then share a colour and are perturbed in one
 map, and the Jacobian costs (colours) * (q - k) + 1 maps instead of
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigs
 
 from .cr import CRConfig, cr_jvp, cr_map, fd_step
 from .errors import NumericalError
@@ -202,46 +200,3 @@ def cr_jacobian_spectrum(
         "N": n_cells, "q": q, "k": basis.k, "m": cfg.order_m,
         "projector": "naive" if naive_P is not None else "qr",
     })
-
-
-def spectral_radius_arnoldi(
-    stepper,
-    basis: MomentBasis,
-    f0: np.ndarray,
-    cfg: CRConfig,
-    *,
-    tol: float = 1e-6,
-) -> float:
-    """Matrix-free dominant-eigenvalue estimate of |d C_m / d s|.
-
-    Radius-only mode for configurations too large for the dense path; the
-    matvec is ``cr_jvp`` in unconserved coordinates.
-    """
-    n_cells = f0.shape[0]
-    U = unconserved_basis(basis)
-    r = U.shape[1]
-    dim = n_cells * r
-
-    def apply_map(state):
-        return cr_map(stepper, basis, f0, state, cfg.order_m)
-
-    base_out = apply_map(f0)
-
-    def matvec(x):
-        return (cr_jvp(apply_map, f0, base_out, x.reshape(n_cells, r) @ U.T) @ U).reshape(dim)
-
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    vals = eigs(op, k=1, which="LM", tol=tol, return_eigenvectors=False)
-    return float(np.abs(vals[0]))
-
-
-def eigenpair_residuals(A: np.ndarray, n_samples: int = 5, seed: int = 0) -> np.ndarray:
-    """||A v - lambda v|| / ||v|| for a few sampled eigenpairs (sanity check)."""
-    vals, vecs = np.linalg.eig(A)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(A.shape[0], size=min(n_samples, A.shape[0]), replace=False)
-    res = []
-    for i in idx:
-        v = vecs[:, i]
-        res.append(np.linalg.norm(A @ v - vals[i] * v) / np.linalg.norm(v))
-    return np.array(res)

@@ -9,7 +9,7 @@ scale-aware.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,11 +30,10 @@ class GasParams:
     T_ref: float                # K, reference temperature
     viscosity_index: float      # dimensionless exponent of the viscosity law
     molecular_diameter: float   # m, gas-kinetic diameter (mean free path)
-    boltzmann_const: float = BOLTZMANN
 
     def __post_init__(self):
         for name in ("molecular_mass", "mu_ref", "T_ref",
-                     "molecular_diameter", "boltzmann_const"):
+                     "molecular_diameter"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"GasParams.{name} must be positive")
         if self.viscosity_index < 0.0:
@@ -124,30 +123,23 @@ class MacroFields:
     temperature: np.ndarray     # K
 
 
-@dataclass
-class EquilibriumCoeffs:
-    """Per-cell coefficients of f_eq = A exp(-B^2 (v - D)^2)."""
-
-    A: np.ndarray
-    B: np.ndarray
-    D: np.ndarray
-
-
-def equilibrium_coeffs(
-    n: np.ndarray,
-    u: np.ndarray,
-    T: np.ndarray,
+def discrete_equilibrium(
+    n,
+    u,
+    T,
     vgrid: VelocityGrid,
     gas: GasParams,
-) -> EquilibriumCoeffs:
-    """Solve the discrete conservation equations for (A, B, D).
+) -> np.ndarray:
+    """Discrete Maxwell-Boltzmann equilibrium f_eq = A exp(-B^2 (v - D)^2) per cell.
 
-    Newton on the pair R_1 = 0, R_2 - R_0 k_B T / m = 0 with
-    R_j = dv sum_i (v_i - u)^j exp(-B^2 (v_i - D)^2), then A = n / R_0.
-    The 2x2 Jacobian is closed form.  Residuals are nondimensionalized with
-    the thermal speed so ``EQUILIBRIUM_TOL`` is a relative tolerance.  Newton
-    starts from the continuous Maxwellian's B = sqrt(m / (2 k_B T)), D = u.
-    Vectorized over cells.
+    Returns f_eq of shape (N, Nv) (or (1, Nv) for scalars), whose three
+    dv-weighted sums reproduce n, n u and n k_B T / m to the Newton
+    tolerance.  (B, D) come from Newton on the pair R_1 = 0,
+    R_2 - R_0 k_B T / m = 0 with R_j = dv sum_i (v_i - u)^j exp(-B^2 (v_i - D)^2),
+    then A = n / R_0.  The 2x2 Jacobian is closed form.  Residuals are
+    nondimensionalized with the thermal speed so ``EQUILIBRIUM_TOL`` is a
+    relative tolerance.  Newton starts from the continuous Maxwellian's
+    B = sqrt(m / (2 k_B T)), D = u.  Vectorized over cells.
     """
     n = np.atleast_1d(np.asarray(n, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -157,7 +149,7 @@ def equilibrium_coeffs(
     if np.any(T <= 0.0):
         raise ValueError("temperature must be positive")
 
-    kB, m = gas.boltzmann_const, gas.molecular_mass
+    kB, m = BOLTZMANN, gas.molecular_mass
     v = vgrid.velocities
     dv = vgrid.dv
     vt = np.sqrt(kB * T / m)  # thermal speed scale
@@ -167,9 +159,6 @@ def equilibrium_coeffs(
 
     w = v[None, :] - u[:, None]
     w2 = w * w
-    active = np.ones(n.shape, dtype=bool)
-    res = np.full(n.shape, np.inf)
-    E = None
     for _ in range(EQUILIBRIUM_MAX_ITER):
         S = v[None, :] - D[:, None]
         E = np.exp(-((B[:, None] * S) ** 2))
@@ -181,7 +170,7 @@ def equilibrium_coeffs(
         res = np.maximum(np.abs(F1) / (R0 * vt), np.abs(F2) / (R0 * vt * vt))
         active = res > EQUILIBRIUM_TOL
         if not active.any():
-            break
+            return (n / R0)[:, None] * E
 
         S2 = S * S
         dE_dB = -2.0 * B[:, None] * S2 * E
@@ -203,35 +192,11 @@ def equilibrium_coeffs(
         B = Bn
         D = D + np.where(active, dD, 0.0)
 
-    if active.any():
-        worst = float(res[active].max())
-        raise ConvergenceError(
-            f"equilibrium Newton solve did not converge (residual {worst:.3e})",
-            residual=worst,
-        )
-
-    R0 = dv * E.sum(axis=1)
-    A = n / R0
-    return EquilibriumCoeffs(A=A, B=B, D=D)
-
-
-def discrete_equilibrium(
-    n,
-    u,
-    T,
-    vgrid: VelocityGrid,
-    gas: GasParams,
-) -> tuple[np.ndarray, EquilibriumCoeffs]:
-    """Discrete Maxwell-Boltzmann equilibrium for cell values (n, u, T).
-
-    Returns (f_eq, coeffs) with f_eq of shape (N, Nv) (or (1, Nv) for
-    scalars).  The three dv-weighted sums reproduce n, n u and n k_B T / m
-    to the Newton tolerance.
-    """
-    coeffs = equilibrium_coeffs(n, u, T, vgrid, gas)
-    S = vgrid.velocities[None, :] - coeffs.D[:, None]
-    feq = coeffs.A[:, None] * np.exp(-((coeffs.B[:, None] * S) ** 2))
-    return feq, coeffs
+    worst = float(res[active].max())
+    raise ConvergenceError(
+        f"equilibrium Newton solve did not converge (residual {worst:.3e})",
+        residual=worst,
+    )
 
 
 def equilibrium_field(
@@ -244,7 +209,7 @@ def equilibrium_field(
     time: float = 0.0,
 ) -> DistributionField:
     """Equilibrium DistributionField matching per-cell (n, u, T)."""
-    feq, _ = discrete_equilibrium(
+    feq = discrete_equilibrium(
         macro.number_density, macro.velocity, macro.temperature, vgrid, gas
     )
     return DistributionField(grid, vgrid, scale * feq, time=time, scale=scale)
@@ -265,7 +230,7 @@ def restrict(f: DistributionField, gas: GasParams) -> MacroFields:
         raise ZeroDensityError(int(bad[0]))
     u = dv * (vals * v[None, :]).sum(axis=1) / n
     w2 = (v[None, :] - u[:, None]) ** 2
-    T = (gas.molecular_mass / (gas.boltzmann_const * n)) * dv * (w2 * vals).sum(axis=1)
+    T = (gas.molecular_mass / (BOLTZMANN * n)) * dv * (w2 * vals).sum(axis=1)
     return MacroFields(number_density=n, velocity=u, temperature=T)
 
 
@@ -273,7 +238,7 @@ def relaxation_frequency(macro: MacroFields, gas: GasParams) -> np.ndarray:
     """BGK relaxation frequency omega = n k_B T / mu(T), per cell."""
     T = macro.temperature
     mu = gas.mu_ref * (T / gas.T_ref) ** gas.viscosity_index
-    return macro.number_density * gas.boltzmann_const * T / mu
+    return macro.number_density * BOLTZMANN * T / mu
 
 
 def mean_free_path(gas: GasParams, n: float) -> float:
@@ -281,17 +246,3 @@ def mean_free_path(gas: GasParams, n: float) -> float:
     if n <= 0.0:
         raise ValueError("number density must be positive")
     return 1.0 / (math.sqrt(2.0) * math.pi * gas.molecular_diameter**2 * n)
-
-
-def truncated_mass_fraction(n, u, T, vgrid: VelocityGrid, gas: GasParams) -> np.ndarray:
-    """Fraction of the continuous Maxwellian outside [v_min, v_max].
-
-    Diagnostic only: the velocity bounds may clip a hot Maxwellian; we report
-    the clipped fraction instead of rejecting such states.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    T = np.atleast_1d(np.asarray(T, dtype=float))
-    b = np.sqrt(gas.molecular_mass / (2.0 * gas.boltzmann_const * T))
-    erf = np.vectorize(math.erf)
-    inside = 0.5 * (erf(b * (vgrid.v_max - u)) - erf(b * (vgrid.v_min - u)))
-    return 1.0 - inside

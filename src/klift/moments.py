@@ -36,7 +36,6 @@ class BasisKind(Enum):
 @dataclass(frozen=True, eq=False)
 class MomentBasis:
     kind: BasisKind
-    velocities: np.ndarray  # (q,)
     M: np.ndarray           # (q, q) populations -> moments
     k: int                  # number of conserved moments, 1 <= k < q
     M0: np.ndarray          # M with rows >= k zeroed
@@ -73,7 +72,6 @@ def build_moment_basis(kind: BasisKind | str, velocities, k: int) -> MomentBasis
     """
     kind = BasisKind(kind)
     if kind is BasisKind.D1Q3:
-        v = np.array([1.0, 0.0, -1.0])
         M = D1Q3_MOMENT_MATRIX.copy()
     else:
         v = velocities.velocities if isinstance(velocities, VelocityGrid) else np.asarray(velocities, dtype=float)
@@ -88,11 +86,10 @@ def build_moment_basis(kind: BasisKind | str, velocities, k: int) -> MomentBasis
             M = _chebyshev_rows(v, q)
         else:
             raise ValueError("custom bases are built with basis_from_matrix")
-    return basis_from_matrix(M, k, kind=kind, velocities=v)
+    return basis_from_matrix(M, k, kind=kind)
 
 
-def basis_from_matrix(M: np.ndarray, k: int, *, kind: BasisKind = BasisKind.CUSTOM,
-                      velocities: np.ndarray | None = None) -> MomentBasis:
+def basis_from_matrix(M: np.ndarray, k: int, *, kind: BasisKind = BasisKind.CUSTOM) -> MomentBasis:
     """MomentBasis from an explicit q x q moment matrix."""
     M = np.asarray(M, dtype=float)
     q = M.shape[0]
@@ -105,9 +102,7 @@ def basis_from_matrix(M: np.ndarray, k: int, *, kind: BasisKind = BasisKind.CUST
     Q, R = np.linalg.qr(M0[:k].T)  # reduced: Q (q, k), R (k, k)
     if np.min(np.abs(np.diag(R))) <= q * np.finfo(float).eps * np.max(np.abs(R)):
         raise NumericalError("conserved moment rows are numerically rank deficient")
-    if velocities is None:
-        velocities = np.arange(q, dtype=float)
-    return MomentBasis(kind=kind, velocities=velocities, M=M, k=k, M0=M0, Q=Q, R=R)
+    return MomentBasis(kind=kind, M=M, k=k, M0=M0, Q=Q, R=R)
 
 
 def project_complement(basis: MomentBasis, f: np.ndarray) -> np.ndarray:

@@ -15,8 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from .cr import SOLVERS
+from .cr import CRConfig, GMRESParams
 from .kinetic import (
+    BOLTZMANN,
     GasParams,
     MacroFields,
     SpatialGrid,
@@ -83,8 +84,21 @@ class Scenario:
     cfl_safety: float = _key("run.cfl_safety", default=0.9)
 
     def __post_init__(self):
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
+        if not self.cfl_safety > 0.0:
+            raise ValueError(f"run.cfl_safety must be positive, got {self.cfl_safety!r}")
+        if self.reference_steps < 0:
+            raise ValueError(f"run.steps must be nonnegative, got {self.reference_steps!r}")
+        self.cr_config()  # checks the cr.* and gmres.* keys
+
+    def cr_config(self, order: int | None = None, solver: str | None = None) -> CRConfig:
+        """The lifting configuration, with ``order`` and ``solver`` overriding the config."""
+        return CRConfig(
+            order_m=self.order_m if order is None else order,
+            solver=self.solver if solver is None else solver,
+            picard_tol=self.picard_tol,
+            newton_tol=self.newton_tol,
+            gmres=GMRESParams(tol=self.gmres_tol, max_iters=self.gmres_max_iters),
+        )
 
     # ---- derived quantities -------------------------------------------------
 
@@ -103,7 +117,7 @@ class Scenario:
         return self.molecular_mass if self.mass_rescaled else 1.0
 
     def _triple(self, p: float, T: float, u: float) -> tuple[float, float, float]:
-        n = p / (self.gas.boltzmann_const * T)
+        n = p / (BOLTZMANN * T)
         return n, u, T
 
     @property
@@ -117,7 +131,7 @@ class Scenario:
     @property
     def u0(self) -> float:
         """Surface thermal speed sqrt(2 k_B T_s / m): sets the velocity bounds."""
-        return float(np.sqrt(2.0 * self.gas.boltzmann_const * self.surface_T / self.molecular_mass))
+        return float(np.sqrt(2.0 * BOLTZMANN * self.surface_T / self.molecular_mass))
 
     @property
     def vgrid(self) -> VelocityGrid:

@@ -65,15 +65,18 @@ def stable_dt(vgrid: VelocityGrid, dx: float, omega0: np.ndarray, safety: float 
     """dt = safety / (max|v|/dx + max omega), the explicit stability bound."""
     if dx <= 0.0:
         raise ValueError("dx must be positive")
+    if not safety > 0.0:
+        raise ValueError(f"safety must be positive, got {safety!r}")
     return safety / (vgrid.max_speed / dx + float(np.max(omega0)))
 
 
 class BGKStepper:
     """Explicit finite-volume BGK integrator on (N, Nv) value arrays.
 
-    ``step`` is a pure map: the output depends only on the input values.
-    Ghost equilibria are frozen at construction (boundary parameters are
-    scenario constants).
+    ``step`` is a pure map: the output depends only on the input values.  It
+    raises NumericalError, naming the cell, when a cell of the input has a
+    non-positive density or temperature.  Ghost equilibria are frozen at
+    construction (boundary parameters are scenario constants).
     """
 
     def __init__(
@@ -98,14 +101,21 @@ class BGKStepper:
             return None
         ghosts = []
         for n, u, T in (b.left, b.right):
-            feq, _ = discrete_equilibrium(n, u, T, self.vgrid, self.gas)
+            feq = discrete_equilibrium(n, u, T, self.vgrid, self.gas)
             ghosts.append(self.scale * feq[0])
         return tuple(ghosts)
 
     def step(self, values: np.ndarray) -> np.ndarray:
         f = DistributionField(self.grid, self.vgrid, values, scale=self.scale)
         macro = restrict(f, self.gas)
-        feq, _ = discrete_equilibrium(
+        bad = np.flatnonzero(~(macro.number_density > 0.0) | ~(macro.temperature > 0.0))
+        if bad.size:
+            j = int(bad[0])
+            raise NumericalError(
+                f"unphysical state entering a step: cell {j} has density "
+                f"{macro.number_density[j]:.3e} 1/m^3 and temperature {macro.temperature[j]:.3e} K"
+            )
+        feq = discrete_equilibrium(
             macro.number_density, macro.velocity, macro.temperature, self.vgrid, self.gas
         )
         feq = self.scale * feq

@@ -272,7 +272,7 @@ def test_criterion_9_periodic_mass_conservation():
     gas = helium_gas()
     vg = build_velocity_grid(-3000.0, 3000.0, 16)
     grid = build_spatial_grid(1.0, 32)
-    feq, _ = discrete_equilibrium(
+    feq = discrete_equilibrium(
         np.full(32, 1e25), np.zeros(32), np.full(32, 300.0), vg, gas
     )
     base = feq * (1.0 + 0.2 * rng.random((32, 16)))

@@ -30,6 +30,20 @@ FLOAT_KEYS = [
     "surface.T", "surface.u", "domain.lambda_multiple", "velocity.bound_multiple",
     "cr.newton_tol", "cr.picard_tol", "gmres.tol", "run.cfl_safety",
 ]
+# one invocation of each subcommand; "ref.snap" stands for a valid snapshot
+SUBCOMMANDS = [
+    ["run-reference", "--steps", "0"],
+    ["restrict", "--snapshot", "ref.snap"],
+    ["lift", "--reference", "ref.snap"],
+    ["spectrum", "--operator", "qr-projector"],
+    ["sweep", "--grid-sizes", "8", "--orders", "0", "--steps", "0"],
+]
+# well-typed values outside a key's range: (key, config text)
+OUT_OF_RANGE = [
+    ("cr.order_m", "99"), ("cr.order_m", "-1"), ("run.cfl_safety", "0.0"),
+    ("gmres.max_iters", "0"), ("gmres.tol", "0.0"), ("cr.newton_tol", "-1e-10"),
+    ("run.steps", "-5"),
+]
 # values a float key rejects: (config text, value as parse_config reads it)
 BAD_FLOAT_WORDS = [("true", True), ("nan", math.nan), ("inf", math.inf), ("fast", "fast")]
 
@@ -280,22 +294,37 @@ class TestCLI:
                      "--out", str(tmp_path / "o.snap")]) == EXIT_ARG
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["run-reference", "--steps", "0"],
-        ["restrict", "--snapshot", "ref.snap"],
-        ["lift", "--reference", "ref.snap"],
-        ["spectrum", "--operator", "qr-projector"],
-        ["sweep", "--grid-sizes", "8", "--orders", "0", "--steps", "0"],
-    ], ids=lambda argv: argv[0])
-    def test_unknown_solver_is_arg_error(self, tmp_path, capsys, argv):
-        # a valid snapshot, so that only the solver can fail the command
+    def assert_config_value_is_arg_error(self, tmp_path, capsys, argv, key, text):
+        """``argv`` on the desk config with ``key = text`` exits 2 naming the field."""
+        # a valid snapshot, so that only the edited value can fail the command
         write_snapshot(tmp_path / "ref.snap",
                        load_shipped("helium_desk.cfg").initial_field())
-        cfg = config_with(tmp_path, "cr.solver", "bogus")
+        cfg = config_with(tmp_path, key, text)
         argv = [a.replace("ref.snap", str(tmp_path / "ref.snap")) for a in argv]
         assert main([argv[0], "--config", str(cfg), *argv[1:],
                      "--out", str(tmp_path / "out")]) == EXIT_ARG
-        assert "bogus" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key.split(".")[-1] in err
+        return err
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    def test_unknown_solver_is_arg_error(self, tmp_path, capsys, argv):
+        err = self.assert_config_value_is_arg_error(tmp_path, capsys, argv, "cr.solver", "bogus")
+        assert "bogus" in err
+
+    @pytest.mark.parametrize("key,text", OUT_OF_RANGE, ids=[f"{k}={t}" for k, t in OUT_OF_RANGE])
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    def test_out_of_range_value_is_arg_error(self, tmp_path, capsys, argv, key, text):
+        # checked when the config loads, whether or not the subcommand uses the key
+        self.assert_config_value_is_arg_error(tmp_path, capsys, argv, key, text)
+
+    def test_unstable_time_step_is_numerical_error(self, tmp_path, capsys):
+        cfg = config_with(tmp_path, "run.cfl_safety", "10")
+        assert main(["run-reference", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.snap")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "temperature" in err
+        assert not (tmp_path / "o.snap").exists()
 
     def test_sweep(self, tmp_path):
         cfg, _ = tiny_config(tmp_path)

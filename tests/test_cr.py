@@ -67,6 +67,16 @@ class TestWeights:
             CRConfig(order_m=12)
         with pytest.raises(ValueError):
             CRConfig(solver="bisection")
+        for name in ("newton_tol", "picard_tol"):
+            for bad in (0.0, -1e-10, math.nan):
+                with pytest.raises(ValueError, match=name):
+                    CRConfig(**{name: bad})
+        for bad in (0.0, -1e-6, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                GMRESParams(tol=bad)
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="max_iters"):
+                GMRESParams(max_iters=bad)
         assert CRConfig(order_m=2).weights.tolist() == [3.0, -3.0, 1.0]
 
 
@@ -160,7 +170,7 @@ class TestPicard:
         a = st.slow_slope
         assert out[0, 0] == pytest.approx(r0, abs=1e-13)
         assert abs(out[0, 1] - a * r0) <= 10.0 * eps * abs(r0)
-        assert report.converged and report.final_residual < 1e-14
+        assert report.final_residual < 1e-14
 
     def test_non_convergence_raises_with_history(self, rng):
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
