@@ -26,6 +26,7 @@ EXIT_ARG = 2
 EXIT_NUMERICAL = 3
 
 CONSERVED_MOMENTS = 3  # density, momentum, energy
+REPORT_HEADER = ("iter", "residual", "drift", "seconds")
 
 
 def _comment_block(scenario: Scenario, extra: dict | None = None) -> list[str]:
@@ -119,11 +120,9 @@ def cmd_lift(args) -> int:
             scale=reference.scale, time=reference.time,
         )
     except KliftError as exc:
-        history = getattr(exc, "history", [])
         _write_csv(
-            f"{prefix}_report.csv", comments,
-            ("iter", "residual", "drift", "seconds"),
-            [(i, r, "", "") for i, r in enumerate(history, start=1)],
+            f"{prefix}_report.csv", comments, REPORT_HEADER,
+            lift_report_rows(getattr(exc, "history", [])),
         )
         raise
 
@@ -157,9 +156,8 @@ def cmd_lift(args) -> int:
         rel_rows,
     )
     _write_csv(
-        f"{prefix}_report.csv", comments,
-        ("iter", "residual", "drift", "seconds"),
-        lift_report_rows(report),
+        f"{prefix}_report.csv", comments, REPORT_HEADER,
+        lift_report_rows(report.residual_history, report.conserved_drift, report.wall_time),
     )
     print(f"|f_eq - f_c| = {eq_err.two_norm:.6e}")
     print(f"|f(m={cfg.order_m}) - f_c| = {lift_err.two_norm:.6e} "

@@ -86,7 +86,6 @@ class CRConfig:
 class LiftReport:
     solver: str
     iterations: int
-    final_residual: float
     residual_history: list[float]
     conserved_drift: float
     wall_time: float
@@ -187,7 +186,6 @@ def lift_picard(
             report = LiftReport(
                 solver="picard",
                 iterations=it,
-                final_residual=resid,
                 residual_history=history,
                 conserved_drift=conserved_drift(basis, f, f0),
                 wall_time=_time.perf_counter() - t0,
@@ -236,7 +234,6 @@ def lift_newton(
             report = LiftReport(
                 solver="newton",
                 iterations=it,
-                final_residual=resid,
                 residual_history=history,
                 conserved_drift=conserved_drift(basis, f, f0),
                 wall_time=_time.perf_counter() - t0,
@@ -347,13 +344,13 @@ def restrict_lift_error(reference: DistributionField, lifted: DistributionField)
     )
 
 
-def lift_report_rows(report: LiftReport):
-    """CSV rows (iter, residual, drift, seconds) for a lift report.
+def lift_report_rows(history: list[float], drift="", seconds=""):
+    """CSV rows (iter, residual, drift, seconds) for a lift's residual history.
 
     Drift and seconds describe the finished lift, so they fill the final row
-    only and are blank on the others, as in the failure report.
+    only and are blank on the others; a failed lift leaves them blank.
     """
-    rows = [(i, r, "", "") for i, r in enumerate(report.residual_history, start=1)]
+    rows = [(i, r, "", "") for i, r in enumerate(history, start=1)]
     if rows:
-        rows[-1] = rows[-1][:2] + (report.conserved_drift, report.wall_time)
+        rows[-1] = rows[-1][:2] + (drift, seconds)
     return rows

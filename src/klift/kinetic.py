@@ -192,10 +192,11 @@ def discrete_equilibrium(
         B = Bn
         D = D + np.where(active, dD, 0.0)
 
-    worst = float(res[active].max())
+    j = int(np.argmax(np.where(active, res, -np.inf)))  # the worst unconverged cell
     raise ConvergenceError(
-        f"equilibrium Newton solve did not converge (residual {worst:.3e})",
-        residual=worst,
+        f"equilibrium Newton solve did not converge in cell {j}: n {n[j]:.3e} 1/m^3, "
+        f"u {u[j]:.3e} m/s, T {T[j]:.3e} K (residual {res[j]:.3e})",
+        residual=float(res[j]),
     )
 
 

@@ -28,29 +28,27 @@ from .kinetic import (
     mean_free_path,
     relaxation_frequency,
 )
-from .steppers import (
-    BGKStepper,
-    BoundaryMode,
-    BoundarySpec,
-    FluxScheme,
-    StepConfig,
-    stable_dt,
-)
+from .steppers import BGKStepper, FluxScheme, stable_dt
 
 _BOOL_WORDS = {"true": True, "false": False}
 
 
-def _key(key: str, **kwargs):
-    """A Scenario field stored under ``key`` in the flat config."""
-    return field(metadata={"key": key}, **kwargs)
+def _key(key: str, *, above=None, **kwargs):
+    """A Scenario field stored under ``key`` in the flat config.
+
+    ``above`` is the bound the value must exceed, checked at load.
+    """
+    return field(metadata={"key": key, "above": above}, **kwargs)
 
 
 @dataclass(frozen=True, kw_only=True)
 class Scenario:
     """Primary parameters of a laser-ablation run.
 
-    The fields are the config schema: each names its flat config key, and a
-    field with a default may be left out of a config file.
+    The fields are the config schema: each names its flat config key and
+    any lower bound, and a field with a default may be left out of a config
+    file.  The gas keys are checked by ``GasParams``, the CR and GMRES keys by
+    ``CRConfig``.
     """
 
     # gas
@@ -60,34 +58,37 @@ class Scenario:
     T_ref: float = _key("gas.T_ref")
     viscosity_index: float = _key("gas.viscosity_index")
     # boundary states, given as pressure/temperature/flow velocity
-    ambient_p: float = _key("ambient.p")
-    ambient_T: float = _key("ambient.T")
+    ambient_p: float = _key("ambient.p", above=0.0)
+    ambient_T: float = _key("ambient.T", above=0.0)
     ambient_u: float = _key("ambient.u", default=0.0)
-    surface_p: float = _key("surface.p")
-    surface_T: float = _key("surface.T")
+    surface_p: float = _key("surface.p", above=0.0)
+    surface_T: float = _key("surface.T", above=0.0)
     surface_u: float = _key("surface.u", default=0.0)
     # discretization
-    n_cells: int = _key("grid.N")
-    n_velocities: int = _key("grid.Nv")
-    lambda_multiple: float = _key("domain.lambda_multiple")
-    bound_multiple: float = _key("velocity.bound_multiple", default=4.0)
+    n_cells: int = _key("grid.N", above=0)
+    n_velocities: int = _key("grid.Nv", above=1)
+    lambda_multiple: float = _key("domain.lambda_multiple", above=0.0)
+    bound_multiple: float = _key("velocity.bound_multiple", above=0.0, default=4.0)
     flux: FluxScheme = _key("flux.scheme", default=FluxScheme.UPWIND)
-    reference_steps: int = _key("run.steps", default=10000)
+    reference_steps: int = _key("run.steps", above=-1, default=10000)
     # lifting defaults
-    order_m: int = _key("cr.order_m", default=0)
-    solver: str = _key("cr.solver", default="newton")
-    newton_tol: float = _key("cr.newton_tol", default=1e-10)
-    picard_tol: float = _key("cr.picard_tol", default=1e-12)
-    gmres_tol: float = _key("gmres.tol", default=1e-6)
-    gmres_max_iters: int = _key("gmres.max_iters", default=200)
+    order_m: int = _key("cr.order_m", default=CRConfig.order_m)
+    solver: str = _key("cr.solver", default=CRConfig.solver)
+    newton_tol: float = _key("cr.newton_tol", default=CRConfig.newton_tol)
+    picard_tol: float = _key("cr.picard_tol", default=CRConfig.picard_tol)
+    gmres_tol: float = _key("gmres.tol", default=GMRESParams.tol)
+    gmres_max_iters: int = _key("gmres.max_iters", default=GMRESParams.max_iters)
     mass_rescaled: bool = _key("field.mass_rescaled", default=True)
-    cfl_safety: float = _key("run.cfl_safety", default=0.9)
+    cfl_safety: float = _key("run.cfl_safety", above=0.0, default=0.9)
 
     def __post_init__(self):
-        if not self.cfl_safety > 0.0:
-            raise ValueError(f"run.cfl_safety must be positive, got {self.cfl_safety!r}")
-        if self.reference_steps < 0:
-            raise ValueError(f"run.steps must be nonnegative, got {self.reference_steps!r}")
+        for f in fields(self):
+            above, val = f.metadata["above"], getattr(self, f.name)
+            if above is not None and not val > above:
+                raise ValueError(
+                    f"config key {f.metadata['key']!r} must be greater than {above}, got {val!r}"
+                )
+        self.gas  # checks the gas.* keys
         self.cr_config()  # checks the cr.* and gmres.* keys
 
     def cr_config(self, order: int | None = None, solver: str | None = None) -> CRConfig:
@@ -166,16 +167,6 @@ class Scenario:
         omega0 = relaxation_frequency(self.initial_macro(), self.gas)
         return stable_dt(self.vgrid, self.grid.dx, omega0, safety=self.cfl_safety)
 
-    def boundary(self) -> BoundarySpec:
-        return BoundarySpec(
-            mode=BoundaryMode.EQUILIBRIUM_INFLOW,
-            left=self.surface,
-            right=self.ambient,
-        )
-
-    def step_config(self) -> StepConfig:
-        return StepConfig(dt=self.dt, scheme=self.flux, boundary=self.boundary())
-
     def make_stepper(self, *, warm_start: bool = False) -> BGKStepper:
         """The scenario's BGK stepper.
 
@@ -183,7 +174,10 @@ class Scenario:
         pass it (the benchmark's workloads) keep working; the stepper is a
         pure map and has no equilibrium state to carry between steps.
         """
-        return BGKStepper(self.grid, self.vgrid, self.gas, self.step_config(), scale=self.scale)
+        return BGKStepper(
+            self.grid, self.vgrid, self.gas, self.dt,
+            scheme=self.flux, inflow=(self.surface, self.ambient), scale=self.scale,
+        )
 
     def initial_field(self):
         """Ambient-equilibrium initial state."""

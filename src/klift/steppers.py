@@ -11,7 +11,6 @@ constrained-runs machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -33,34 +32,6 @@ class FluxScheme(Enum):
     CENTERED = "centered"
 
 
-class BoundaryMode(Enum):
-    EQUILIBRIUM_INFLOW = "equilibrium"
-    PERIODIC = "periodic"
-
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    mode: BoundaryMode
-    left: tuple[float, float, float] | None = None   # (n, u, T) at the surface
-    right: tuple[float, float, float] | None = None  # (n, u, T) at the ambient side
-
-    def __post_init__(self):
-        if self.mode is BoundaryMode.EQUILIBRIUM_INFLOW:
-            for side, triple in (("left", self.left), ("right", self.right)):
-                if triple is None:
-                    raise ValueError(f"equilibrium boundary needs a {side} (n, u, T) triple")
-                n, _, T = triple
-                if n <= 0.0 or T <= 0.0:
-                    raise ValueError(f"{side} boundary density and temperature must be positive")
-
-
-@dataclass(frozen=True)
-class StepConfig:
-    dt: float
-    scheme: FluxScheme
-    boundary: BoundarySpec
-
-
 def stable_dt(vgrid: VelocityGrid, dx: float, omega0: np.ndarray, safety: float = 0.9) -> float:
     """dt = safety / (max|v|/dx + max omega), the explicit stability bound."""
     if dx <= 0.0:
@@ -73,10 +44,11 @@ def stable_dt(vgrid: VelocityGrid, dx: float, omega0: np.ndarray, safety: float 
 class BGKStepper:
     """Explicit finite-volume BGK integrator on (N, Nv) value arrays.
 
-    ``step`` is a pure map: the output depends only on the input values.  It
-    raises NumericalError, naming the cell, when a cell of the input has a
-    non-positive density or temperature.  Ghost equilibria are frozen at
-    construction (boundary parameters are scenario constants).
+    ``inflow`` gives the (n, u, T) of the left (surface) and right (ambient)
+    ghost cells, whose discrete equilibria are built once here; ``None``
+    closes the grid into a periodic ring.  ``step`` is a pure map: the output
+    depends only on the input values.  It raises NumericalError, naming the
+    cell, when a cell of the input has a non-positive density or temperature.
     """
 
     def __init__(
@@ -84,26 +56,22 @@ class BGKStepper:
         grid: SpatialGrid,
         vgrid: VelocityGrid,
         gas: GasParams,
-        cfg: StepConfig,
+        dt: float,
         *,
+        scheme: FluxScheme = FluxScheme.UPWIND,
+        inflow: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None,
         scale: float = 1.0,
     ):
         self.grid = grid
         self.vgrid = vgrid
         self.gas = gas
-        self.cfg = cfg
+        self.dt = dt
+        self.scheme = scheme
         self.scale = scale
-        self._ghosts = self._build_ghosts()
-
-    def _build_ghosts(self):
-        b = self.cfg.boundary
-        if b.mode is BoundaryMode.PERIODIC:
-            return None
-        ghosts = []
-        for n, u, T in (b.left, b.right):
-            feq = discrete_equilibrium(n, u, T, self.vgrid, self.gas)
-            ghosts.append(self.scale * feq[0])
-        return tuple(ghosts)
+        # (1, Nv) ghost rows, or None for the periodic ring
+        self._ghosts = None if inflow is None else tuple(
+            scale * discrete_equilibrium(n, u, T, vgrid, gas) for n, u, T in inflow
+        )
 
     def step(self, values: np.ndarray) -> np.ndarray:
         f = DistributionField(self.grid, self.vgrid, values, scale=self.scale)
@@ -125,17 +93,16 @@ class BGKStepper:
         if self._ghosts is None:
             fpad = np.vstack([values[-1:], values, values[:1]])
         else:
-            fpad = np.vstack([self._ghosts[0][None, :], values, self._ghosts[1][None, :]])
-        if self.cfg.scheme is FluxScheme.UPWIND:
+            fpad = np.vstack([self._ghosts[0], values, self._ghosts[1]])
+        if self.scheme is FluxScheme.UPWIND:
             flux = np.where(v[None, :] >= 0.0, v * fpad[:-1], v * fpad[1:])
         else:
             flux = v[None, :] * 0.5 * (fpad[:-1] + fpad[1:])
 
-        dt = self.cfg.dt
         new = (
             values
-            - (dt / self.grid.dx) * (flux[1:] - flux[:-1])
-            + dt * omega[:, None] * (feq - values)
+            - (self.dt / self.grid.dx) * (flux[1:] - flux[:-1])
+            + self.dt * omega[:, None] * (feq - values)
         )
         if not np.all(np.isfinite(new)):
             raise NumericalError("finite-volume step produced non-finite values")

@@ -42,7 +42,10 @@ SUBCOMMANDS = [
 OUT_OF_RANGE = [
     ("cr.order_m", "99"), ("cr.order_m", "-1"), ("run.cfl_safety", "0.0"),
     ("gmres.max_iters", "0"), ("gmres.tol", "0.0"), ("cr.newton_tol", "-1e-10"),
-    ("run.steps", "-5"),
+    ("run.steps", "-5"), ("ambient.p", "-1"), ("ambient.T", "0"), ("surface.p", "-1"),
+    ("surface.T", "0"), ("grid.N", "0"), ("grid.Nv", "1"), ("gas.mu_ref", "-1"),
+    ("gas.viscosity_index", "-1"), ("velocity.bound_multiple", "-1"),
+    ("domain.lambda_multiple", "-1"),
 ]
 # values a float key rejects: (config text, value as parse_config reads it)
 BAD_FLOAT_WORDS = [("true", True), ("nan", math.nan), ("inf", math.inf), ("fast", "fast")]
@@ -103,6 +106,15 @@ class TestConfigFormat:
         d = load_shipped("helium_L30000.cfg").to_dict()
         d[key] = value
         with pytest.raises(ValueError, match=key):
+            Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("key,text", [
+        (k, t) for k, t in OUT_OF_RANGE if k.split(".")[0] not in ("gas", "cr", "gmres")
+    ])
+    def test_bound_error_names_key(self, key, text):
+        d = load_shipped("helium_desk.cfg").to_dict()
+        d.update(parse_config(f"{key} = {text}"))
+        with pytest.raises(ValueError, match=f"config key '{key}' must be greater than"):
             Scenario.from_dict(d)
 
     def test_float_keys_are_the_float_fields(self):

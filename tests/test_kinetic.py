@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from klift import (
+    ConvergenceError,
     GasParams,
     MacroFields,
     ZeroDensityError,
@@ -18,7 +19,7 @@ from klift import (
 )
 from klift.kinetic import DistributionField
 
-from conftest import KB, helium_gas, reference_vgrid
+from conftest import KB, helium_gas, load_shipped, reference_vgrid
 
 
 class TestVelocityGrid:
@@ -112,6 +113,15 @@ class TestDiscreteEquilibrium:
             discrete_equilibrium(-1.0, 0.0, 300.0, vg, gas)
         with pytest.raises(ValueError):
             discrete_equilibrium(1e25, 0.0, -5.0, vg, gas)
+
+    def test_nonconvergence_names_the_cell(self):
+        # a 300 K Maxwellian centred at 0.9 v_max has no discrete
+        # equilibrium on the desk grid; the error says which cell it was
+        sc = load_shipped("helium_desk.cfg").with_overrides(n_velocities=16)
+        vg = sc.vgrid
+        u = np.array([0.0, 0.9 * vg.v_max])
+        with pytest.raises(ConvergenceError, match=r"cell 1: n 1\.000e\+25 .* T 3\.000e\+02 K"):
+            discrete_equilibrium(np.full(2, 1e25), u, np.full(2, 300.0), vg, sc.gas)
 
 
 class TestRestrict:

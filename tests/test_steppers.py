@@ -5,11 +5,8 @@ import pytest
 
 from klift import (
     BGKStepper,
-    BoundaryMode,
-    BoundarySpec,
     D1Q3Stepper,
     FluxScheme,
-    StepConfig,
     build_spatial_grid,
     build_velocity_grid,
     discrete_equilibrium,
@@ -70,9 +67,9 @@ class TestFvStep:
         f = uniform_equilibrium_field(gas, grid, vg, n, u, T)
         omega = relaxation_frequency(restrict(f, gas), gas)
         dt = stable_dt(vg, grid.dx, omega)
-        bc = BoundarySpec(BoundaryMode.EQUILIBRIUM_INFLOW, left=(n, u, T), right=(n, u, T))
         for scheme in (FluxScheme.UPWIND, FluxScheme.CENTERED):
-            out = BGKStepper(grid, vg, gas, StepConfig(dt, scheme, bc)).step(f.values)
+            stepper = BGKStepper(grid, vg, gas, dt, scheme=scheme, inflow=((n, u, T), (n, u, T)))
+            out = stepper.step(f.values)
             np.testing.assert_allclose(out, f.values, rtol=1e-12)
 
     def test_unstable_dt_raises_numerical_error(self):
@@ -103,8 +100,7 @@ class TestFvStep:
         vals = feq * (1.0 + 0.3 * np.sin(2 * np.pi * np.arange(32) / 32))[:, None]
         v_fast = vg.velocities[-1]
         dt = grid.dx / v_fast
-        bc = BoundarySpec(BoundaryMode.PERIODIC)
-        out = BGKStepper(grid, vg, quiet, StepConfig(dt, FluxScheme.UPWIND, bc)).step(vals)
+        out = BGKStepper(grid, vg, quiet, dt, scheme=FluxScheme.UPWIND).step(vals)
         np.testing.assert_allclose(out[:, -1], np.roll(vals[:, -1], 1), rtol=1e-12)
 
     def test_periodic_mass_conservation_both_schemes(self, rng):
@@ -115,11 +111,10 @@ class TestFvStep:
             np.full(32, 1e25), np.zeros(32), np.full(32, 300.0), vg, gas
         )
         vals = feq * (1.0 + 0.2 * rng.random((32, 16)))
-        bc = BoundarySpec(BoundaryMode.PERIODIC)
         omega = relaxation_frequency(restrict(DistributionField(grid, vg, vals), gas), gas)
         dt = stable_dt(vg, grid.dx, omega)
         for scheme in (FluxScheme.UPWIND, FluxScheme.CENTERED):
-            stepper = BGKStepper(grid, vg, gas, StepConfig(dt, scheme, bc))
+            stepper = BGKStepper(grid, vg, gas, dt, scheme=scheme)
             f = vals
             mass = vg.dv * grid.dx * f.sum()
             for _ in range(5):
@@ -159,11 +154,11 @@ class TestFvStep:
         assert values.min() >= 0.0
 
     def test_boundary_validation(self):
+        vg = build_velocity_grid(-1.0, 1.0, 4)
+        grid = build_spatial_grid(1.0, 4)
         with pytest.raises(ValueError):
-            BoundarySpec(BoundaryMode.EQUILIBRIUM_INFLOW, left=None, right=(1.0, 0.0, 1.0))
-        with pytest.raises(ValueError):
-            BoundarySpec(
-                BoundaryMode.EQUILIBRIUM_INFLOW, left=(-1.0, 0.0, 1.0), right=(1.0, 0.0, 1.0)
+            BGKStepper(
+                grid, vg, helium_gas(), 1.0, inflow=((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
             )
 
     def test_step_is_pure(self, rng):
