@@ -15,7 +15,7 @@ import numpy as np
 
 from .cr import SOLVERS, lift_macro, lift_report_rows, restrict_lift_error
 from .diagnostics import check_dense_dimension, cr_jacobian_spectrum, projector_spectrum
-from .errors import KliftError
+from .errors import KliftError, NumericalError
 from .kinetic import equilibrium_field, restrict
 from .moments import BasisKind, build_moment_basis, naive_projector
 from .scenario import Scenario, config_hash, load_scenario
@@ -78,10 +78,18 @@ def cmd_run_reference(args) -> int:
         for k in range(steps):
             values = stepper.step(values)
             if (k + 1) % 100 == 0 or k + 1 == steps:
-                phys = values / field.scale
-                mass = dv * dx * phys.sum()
-                momentum = dv * dx * (phys * v).sum()
-                energy = dv * dx * (phys * 0.5 * v * v).sum()
+                # sum first, then divide by the scale: a finite sum may not stay
+                # finite once divided
+                column = values.sum(axis=0)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    totals = dv * dx * np.array([column.sum(), column @ v,
+                                                 column @ (0.5 * v * v)]) / field.scale
+                mass, momentum, energy = totals
+                if not np.all(np.isfinite(totals)):
+                    raise NumericalError(
+                        f"non-finite totals after step {k + 1}: mass {mass:.3e}, "
+                        f"momentum {momentum:.3e}, energy {energy:.3e}"
+                    )
                 print(f"step {k + 1:6d}  mass {mass:.9e}  momentum {momentum:.6e}  "
                       f"energy {energy:.6e}")
         out_field = field.with_values(values, time=steps * scenario.dt)

@@ -42,13 +42,25 @@ class GasParams:
 
 @dataclass(frozen=True, eq=False)
 class VelocityGrid:
-    """Cell-centered discrete velocity set."""
+    """Cell-centered discrete velocity set.
+
+    ``moments`` is the (Nv, 5) matrix dv (v - v_mid)^p, p = 0..4, about the
+    grid midpoint v_mid: ``values @ moments`` gives every velocity moment
+    restriction and the equilibrium solve need.  Centring keeps the
+    rounding of moments shifted to a mean u at |u - v_mid| / v_th, not at
+    |u| / v_th.
+    """
 
     n_velocities: int
     v_min: float
     v_max: float
     dv: float
     velocities: np.ndarray  # (Nv,), strictly increasing
+    moments: np.ndarray     # (Nv, 5)
+
+    @property
+    def v_mid(self) -> float:
+        return 0.5 * (self.v_min + self.v_max)
 
     @property
     def max_speed(self) -> float:
@@ -63,7 +75,8 @@ def build_velocity_grid(v_min: float, v_max: float, n_velocities: int) -> Veloci
         raise ValueError("v_min must be smaller than v_max")
     dv = (v_max - v_min) / n_velocities
     v = v_min + dv / 2.0 + dv * np.arange(n_velocities)
-    return VelocityGrid(n_velocities, float(v_min), float(v_max), dv, v)
+    moments = dv * np.vander(v - 0.5 * (v_min + v_max), 5, increasing=True)
+    return VelocityGrid(n_velocities, float(v_min), float(v_max), dv, v, moments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +120,6 @@ class DistributionField:
         if not np.all(np.isfinite(self.values)):
             raise NumericalError("distribution field contains non-finite entries")
 
-    def physical_values(self) -> np.ndarray:
-        return self.values / self.scale
-
     def with_values(self, values: np.ndarray, time: float | None = None) -> "DistributionField":
         return replace(self, values=values, time=self.time if time is None else time)
 
@@ -121,6 +131,11 @@ class MacroFields:
     number_density: np.ndarray  # 1/m^3
     velocity: np.ndarray        # m/s
     temperature: np.ndarray     # K
+
+
+def _shift(M: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Moments (k, N) of x^p g -> moments (k - 1, N) of x^p (x - s) g, per cell."""
+    return M[1:] - s * M[:-1]
 
 
 def discrete_equilibrium(
@@ -136,10 +151,14 @@ def discrete_equilibrium(
     dv-weighted sums reproduce n, n u and n k_B T / m to the Newton
     tolerance.  (B, D) come from Newton on the pair R_1 = 0,
     R_2 - R_0 k_B T / m = 0 with R_j = dv sum_i (v_i - u)^j exp(-B^2 (v_i - D)^2),
-    then A = n / R_0.  The 2x2 Jacobian is closed form.  Residuals are
-    nondimensionalized with the thermal speed so ``EQUILIBRIUM_TOL`` is a
-    relative tolerance.  Newton starts from the continuous Maxwellian's
-    B = sqrt(m / (2 k_B T)), D = u.  Vectorized over cells.
+    then A = n / R_0.  Each iteration takes the moments of E = exp(-B^2 (v - D)^2)
+    about the grid midpoint by one ``E @ vgrid.moments``, shifts them to
+    central moments C_p about D and then to (v - u)-weighted sums, so the
+    residual and the closed-form 2x2 Jacobian are arithmetic on (N,) arrays.
+    Residuals are nondimensionalized with the thermal speed so
+    ``EQUILIBRIUM_TOL`` is a relative tolerance.  Newton starts from the
+    continuous Maxwellian's B = sqrt(m / (2 k_B T)), D = u.  Vectorized over
+    cells.
     """
     n = np.atleast_1d(np.asarray(n, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -151,34 +170,44 @@ def discrete_equilibrium(
 
     kB, m = BOLTZMANN, gas.molecular_mass
     v = vgrid.velocities
-    dv = vgrid.dv
-    vt = np.sqrt(kB * T / m)  # thermal speed scale
+    theta = kB * T / m
+    vt = np.sqrt(theta)  # thermal speed scale
 
     B = np.sqrt(m / (2.0 * kB * T))
     D = u.copy()
 
-    w = v[None, :] - u[:, None]
-    w2 = w * w
+    E = np.empty((n.size, v.size))
     for _ in range(EQUILIBRIUM_MAX_ITER):
-        S = v[None, :] - D[:, None]
-        E = np.exp(-((B[:, None] * S) ** 2))
-        R0 = dv * E.sum(axis=1)
-        R1 = dv * (w * E).sum(axis=1)
-        R2 = dv * (w2 * E).sum(axis=1)
-        F1 = R1
-        F2 = R2 - R0 * kB * T / m
-        res = np.maximum(np.abs(F1) / (R0 * vt), np.abs(F2) / (R0 * vt * vt))
+        np.subtract(v, D[:, None], out=E)
+        E *= B[:, None]
+        np.multiply(E, E, out=E)
+        np.negative(E, out=E)
+        np.exp(E, out=E)
+        # (5, N) rows, contiguous for the shifts: dv sum (v - v_mid)^p E
+        M = (E @ vgrid.moments).T.copy()
+        C = [M[0]]  # central moments C_p = dv sum (v - D)^p E
+        a = D - vgrid.v_mid
+        for _ in range(4):
+            M = _shift(M, a)
+            C.append(M[0])
+        # with w = v - u = (v - D) + (D - u): W1[p] = dv sum w (v - D)^p E,
+        # W2[p] = dv sum w^2 (v - D)^p E
+        W1 = _shift(np.array(C), u - D)
+        W2 = _shift(W1, u - D)
+        R0 = C[0]
+        F1 = W1[0]
+        F2 = W2[0] - R0 * theta
+        res = np.maximum(np.abs(F1) / (R0 * vt), np.abs(F2) / (R0 * theta))
         active = res > EQUILIBRIUM_TOL
         if not active.any():
-            return (n / R0)[:, None] * E
+            E *= (n / R0)[:, None]
+            return E
 
-        S2 = S * S
-        dE_dB = -2.0 * B[:, None] * S2 * E
-        dE_dD = 2.0 * (B * B)[:, None] * S * E
-        J11 = dv * (w * dE_dB).sum(axis=1)
-        J12 = dv * (w * dE_dD).sum(axis=1)
-        J21 = dv * (w2 * dE_dB).sum(axis=1) - dv * dE_dB.sum(axis=1) * kB * T / m
-        J22 = dv * (w2 * dE_dD).sum(axis=1) - dv * dE_dD.sum(axis=1) * kB * T / m
+        # dE/dB = -2 B (v - D)^2 E,  dE/dD = 2 B^2 (v - D) E
+        J11 = -2.0 * B * W1[2]
+        J12 = 2.0 * B * B * W1[1]
+        J21 = -2.0 * B * (W2[2] - C[2] * theta)
+        J22 = 2.0 * B * B * (W2[1] - C[1] * theta)
         det = J11 * J22 - J12 * J21
         if np.any(active & (det == 0.0)):
             raise NumericalError("singular Jacobian in equilibrium Newton solve")
@@ -220,19 +249,19 @@ def restrict(f: DistributionField, gas: GasParams) -> MacroFields:
     """Velocity moments of the field: per-cell (n, u, T), scale-aware.
 
     n = dv sum f, u = dv sum v f / n, T = (m / (k_B n)) dv sum (v - u)^2 f
-    with the one-dimensional normalization.
+    with the one-dimensional normalization, from the moments about the grid
+    midpoint ``f.values @ vgrid.moments[:, :3] / scale``.
     """
-    vals = f.physical_values()
-    v = f.vgrid.velocities
-    dv = f.vgrid.dv
-    n = dv * vals.sum(axis=1)
+    vg = f.vgrid
+    M = f.values @ vg.moments[:, :3]
+    M /= f.scale
+    n = M[:, 0]
     bad = np.nonzero(n == 0.0)[0]
     if bad.size:
         raise ZeroDensityError(int(bad[0]))
-    u = dv * (vals * v[None, :]).sum(axis=1) / n
-    w2 = (v[None, :] - u[:, None]) ** 2
-    T = (gas.molecular_mass / (BOLTZMANN * n)) * dv * (w2 * vals).sum(axis=1)
-    return MacroFields(number_density=n, velocity=u, temperature=T)
+    c = M[:, 1] / n  # u - v_mid
+    T = (gas.molecular_mass / (BOLTZMANN * n)) * (M[:, 2] - c * M[:, 1])
+    return MacroFields(number_density=n, velocity=vg.v_mid + c, temperature=T)
 
 
 def relaxation_frequency(macro: MacroFields, gas: GasParams) -> np.ndarray:
@@ -246,4 +275,6 @@ def mean_free_path(gas: GasParams, n: float) -> float:
     """lambda = 1 / (sqrt(2) pi d^2 n)."""
     if n <= 0.0:
         raise ValueError("number density must be positive")
-    return 1.0 / (math.sqrt(2.0) * math.pi * gas.molecular_diameter**2 * n)
+    d = gas.molecular_diameter
+    inverse = math.sqrt(2.0) * math.pi * d * d * n  # inf on overflow, 0 on underflow
+    return 1.0 / inverse if inverse > 0.0 else math.inf

@@ -8,6 +8,7 @@ primary parameters, never stored.
 """
 
 import hashlib
+import math
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -90,6 +91,12 @@ class Scenario:
                 )
         self.gas  # checks the gas.* keys
         self.cr_config()  # checks the cr.* and gmres.* keys
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(
+                f"domain length {self.length!r} m is not positive and finite; it is "
+                "domain.lambda_multiple mean free paths, set by gas.molecular_diameter "
+                "and the surface state"
+            )
 
     def cr_config(self, order: int | None = None, solver: str | None = None) -> CRConfig:
         """The lifting configuration, with ``order`` and ``solver`` overriding the config."""

@@ -72,6 +72,7 @@ class BGKStepper:
         self._ghosts = None if inflow is None else tuple(
             scale * discrete_equilibrium(n, u, T, vgrid, gas) for n, u, T in inflow
         )
+        self._split = int(np.searchsorted(vgrid.velocities, 0.0))  # first v >= 0
 
     def step(self, values: np.ndarray) -> np.ndarray:
         f = DistributionField(self.grid, self.vgrid, values, scale=self.scale)
@@ -86,7 +87,7 @@ class BGKStepper:
         feq = discrete_equilibrium(
             macro.number_density, macro.velocity, macro.temperature, self.vgrid, self.gas
         )
-        feq = self.scale * feq
+        feq *= self.scale
         omega = relaxation_frequency(macro, self.gas)
 
         v = self.vgrid.velocities
@@ -95,15 +96,23 @@ class BGKStepper:
         else:
             fpad = np.vstack([self._ghosts[0], values, self._ghosts[1]])
         if self.scheme is FluxScheme.UPWIND:
-            flux = np.where(v[None, :] >= 0.0, v * fpad[:-1], v * fpad[1:])
+            # v >= 0 carries the left cell's value across a face, v < 0 the right one's
+            k = self._split
+            flux = np.empty((fpad.shape[0] - 1, v.size))
+            np.multiply(v[k:], fpad[:-1, k:], out=flux[:, k:])
+            np.multiply(v[:k], fpad[1:, :k], out=flux[:, :k])
         else:
-            flux = v[None, :] * 0.5 * (fpad[:-1] + fpad[1:])
+            flux = np.add(fpad[:-1], fpad[1:])
+            flux *= 0.5 * v
 
-        new = (
-            values
-            - (self.dt / self.grid.dx) * (flux[1:] - flux[:-1])
-            + self.dt * omega[:, None] * (feq - values)
-        )
+        # values - (dt/dx)(flux_{j+1/2} - flux_{j-1/2}) + dt omega (feq - values),
+        # formed in place on fpad's interior rows and on feq
+        div = np.subtract(flux[1:], flux[:-1], out=fpad[1:-1])
+        div *= self.dt / self.grid.dx
+        np.subtract(values, div, out=div)
+        feq -= values
+        feq *= (self.dt * omega)[:, None]
+        new = np.add(div, feq, out=feq)
         if not np.all(np.isfinite(new)):
             raise NumericalError("finite-volume step produced non-finite values")
         return new

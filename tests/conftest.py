@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from klift import GasParams, build_velocity_grid, load_scenario
+from klift.kinetic import EQUILIBRIUM_MAX_ITER, EQUILIBRIUM_TOL
 
 KB = 1.380649e-23
 
@@ -33,6 +34,23 @@ def scenario_path(name: str):
 
 def load_shipped(name: str):
     return load_scenario(scenario_path(name))
+
+
+SHIPPED = ("helium_desk.cfg", "helium_L30.cfg", "helium_L30000.cfg")
+
+
+@pytest.fixture(scope="session")
+def shipped_states():
+    """{name: (scenario, values)} after 300 steps of each shipped scenario."""
+    states = {}
+    for name in SHIPPED:
+        sc = load_shipped(name)
+        stepper = sc.make_stepper()
+        values = sc.initial_field().values
+        for _ in range(300):
+            values = stepper.step(values)
+        states[name] = (sc, values)
+    return states
 
 
 @pytest.fixture
@@ -72,6 +90,49 @@ def exact_naive_projector(basis) -> np.ndarray:
         [float(int(i == j) - sum(Y[i][l] * Mk[l][j] for l in range(k))) for j in range(q)]
         for i in range(q)
     ])
+
+
+def weighted_sum_equilibrium(n, u, T, vgrid, gas) -> np.ndarray:
+    """Discrete equilibrium by Newton on weighted sums over the full grid.
+
+    The same iteration as ``discrete_equilibrium`` (start, residual, 2x2
+    Jacobian, step rule and tolerance), with every sum formed directly as
+    dv sum_i (v_i - u)^j d^k E / dB^a dD^b on (N, Nv) arrays: the oracle for
+    the moment-matrix solve.
+    """
+    n, u, T = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (n, u, T))
+    m = gas.molecular_mass
+    v, dv = vgrid.velocities, vgrid.dv
+    vt = np.sqrt(KB * T / m)
+    B = np.sqrt(m / (2.0 * KB * T))
+    D = u.copy()
+    w = v[None, :] - u[:, None]
+    w2 = w * w
+    for _ in range(EQUILIBRIUM_MAX_ITER):
+        S = v[None, :] - D[:, None]
+        E = np.exp(-((B[:, None] * S) ** 2))
+        R0 = dv * E.sum(axis=1)
+        F1 = dv * (w * E).sum(axis=1)
+        F2 = dv * (w2 * E).sum(axis=1) - R0 * KB * T / m
+        res = np.maximum(np.abs(F1) / (R0 * vt), np.abs(F2) / (R0 * vt * vt))
+        active = res > EQUILIBRIUM_TOL
+        if not active.any():
+            return (n / R0)[:, None] * E
+        dE_dB = -2.0 * B[:, None] * S * S * E
+        dE_dD = 2.0 * (B * B)[:, None] * S * E
+        J11 = dv * (w * dE_dB).sum(axis=1)
+        J12 = dv * (w * dE_dD).sum(axis=1)
+        J21 = dv * (w2 * dE_dB).sum(axis=1) - dv * dE_dB.sum(axis=1) * KB * T / m
+        J22 = dv * (w2 * dE_dD).sum(axis=1) - dv * dE_dD.sum(axis=1) * KB * T / m
+        det = J11 * J22 - J12 * J21
+        dB = -(F1 * J22 - F2 * J12) / det
+        dD = -(J11 * F2 - J21 * F1) / det
+        Bn = B + np.where(active, dB, 0.0)
+        bad = active & (Bn <= 0.0)
+        Bn[bad] = 0.5 * B[bad]
+        B = Bn
+        D = D + np.where(active, dD, 0.0)
+    raise AssertionError("weighted-sum equilibrium oracle did not converge")
 
 
 class LinearODEStepper:

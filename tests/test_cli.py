@@ -45,7 +45,7 @@ OUT_OF_RANGE = [
     ("run.steps", "-5"), ("ambient.p", "-1"), ("ambient.T", "0"), ("surface.p", "-1"),
     ("surface.T", "0"), ("grid.N", "0"), ("grid.Nv", "1"), ("gas.mu_ref", "-1"),
     ("gas.viscosity_index", "-1"), ("velocity.bound_multiple", "-1"),
-    ("domain.lambda_multiple", "-1"),
+    ("domain.lambda_multiple", "-1"), ("gas.molecular_diameter", "1e200"),
 ]
 # values a float key rejects: (config text, value as parse_config reads it)
 BAD_FLOAT_WORDS = [("true", True), ("nan", math.nan), ("inf", math.inf), ("fast", "fast")]
@@ -336,6 +336,15 @@ class TestCLI:
                      "--out", str(tmp_path / "o.snap")]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "temperature" in err
+        assert not (tmp_path / "o.snap").exists()
+
+    def test_non_finite_totals_are_numerical_error(self, tmp_path, capsys):
+        # the step's output is finite, but its totals overflow once divided by the mass scale
+        cfg = config_with(tmp_path, "run.cfl_safety", "1e300")
+        assert main(["run-reference", "--config", str(cfg), "--steps", "1",
+                     "--out", str(tmp_path / "o.snap")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite totals after step 1")
         assert not (tmp_path / "o.snap").exists()
 
     def test_sweep(self, tmp_path):

@@ -1,6 +1,7 @@
 """Grids, discrete equilibrium, restriction, and the gas relations."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from klift import (
 )
 from klift.kinetic import DistributionField
 
-from conftest import KB, helium_gas, load_shipped, reference_vgrid
+from conftest import (
+    KB, SHIPPED, helium_gas, load_shipped, reference_vgrid, weighted_sum_equilibrium,
+)
 
 
 class TestVelocityGrid:
@@ -123,8 +126,42 @@ class TestDiscreteEquilibrium:
         with pytest.raises(ConvergenceError, match=r"cell 1: n 1\.000e\+25 .* T 3\.000e\+02 K"):
             discrete_equilibrium(np.full(2, 1e25), u, np.full(2, 300.0), vg, sc.gas)
 
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_matches_weighted_sum_oracle(self, shipped_states, name):
+        sc, values = shipped_states[name]
+        macro = restrict(DistributionField(sc.grid, sc.vgrid, values, scale=sc.scale), sc.gas)
+        args = (macro.number_density, macro.velocity, macro.temperature, sc.vgrid, sc.gas)
+        feq, want = discrete_equilibrium(*args), weighted_sum_equilibrium(*args)
+        assert np.max(np.abs(feq - want)) <= 1e-14 * np.max(want)
+
+    def test_far_from_zero_on_a_centred_grid(self):
+        # u = 100 v_th: the moment matrix is centred on the grid, so shifting
+        # its moments to u costs no more rounding than at u = 0
+        gas = helium_gas()
+        n, T = 1e25, 300.0
+        vt = math.sqrt(KB * T / gas.molecular_mass)
+        u = 100.0 * vt
+        vg = build_velocity_grid(u - 8.0 * vt, u + 8.0 * vt, 40)
+        feq = discrete_equilibrium(n, u, T, vg, gas)
+        macro = restrict(DistributionField(build_spatial_grid(1.0, 1), vg, feq), gas)
+        assert macro.number_density[0] == pytest.approx(n, rel=1e-12)
+        assert abs(macro.velocity[0] - u) <= 1e-12 * vt
+        assert macro.temperature[0] == pytest.approx(T, rel=1e-12)
+
 
 class TestRestrict:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_matches_weighted_sums(self, shipped_states, name):
+        sc, values = shipped_states[name]
+        macro = restrict(DistributionField(sc.grid, sc.vgrid, values, scale=sc.scale), sc.gas)
+        f, v, dv = values / sc.scale, sc.vgrid.velocities, sc.vgrid.dv
+        n = dv * f.sum(axis=1)
+        u = dv * (f * v).sum(axis=1) / n
+        T = sc.gas.molecular_mass / (KB * n) * dv * (f * (v[None, :] - u[:, None]) ** 2).sum(axis=1)
+        np.testing.assert_allclose(macro.number_density, n, rtol=1e-14)
+        assert np.max(np.abs(macro.velocity - u)) <= 1e-14 * np.max(np.sqrt(KB * T / sc.gas.molecular_mass))
+        np.testing.assert_allclose(macro.temperature, T, rtol=1e-14)
+
     def test_round_trip(self):
         gas = helium_gas()
         vg = reference_vgrid(32)
@@ -215,6 +252,12 @@ class TestGasRelations:
         assert mean_free_path(helium_gas(), 1e25) == pytest.approx(4.692960510399627e-07, rel=1e-12)
         with pytest.raises(ValueError):
             mean_free_path(helium_gas(), 0.0)
+
+    @pytest.mark.parametrize("diameter,expected", [(1e200, 0.0), (1e-200, math.inf)])
+    def test_mean_free_path_out_of_float_range(self, diameter, expected):
+        # d^2 overflows to inf or underflows to 0; no OverflowError or ZeroDivisionError
+        gas = replace(helium_gas(), molecular_diameter=diameter)
+        assert mean_free_path(gas, 1e25) == expected
 
     def test_gas_params_validation(self):
         with pytest.raises(ValueError):

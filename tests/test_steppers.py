@@ -173,6 +173,45 @@ class TestFvStep:
         assert np.array_equal(stepper.step(a), first)
 
 
+def where_flux_step(stepper, ghosts, values):
+    """One upwind step with the flux chosen by ``np.where`` over both shifts."""
+    gas, vg = stepper.gas, stepper.vgrid
+    macro = restrict(DistributionField(stepper.grid, vg, values, scale=stepper.scale), gas)
+    feq = stepper.scale * discrete_equilibrium(
+        macro.number_density, macro.velocity, macro.temperature, vg, gas
+    )
+    omega = relaxation_frequency(macro, gas)
+    v = vg.velocities
+    fpad = np.vstack([ghosts[0], values, ghosts[1]])
+    flux = np.where(v[None, :] >= 0.0, v * fpad[:-1], v * fpad[1:])
+    return (values - (stepper.dt / stepper.grid.dx) * (flux[1:] - flux[:-1])
+            + stepper.dt * omega[:, None] * (feq - values))
+
+
+class TestUpwindFlux:
+    # (v_min, v_max, Nv, T): every velocity negative, every velocity positive,
+    # and an odd grid whose middle velocity is exactly 0
+    @pytest.mark.parametrize("v_min,v_max,nv,T", [
+        (-3000.0, -200.0, 12, 80.0), (200.0, 3000.0, 12, 80.0), (-1920.0, 1920.0, 15, 120.0),
+    ], ids=["all-negative", "all-positive", "odd-with-zero"])
+    def test_sliced_flux_matches_where(self, rng, v_min, v_max, nv, T):
+        gas = helium_gas()
+        vg = build_velocity_grid(v_min, v_max, nv)
+        if nv % 2:
+            assert vg.velocities[nv // 2] == 0.0
+        grid = build_spatial_grid(1e-3, 10)
+        u = 0.5 * (v_min + v_max)
+        inflow = ((2e25, u, T), (1e25, u, 1.5 * T))
+        scale = gas.molecular_mass
+        values = scale * uniform_equilibrium_field(gas, grid, vg, 1e25, u, T).values
+        values *= 1.0 + 0.1 * rng.random(values.shape)
+        macro = restrict(DistributionField(grid, vg, values, scale=scale), gas)
+        dt = stable_dt(vg, grid.dx, relaxation_frequency(macro, gas), safety=0.5)
+        stepper = BGKStepper(grid, vg, gas, dt, inflow=inflow, scale=scale)
+        ghosts = [scale * discrete_equilibrium(n, u_, T_, vg, gas) for n, u_, T_ in inflow]
+        np.testing.assert_array_equal(stepper.step(values), where_flux_step(stepper, ghosts, values))
+
+
 class TestD1Q3:
     def test_equilibrium_invariant(self):
         f = np.full((10, 3), 0.7)
