@@ -37,6 +37,6 @@ from .moments import (
     reset_conserved,
 )
 from .scenario import Scenario, load_scenario, save_scenario
-from .steppers import BGKStepper, D1Q3Stepper, FluxScheme, stable_dt
+from .steppers import BGKStepper, D1Q3Stepper, stable_dt
 
 __version__ = "0.1.0"

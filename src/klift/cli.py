@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cr import SOLVERS, lift_macro, lift_report_rows, restrict_lift_error
+from .cr import SOLVERS, lift_macro, restrict_lift_error
 from .diagnostics import check_dense_dimension, cr_jacobian_spectrum, projector_spectrum
 from .errors import KliftError, NumericalError
 from .kinetic import equilibrium_field, restrict
@@ -29,9 +29,20 @@ CONSERVED_MOMENTS = 3  # density, momentum, energy
 REPORT_HEADER = ("iter", "residual", "drift", "seconds")
 
 
+def lift_report_rows(history: list[float], drift="", seconds=""):
+    """REPORT_HEADER rows for a lift's residual history.
+
+    Drift and seconds describe the finished lift, so they fill the final row
+    only and are blank on the others; a failed lift leaves them blank.
+    """
+    rows = [(i, r, "", "") for i, r in enumerate(history, start=1)]
+    if rows:
+        rows[-1] = rows[-1][:2] + (drift, seconds)
+    return rows
+
+
 def _comment_block(scenario: Scenario, extra: dict | None = None) -> list[str]:
     lines = [f"# config_hash = {config_hash(scenario)}"]
-    lines.append(f"# mass_rescaled = {scenario.mass_rescaled}")
     for key, val in (extra or {}).items():
         lines.append(f"# {key} = {val}")
     return lines
@@ -52,8 +63,14 @@ def _check_snapshot_matches(scenario: Scenario, field) -> None:
             f"snapshot grid {field.grid.n_cells}x{field.vgrid.n_velocities} does not match "
             f"config grid {scenario.n_cells}x{scenario.n_velocities}"
         )
-    if not np.isclose(field.grid.dx, scenario.grid.dx, rtol=1e-12):
-        raise ValueError("snapshot dx does not match the config domain")
+    for name, got, want in (
+        ("dx", field.grid.dx, scenario.grid.dx),
+        ("velocity grid v_min", field.vgrid.v_min, scenario.vgrid.v_min),
+        ("velocity grid dv", field.vgrid.dv, scenario.vgrid.dv),
+        ("scale", field.scale, scenario.scale),
+    ):
+        if not np.isclose(got, want, rtol=1e-12, atol=0.0):
+            raise ValueError(f"snapshot {name} {got:.12g} does not match the config's {want:.12g}")
 
 
 # ---- subcommands ------------------------------------------------------------
@@ -210,6 +227,8 @@ def cmd_sweep(args) -> int:
     grid_sizes = [int(s) for s in args.grid_sizes.split(",")]
     orders = [int(s) for s in args.orders.split(",")]
     steps = args.steps
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
 
     rows = []
     for n in grid_sizes:

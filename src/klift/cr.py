@@ -77,10 +77,6 @@ class CRConfig:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"CRConfig.{name} must be positive, got {getattr(self, name)!r}")
 
-    @property
-    def weights(self) -> np.ndarray:
-        return cr_weights(self.order_m)
-
 
 @dataclass
 class LiftReport:
@@ -342,15 +338,3 @@ def restrict_lift_error(reference: DistributionField, lifted: DistributionField)
         relative_error=rel,
         exact_zero=zero,
     )
-
-
-def lift_report_rows(history: list[float], drift="", seconds=""):
-    """CSV rows (iter, residual, drift, seconds) for a lift's residual history.
-
-    Drift and seconds describe the finished lift, so they fill the final row
-    only and are blank on the others; a failed lift leaves them blank.
-    """
-    rows = [(i, r, "", "") for i, r in enumerate(history, start=1)]
-    if rows:
-        rows[-1] = rows[-1][:2] + (drift, seconds)
-    return rows

@@ -3,7 +3,8 @@
 A scenario bundles gas constants, surface/ambient boundary parameters, and
 the discretization rules (velocity bounds as multiples of the surface
 thermal speed, domain length as a multiple of the mean free path, the
-stability time step).  Derived quantities are always recomputed from the
+stability time step).  The discretization itself is fixed: upwind fluxes on
+mass-rescaled fields.  Derived quantities are always recomputed from the
 primary parameters, never stored.
 """
 
@@ -12,7 +13,6 @@ import math
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from enum import Enum
 
 import numpy as np
 
@@ -29,9 +29,7 @@ from .kinetic import (
     mean_free_path,
     relaxation_frequency,
 )
-from .steppers import BGKStepper, FluxScheme, stable_dt
-
-_BOOL_WORDS = {"true": True, "false": False}
+from .steppers import BGKStepper, stable_dt
 
 
 def _key(key: str, *, above=None, **kwargs):
@@ -70,7 +68,6 @@ class Scenario:
     n_velocities: int = _key("grid.Nv", above=1)
     lambda_multiple: float = _key("domain.lambda_multiple", above=0.0)
     bound_multiple: float = _key("velocity.bound_multiple", above=0.0, default=4.0)
-    flux: FluxScheme = _key("flux.scheme", default=FluxScheme.UPWIND)
     reference_steps: int = _key("run.steps", above=-1, default=10000)
     # lifting defaults
     order_m: int = _key("cr.order_m", default=CRConfig.order_m)
@@ -79,7 +76,6 @@ class Scenario:
     picard_tol: float = _key("cr.picard_tol", default=CRConfig.picard_tol)
     gmres_tol: float = _key("gmres.tol", default=GMRESParams.tol)
     gmres_max_iters: int = _key("gmres.max_iters", default=GMRESParams.max_iters)
-    mass_rescaled: bool = _key("field.mass_rescaled", default=True)
     cfl_safety: float = _key("run.cfl_safety", above=0.0, default=0.9)
 
     def __post_init__(self):
@@ -122,7 +118,8 @@ class Scenario:
 
     @property
     def scale(self) -> float:
-        return self.molecular_mass if self.mass_rescaled else 1.0
+        """Fields hold m f; mass-rescaled values keep the absolute CR tolerances above rounding."""
+        return self.molecular_mass
 
     def _triple(self, p: float, T: float, u: float) -> tuple[float, float, float]:
         n = p / (BOLTZMANN * T)
@@ -183,7 +180,7 @@ class Scenario:
         """
         return BGKStepper(
             self.grid, self.vgrid, self.gas, self.dt,
-            scheme=self.flux, inflow=(self.surface, self.ambient), scale=self.scale,
+            inflow=(self.surface, self.ambient), scale=self.scale,
         )
 
     def initial_field(self):
@@ -198,11 +195,7 @@ class Scenario:
     # ---- config round trip --------------------------------------------------
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            out[f.metadata["key"]] = val.value if isinstance(val, Enum) else val
-        return out
+        return {f.metadata["key"]: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
@@ -219,7 +212,7 @@ class Scenario:
         return cls(**kwargs)
 
 
-_KINDS = {float: "a finite number", int: "an integer", bool: "true or false"}
+_KINDS = {float: "a finite number", int: "an integer"}
 
 
 def _parse_value(key: str, typ: type, val):
@@ -231,8 +224,6 @@ def _parse_value(key: str, typ: type, val):
     if typ not in _KINDS:
         return typ(val)
     number = isinstance(val, numbers.Real) and not isinstance(val, bool)
-    if typ is bool and isinstance(val, bool):
-        return val
     if typ is int and number and (isinstance(val, numbers.Integral) or float(val).is_integer()):
         return int(val)
     if typ is float and number and abs(val) <= sys.float_info.max:
@@ -250,10 +241,6 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        low = val.lower()
-        if low in _BOOL_WORDS:
-            out[key] = _BOOL_WORDS[low]
-            continue
         try:
             out[key] = int(val)
         except ValueError:
@@ -268,9 +255,7 @@ def serialize_config(d: dict) -> str:
     lines = []
     for key in sorted(d):
         val = d[key]
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        elif isinstance(val, float):
+        if isinstance(val, float):
             val = repr(val)
         lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"

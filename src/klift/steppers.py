@@ -4,14 +4,13 @@ A stepper is any object with a pure ``step(values) -> values`` on (N, q)
 arrays; that is all the constrained-runs machinery needs.  The finite-volume
 step follows the integrated form
 f_i(x_j, t+dt) = f_i - (dt/dx)(phi_{i,j+1/2} - phi_{i,j-1/2}) + dt w (f_eq - f_i)
-with upwind or centered fluxes and equilibrium ghost cells.  The three-speed
-diffusive lattice Boltzmann model is kept as a small exact oracle for the
-constrained-runs machinery.
+with first-order upwind fluxes and equilibrium ghost cells; upwind is the one
+flux, as forward Euler with a centred flux is unstable for advection.  The
+three-speed diffusive lattice Boltzmann model is kept as a small exact oracle
+for the constrained-runs machinery.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
@@ -25,11 +24,6 @@ from .kinetic import (
     relaxation_frequency,
     restrict,
 )
-
-
-class FluxScheme(Enum):
-    UPWIND = "upwind"
-    CENTERED = "centered"
 
 
 def stable_dt(vgrid: VelocityGrid, dx: float, omega0: np.ndarray, safety: float = 0.9) -> float:
@@ -58,7 +52,6 @@ class BGKStepper:
         gas: GasParams,
         dt: float,
         *,
-        scheme: FluxScheme = FluxScheme.UPWIND,
         inflow: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None,
         scale: float = 1.0,
     ):
@@ -66,7 +59,6 @@ class BGKStepper:
         self.vgrid = vgrid
         self.gas = gas
         self.dt = dt
-        self.scheme = scheme
         self.scale = scale
         # (1, Nv) ghost rows, or None for the periodic ring
         self._ghosts = None if inflow is None else tuple(
@@ -95,15 +87,11 @@ class BGKStepper:
             fpad = np.vstack([values[-1:], values, values[:1]])
         else:
             fpad = np.vstack([self._ghosts[0], values, self._ghosts[1]])
-        if self.scheme is FluxScheme.UPWIND:
-            # v >= 0 carries the left cell's value across a face, v < 0 the right one's
-            k = self._split
-            flux = np.empty((fpad.shape[0] - 1, v.size))
-            np.multiply(v[k:], fpad[:-1, k:], out=flux[:, k:])
-            np.multiply(v[:k], fpad[1:, :k], out=flux[:, :k])
-        else:
-            flux = np.add(fpad[:-1], fpad[1:])
-            flux *= 0.5 * v
+        # upwind: v >= 0 carries the left cell's value across a face, v < 0 the right one's
+        k = self._split
+        flux = np.empty((fpad.shape[0] - 1, v.size))
+        np.multiply(v[k:], fpad[:-1, k:], out=flux[:, k:])
+        np.multiply(v[:k], fpad[1:, :k], out=flux[:, :k])
 
         # values - (dt/dx)(flux_{j+1/2} - flux_{j-1/2}) + dt omega (feq - values),
         # formed in place on fpad's interior rows and on feq

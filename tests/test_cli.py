@@ -2,11 +2,12 @@
 
 import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from klift import Scenario, load_scenario, save_scenario
+from klift import DistributionField, Scenario, load_scenario, save_scenario
 from klift.cli import EXIT_ARG, EXIT_NUMERICAL, EXIT_OK, main
 from klift.scenario import config_hash, parse_config, serialize_config
 from klift.snapshots import read_snapshot, write_snapshot
@@ -47,7 +48,7 @@ OUT_OF_RANGE = [
     ("gas.viscosity_index", "-1"), ("velocity.bound_multiple", "-1"),
     ("domain.lambda_multiple", "-1"), ("gas.molecular_diameter", "1e200"),
 ]
-# values a float key rejects: (config text, value as parse_config reads it)
+# values a float key rejects: (config text, a Python value passed to Scenario.from_dict)
 BAD_FLOAT_WORDS = [("true", True), ("nan", math.nan), ("inf", math.inf), ("fast", "fast")]
 
 
@@ -68,8 +69,8 @@ def read_rows(path):
 
 class TestConfigFormat:
     def test_parse_types(self):
-        d = parse_config("a.b = 3\nc = 1.5e-3  # trailing\nflag = true\nname = upwind\n\n")
-        assert d == {"a.b": 3, "c": 1.5e-3, "flag": True, "name": "upwind"}
+        d = parse_config("a.b = 3\nc = 1.5e-3  # trailing\nname = upwind\n\n")
+        assert d == {"a.b": 3, "c": 1.5e-3, "name": "upwind"}
 
     def test_parse_rejects_bad_line(self):
         with pytest.raises(ValueError):
@@ -94,8 +95,6 @@ class TestConfigFormat:
             Scenario.from_dict(d)
 
     @pytest.mark.parametrize("key,value", [
-        ("field.mass_rescaled", "no"),
-        ("field.mass_rescaled", 1),
         ("grid.N", 20.7),
         ("grid.Nv", True),
         ("run.steps", 1500.5),
@@ -123,9 +122,14 @@ class TestConfigFormat:
 
     def test_shipped_config_hashes(self):
         # CSV headers carry these hashes; a schema change must not move them
-        assert config_hash(load_shipped("helium_desk.cfg")) == "8743d8f59c925b8f"
-        assert config_hash(load_shipped("helium_L30.cfg")) == "7599581bbc6d032b"
-        assert config_hash(load_shipped("helium_L30000.cfg")) == "327bc3f39397636e"
+        assert config_hash(load_shipped("helium_desk.cfg")) == "483d29046e3d9a37"
+        assert config_hash(load_shipped("helium_L30.cfg")) == "a32acfa719baef66"
+        assert config_hash(load_shipped("helium_L30000.cfg")) == "871ef8a7d68f8e18"
+
+    @pytest.mark.parametrize("name", ["helium_desk.cfg", "helium_L30.cfg", "helium_L30000.cfg"])
+    def test_shipped_config_lists_every_key(self, name):
+        text = scenario_path(name).read_text(encoding="utf-8")
+        assert sorted(parse_config(text)) == sorted(f.metadata["key"] for f in fields(Scenario))
 
     def test_integral_float_accepted(self):
         d = load_shipped("helium_L30000.cfg").to_dict()
@@ -261,6 +265,38 @@ class TestCLI:
         assert main(["lift", "--config", str(other_path), "--reference", str(ref),
                      "--out", str(tmp_path / "x")]) == EXIT_ARG
 
+    @pytest.mark.parametrize("command", ["lift", "restrict"])
+    @pytest.mark.parametrize("mismatch", ["dx", "velocity grid", "scale"])
+    def test_snapshot_mismatch_is_arg_error(self, tmp_path, capsys, command, mismatch):
+        # a 0.3-mean-free-path domain gives dx = 3.6e-9 m, below np.isclose's default atol
+        cfg, sc = tiny_config(tmp_path, lambda_multiple=0.3)
+        f = sc.initial_field()
+        grid, vgrid, values, scale = f.grid, f.vgrid, f.values, f.scale
+        if mismatch == "dx":
+            grid = sc.with_overrides(lambda_multiple=0.6).grid
+        elif mismatch == "velocity grid":
+            vgrid = sc.with_overrides(bound_multiple=6.0).vgrid
+        else:
+            # physical values at scale 1, as configs without mass rescaling wrote them
+            values, scale = values / scale, 1.0
+        write_snapshot(tmp_path / "ref.snap", DistributionField(grid, vgrid, values, scale=scale))
+        flag = "--reference" if command == "lift" else "--snapshot"
+        assert main([command, "--config", str(cfg), flag, str(tmp_path / "ref.snap"),
+                     "--out", str(tmp_path / "out")]) == EXIT_ARG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: snapshot {mismatch}") and "does not match" in err
+
+    @pytest.mark.parametrize("argv", [["run-reference"],
+                                      ["sweep", "--grid-sizes", "8", "--orders", "0"]],
+                             ids=lambda argv: argv[0])
+    def test_negative_steps_is_arg_error(self, tmp_path, capsys, argv):
+        cfg, _ = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert main([argv[0], "--config", str(cfg), *argv[1:], "--steps", "-5",
+                     "--out", str(out)]) == EXIT_ARG
+        assert "steps must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum_projector(self, tmp_path):
         cfg, _ = tiny_config(tmp_path)
         out = tmp_path / "spec.csv"
@@ -323,6 +359,14 @@ class TestCLI:
     def test_unknown_solver_is_arg_error(self, tmp_path, capsys, argv):
         err = self.assert_config_value_is_arg_error(tmp_path, capsys, argv, "cr.solver", "bogus")
         assert "bogus" in err
+
+    @pytest.mark.parametrize("key,text", [("flux.scheme", "upwind"),
+                                          ("field.mass_rescaled", "true")])
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    def test_removed_key_is_arg_error(self, tmp_path, capsys, argv, key, text):
+        # upwind fluxes on mass-rescaled fields are the one discretization
+        err = self.assert_config_value_is_arg_error(tmp_path, capsys, argv, key, text)
+        assert "unrecognized config keys" in err and key in err
 
     @pytest.mark.parametrize("key,text", OUT_OF_RANGE, ids=[f"{k}={t}" for k, t in OUT_OF_RANGE])
     @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])

@@ -6,7 +6,6 @@ import pytest
 from klift import (
     BGKStepper,
     D1Q3Stepper,
-    FluxScheme,
     build_spatial_grid,
     build_velocity_grid,
     discrete_equilibrium,
@@ -67,10 +66,9 @@ class TestFvStep:
         f = uniform_equilibrium_field(gas, grid, vg, n, u, T)
         omega = relaxation_frequency(restrict(f, gas), gas)
         dt = stable_dt(vg, grid.dx, omega)
-        for scheme in (FluxScheme.UPWIND, FluxScheme.CENTERED):
-            stepper = BGKStepper(grid, vg, gas, dt, scheme=scheme, inflow=((n, u, T), (n, u, T)))
-            out = stepper.step(f.values)
-            np.testing.assert_allclose(out, f.values, rtol=1e-12)
+        stepper = BGKStepper(grid, vg, gas, dt, inflow=((n, u, T), (n, u, T)))
+        out = stepper.step(f.values)
+        np.testing.assert_allclose(out, f.values, rtol=1e-12)
 
     def test_unstable_dt_raises_numerical_error(self):
         # 10x the stable step drives a cell's temperature negative within a
@@ -100,7 +98,7 @@ class TestFvStep:
         vals = feq * (1.0 + 0.3 * np.sin(2 * np.pi * np.arange(32) / 32))[:, None]
         v_fast = vg.velocities[-1]
         dt = grid.dx / v_fast
-        out = BGKStepper(grid, vg, quiet, dt, scheme=FluxScheme.UPWIND).step(vals)
+        out = BGKStepper(grid, vg, quiet, dt).step(vals)
         np.testing.assert_allclose(out[:, -1], np.roll(vals[:, -1], 1), rtol=1e-12)
 
     def test_periodic_mass_conservation_both_schemes(self, rng):
@@ -113,15 +111,14 @@ class TestFvStep:
         vals = feq * (1.0 + 0.2 * rng.random((32, 16)))
         omega = relaxation_frequency(restrict(DistributionField(grid, vg, vals), gas), gas)
         dt = stable_dt(vg, grid.dx, omega)
-        for scheme in (FluxScheme.UPWIND, FluxScheme.CENTERED):
-            stepper = BGKStepper(grid, vg, gas, dt, scheme=scheme)
-            f = vals
-            mass = vg.dv * grid.dx * f.sum()
-            for _ in range(5):
-                f = stepper.step(f)
-                new_mass = vg.dv * grid.dx * f.sum()
-                assert abs(new_mass - mass) <= 1e-12 * mass
-                mass = new_mass
+        stepper = BGKStepper(grid, vg, gas, dt)
+        f = vals
+        mass = vg.dv * grid.dx * f.sum()
+        for _ in range(5):
+            f = stepper.step(f)
+            new_mass = vg.dv * grid.dx * f.sum()
+            assert abs(new_mass - mass) <= 1e-12 * mass
+            mass = new_mass
 
     def test_collision_operator_conserves_moments(self, rng):
         gas = helium_gas()
