@@ -73,6 +73,15 @@ def _check_snapshot_matches(scenario: Scenario, field) -> None:
             raise ValueError(f"snapshot {name} {got:.12g} does not match the config's {want:.12g}")
 
 
+def _check_out_dir(out: str) -> None:
+    """Raise ValueError unless the directory ``--out`` writes into exists and is writable."""
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"--out {out}: directory {directory} does not exist")
+    if not os.access(directory, os.W_OK):
+        raise ValueError(f"--out {out}: directory {directory} is not writable")
+
+
 # ---- subcommands ------------------------------------------------------------
 
 
@@ -339,6 +348,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every subcommand writes its results under --out; a run must not do
+        # its work only to find it cannot be saved
+        _check_out_dir(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -151,14 +151,16 @@ def discrete_equilibrium(
     dv-weighted sums reproduce n, n u and n k_B T / m to the Newton
     tolerance.  (B, D) come from Newton on the pair R_1 = 0,
     R_2 - R_0 k_B T / m = 0 with R_j = dv sum_i (v_i - u)^j exp(-B^2 (v_i - D)^2),
-    then A = n / R_0.  Each iteration takes the moments of E = exp(-B^2 (v - D)^2)
-    about the grid midpoint by one ``E @ vgrid.moments``, shifts them to
-    central moments C_p about D and then to (v - u)-weighted sums, so the
-    residual and the closed-form 2x2 Jacobian are arithmetic on (N,) arrays.
-    Residuals are nondimensionalized with the thermal speed so
-    ``EQUILIBRIUM_TOL`` is a relative tolerance.  Newton starts from the
-    continuous Maxwellian's B = sqrt(m / (2 k_B T)), D = u.  Vectorized over
-    cells.
+    then A = n / R_0.  Each iteration builds E = exp(-B^2 (v - D)^2) in
+    (Nv, cells) layout, takes its moments about the grid midpoint by one
+    ``vgrid.moments.T @ E``, shifts them to central moments C_p about D and
+    then to (v - u)-weighted sums, so the residual and the closed-form 2x2
+    Jacobian are arithmetic on (cells,) arrays.  Residuals are
+    nondimensionalized with the thermal speed so ``EQUILIBRIUM_TOL`` is a
+    relative tolerance.  Newton starts from the continuous Maxwellian's
+    B = sqrt(m / (2 k_B T)), D = u.  Vectorized over cells: a cell whose
+    residual is below the tolerance has its A E written to f_eq and leaves
+    the iteration, so later iterations evaluate only the unconverged cells.
     """
     n = np.atleast_1d(np.asarray(n, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -169,22 +171,24 @@ def discrete_equilibrium(
         raise ValueError("temperature must be positive")
 
     kB, m = BOLTZMANN, gas.molecular_mass
-    v = vgrid.velocities
+    feq = np.empty((n.size, vgrid.n_velocities))
+    # per unconverged cell: its index into feq, its (n, u, T) and Newton unknowns
+    idx = np.arange(n.size)
+    n_a, u_a = n, u
     theta = kB * T / m
     vt = np.sqrt(theta)  # thermal speed scale
-
     B = np.sqrt(m / (2.0 * kB * T))
     D = u.copy()
 
-    E = np.empty((n.size, v.size))
+    v = vgrid.velocities[:, None]
     for _ in range(EQUILIBRIUM_MAX_ITER):
-        np.subtract(v, D[:, None], out=E)
-        E *= B[:, None]
+        # (Nv, cells): each broadcast runs along a cells-long row
+        E = np.subtract(v, D)
+        E *= B
         np.multiply(E, E, out=E)
         np.negative(E, out=E)
         np.exp(E, out=E)
-        # (5, N) rows, contiguous for the shifts: dv sum (v - v_mid)^p E
-        M = (E @ vgrid.moments).T.copy()
+        M = vgrid.moments.T @ E  # (5, cells): dv sum (v - v_mid)^p E
         C = [M[0]]  # central moments C_p = dv sum (v - D)^p E
         a = D - vgrid.v_mid
         for _ in range(4):
@@ -192,16 +196,18 @@ def discrete_equilibrium(
             C.append(M[0])
         # with w = v - u = (v - D) + (D - u): W1[p] = dv sum w (v - D)^p E,
         # W2[p] = dv sum w^2 (v - D)^p E
-        W1 = _shift(np.array(C), u - D)
-        W2 = _shift(W1, u - D)
+        W1 = _shift(np.array(C), u_a - D)
+        W2 = _shift(W1, u_a - D)
         R0 = C[0]
         F1 = W1[0]
         F2 = W2[0] - R0 * theta
         res = np.maximum(np.abs(F1) / (R0 * vt), np.abs(F2) / (R0 * theta))
         active = res > EQUILIBRIUM_TOL
+        # every evaluated cell is written; an active one is overwritten later
+        E *= n_a / R0
+        feq[idx] = E.T
         if not active.any():
-            E *= (n / R0)[:, None]
-            return E
+            return feq
 
         # dE/dB = -2 B (v - D)^2 E,  dE/dD = 2 B^2 (v - D) E
         J11 = -2.0 * B * W1[2]
@@ -213,19 +219,24 @@ def discrete_equilibrium(
             raise NumericalError("singular Jacobian in equilibrium Newton solve")
         dB = -(F1 * J22 - F2 * J12) / det
         dD = -(J11 * F2 - J21 * F1) / det
+        if not active.all():
+            idx, n_a, u_a, theta, vt, B, D, res, dB, dD = (
+                x[active] for x in (idx, n_a, u_a, theta, vt, B, D, res, dB, dD)
+            )
 
-        Bn = B + np.where(active, dB, 0.0)
+        Bn = B + dB
         # keep B positive; halve instead of crossing zero
-        bad = active & (Bn <= 0.0)
+        bad = Bn <= 0.0
         Bn[bad] = 0.5 * B[bad]
         B = Bn
-        D = D + np.where(active, dD, 0.0)
+        D = D + dD
 
-    j = int(np.argmax(np.where(active, res, -np.inf)))  # the worst unconverged cell
+    k = int(np.argmax(res))  # the worst unconverged cell
+    j = int(idx[k])
     raise ConvergenceError(
         f"equilibrium Newton solve did not converge in cell {j}: n {n[j]:.3e} 1/m^3, "
-        f"u {u[j]:.3e} m/s, T {T[j]:.3e} K (residual {res[j]:.3e})",
-        residual=float(res[j]),
+        f"u {u[j]:.3e} m/s, T {T[j]:.3e} K (residual {res[k]:.3e})",
+        residual=float(res[k]),
     )
 
 

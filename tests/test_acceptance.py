@@ -1,6 +1,6 @@
 """Acceptance gate: one test per criterion, each printing PASS/FAIL.
 
-Criterion 7 (full-scale reference run, about 16 s on 2 CPUs) is opt-in via
+Criterion 7 (full-scale reference run, about 25 s on 2 CPUs) is opt-in via
 KLIFT_FULL=1.
 Criterion 4 is asserted on the conserved and momentum moments of the two CR
 forms; the full-state outputs of the orthogonal and inverse-based resets are
@@ -175,7 +175,7 @@ def test_criterion_6_desk_scale_order_trend():
 
 
 @pytest.mark.skipif(os.environ.get("KLIFT_FULL") != "1",
-                    reason="full-scale run (about 16 s); set KLIFT_FULL=1 to enable")
+                    reason="full-scale run (about 25 s); set KLIFT_FULL=1 to enable")
 def test_criterion_7_full_scale_reference():
     sc = load_shipped("helium_L30000.cfg")
     stepper = sc.make_stepper()

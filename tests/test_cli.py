@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from klift import DistributionField, Scenario, load_scenario, save_scenario
+from klift import BGKStepper, DistributionField, Scenario, load_scenario, save_scenario
 from klift.cli import EXIT_ARG, EXIT_NUMERICAL, EXIT_OK, main
 from klift.scenario import config_hash, parse_config, serialize_config
 from klift.snapshots import read_snapshot, write_snapshot
@@ -38,6 +38,13 @@ SUBCOMMANDS = [
     ["lift", "--reference", "ref.snap"],
     ["spectrum", "--operator", "qr-projector"],
     ["sweep", "--grid-sizes", "8", "--orders", "0", "--steps", "0"],
+]
+# one invocation of each subcommand that takes BGK steps
+STEPPING = [
+    ["run-reference", "--steps", "300"],
+    ["lift", "--reference", "ref.snap", "--order", "0"],
+    ["spectrum", "--operator", "cr-qr", "--n", "8"],
+    ["sweep", "--grid-sizes", "8", "--orders", "0", "--steps", "5"],
 ]
 # well-typed values outside a key's range: (key, config text)
 OUT_OF_RANGE = [
@@ -296,6 +303,21 @@ class TestCLI:
                      "--out", str(out)]) == EXIT_ARG
         assert "steps must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", STEPPING, ids=lambda argv: argv[0])
+    def test_missing_out_dir_fails_before_any_step(self, tmp_path, capsys, monkeypatch, argv):
+        cfg, sc = tiny_config(tmp_path)
+        write_snapshot(tmp_path / "ref.snap", sc.initial_field())
+
+        def no_step(self, values):
+            raise AssertionError("a step was taken before --out was checked")
+
+        monkeypatch.setattr(BGKStepper, "step", no_step)
+        out = tmp_path / "missing" / "out"
+        argv = [a.replace("ref.snap", str(tmp_path / "ref.snap")) for a in argv]
+        assert main([argv[0], "--config", str(cfg), *argv[1:], "--out", str(out)]) == EXIT_ARG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: directory ") and "does not exist" in err
 
     def test_spectrum_projector(self, tmp_path):
         cfg, _ = tiny_config(tmp_path)

@@ -1,6 +1,7 @@
 """Grids, discrete equilibrium, restriction, and the gas relations."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from klift import (
     relaxation_frequency,
     restrict,
 )
+from klift import kinetic
 from klift.kinetic import DistributionField
 
 from conftest import (
@@ -125,6 +127,40 @@ class TestDiscreteEquilibrium:
         u = np.array([0.0, 0.9 * vg.v_max])
         with pytest.raises(ConvergenceError, match=r"cell 1: n 1\.000e\+25 .* T 3\.000e\+02 K"):
             discrete_equilibrium(np.full(2, 1e25), u, np.full(2, 300.0), vg, sc.gas)
+
+    def test_cells_leaving_at_different_iterations(self, monkeypatch):
+        # on the desk grid at 600 K a cell at rest converges on the first
+        # evaluation, one at 0.2 v_max on the second and one at 0.4 v_max on
+        # the third; each must be written from its own last evaluation
+        sc = load_shipped("helium_desk.cfg")
+        vg, gas = sc.vgrid, sc.gas
+        n, u, T = np.full(5, 1e25), vg.v_max * np.array([0.0, 0.4, 0.2, 0.0, 0.4]), np.full(5, 600.0)
+
+        def evaluations(j):
+            for k in range(1, 10):
+                monkeypatch.setattr(kinetic, "EQUILIBRIUM_MAX_ITER", k)
+                try:
+                    discrete_equilibrium(n[j], u[j], T[j], vg, gas)
+                    return k
+                except ConvergenceError:
+                    pass
+
+        assert [evaluations(j) for j in range(5)] == [1, 3, 2, 1, 3]
+        monkeypatch.undo()
+        feq, want = discrete_equilibrium(n, u, T, vg, gas), weighted_sum_equilibrium(n, u, T, vg, gas)
+        assert np.max(np.abs(feq - want)) <= 1e-14 * np.max(want)
+
+    def test_nonconvergence_names_the_cell_after_others_left(self):
+        # cells 0, 2 and 1 leave the iteration after one, two and three
+        # evaluations; the error still names cell 3 by its index in the input
+        sc = load_shipped("helium_desk.cfg")
+        vg = sc.vgrid
+        n = np.array([1e25, 1e25, 1e25, 2e25, 1e25])
+        u = vg.v_max * np.array([0.0, 0.4, 0.2, 0.9, 0.0])
+        T = np.array([600.0, 600.0, 600.0, 650.0, 600.0])
+        want = re.escape(f"cell 3: n 2.000e+25 1/m^3, u {u[3]:.3e} m/s, T 6.500e+02 K")
+        with pytest.raises(ConvergenceError, match=want):
+            discrete_equilibrium(n, u, T, vg, sc.gas)
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_matches_weighted_sum_oracle(self, shipped_states, name):

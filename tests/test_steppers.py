@@ -169,6 +169,38 @@ class TestFvStep:
         stepper.step(b)
         assert np.array_equal(stepper.step(a), first)
 
+    @pytest.mark.parametrize("periodic", [False, True], ids=["ghost", "periodic"])
+    def test_step_aliases_nothing(self, rng, periodic):
+        # callers keep earlier states (reference runs, CR maps, the coloured
+        # Jacobian): a step must neither write to its input nor return memory
+        # that the input, an earlier output or the stepper holds
+        sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=20)
+        inflow = None if periodic else (sc.surface, sc.ambient)
+        stepper = BGKStepper(sc.grid, sc.vgrid, sc.gas, sc.dt, inflow=inflow, scale=sc.scale)
+        f = sc.initial_field().values
+        a = f * (1 + 0.05 * rng.random(f.shape))
+        b = f * (1 + 0.05 * rng.random(f.shape))
+        a0, b0 = a.copy(), b.copy()
+        out_a = stepper.step(a)
+        out_b = stepper.step(b)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+        held = list(held_arrays(stepper))
+        assert held
+        for out, earlier in ((out_a, [a]), (out_b, [b, out_a])):
+            for other in earlier + held:
+                assert not np.shares_memory(out, other)
+
+
+def held_arrays(obj):
+    """The arrays an object holds in its attributes, in tuples or in attribute objects."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            yield from (x for x in value if isinstance(x, np.ndarray))
+        elif hasattr(value, "__dict__"):
+            yield from (x for x in vars(value).values() if isinstance(x, np.ndarray))
+
 
 def where_flux_step(stepper, ghosts, values):
     """One upwind step with the flux chosen by ``np.where`` over both shifts."""
