@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConvergenceError, NumericalError
 from .kinetic import (
@@ -51,13 +51,112 @@ def cr_weights(order_m: int) -> np.ndarray:
 class GMRESParams:
     tol: float = 1e-6
     max_iters: int = 200
-    restart: int | None = None  # None = single cycle of max_iters iterations
+    restart: int | None = None  # inner iterations per cycle; None = max_iters
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"GMRESParams.tol must be positive, got {self.tol!r}")
         if self.max_iters < 1:
             raise ValueError(f"GMRESParams.max_iters must be at least 1, got {self.max_iters!r}")
+        if self.restart is not None and not (isinstance(self.restart, int) and self.restart >= 1):
+            raise ValueError(
+                f"GMRESParams.restart must be None or an integer of at least 1, got {self.restart!r}")
+
+
+class GMRESResult(NamedTuple):
+    x: np.ndarray
+    info: int          # 0 converged; otherwise the number of restart cycles run
+    iterations: int    # inner (Arnoldi) iterations over all cycles
+    estimate: float    # the last Givens residual estimate over ||b||
+    residual: float    # the true residual ||b - A x|| over ||b||
+
+
+def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
+    """Restarted GMRES (Saad & Schultz 1986) for A x = b from x = 0; A v = matvec(v).
+
+    The stopping rule is scipy.sparse.linalg.gmres's with rtol = params.tol,
+    atol = 0 and no preconditioner: a cycle ends when its Givens residual
+    estimate reaches ptol (rtol ||b||, then scipy's adaptation) or Arnoldi
+    breaks down, and the true residual b - A x decides convergence after
+    every cycle.  The budget is params.max_iters inner iterations in
+    ceil(max_iters / restart) cycles, each of at most min(restart, remaining);
+    restart=None means max_iters, and restart is capped at n, the largest
+    Krylov space.  A cycle that ends early still counts, as in scipy.
+
+    Each Arnoldi vector is orthogonalized by classical Gram-Schmidt done
+    twice, each pass one product with the stacked basis rows; twice is enough
+    to keep the basis as orthogonal as modified Gram-Schmidt does (Giraud,
+    Langou & Rozloznik 2005).
+    """
+    n = b.size
+    bnrm2 = float(np.linalg.norm(b))
+    atol = params.tol * bnrm2
+    if bnrm2 == 0.0 or bnrm2 < atol:  # b = 0, or rtol > 1 accepts x = 0
+        rel = 1.0 if bnrm2 else 0.0
+        return GMRESResult(np.zeros(n), 0, 0, rel, rel)
+    eps = np.finfo(float).eps
+    restart = min(params.restart or params.max_iters, params.max_iters, n)
+    V = np.empty((restart + 1, n))  # rows never reached are never touched
+    R = np.zeros((restart, restart))  # R[j, :j+1] = rotated Hessenberg column j
+    x = np.zeros(n)
+    r = b.copy()
+    ptol, ptol_max_factor = atol, 1.0
+    used = 0
+    for cycles in range(1, math.ceil(params.max_iters / restart) + 1):
+        beta = float(np.linalg.norm(r))
+        V[0] = r
+        V[0] *= 1.0 / beta
+        S = [beta] + [0.0] * restart
+        rotations = []
+        breakdown = False
+        for col in range(min(restart, params.max_iters - used)):
+            w = matvec(V[col])
+            h0 = np.linalg.norm(w)
+            basis, v_new = V[: col + 1], V[col + 1]
+            c = basis @ w
+            np.subtract(w, c @ basis, out=v_new)
+            c2 = basis @ v_new
+            v_new -= c2 @ basis
+            h = (c + c2).tolist()
+            h1 = float(np.linalg.norm(v_new))
+            if h1 <= eps * h0:  # the Krylov space is invariant: x is exact
+                h1, breakdown = 0.0, True
+            else:
+                v_new *= 1.0 / h1
+            for k, (cs, sn) in enumerate(rotations):
+                h[k], h[k + 1] = cs * h[k] + sn * h[k + 1], -sn * h[k] + cs * h[k + 1]
+            mag = math.hypot(h[col], h1)
+            cs, sn = (h[col] / mag, h1 / mag) if mag else (1.0, 0.0)
+            rotations.append((cs, sn))
+            h[col] = mag
+            R[col, : col + 1] = h
+            S[col], S[col + 1] = cs * S[col], -sn * S[col]
+            presid = abs(S[col + 1])
+            if presid <= ptol or breakdown:
+                break
+        used += col + 1
+        # back substitution on the triangle, zeroing a singular last pivot
+        if R[col, col] == 0.0:
+            S[col] = 0.0
+        y = np.array(S[: col + 1])
+        for k in range(col, 0, -1):
+            if y[k] != 0.0:
+                y[k] /= R[k, k]
+                y[:k] -= y[k] * R[k, :k]
+        if y[0] != 0.0:
+            y[0] /= R[0, 0]
+        x += y @ V[: col + 1]
+        r = b - matvec(x)
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:  # the estimate passed but the true residual did not
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    info = 0 if rnorm <= atol else cycles
+    return GMRESResult(x, info, used, presid / bnrm2, rnorm / bnrm2)
 
 
 @dataclass(frozen=True)
@@ -212,7 +311,6 @@ def lift_newton(
     """
     t0 = _time.perf_counter()
     shape = f0.shape
-    dim = f0.size
     f = f0.copy() if f_guess is None else f_guess.copy()
     history: list[float] = []
     gmres_total = 0
@@ -248,32 +346,18 @@ def lift_newton(
         def matvec(v):
             return v - cr_jvp(apply_map, f, Cf, v.reshape(shape)).ravel()
 
-        counter = {"n": 0}
-
-        def cb(_pr_norm):
-            counter["n"] += 1
-
-        op = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-        restart = cfg.gmres.restart if cfg.gmres.restart is not None else min(dim, cfg.gmres.max_iters)
-        maxiter = max(1, cfg.gmres.max_iters // restart)
-        delta, info = gmres(
-            op,
-            -g,
-            rtol=cfg.gmres.tol,
-            atol=0.0,
-            restart=restart,
-            maxiter=maxiter,
-            callback=cb,
-            callback_type="pr_norm",
-        )
-        gmres_total += counter["n"]
-        if info != 0:
+        solve = gmres(matvec, -g, cfg.gmres)
+        gmres_total += solve.iterations
+        if solve.info != 0:
             raise ConvergenceError(
-                f"GMRES stagnated in Newton step {it} (info={info})",
+                f"GMRES stagnated in Newton step {it} (info={solve.info}): "
+                f"{solve.iterations} inner iterations, estimated relative residual "
+                f"{solve.estimate:.3e} and true relative residual {solve.residual:.3e} "
+                f"against rtol {cfg.gmres.tol:g}",
                 residual=resid,
                 history=history,
             )
-        f = f + delta.reshape(shape)
+        f = f + solve.x.reshape(shape)
 
     raise ConvergenceError(
         f"Newton CR iteration did not reach {cfg.newton_tol:g} "

@@ -2,11 +2,16 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import klift
 from klift import BGKStepper, DistributionField, Scenario, load_scenario, save_scenario
 from klift.cli import EXIT_ARG, EXIT_NUMERICAL, EXIT_OK, main
 from klift.scenario import config_hash, parse_config, serialize_config
@@ -477,3 +482,28 @@ class TestCLI:
               "--out", str(out)])
         first = out.read_text(encoding="utf-8").splitlines()[0]
         assert first == f"# config_hash = {config_hash(sc)}"
+
+
+NO_SCIPY_LIFT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import klift
+from klift.cli import main
+cfg = sys.argv[1]
+code = main(["run-reference", "--config", cfg, "--steps", "20", "--out", "ref.snap"])
+sys.exit(code or main(["lift", "--config", cfg, "--reference", "ref.snap",
+                       "--order", "1", "--out", "lift1"]))
+"""
+
+
+def test_lift_runs_without_scipy(tmp_path):
+    """numpy is klift's only runtime dependency: a desk lift needs no scipy."""
+    env = dict(os.environ)
+    package_root = str(Path(klift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_LIFT, str(scenario_path("helium_desk.cfg"))],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == EXIT_OK, done.stdout + done.stderr
+    assert (tmp_path / "lift1_lifted.snap").exists()

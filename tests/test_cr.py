@@ -2,9 +2,13 @@
 
 import math
 
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import klift.cr
 from klift import (
     BasisKind,
     ConvergenceError,
@@ -22,8 +26,8 @@ from klift import (
     restrict_lift_error,
 )
 from klift.cli import lift_report_rows
-from klift.cr import conserved_drift
-from klift.kinetic import DistributionField
+from klift.cr import GMRESResult, conserved_drift, cr_jvp, gmres
+from klift.kinetic import DistributionField, equilibrium_field
 from klift.moments import basis_from_matrix, naive_projector, project_complement
 from klift.steppers import D1Q3Stepper
 
@@ -79,6 +83,11 @@ class TestWeights:
         for bad in (0, -5):
             with pytest.raises(ValueError, match="max_iters"):
                 GMRESParams(max_iters=bad)
+        for bad in (0, -1, 2.5):
+            with pytest.raises(ValueError, match="restart"):
+                GMRESParams(restart=bad)
+        assert GMRESParams(restart=1).restart == 1
+        assert GMRESParams(restart=None).restart is None
 
 
 class TestCRMap:
@@ -300,3 +309,181 @@ class TestConservedDrift:
             project_complement(basis, out), project_complement(basis, guess), atol=1e-13
         )
         assert conserved_drift(basis, out, f0) < 1e-12
+
+
+def scipy_gmres(matvec, b, params):
+    """scipy.sparse.linalg.gmres called as lift_newton called it before klift.cr.gmres.
+
+    restart=None meant min(n, max_iters); the iteration count is the number
+    of pr_norm callbacks.  The true residual is not computed (NaN).
+    """
+    n = b.size
+    restart = params.restart if params.restart is not None else min(n, params.max_iters)
+    estimates = []
+    x, info = scipy.sparse.linalg.gmres(
+        scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float),
+        b, rtol=params.tol, atol=0.0, restart=restart,
+        maxiter=max(1, params.max_iters // restart),
+        callback=estimates.append, callback_type="pr_norm",
+    )
+    return GMRESResult(x, info, len(estimates), estimates[-1] if estimates else 0.0, math.nan)
+
+
+def shift_matvec(v):
+    """The cyclic shift: GMRES from x = 0 on b = e_0 makes no progress before n iterations."""
+    return np.roll(v, 1)
+
+
+def unit(n, i=0):
+    e = np.zeros(n)
+    e[i] = 1.0
+    return e
+
+
+class TestGMRES:
+    N = 40
+
+    def _systems(self):
+        """(name, matvec, b, params) for the oracle comparison; all nonsymmetric."""
+        rng = np.random.default_rng(7)
+        n = self.N
+        g = rng.standard_normal((n, n)) / math.sqrt(n)
+        nilpotent = np.zeros((n, n))
+        nilpotent[1, 0], nilpotent[2, 1] = 2.0, 3.0  # rank 2: the Krylov space of e_0 has dimension 3
+        shifted = np.eye(n) + 0.9 * g + np.diag(np.linspace(0.0, 3.0, n))
+        cases = [
+            ("one cycle", np.eye(n) + 0.5 * g, rng.standard_normal(n),
+             GMRESParams(tol=1e-10, max_iters=n)),
+            ("restart cycles", shifted, rng.standard_normal(n),
+             GMRESParams(tol=1e-10, max_iters=400, restart=8)),
+            ("info = maxiter", np.diag(np.linspace(1.0, 100.0, n)) + 3.0 * g,
+             rng.standard_normal(n), GMRESParams(tol=1e-12, max_iters=12, restart=4)),
+            ("happy breakdown", np.eye(n) + nilpotent, unit(n),
+             GMRESParams(tol=1e-14, max_iters=n)),
+            # breakdown on a singular pivot: e_0 is not in the range, x stays 0
+            ("singular", nilpotent, unit(n), GMRESParams(tol=1e-14, max_iters=n)),
+            ("zero rhs", np.eye(n) + 0.5 * g, np.zeros(n), GMRESParams(tol=1e-10, max_iters=n)),
+        ]
+        systems = [(name, lambda v, A=A: A @ v, b, params) for name, A, b, params in cases]
+        # a matvec that is not quite linear, as a forward difference is not: the
+        # estimate and the true residual part, and later cycles adapt ptol
+        systems.append(("inexact matvec", lambda v: shifted @ v + 1e-6 * np.sin(1e3 * v),
+                        rng.standard_normal(n), GMRESParams(tol=1e-9, max_iters=200, restart=20)))
+        return systems
+
+    def test_matches_scipy(self):
+        outcomes = {}
+        for name, matvec, b, params in self._systems():
+            ours = gmres(matvec, b, params)
+            ref = scipy_gmres(matvec, b, params)
+            assert ours.info == ref.info, name
+            assert ours.iterations == ref.iterations, name
+            assert np.linalg.norm(ours.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x), name
+            assert ours.estimate == pytest.approx(ref.estimate, rel=1e-6, abs=1e-300), name
+            norm_b = np.linalg.norm(b)
+            true = np.linalg.norm(b - matvec(ours.x)) / norm_b if norm_b else 0.0
+            assert ours.residual == pytest.approx(true, rel=1e-12), name
+            outcomes[name] = (ours.info, ours.iterations)
+        # each case reaches the path it is named for
+        assert outcomes["one cycle"][0] == 0 and outcomes["one cycle"][1] < self.N
+        assert outcomes["restart cycles"][0] == 0 and outcomes["restart cycles"][1] > 3 * 8
+        assert outcomes["info = maxiter"] == (3, 12)
+        assert outcomes["happy breakdown"] == (0, 3)
+        assert outcomes["singular"] == (1, 3)
+        assert outcomes["zero rhs"] == (0, 0)
+        assert outcomes["inexact matvec"][0] == 0 and outcomes["inexact matvec"][1] > 20
+
+    def test_ill_conditioned_basis_stays_orthogonal(self):
+        # condition ~1e12: one Gram-Schmidt pass loses orthogonality and stops
+        # 6x above the residual that modified Gram-Schmidt reaches; two passes do not
+        rng = np.random.default_rng(7)
+        n = self.N
+        A = np.diag(np.logspace(0.0, 12.0, n)) + rng.standard_normal((n, n)) / math.sqrt(n)
+        b = rng.standard_normal(n)
+        params = GMRESParams(tol=1e-14, max_iters=n - 1)
+        ours = gmres(lambda v: A @ v, b, params)
+        ref = scipy_gmres(lambda v: A @ v, b, params)
+        assert (ours.info, ours.iterations) == (ref.info, ref.iterations) == (1, n - 1)
+        ref_residual = np.linalg.norm(b - A @ ref.x) / np.linalg.norm(b)
+        assert ours.residual == pytest.approx(ref_residual, rel=1e-2)
+
+    def test_restart_longer_than_budget_runs_the_budget(self):
+        out = gmres(shift_matvec, unit(400), GMRESParams(tol=1e-8, max_iters=200, restart=300))
+        assert (out.info, out.iterations) == (1, 200)
+        assert out.estimate == out.residual == 1.0
+
+    def test_last_cycle_takes_what_is_left(self):
+        out = gmres(shift_matvec, unit(400), GMRESParams(tol=1e-8, max_iters=20, restart=7))
+        assert (out.info, out.iterations) == (3, 20)  # 7 + 7 + 6
+
+    def test_shipped_and_criterion_7_budgets(self):
+        # restart=None: one cycle of max_iters
+        out = gmres(shift_matvec, unit(400), GMRESParams(tol=1e-6, max_iters=200))
+        assert (out.info, out.iterations) == (1, 200)
+        # criterion 7's m = 3 solve: ten cycles of 300
+        out = gmres(shift_matvec, unit(400), GMRESParams(tol=1e-3, max_iters=3000, restart=300))
+        assert (out.info, out.iterations) == (10, 3000)
+        # a cycle of n iterations solves the shift exactly
+        out = gmres(shift_matvec, unit(400), GMRESParams(tol=1e-6, max_iters=3000, restart=400))
+        assert (out.info, out.iterations) == (0, 400)
+        np.testing.assert_allclose(out.x, unit(400, 399), atol=1e-12)
+
+    @staticmethod
+    def _desk_lift_problem():
+        """A desk-scale reference 20 steps in, its macro fields, stepper and basis."""
+        sc = load_shipped("helium_desk.cfg")
+        stepper = sc.make_stepper()
+        values = sc.initial_field().values
+        for _ in range(20):
+            values = stepper.step(values)
+        reference = sc.initial_field().with_values(values, time=20 * sc.dt)
+        basis = build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3)
+        common = dict(grid=sc.grid, vgrid=sc.vgrid, scale=sc.scale, time=reference.time)
+        return sc, stepper, basis, restrict(reference, sc.gas), common
+
+    def test_stagnation_message_reports_iterations_and_residuals(self):
+        sc, stepper, basis, macro, common = self._desk_lift_problem()
+        # the FD matvec cannot take the true residual below ~3e-9 here
+        cfg = CRConfig(order_m=1, gmres=GMRESParams(tol=1e-10, max_iters=30))
+        with pytest.raises(ConvergenceError) as exc:
+            lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
+        msg = str(exc.value)
+        assert msg.startswith("GMRES stagnated in Newton step 0 (info=1): ")
+        found = re.search(
+            r"(\d+) inner iterations, estimated relative residual (\S+) and true "
+            r"relative residual (\S+) against rtol (\S+)$", msg)
+        assert found, msg
+        iters, estimate, true, rtol = int(found[1]), float(found[2]), float(found[3]), float(found[4])
+
+        # the same first Newton system, solved again outside the lift
+        f0 = equilibrium_field(macro, sc.grid, sc.vgrid, sc.gas, scale=sc.scale).values
+
+        def apply_map(s):
+            return cr_map(stepper, basis, f0, s, 1)
+
+        Cf = apply_map(f0)
+        b = (Cf - f0).ravel()
+
+        def matvec(v):
+            return v - cr_jvp(apply_map, f0, Cf, v.reshape(f0.shape)).ravel()
+
+        solve = gmres(matvec, b, cfg.gmres)
+        assert iters == solve.iterations < cfg.gmres.max_iters  # the estimate ended the cycle
+        assert rtol == cfg.gmres.tol
+        assert estimate == pytest.approx(solve.estimate, rel=1e-3) and estimate <= rtol
+        true_residual = np.linalg.norm(b - matvec(solve.x)) / np.linalg.norm(b)
+        assert true == pytest.approx(true_residual, rel=1e-3)
+        assert true > 10.0 * rtol
+
+    def test_lift_matches_scipy_solver(self, monkeypatch):
+        sc, stepper, basis, macro, common = self._desk_lift_problem()
+        for m in (0, 1):
+            cfg = sc.cr_config(m, "newton")
+            ours, ours_report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
+            with monkeypatch.context() as patch:
+                patch.setattr(klift.cr, "gmres", scipy_gmres)
+                ref, ref_report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
+            assert ours_report.gmres_iterations == ref_report.gmres_iterations > 0
+            assert ours_report.iterations == ref_report.iterations
+            np.testing.assert_allclose(ours.values, ref.values, rtol=0.0,
+                                       atol=1e-12 * np.abs(ref.values).max())
