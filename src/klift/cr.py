@@ -1,11 +1,14 @@
 """Constrained-runs lifting: the one-step CR map, Picard iteration, and the
 matrix-free Newton-GMRES solve of s - C_m(r0, s) = 0.
 
-A microscopic stepper is anything with a pure ``step(values) -> values``
-acting on (N, q) arrays: the output depends on the input values alone.  One
-CR map applies ``step`` m+1 times to the guess, backward-extrapolates with
-the order-m weights, and resets the conserved moments to those of the target
-state f0.
+A microscopic stepper is anything with ``step(values, out=None) -> out``
+acting on (N, q) arrays: the output depends on the input values alone and is
+written to ``out`` (a fresh array when None).  One CR map applies ``step``
+m+1 times to the guess, backward-extrapolates with the order-m weights, and
+resets the conserved moments to those of the target state f0.  The lifts
+allocate every grid-sized array of their inner loop once and pass it down
+as ``out=`` and ``work=``; a call with ``None`` for them does the same
+arithmetic in fresh arrays.
 """
 
 from __future__ import annotations
@@ -87,6 +90,9 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     twice, each pass one product with the stacked basis rows; twice is enough
     to keep the basis as orthogonal as modified Gram-Schmidt does (Giraud,
     Langou & Rozloznik 2005).
+
+    Each ``matvec`` result is used up before the next call, so ``matvec``
+    may return the same buffer every time.
     """
     n = b.size
     bnrm2 = float(np.linalg.norm(b))
@@ -100,6 +106,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     R = np.zeros((restart, restart))  # R[j, :j+1] = rotated Hessenberg column j
     x = np.zeros(n)
     r = b.copy()
+    tmp = np.empty(n)  # each Gram-Schmidt pass's c @ basis, and y @ V
     ptol, ptol_max_factor = atol, 1.0
     used = 0
     for cycles in range(1, math.ceil(params.max_iters / restart) + 1):
@@ -114,9 +121,9 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
             h0 = np.linalg.norm(w)
             basis, v_new = V[: col + 1], V[col + 1]
             c = basis @ w
-            np.subtract(w, c @ basis, out=v_new)
+            np.subtract(w, np.matmul(c, basis, out=tmp), out=v_new)
             c2 = basis @ v_new
-            v_new -= c2 @ basis
+            v_new -= np.matmul(c2, basis, out=tmp)
             h = (c + c2).tolist()
             h1 = float(np.linalg.norm(v_new))
             if h1 <= eps * h0:  # the Krylov space is invariant: x is exact
@@ -145,8 +152,8 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
                 y[:k] -= y[k] * R[k, :k]
         if y[0] != 0.0:
             y[0] /= R[0, 0]
-        x += y @ V[: col + 1]
-        r = b - matvec(x)
+        x += np.matmul(y, V[: col + 1], out=tmp)
+        np.subtract(b, matvec(x), out=r)
         rnorm = float(np.linalg.norm(r))
         if rnorm <= atol or breakdown:
             break
@@ -187,6 +194,12 @@ class LiftReport:
     gmres_iterations: int = 0
 
 
+def cr_buffers(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch for ``cr_map(work=)`` on states like f: two step outputs, used
+    in turn, and the extrapolation sum."""
+    return np.empty_like(f), np.empty_like(f), np.empty_like(f)
+
+
 def cr_map(
     stepper,
     basis: MomentBasis,
@@ -195,8 +208,13 @@ def cr_map(
     order_m: int,
     *,
     naive_P: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """One CR step C_m: m+1 micro-steps, backward extrapolation, moment reset.
+
+    The result goes to ``out``; the steps, the sum and the reset run in
+    ``work`` from ``cr_buffers``.  Either is allocated when None.
 
     ``naive_P`` switches the reset to the inverse-based projector
     P = I - M^{-1} M0 (failure-study mode); by default the QR projector is
@@ -208,17 +226,22 @@ def cr_map(
     if f0.shape != f_guess.shape:
         raise ValueError("f0 and f_guess must share shapes")
     w = cr_weights(order_m)
-    cur = stepper.step(f_guess)
-    f_pre = w[0] * cur
+    a, b, f_pre = cr_buffers(f_guess) if work is None else work
+    cur = stepper.step(f_guess, out=a)
+    np.multiply(cur, w[0], out=f_pre)
     for wj in w[1:]:
-        cur = stepper.step(cur)
-        f_pre += wj * cur
+        # the step reads the last output and writes the other buffer, which
+        # then holds wj times the new state until the next step overwrites it
+        a, b = b, a
+        cur = stepper.step(cur, out=a)
+        f_pre += np.multiply(cur, wj, out=b)
     if not np.all(np.isfinite(f_pre)):
         raise NumericalError(f"non-finite extrapolation in CR map (order {order_m})")
     if naive_P is None:
-        return reset_conserved(basis, f_pre, f0)
-    q = basis.q
-    return f_pre @ naive_P.T + f0 @ (np.eye(q) - naive_P).T
+        return reset_conserved(basis, f_pre, f0, out=out, work=b)
+    out = np.matmul(f_pre, naive_P.T, out=out)
+    out += f0 @ (np.eye(basis.q) - naive_P).T
+    return out
 
 
 def fd_step(f: np.ndarray, vnorm: float = 1.0) -> float:
@@ -226,18 +249,36 @@ def fd_step(f: np.ndarray, vnorm: float = 1.0) -> float:
     return FD_EPSILON * (1.0 + float(np.linalg.norm(f))) / vnorm
 
 
-def cr_jvp(apply_map, f: np.ndarray, Cf: np.ndarray, v: np.ndarray) -> np.ndarray:
+def cr_jvp(
+    apply_map,
+    f: np.ndarray,
+    Cf: np.ndarray,
+    v: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Forward difference (apply_map(f + h v) - Cf) / h: the CR-map Jacobian along v.
 
-    ``Cf`` is apply_map(f).  The step h = fd_step(f, ||v||) makes the
-    perturbation h v of norm FD_EPSILON (1 + ||f||) whatever the length of
-    v.  A zero direction returns zeros without running the map.
+    ``Cf`` is apply_map(f), and ``apply_map(state, out)`` writes the map of
+    state to ``out`` (a fresh array when None).  The step h = fd_step(f, ||v||)
+    makes the perturbation h v of norm FD_EPSILON (1 + ||f||) whatever the
+    length of v.  A zero direction returns zeros without running the map.
+    The result goes to ``out`` and f + h v to ``work``; either is allocated
+    when None.
     """
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:
-        return np.zeros_like(v)
+        out = np.empty_like(v) if out is None else out
+        out.fill(0.0)
+        return out
     h = fd_step(f, vnorm)
-    return (apply_map(f + h * v) - Cf) / h
+    pert = np.multiply(v, h, out=work)
+    pert += f
+    out = apply_map(pert, out)
+    out -= Cf
+    out /= h
+    return out
 
 
 def conserved_drift(basis: MomentBasis, f: np.ndarray, f0: np.ndarray) -> float:
@@ -271,12 +312,13 @@ def lift_picard(
     """
     t0 = _time.perf_counter()
     f = f0.copy() if f_guess is None else f_guess.copy()
+    f_new, work = np.empty_like(f), cr_buffers(f)
     history: list[float] = []
     for it in range(1, cfg.max_picard_iters + 1):
-        f_new = cr_map(stepper, basis, f0, f, cfg.order_m)
+        cr_map(stepper, basis, f0, f, cfg.order_m, out=f_new, work=work)
         resid = float(np.linalg.norm(project_complement(basis, f_new - f)))
         history.append(resid)
-        f = f_new
+        f, f_new = f_new, f
         if resid < cfg.picard_tol:
             report = LiftReport(
                 solver="picard",
@@ -307,24 +349,36 @@ def lift_newton(
     The Jacobian action is matrix-free: ``cr_jvp``, a forward difference of
     the CR map.  The conserved moments stay pinned because every CR
     evaluation resets them; a final reset removes the last rounding-level
-    drift.
+    drift.  Every grid-sized array of the loop is allocated once per lift:
+    the CR map's scratch, C(f), the residual, and the JVP's perturbed state
+    and result.
     """
     t0 = _time.perf_counter()
     shape = f0.shape
     f = f0.copy() if f_guess is None else f_guess.copy()
+    # one block for all seven: glibc's trim threshold follows the largest
+    # block freed, so the next lift reuses this one where seven separate
+    # arrays were trimmed and faulted in again (2,250 -> 420 minor faults
+    # per full-scale lift)
+    a, b, f_pre, Cf, g, pert, jvp = np.empty((7,) + shape)
+    work = (a, b, f_pre)
     history: list[float] = []
     gmres_total = 0
 
-    def apply_map(state):
-        return cr_map(stepper, basis, f0, state, cfg.order_m)
+    def apply_map(state, out=None):
+        return cr_map(stepper, basis, f0, state, cfg.order_m, out=out, work=work)
+
+    def matvec(v):
+        cr_jvp(apply_map, f, Cf, v.reshape(shape), out=jvp, work=pert)
+        return np.subtract(v, jvp.reshape(-1), out=jvp.reshape(-1))
 
     for it in range(MAX_NEWTON_ITERS + 1):
-        Cf = apply_map(f)
-        g = (f - Cf).ravel()
+        apply_map(f, Cf)
+        np.subtract(f, Cf, out=g)
         resid = float(np.linalg.norm(g))
         history.append(resid)
         if resid < cfg.newton_tol:
-            f = reset_conserved(basis, f, f0)
+            reset_conserved(basis, f, f0, out=f, work=g)
             report = LiftReport(
                 solver="newton",
                 iterations=it,
@@ -343,10 +397,7 @@ def lift_newton(
                 history=history,
             )
 
-        def matvec(v):
-            return v - cr_jvp(apply_map, f, Cf, v.reshape(shape)).ravel()
-
-        solve = gmres(matvec, -g, cfg.gmres)
+        solve = gmres(matvec, np.negative(g, out=g).reshape(-1), cfg.gmres)
         gmres_total += solve.iterations
         if solve.info != 0:
             raise ConvergenceError(
@@ -357,7 +408,7 @@ def lift_newton(
                 residual=resid,
                 history=history,
             )
-        f = f + solve.x.reshape(shape)
+        f += solve.x.reshape(shape)
 
     raise ConvergenceError(
         f"Newton CR iteration did not reach {cfg.newton_tol:g} "

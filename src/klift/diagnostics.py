@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cr import CRConfig, cr_jvp, cr_map, fd_step
+from .cr import CRConfig, cr_buffers, cr_jvp, cr_map, fd_step
 from .errors import NumericalError
 from .moments import MomentBasis, naive_projector, unconserved_basis
 
@@ -98,12 +98,15 @@ def _colored_jacobian(apply_map, base_out, f0, U, h, half_band):
     One map per (colour, direction) perturbs every cell of the colour at
     once; output cell i is the response to the one perturbed cell within
     half_band of it (Curtis, Powell & Reid, IMA J. Appl. Math. 13, 1974).
+    ``apply_map(state, out)`` writes the map to ``out``; the perturbed state
+    and the map's output use one buffer each for all columns.
     """
     n_cells = f0.shape[0]
     r = U.shape[1]
     colors = ring_colors(n_cells, half_band)
     offsets = np.arange(-half_band, half_band + 1)
     J = np.zeros((n_cells, r, n_cells, r))
+    pert, mapped = np.empty_like(f0), np.empty_like(f0)
     for c in range(colors.max() + 1):
         cells = np.flatnonzero(colors == c)
         owner = np.full(n_cells, -1)
@@ -111,9 +114,11 @@ def _colored_jacobian(apply_map, base_out, f0, U, h, half_band):
             owner[(j + offsets) % n_cells] = j
         rows = np.flatnonzero(owner >= 0)
         for l in range(r):
-            pert = f0.copy()
+            np.copyto(pert, f0)
             pert[cells] += h * U[:, l]
-            col = ((apply_map(pert) - base_out) @ U) / h
+            mapped = apply_map(pert, mapped)
+            mapped -= base_out
+            col = (mapped @ U) / h
             J[rows, :, owner[rows], l] = col[rows]
     return J.reshape(n_cells * r, n_cells * r)
 
@@ -159,8 +164,11 @@ def cr_jacobian_matrix(
     dim = check_dense_dimension(n_cells, basis)
     U = unconserved_basis(basis)
 
-    def apply_map(state):
-        return cr_map(stepper, basis, f0, state, cfg.order_m, naive_P=naive_P)
+    work = cr_buffers(f0)
+
+    def apply_map(state, out=None):
+        return cr_map(stepper, basis, f0, state, cfg.order_m, naive_P=naive_P,
+                      out=out, work=work)
 
     base_out = apply_map(f0)
     J = _colored_jacobian(apply_map, base_out, f0, U, fd_step(f0), cfg.order_m + 1)

@@ -144,6 +144,9 @@ def discrete_equilibrium(
     T,
     vgrid: VelocityGrid,
     gas: GasParams,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Discrete Maxwell-Boltzmann equilibrium f_eq = A exp(-B^2 (v - D)^2) per cell.
 
@@ -160,7 +163,12 @@ def discrete_equilibrium(
     relative tolerance.  Newton starts from the continuous Maxwellian's
     B = sqrt(m / (2 k_B T)), D = u.  Vectorized over cells: a cell whose
     residual is below the tolerance has its A E written to f_eq and leaves
-    the iteration, so later iterations evaluate only the unconverged cells.
+    the iteration, so the 2x2 update and later iterations see only the
+    unconverged cells.
+
+    f_eq is written to ``out``, an (N, Nv) array, and E lives in ``work``, a
+    contiguous 1-D array of at least N Nv floats; each is allocated when
+    None.  A caller that solves every step passes the same two each time.
     """
     n = np.atleast_1d(np.asarray(n, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -171,7 +179,14 @@ def discrete_equilibrium(
         raise ValueError("temperature must be positive")
 
     kB, m = BOLTZMANN, gas.molecular_mass
-    feq = np.empty((n.size, vgrid.n_velocities))
+    size = n.size * vgrid.n_velocities
+    feq = np.empty((n.size, vgrid.n_velocities)) if out is None else out
+    work = np.empty(size) if work is None else work
+    if feq.shape != (n.size, vgrid.n_velocities):
+        raise ValueError(f"out has shape {feq.shape}, the equilibrium needs "
+                         f"{(n.size, vgrid.n_velocities)}")
+    if work.ndim != 1 or work.size < size or not work.flags.c_contiguous:
+        raise ValueError(f"work must be a contiguous 1-D array of at least {size} floats")
     # per unconverged cell: its index into feq, its (n, u, T) and Newton unknowns
     idx = np.arange(n.size)
     n_a, u_a = n, u
@@ -183,7 +198,7 @@ def discrete_equilibrium(
     v = vgrid.velocities[:, None]
     for _ in range(EQUILIBRIUM_MAX_ITER):
         # (Nv, cells): each broadcast runs along a cells-long row
-        E = np.subtract(v, D)
+        E = np.subtract(v, D, out=work[: v.size * D.size].reshape(v.size, D.size))
         E *= B
         np.multiply(E, E, out=E)
         np.negative(E, out=E)
@@ -209,20 +224,24 @@ def discrete_equilibrium(
         if not active.any():
             return feq
 
+        W1_1, W1_2, W2_1, W2_2, C_1, C_2 = W1[1], W1[2], W2[1], W2[2], C[1], C[2]
+        if not active.all():
+            keep = np.flatnonzero(active)
+            (idx, n_a, u_a, theta, vt, B, D, res, F1, F2,
+             W1_1, W1_2, W2_1, W2_2, C_1, C_2) = (
+                x[keep] for x in (idx, n_a, u_a, theta, vt, B, D, res, F1, F2,
+                                  W1_1, W1_2, W2_1, W2_2, C_1, C_2)
+            )
         # dE/dB = -2 B (v - D)^2 E,  dE/dD = 2 B^2 (v - D) E
-        J11 = -2.0 * B * W1[2]
-        J12 = 2.0 * B * B * W1[1]
-        J21 = -2.0 * B * (W2[2] - C[2] * theta)
-        J22 = 2.0 * B * B * (W2[1] - C[1] * theta)
+        J11 = -2.0 * B * W1_2
+        J12 = 2.0 * B * B * W1_1
+        J21 = -2.0 * B * (W2_2 - C_2 * theta)
+        J22 = 2.0 * B * B * (W2_1 - C_1 * theta)
         det = J11 * J22 - J12 * J21
-        if np.any(active & (det == 0.0)):
+        if np.any(det == 0.0):
             raise NumericalError("singular Jacobian in equilibrium Newton solve")
         dB = -(F1 * J22 - F2 * J12) / det
         dD = -(J11 * F2 - J21 * F1) / det
-        if not active.all():
-            idx, n_a, u_a, theta, vt, B, D, res, dB, dD = (
-                x[active] for x in (idx, n_a, u_a, theta, vt, B, D, res, dB, dD)
-            )
 
         Bn = B + dB
         # keep B positive; halve instead of crossing zero

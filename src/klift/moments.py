@@ -110,15 +110,26 @@ def project_complement(basis: MomentBasis, f: np.ndarray) -> np.ndarray:
     return f - (f @ basis.Q) @ basis.Q.T
 
 
-def reset_conserved(basis: MomentBasis, f_pre: np.ndarray, f0: np.ndarray) -> np.ndarray:
+def reset_conserved(
+    basis: MomentBasis,
+    f_pre: np.ndarray,
+    f0: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Replace the conserved components of f_pre by those of f0.
 
     Output = (I - Q Q^T) f_pre + Q Q^T f0; its first k raw moments equal
-    those of f0 while the Q-orthogonal content of f_pre is untouched.
+    those of f0 while the Q-orthogonal content of f_pre is untouched.  The
+    output goes to ``out`` and the correction Q Q^T (f0 - f_pre) is formed
+    in ``work``, an array like f0; either is allocated when None.
     """
     if f_pre.shape != f0.shape:
         raise ValueError("f_pre and f0 must have equal shapes")
-    return f_pre + ((f0 - f_pre) @ basis.Q) @ basis.Q.T
+    d = np.subtract(f0, f_pre, out=work)
+    np.matmul(d @ basis.Q, basis.Q.T, out=d)
+    return np.add(f_pre, d, out=out)
 
 
 def naive_projector(basis: MomentBasis) -> tuple[np.ndarray, float]:

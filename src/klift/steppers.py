@@ -1,7 +1,9 @@
 """Time integrators: explicit finite-volume BGK scheme and the D1Q3 LBM.
 
-A stepper is any object with a pure ``step(values) -> values`` on (N, q)
-arrays; that is all the constrained-runs machinery needs.  The finite-volume
+A stepper is any object with ``step(values, out=None) -> out`` on (N, q)
+arrays: the output depends only on the input values and is written to
+``out`` (a fresh array when None), which must not overlap ``values``; that
+is all the constrained-runs machinery needs.  The finite-volume
 step follows the integrated form
 f_i(x_j, t+dt) = f_i - (dt/dx)(phi_{i,j+1/2} - phi_{i,j-1/2}) + dt w (f_eq - f_i)
 with first-order upwind fluxes and equilibrium ghost cells; upwind is the one
@@ -26,6 +28,18 @@ from .kinetic import (
 )
 
 
+def _step_output(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The array a step from ``values`` writes to: ``out``, checked, or a fresh one."""
+    if out is None:
+        return np.empty(values.shape)
+    if out.shape != values.shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {values.shape}, "
+                         f"got {out.dtype} {out.shape}")
+    if np.may_share_memory(out, values):
+        raise ValueError("out must not overlap the values it is stepped from")
+    return out
+
+
 def stable_dt(vgrid: VelocityGrid, dx: float, omega0: np.ndarray, safety: float = 0.9) -> float:
     """dt = safety / (max|v|/dx + max omega), the explicit stability bound."""
     if dx <= 0.0:
@@ -43,6 +57,10 @@ class BGKStepper:
     closes the grid into a periodic ring.  ``step`` is a pure map: the output
     depends only on the input values.  It raises NumericalError, naming the
     cell, when a cell of the input has a non-positive density or temperature.
+
+    The stepper owns the scratch every step reuses, f_eq and the face
+    fluxes, so a step given ``out`` allocates nothing the size of the grid;
+    one stepper must not step from two threads at once.
     """
 
     def __init__(
@@ -70,8 +88,13 @@ class BGKStepper:
         v = vgrid.velocities
         self._v_plus = np.where(v >= 0.0, v, 0.0)
         self._v_minus = v - self._v_plus
+        # the flux buffer also holds the equilibrium solve's (Nv, N) exponent
+        # array, which is done with before the fluxes are formed
+        self._feq = np.empty((grid.n_cells, vgrid.n_velocities))
+        self._flux = np.empty((grid.n_cells + 1, vgrid.n_velocities))
 
-    def step(self, values: np.ndarray) -> np.ndarray:
+    def step(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        new = _step_output(values, out)
         f = DistributionField(self.grid, self.vgrid, values, scale=self.scale)
         macro = restrict(f, self.gas)
         bad = np.flatnonzero(~(macro.number_density > 0.0) | ~(macro.temperature > 0.0))
@@ -82,21 +105,17 @@ class BGKStepper:
                 f"{macro.number_density[j]:.3e} 1/m^3 and temperature {macro.temperature[j]:.3e} K"
             )
         feq = discrete_equilibrium(
-            macro.number_density, macro.velocity, macro.temperature, self.vgrid, self.gas
+            macro.number_density, macro.velocity, macro.temperature, self.vgrid, self.gas,
+            out=self._feq, work=self._flux.reshape(-1),
         )
         feq *= self.scale
         omega = relaxation_frequency(macro, self.gas)
 
         left, right = (values[-1], values[0]) if self._ghosts is None else self._ghosts
         # flux[j] is the flux on face j - 1/2, between rows j - 1 and j; faces
-        # 0 and N take the ghost (or periodic) rows.  The flux is allocated
-        # before the output: with glibc's allocator it then takes the block
-        # the equilibrium solve just freed, and a run that keeps only its
-        # latest state reuses the same blocks every step instead of growing
-        # and trimming the heap (about 330 page faults per full-scale step).
-        vp, vm = self._v_plus, self._v_minus
-        flux = np.empty((values.shape[0] + 1, values.shape[1]))
-        new = np.empty(values.shape)  # scratch for v- f_right until the update
+        # 0 and N take the ghost (or periodic) rows.  ``new`` holds v- f_right
+        # until the update overwrites it.
+        vp, vm, flux = self._v_plus, self._v_minus, self._flux
         np.multiply(values[:-1], vp, out=flux[1:-1])
         flux[1:-1] += np.multiply(values[1:], vm, out=new[:-1])
         flux[0] = vp * left + vm * values[0]
@@ -125,12 +144,12 @@ class D1Q3Stepper:
             raise ValueError("omega must lie in (0, 2)")
         self.omega = omega
 
-    def step(self, values: np.ndarray) -> np.ndarray:
+    def step(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if values.ndim != 2 or values.shape[1] != 3:
             raise ValueError("populations must have shape (N, 3)")
+        out = _step_output(values, out)
         rho = values.sum(axis=1)
         post = (1.0 - self.omega) * values + self.omega * (rho[:, None] / 3.0)
-        out = np.empty_like(post)
         out[:, 0] = np.roll(post[:, 0], 1)   # speed +1
         out[:, 1] = post[:, 1]               # rest
         out[:, 2] = np.roll(post[:, 2], -1)  # speed -1

@@ -152,12 +152,15 @@ class LinearODEStepper:
     def slow_slope(self) -> float:
         return (-1.0 + np.sqrt(1.0 + 4.0 * self.eps)) / (2.0 * self.eps)
 
-    def step(self, values):
-        return values @ self._phi.T
+    def step(self, values, out=None):
+        return np.matmul(values, self._phi.T, out=out)
 
 
 class IdentityStepper:
     """step = no-op; turns the CR map into reset_conserved alone."""
 
-    def step(self, values):
-        return values.copy()
+    def step(self, values, out=None):
+        if out is None:
+            return values.copy()
+        out[...] = values
+        return out

@@ -26,9 +26,9 @@ from klift import (
     restrict_lift_error,
 )
 from klift.cli import lift_report_rows
-from klift.cr import GMRESResult, conserved_drift, cr_jvp, gmres
+from klift.cr import GMRESResult, conserved_drift, cr_buffers, cr_jvp, gmres
 from klift.kinetic import DistributionField, equilibrium_field
-from klift.moments import basis_from_matrix, naive_projector, project_complement
+from klift.moments import basis_from_matrix, naive_projector, project_complement, reset_conserved
 from klift.steppers import D1Q3Stepper
 
 from conftest import IdentityStepper, LinearODEStepper, load_shipped
@@ -41,8 +41,8 @@ class PolyStepper:
     def __init__(self, q: int):
         self.J = np.eye(q) + np.diag(np.ones(q - 1), 1)
 
-    def step(self, values):
-        return values @ self.J.T
+    def step(self, values, out=None):
+        return np.matmul(values, self.J.T, out=out)
 
 
 class TestWeights:
@@ -311,6 +311,19 @@ class TestConservedDrift:
         assert conserved_drift(basis, out, f0) < 1e-12
 
 
+def desk_lift_problem():
+    """A desk-scale reference 20 steps in, its macro fields, stepper and basis."""
+    sc = load_shipped("helium_desk.cfg")
+    stepper = sc.make_stepper()
+    values = sc.initial_field().values
+    for _ in range(20):
+        values = stepper.step(values)
+    reference = sc.initial_field().with_values(values, time=20 * sc.dt)
+    basis = build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3)
+    common = dict(grid=sc.grid, vgrid=sc.vgrid, scale=sc.scale, time=reference.time)
+    return sc, stepper, basis, restrict(reference, sc.gas), common
+
+
 def scipy_gmres(matvec, b, params):
     """scipy.sparse.linalg.gmres called as lift_newton called it before klift.cr.gmres.
 
@@ -428,21 +441,8 @@ class TestGMRES:
         assert (out.info, out.iterations) == (0, 400)
         np.testing.assert_allclose(out.x, unit(400, 399), atol=1e-12)
 
-    @staticmethod
-    def _desk_lift_problem():
-        """A desk-scale reference 20 steps in, its macro fields, stepper and basis."""
-        sc = load_shipped("helium_desk.cfg")
-        stepper = sc.make_stepper()
-        values = sc.initial_field().values
-        for _ in range(20):
-            values = stepper.step(values)
-        reference = sc.initial_field().with_values(values, time=20 * sc.dt)
-        basis = build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3)
-        common = dict(grid=sc.grid, vgrid=sc.vgrid, scale=sc.scale, time=reference.time)
-        return sc, stepper, basis, restrict(reference, sc.gas), common
-
     def test_stagnation_message_reports_iterations_and_residuals(self):
-        sc, stepper, basis, macro, common = self._desk_lift_problem()
+        sc, stepper, basis, macro, common = desk_lift_problem()
         # the FD matvec cannot take the true residual below ~3e-9 here
         cfg = CRConfig(order_m=1, gmres=GMRESParams(tol=1e-10, max_iters=30))
         with pytest.raises(ConvergenceError) as exc:
@@ -458,8 +458,8 @@ class TestGMRES:
         # the same first Newton system, solved again outside the lift
         f0 = equilibrium_field(macro, sc.grid, sc.vgrid, sc.gas, scale=sc.scale).values
 
-        def apply_map(s):
-            return cr_map(stepper, basis, f0, s, 1)
+        def apply_map(s, out=None):
+            return cr_map(stepper, basis, f0, s, 1, out=out)
 
         Cf = apply_map(f0)
         b = (Cf - f0).ravel()
@@ -476,7 +476,7 @@ class TestGMRES:
         assert true > 10.0 * rtol
 
     def test_lift_matches_scipy_solver(self, monkeypatch):
-        sc, stepper, basis, macro, common = self._desk_lift_problem()
+        sc, stepper, basis, macro, common = desk_lift_problem()
         for m in (0, 1):
             cfg = sc.cr_config(m, "newton")
             ours, ours_report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
@@ -487,3 +487,95 @@ class TestGMRES:
             assert ours_report.iterations == ref_report.iterations
             np.testing.assert_allclose(ours.values, ref.values, rtol=0.0,
                                        atol=1e-12 * np.abs(ref.values).max())
+
+
+class RecordingStepper:
+    """Steps with ``inner`` and records the ``out`` of every step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.outs = []
+
+    def step(self, values, out=None):
+        self.outs.append(out)
+        return self.inner.step(values, out=out)
+
+
+class FreshCopyStepper:
+    """Ignores ``out`` for the step itself and copies a fresh step into it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def step(self, values, out=None):
+        fresh = self.inner.step(values)
+        if out is None:
+            return fresh
+        out[...] = fresh
+        return out
+
+
+def data_address(a):
+    return a.__array_interface__["data"][0]
+
+
+class TestLiftBuffers:
+    def test_newton_lift_steps_into_two_buffers(self):
+        sc, stepper, basis, macro, common = desk_lift_problem()
+        cfg = sc.cr_config(1, "newton")
+        recorder = RecordingStepper(stepper)
+        lifted, report = lift_macro(recorder, basis, macro, sc.gas, cfg, **common)
+        assert report.gmres_iterations >= 4
+        outs = recorder.outs
+        # two steps per map: one map per Newton iterate and at least one per GMRES iteration
+        assert len(outs) >= 2 * (report.iterations + 1 + report.gmres_iterations)
+        assert all(out is not None for out in outs)
+        # the first CR map (two steps at m = 1) already uses every buffer
+        first_map = {data_address(out) for out in outs[:2]}
+        assert len(first_map) == 2
+        assert {data_address(out) for out in outs} == first_map
+
+        ref, ref_report = lift_macro(FreshCopyStepper(stepper), basis, macro, sc.gas, cfg,
+                                     **common)
+        assert (report.iterations, report.gmres_iterations, report.residual_history,
+                report.conserved_drift) == (
+            ref_report.iterations, ref_report.gmres_iterations, ref_report.residual_history,
+            ref_report.conserved_drift)
+        assert lifted.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("order_m", [0, 2])
+    def test_buffered_map_jvp_and_reset_equal_fresh_ones(self, rng, order_m):
+        sc, stepper, basis, macro, _ = desk_lift_problem()
+        f0 = equilibrium_field(macro, sc.grid, sc.vgrid, sc.gas, scale=sc.scale).values
+        guess = f0 * (1 + 1e-3 * rng.random(f0.shape))
+        work = cr_buffers(f0)
+        out = np.full_like(f0, np.nan)
+        got = cr_map(stepper, basis, f0, guess, order_m, out=out, work=work)
+        assert got is out
+        Cf = cr_map(stepper, basis, f0, guess, order_m)
+        assert got.tobytes() == Cf.tobytes()
+
+        def apply_map(state, out=None):
+            return cr_map(stepper, basis, f0, state, order_m, out=out, work=work)
+
+        v = rng.standard_normal(f0.shape) * f0
+        jvp, pert = np.full_like(f0, np.nan), np.full_like(f0, np.nan)
+        got = cr_jvp(apply_map, guess, Cf, v, out=jvp, work=pert)
+        assert got is jvp
+        assert got.tobytes() == cr_jvp(apply_map, guess, Cf, v).tobytes()
+
+        reset_out, scratch = np.full_like(f0, np.nan), np.full_like(f0, np.nan)
+        got = reset_conserved(basis, guess, f0, out=reset_out, work=scratch)
+        assert got is reset_out
+        assert got.tobytes() == reset_conserved(basis, guess, f0).tobytes()
+
+    def test_gmres_accepts_a_matvec_that_reuses_its_buffer(self, rng):
+        n = 40
+        A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / math.sqrt(n)
+        b = rng.standard_normal(n)
+        buf = np.empty(n)
+        params = GMRESParams(tol=1e-10, max_iters=30, restart=10)
+        reused = gmres(lambda v: np.matmul(A, v, out=buf), b, params)
+        fresh = gmres(lambda v: A @ v, b, params)
+        assert (reused.info, reused.iterations) == (fresh.info, fresh.iterations)
+        assert reused.x.tobytes() == fresh.x.tobytes()

@@ -98,6 +98,23 @@ class TestDiscreteEquilibrium:
             fj = discrete_equilibrium(n[j], u[j], T[j], vg, gas)
             np.testing.assert_allclose(feq[j], fj[0], rtol=1e-12)
 
+    def test_out_and_work_give_the_fresh_result(self):
+        gas = helium_gas()
+        vg = reference_vgrid(24)
+        n = np.array([1e25, 3e25, 2e24])
+        u = np.array([0.0, 500.0, -800.0])
+        T = np.array([300.0, 900.0, 1500.0])
+        want = discrete_equilibrium(n, u, T, vg, gas)
+        out, work = np.full_like(want, np.nan), np.full(want.size + 5, np.nan)
+        got = discrete_equilibrium(n, u, T, vg, gas, out=out, work=work)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="shape"):
+            discrete_equilibrium(n, u, T, vg, gas, out=np.empty((4, 24)))
+        for bad in (np.empty(want.size - 1), np.empty((3, 24)), np.empty(2 * want.size)[::2]):
+            with pytest.raises(ValueError, match="work"):
+                discrete_equilibrium(n, u, T, vg, gas, work=bad)
+
     def test_continuum_limit_monotone(self):
         gas = helium_gas()
         n, u, T = 1e25, 300.0, 500.0

@@ -292,3 +292,50 @@ class TestD1Q3:
             D1Q3Stepper(omega=0.0)
         with pytest.raises(ValueError):
             D1Q3Stepper(omega=1.0).step(np.zeros((4, 2)))
+
+
+STEPPERS = ("bgk-ring", "bgk-inflow", "d1q3")
+
+
+def stepper_case(kind, rng):
+    """A factory of like-built steppers of one kind, and a state for them to step."""
+    if kind == "d1q3":
+        return (lambda: D1Q3Stepper(omega=1.3)), rng.random((12, 3)) + 0.5
+    sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=20)
+    inflow = None if kind == "bgk-ring" else (sc.surface, sc.ambient)
+    f = sc.initial_field().values
+    return ((lambda: BGKStepper(sc.grid, sc.vgrid, sc.gas, sc.dt, inflow=inflow, scale=sc.scale)),
+            f * (1 + 0.05 * rng.random(f.shape)))
+
+
+@pytest.mark.parametrize("kind", STEPPERS)
+class TestStepOut:
+    def test_out_is_returned_and_equals_a_fresh_step(self, kind, rng):
+        make, values = stepper_case(kind, rng)
+        stepper = make()
+        buf = np.full_like(values, np.nan)
+        got = stepper.step(values, out=buf)
+        assert got is buf
+        assert got.tobytes() == stepper.step(values).tobytes()
+
+    def test_overlapping_or_misshaped_out_raises(self, kind, rng):
+        make, values = stepper_case(kind, rng)
+        stepper = make()
+        longer = np.concatenate([values, values[-1:]])  # its two row windows overlap
+        for source, out in ((values, values), (values, values[:]), (longer[:-1], longer[1:])):
+            with pytest.raises(ValueError, match="overlap"):
+                stepper.step(source, out=out)
+        rows, q = values.shape
+        for out in (np.empty((rows - 1, q)), np.empty((rows, q), dtype=np.float32)):
+            with pytest.raises(ValueError, match="shape"):
+                stepper.step(values, out=out)
+
+    def test_trajectory_through_out_equals_fresh_steps(self, kind, rng):
+        make, values = stepper_case(kind, rng)
+        plain, buffered = make(), make()
+        fresh, cur = values, values
+        buffers = (np.empty_like(values), np.empty_like(values))
+        for k in range(300):
+            fresh = plain.step(fresh)
+            cur = buffered.step(cur, out=buffers[k % 2])
+            assert cur.tobytes() == fresh.tobytes(), k
