@@ -146,7 +146,7 @@ def discrete_equilibrium(
     gas: GasParams,
     *,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Discrete Maxwell-Boltzmann equilibrium f_eq = A exp(-B^2 (v - D)^2) per cell.
 
@@ -155,20 +155,26 @@ def discrete_equilibrium(
     tolerance.  (B, D) come from Newton on the pair R_1 = 0,
     R_2 - R_0 k_B T / m = 0 with R_j = dv sum_i (v_i - u)^j exp(-B^2 (v_i - D)^2),
     then A = n / R_0.  Each iteration builds E = exp(-B^2 (v - D)^2) in
-    (Nv, cells) layout, takes its moments about the grid midpoint by one
-    ``vgrid.moments.T @ E``, shifts them to central moments C_p about D and
-    then to (v - u)-weighted sums, so the residual and the closed-form 2x2
-    Jacobian are arithmetic on (cells,) arrays.  Residuals are
-    nondimensionalized with the thermal speed so ``EQUILIBRIUM_TOL`` is a
-    relative tolerance.  Newton starts from the continuous Maxwellian's
-    B = sqrt(m / (2 k_B T)), D = u.  Vectorized over cells: a cell whose
-    residual is below the tolerance has its A E written to f_eq and leaves
-    the iteration, so the 2x2 update and later iterations see only the
-    unconverged cells.
+    (cells, Nv) row layout by one product: with x = v - v_mid and
+    a = D - v_mid, the exponent -B^2 (x - a)^2 is the (cells, 3) coefficients
+    (-B^2 a^2, 2 B^2 a, -B^2) times the (3, Nv) basis [1; x; x^2].  Its
+    moments about the grid midpoint come from one ``vgrid.moments.T @ E.T``,
+    are shifted to central moments C_p about D and then to (v - u)-weighted
+    sums, so the residual and the closed-form 2x2 Jacobian are arithmetic on
+    (cells,) arrays.  Residuals are nondimensionalized with the thermal speed
+    so ``EQUILIBRIUM_TOL`` is a relative tolerance.  Newton starts from the
+    continuous Maxwellian's B = sqrt(m / (2 k_B T)), D = u.  Vectorized over
+    cells: a cell whose residual is below the tolerance has its A E written
+    to f_eq and leaves the iteration, so the 2x2 update and later iterations
+    see only the unconverged cells.
 
-    f_eq is written to ``out``, an (N, Nv) array, and E lives in ``work``, a
-    contiguous 1-D array of at least N Nv floats; each is allocated when
-    None.  A caller that solves every step passes the same two each time.
+    The product form rounds the exponent to about (|D - v_mid| / v_th)^2 eps
+    absolute, the same law as the moment shift; on a grid centred near the
+    flow it is a few eps.
+
+    f_eq is written to ``out``, an (N, Nv) array allocated when None; the
+    first evaluation builds E in it.  ``weight``, an (N,) array, scales each
+    cell's row: the result is then weight * f_eq, at no extra pass.
     """
     n = np.atleast_1d(np.asarray(n, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -179,33 +185,34 @@ def discrete_equilibrium(
         raise ValueError("temperature must be positive")
 
     kB, m = BOLTZMANN, gas.molecular_mass
-    size = n.size * vgrid.n_velocities
     feq = np.empty((n.size, vgrid.n_velocities)) if out is None else out
-    work = np.empty(size) if work is None else work
     if feq.shape != (n.size, vgrid.n_velocities):
         raise ValueError(f"out has shape {feq.shape}, the equilibrium needs "
                          f"{(n.size, vgrid.n_velocities)}")
-    if work.ndim != 1 or work.size < size or not work.flags.c_contiguous:
-        raise ValueError(f"work must be a contiguous 1-D array of at least {size} floats")
-    # per unconverged cell: its index into feq, its (n, u, T) and Newton unknowns
+    nw = n
+    if weight is not None:
+        weight = np.atleast_1d(np.asarray(weight, dtype=float))
+        if weight.shape != n.shape:
+            raise ValueError(f"weight has shape {weight.shape}, the equilibrium needs {n.shape}")
+        nw = n * weight
+    # per unconverged cell: its index into feq, its (n w, u, T) and Newton unknowns
     idx = np.arange(n.size)
-    n_a, u_a = n, u
+    u_a = u
     theta = kB * T / m
     vt = np.sqrt(theta)  # thermal speed scale
     B = np.sqrt(m / (2.0 * kB * T))
     D = u.copy()
 
-    v = vgrid.velocities[:, None]
+    X = np.vander(vgrid.velocities - vgrid.v_mid, 3, increasing=True).T  # [1; x; x^2]
     for _ in range(EQUILIBRIUM_MAX_ITER):
-        # (Nv, cells): each broadcast runs along a cells-long row
-        E = np.subtract(v, D, out=work[: v.size * D.size].reshape(v.size, D.size))
-        E *= B
-        np.multiply(E, E, out=E)
-        np.negative(E, out=E)
-        np.exp(E, out=E)
-        M = vgrid.moments.T @ E  # (5, cells): dv sum (v - v_mid)^p E
-        C = [M[0]]  # central moments C_p = dv sum (v - D)^p E
         a = D - vgrid.v_mid
+        B2 = B * B
+        coef = np.array((-B2 * a * a, 2.0 * B2 * a, -B2))
+        # (cells, Nv); while every cell is active, E is f_eq itself
+        E = np.matmul(coef.T, X, out=feq if idx.size == n.size else None)
+        np.exp(E, out=E)
+        M = vgrid.moments.T @ E.T  # (5, cells): dv sum (v - v_mid)^p E
+        C = [M[0]]  # central moments C_p = dv sum (v - D)^p E
         for _ in range(4):
             M = _shift(M, a)
             C.append(M[0])
@@ -219,17 +226,18 @@ def discrete_equilibrium(
         res = np.maximum(np.abs(F1) / (R0 * vt), np.abs(F2) / (R0 * theta))
         active = res > EQUILIBRIUM_TOL
         # every evaluated cell is written; an active one is overwritten later
-        E *= n_a / R0
-        feq[idx] = E.T
+        E *= (nw / R0)[:, None]
+        if E is not feq:
+            feq[idx] = E
         if not active.any():
             return feq
 
         W1_1, W1_2, W2_1, W2_2, C_1, C_2 = W1[1], W1[2], W2[1], W2[2], C[1], C[2]
         if not active.all():
             keep = np.flatnonzero(active)
-            (idx, n_a, u_a, theta, vt, B, D, res, F1, F2,
+            (idx, nw, u_a, theta, vt, B, D, res, F1, F2,
              W1_1, W1_2, W2_1, W2_2, C_1, C_2) = (
-                x[keep] for x in (idx, n_a, u_a, theta, vt, B, D, res, F1, F2,
+                x[keep] for x in (idx, nw, u_a, theta, vt, B, D, res, F1, F2,
                                   W1_1, W1_2, W2_1, W2_2, C_1, C_2)
             )
         # dE/dB = -2 B (v - D)^2 E,  dE/dD = 2 B^2 (v - D) E
@@ -238,8 +246,13 @@ def discrete_equilibrium(
         J21 = -2.0 * B * (W2_2 - C_2 * theta)
         J22 = 2.0 * B * B * (W2_1 - C_1 * theta)
         det = J11 * J22 - J12 * J21
-        if np.any(det == 0.0):
-            raise NumericalError("singular Jacobian in equilibrium Newton solve")
+        singular = np.flatnonzero(det == 0.0)
+        if singular.size:
+            j = int(idx[singular[0]])
+            raise NumericalError(
+                f"singular Jacobian in equilibrium Newton solve in cell {j}: n {n[j]:.3e} 1/m^3, "
+                f"u {u[j]:.3e} m/s, T {T[j]:.3e} K"
+            )
         dB = -(F1 * J22 - F2 * J12) / det
         dD = -(J11 * F2 - J21 * F1) / det
 

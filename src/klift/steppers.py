@@ -58,9 +58,10 @@ class BGKStepper:
     depends only on the input values.  It raises NumericalError, naming the
     cell, when a cell of the input has a non-positive density or temperature.
 
-    The stepper owns the scratch every step reuses, f_eq and the face
-    fluxes, so a step given ``out`` allocates nothing the size of the grid;
-    one stepper must not step from two threads at once.
+    The stepper owns the face-flux scratch every step reuses, and the
+    relaxation source dt omega f_eq is built in the output itself, so a step
+    given ``out`` allocates nothing the size of the grid; one stepper must
+    not step from two threads at once.
     """
 
     def __init__(
@@ -84,13 +85,11 @@ class BGKStepper:
         )
         # upwind: v >= 0 carries the left cell's value across a face, v < 0 the
         # right one's; the face flux is v+ f_left + v- f_right, and the term
-        # whose speed is zero adds +-0, so each face flux is v times one value
-        v = vgrid.velocities
+        # whose speed is zero adds +-0, so each face flux is v times one value.
+        # The speeds carry dt/dx, so the fluxes are the update's own terms.
+        v = (dt / grid.dx) * vgrid.velocities
         self._v_plus = np.where(v >= 0.0, v, 0.0)
         self._v_minus = v - self._v_plus
-        # the flux buffer also holds the equilibrium solve's (Nv, N) exponent
-        # array, which is done with before the fluxes are formed
-        self._feq = np.empty((grid.n_cells, vgrid.n_velocities))
         self._flux = np.empty((grid.n_cells + 1, vgrid.n_velocities))
 
     def step(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -104,30 +103,27 @@ class BGKStepper:
                 f"unphysical state entering a step: cell {j} has density "
                 f"{macro.number_density[j]:.3e} 1/m^3 and temperature {macro.temperature[j]:.3e} K"
             )
-        feq = discrete_equilibrium(
-            macro.number_density, macro.velocity, macro.temperature, self.vgrid, self.gas,
-            out=self._feq, work=self._flux.reshape(-1),
-        )
-        feq *= self.scale
-        omega = relaxation_frequency(macro, self.gas)
 
         left, right = (values[-1], values[0]) if self._ghosts is None else self._ghosts
-        # flux[j] is the flux on face j - 1/2, between rows j - 1 and j; faces
-        # 0 and N take the ghost (or periodic) rows.  ``new`` holds v- f_right
-        # until the update overwrites it.
+        # flux[j] is (dt/dx) times the flux on face j - 1/2, between rows j - 1
+        # and j; faces 0 and N take the ghost (or periodic) rows.  ``new`` holds
+        # v- f_right until the equilibrium overwrites it.
         vp, vm, flux = self._v_plus, self._v_minus, self._flux
         np.multiply(values[:-1], vp, out=flux[1:-1])
         flux[1:-1] += np.multiply(values[1:], vm, out=new[:-1])
         flux[0] = vp * left + vm * values[0]
         flux[-1] = vp * values[-1] + vm * right
 
-        # values - (dt/dx)(flux_{j+1/2} - flux_{j-1/2}) + dt omega (feq - values)
-        np.subtract(flux[1:], flux[:-1], out=new)
-        new *= self.dt / self.grid.dx
-        np.subtract(values, new, out=new)
-        feq -= values
-        feq *= (self.dt * omega)[:, None]
-        new += feq
+        # dt omega f_eq + (dt/dx)(flux_{j-1/2} - flux_{j+1/2}) + (1 - dt omega) values
+        dt_omega = self.dt * relaxation_frequency(macro, self.gas)
+        discrete_equilibrium(
+            macro.number_density, macro.velocity, macro.temperature, self.vgrid, self.gas,
+            out=new, weight=self.scale * dt_omega,
+        )
+        new += flux[:-1]
+        new -= flux[1:]
+        # flux[1:] is spent, so it holds the last term
+        new += np.multiply(values, (1.0 - dt_omega)[:, None], out=flux[1:])
         if not np.all(np.isfinite(new)):
             raise NumericalError("finite-volume step produced non-finite values")
         return new

@@ -11,6 +11,7 @@ from klift import (
     ConvergenceError,
     GasParams,
     MacroFields,
+    NumericalError,
     ZeroDensityError,
     build_spatial_grid,
     build_velocity_grid,
@@ -98,22 +99,26 @@ class TestDiscreteEquilibrium:
             fj = discrete_equilibrium(n[j], u[j], T[j], vg, gas)
             np.testing.assert_allclose(feq[j], fj[0], rtol=1e-12)
 
-    def test_out_and_work_give_the_fresh_result(self):
+    def test_out_is_the_fresh_result_and_weight_scales_rows(self):
         gas = helium_gas()
         vg = reference_vgrid(24)
         n = np.array([1e25, 3e25, 2e24])
         u = np.array([0.0, 500.0, -800.0])
         T = np.array([300.0, 900.0, 1500.0])
         want = discrete_equilibrium(n, u, T, vg, gas)
-        out, work = np.full_like(want, np.nan), np.full(want.size + 5, np.nan)
-        got = discrete_equilibrium(n, u, T, vg, gas, out=out, work=work)
+        out = np.full_like(want, np.nan)
+        got = discrete_equilibrium(n, u, T, vg, gas, out=out)
         assert got is out
         assert got.tobytes() == want.tobytes()
+        # the weight folds into A = n w / R0, so it differs from w f_eq by rounding only
+        w = np.array([3.7e-9, 0.25, 1.3e4])
+        weighted = discrete_equilibrium(n, u, T, vg, gas, weight=w)
+        np.testing.assert_allclose(weighted, w[:, None] * want, rtol=2 * np.finfo(float).eps, atol=0)
         with pytest.raises(ValueError, match="shape"):
             discrete_equilibrium(n, u, T, vg, gas, out=np.empty((4, 24)))
-        for bad in (np.empty(want.size - 1), np.empty((3, 24)), np.empty(2 * want.size)[::2]):
-            with pytest.raises(ValueError, match="work"):
-                discrete_equilibrium(n, u, T, vg, gas, work=bad)
+        for bad in (np.ones(2), np.ones((3, 1)), np.ones(4)):
+            with pytest.raises(ValueError, match="weight"):
+                discrete_equilibrium(n, u, T, vg, gas, weight=bad)
 
     def test_continuum_limit_monotone(self):
         gas = helium_gas()
@@ -167,6 +172,19 @@ class TestDiscreteEquilibrium:
         feq, want = discrete_equilibrium(n, u, T, vg, gas), weighted_sum_equilibrium(n, u, T, vg, gas)
         assert np.max(np.abs(feq - want)) <= 1e-14 * np.max(want)
 
+    def test_singular_jacobian_names_the_cell(self):
+        # a moment matrix that keeps only dv sum E sees every cell as a point
+        # mass at the grid midpoint, whose 2x2 Jacobian is singular; the error
+        # names the first such cell and its state
+        gas = helium_gas()
+        vg = reference_vgrid(16)
+        point = replace(vg, moments=vg.moments * np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+        n, u, T = np.array([1e25, 2e25]), np.zeros(2), np.array([300.0, 450.0])
+        want = re.escape("singular Jacobian in equilibrium Newton solve in cell 0: "
+                         "n 1.000e+25 1/m^3, u 0.000e+00 m/s, T 3.000e+02 K")
+        with pytest.raises(NumericalError, match=want):
+            discrete_equilibrium(n, u, T, point, gas)
+
     def test_nonconvergence_names_the_cell_after_others_left(self):
         # cells 0, 2 and 1 leave the iteration after one, two and three
         # evaluations; the error still names cell 3 by its index in the input
@@ -201,6 +219,16 @@ class TestDiscreteEquilibrium:
         assert abs(macro.velocity[0] - u) <= 1e-12 * vt
         assert macro.temperature[0] == pytest.approx(T, rel=1e-12)
 
+
+    def test_cold_off_centre_exponent_rounding(self):
+        # the product-form exponent rounds as (|u - v_mid| / v_th)^2 eps: a
+        # 30 K Maxwellian at 10 v_th(300 K) is 32 of its own v_th off centre
+        gas = helium_gas()
+        vt300 = math.sqrt(KB * 300.0 / gas.molecular_mass)
+        vg = build_velocity_grid(-20.0 * vt300, 20.0 * vt300, 200)
+        args = (1e25, 10.0 * vt300, 30.0, vg, gas)
+        feq, want = discrete_equilibrium(*args), weighted_sum_equilibrium(*args)
+        assert np.max(np.abs(feq - want)) <= 1e-12 * np.max(want)
 
 class TestRestrict:
     @pytest.mark.parametrize("name", SHIPPED)
