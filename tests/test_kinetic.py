@@ -219,7 +219,6 @@ class TestDiscreteEquilibrium:
         assert abs(macro.velocity[0] - u) <= 1e-12 * vt
         assert macro.temperature[0] == pytest.approx(T, rel=1e-12)
 
-
     def test_cold_off_centre_exponent_rounding(self):
         # the product-form exponent rounds as (|u - v_mid| / v_th)^2 eps: a
         # 30 K Maxwellian at 10 v_th(300 K) is 32 of its own v_th off centre
@@ -229,6 +228,7 @@ class TestDiscreteEquilibrium:
         args = (1e25, 10.0 * vt300, 30.0, vg, gas)
         feq, want = discrete_equilibrium(*args), weighted_sum_equilibrium(*args)
         assert np.max(np.abs(feq - want)) <= 1e-12 * np.max(want)
+
 
 class TestRestrict:
     @pytest.mark.parametrize("name", SHIPPED)
