@@ -73,8 +73,11 @@ def _check_snapshot_matches(scenario: Scenario, field) -> None:
             raise ValueError(f"snapshot {name} {got:.12g} does not match the config's {want:.12g}")
 
 
-def _check_out_dir(out: str) -> None:
-    """Raise ValueError unless the directory ``--out`` writes into exists and is writable."""
+def _check_out_dir(out: str, *, prefix: bool = False) -> None:
+    """Raise ValueError unless ``--out``'s directory exists and is writable and,
+    unless ``--out`` is a file prefix, ``--out`` is no directory itself."""
+    if not prefix and os.path.isdir(out):
+        raise ValueError(f"--out {out} is a directory")
     directory = os.path.dirname(out) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"--out {out}: directory {directory} does not exist")
@@ -173,21 +176,18 @@ def cmd_lift(args) -> int:
     _write_csv(
         f"{prefix}_cells.csv", comments,
         ("cell", "abs_sum_equilibrium", "abs_sum_lifted"),
-        [(j, eq_err.cell_abs_sums[j], lift_err.cell_abs_sums[j])
-         for j in range(reference.grid.n_cells)],
+        zip(range(reference.grid.n_cells), eq_err.cell_abs_sums.tolist(),
+            lift_err.cell_abs_sums.tolist()),
     )
-    rel_rows = []
-    for j in range(reference.grid.n_cells):
-        for i in range(reference.vgrid.n_velocities):
-            if lift_err.exact_zero[j, i]:
-                rel_rows.append((j, i, "", 1))
-            else:
-                rel_rows.append((j, i, np.log10(lift_err.relative_error[j, i]), 0))
+    with np.errstate(divide="ignore"):
+        log_rel = np.log10(lift_err.relative_error).astype(object)
+    log_rel[lift_err.exact_zero] = ""  # relative error 0, log10 -inf
     _write_csv(
         f"{prefix}_relerr.csv",
         comments + ["# log10_rel_err empty where the difference is exactly zero"],
         ("cell", "velocity_index", "log10_rel_err", "exact_zero"),
-        rel_rows,
+        zip(*np.indices(log_rel.shape).reshape(2, -1).tolist(), log_rel.ravel().tolist(),
+            lift_err.exact_zero.ravel().astype(int).tolist()),
     )
     _write_csv(
         f"{prefix}_report.csv", comments, REPORT_HEADER,
@@ -224,7 +224,7 @@ def cmd_spectrum(args) -> int:
     )
     _write_csv(
         args.out, comments, ("re", "im"),
-        [(ev.real, ev.imag) for ev in report.eigenvalues],
+        zip(report.eigenvalues.real.tolist(), report.eigenvalues.imag.tolist()),
     )
     print(f"{report.operator}: {report.eigenvalues.size} eigenvalues, "
           f"spectral radius {report.spectral_radius:.6e}")
@@ -239,9 +239,13 @@ def cmd_sweep(args) -> int:
     if steps < 0:
         raise ValueError("steps must be nonnegative")
 
+    # every N and m is checked before the first step; the basis does not depend on N
+    scenarios = [scenario.with_overrides(n_cells=n) for n in grid_sizes]
+    cfgs = [scenario.cr_config(m, "newton") for m in orders]
+    basis = build_moment_basis(BasisKind.MONOMIAL, scenario.vgrid, CONSERVED_MOMENTS)
+
     rows = []
-    for n in grid_sizes:
-        scen = scenario.with_overrides(n_cells=n)
+    for n, scen in zip(grid_sizes, scenarios):
         gas = scen.gas
         stepper = scen.make_stepper()
         field = scen.initial_field()
@@ -250,9 +254,7 @@ def cmd_sweep(args) -> int:
             values = stepper.step(values)
         reference = field.with_values(values, time=steps * scen.dt)
         macro = restrict(reference, gas)
-        basis = build_moment_basis(BasisKind.MONOMIAL, scen.vgrid, CONSERVED_MOMENTS)
-        for m in orders:
-            cfg = scen.cr_config(m, "newton")
+        for m, cfg in zip(orders, cfgs):
             try:
                 _, report = lift_macro(
                     stepper, basis, macro, gas, cfg,
@@ -280,14 +282,11 @@ def cmd_restrict(args) -> int:
     _check_snapshot_matches(scenario, field)
     macro = restrict(field, scenario.gas)
     comments = _comment_block(scenario)
-    x = field.grid.centers
     _write_csv(
         args.out, comments,
         ("cell", "x", "number_density", "velocity", "temperature"),
-        [
-            (j, x[j], macro.number_density[j], macro.velocity[j], macro.temperature[j])
-            for j in range(field.grid.n_cells)
-        ],
+        zip(range(field.grid.n_cells), field.grid.centers.tolist(), macro.number_density.tolist(),
+            macro.velocity.tolist(), macro.temperature.tolist()),
     )
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -350,7 +349,7 @@ def main(argv=None) -> int:
     try:
         # every subcommand writes its results under --out; a run must not do
         # its work only to find it cannot be saved
-        _check_out_dir(args.out)
+        _check_out_dir(args.out, prefix=args.command == "lift")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

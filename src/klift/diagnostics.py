@@ -109,9 +109,9 @@ def _colored_jacobian(apply_map, base_out, f0, U, h, half_band):
     pert, mapped = np.empty_like(f0), np.empty_like(f0)
     for c in range(colors.max() + 1):
         cells = np.flatnonzero(colors == c)
+        # the windows of one colour's cells do not overlap
         owner = np.full(n_cells, -1)
-        for j in cells:
-            owner[(j + offsets) % n_cells] = j
+        owner[(cells[:, None] + offsets) % n_cells] = cells[:, None]
         rows = np.flatnonzero(owner >= 0)
         for l in range(r):
             np.copyto(pert, f0)

@@ -51,19 +51,6 @@ class MomentBasis:
         return f @ self.M0[: self.k].T
 
 
-def _chebyshev_rows(v: np.ndarray, q: int) -> np.ndarray:
-    """T_r(vtilde) rows with vtilde the affine map of [min, max] onto [-1, 1]."""
-    lo, hi = v.min(), v.max()
-    vt = 2.0 * (v - lo) / (hi - lo) - 1.0
-    M = np.empty((q, v.size))
-    M[0] = 1.0
-    if q > 1:
-        M[1] = vt
-    for r in range(2, q):
-        M[r] = 2.0 * vt * M[r - 1] - M[r - 2]
-    return M
-
-
 def build_moment_basis(kind: BasisKind | str, velocities, k: int) -> MomentBasis:
     """Build M, its conserved block, and the orthonormal conserved basis.
 
@@ -83,7 +70,9 @@ def build_moment_basis(kind: BasisKind | str, velocities, k: int) -> MomentBasis
         if kind is BasisKind.MONOMIAL:
             M = np.vander(v, q, increasing=True).T
         elif kind is BasisKind.CHEBYSHEV:
-            M = _chebyshev_rows(v, q)
+            # rows T_r(vt), vt the affine map of [min, max] onto [-1, 1]
+            lo, hi = v.min(), v.max()
+            M = np.polynomial.chebyshev.chebvander(2.0 * (v - lo) / (hi - lo) - 1.0, q - 1).T
         else:
             raise ValueError("custom bases are built with basis_from_matrix")
     return basis_from_matrix(M, k, kind=kind)

@@ -14,6 +14,7 @@ import pytest
 import klift
 from klift import BGKStepper, DistributionField, Scenario, load_scenario, save_scenario
 from klift.cli import EXIT_ARG, EXIT_NUMERICAL, EXIT_OK, main
+from klift.cr import restrict_lift_error
 from klift.scenario import config_hash, parse_config, serialize_config
 from klift.snapshots import read_snapshot, write_snapshot
 
@@ -51,6 +52,9 @@ STEPPING = [
     ["spectrum", "--operator", "cr-qr", "--n", "8"],
     ["sweep", "--grid-sizes", "8", "--orders", "0", "--steps", "5"],
 ]
+# the subcommands whose --out names a file, not a file prefix
+OUT_FILE = [argv for argv in STEPPING if argv[0] != "lift"] + [
+    ["restrict", "--snapshot", "ref.snap"]]
 # well-typed values outside a key's range: (key, config text)
 OUT_OF_RANGE = [
     ("cr.order_m", "99"), ("cr.order_m", "-1"), ("run.cfl_safety", "0.0"),
@@ -71,6 +75,10 @@ def config_with(tmp_path, key, text):
     path = tmp_path / "edited.cfg"
     path.write_text(serialize_config(d), encoding="utf-8")
     return path
+
+
+def no_step(self, values):
+    raise AssertionError("a step was taken before the arguments were checked")
 
 
 def read_rows(path):
@@ -266,6 +274,33 @@ class TestCLI:
         relerr = read_rows(f"{prefix}_relerr.csv")
         assert len(relerr) == 1 + 24 * 16
 
+    def test_lift_relerr_rows(self, tmp_path, monkeypatch):
+        cfg, _ = tiny_config(tmp_path)
+        ref = tmp_path / "ref.snap"
+        main(["run-reference", "--config", str(cfg), "--steps", "20", "--out", str(ref)])
+        errors = []
+
+        def with_exact_zeros(reference, lifted):
+            lifted.values[::3, ::5] = reference.values[::3, ::5]
+            errors.append(restrict_lift_error(reference, lifted))
+            return errors[-1]
+
+        monkeypatch.setattr("klift.cli.restrict_lift_error", with_exact_zeros)
+        prefix = tmp_path / "lift"
+        assert main(["lift", "--config", str(cfg), "--reference", str(ref),
+                     "--order", "0", "--out", str(prefix)]) == EXIT_OK
+        err = errors[-1]
+        assert err.exact_zero.any() and not err.exact_zero.all()
+        want = [["cell", "velocity_index", "log10_rel_err", "exact_zero"]]
+        for j in range(24):
+            for i in range(16):
+                if err.exact_zero[j, i]:
+                    want.append([str(j), str(i), "", "1"])
+                else:
+                    want.append([str(j), str(i), repr(float(np.log10(err.relative_error[j, i]))),
+                                 "0"])
+        assert read_rows(f"{prefix}_relerr.csv") == want
+
     def test_lift_grid_mismatch_is_arg_error(self, tmp_path):
         cfg, _ = tiny_config(tmp_path)
         ref = tmp_path / "ref.snap"
@@ -313,16 +348,36 @@ class TestCLI:
     def test_missing_out_dir_fails_before_any_step(self, tmp_path, capsys, monkeypatch, argv):
         cfg, sc = tiny_config(tmp_path)
         write_snapshot(tmp_path / "ref.snap", sc.initial_field())
-
-        def no_step(self, values):
-            raise AssertionError("a step was taken before --out was checked")
-
         monkeypatch.setattr(BGKStepper, "step", no_step)
         out = tmp_path / "missing" / "out"
         argv = [a.replace("ref.snap", str(tmp_path / "ref.snap")) for a in argv]
         assert main([argv[0], "--config", str(cfg), *argv[1:], "--out", str(out)]) == EXIT_ARG
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out {out}: directory ") and "does not exist" in err
+
+    @pytest.mark.parametrize("argv", OUT_FILE, ids=lambda argv: argv[0])
+    def test_out_naming_a_directory_fails_before_any_step(self, tmp_path, capsys, monkeypatch,
+                                                          argv):
+        cfg, sc = tiny_config(tmp_path)
+        write_snapshot(tmp_path / "ref.snap", sc.initial_field())
+        monkeypatch.setattr(BGKStepper, "step", no_step)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        argv = [a.replace("ref.snap", str(tmp_path / "ref.snap")) for a in argv]
+        assert main([argv[0], "--config", str(cfg), *argv[1:], "--out", str(out)]) == EXIT_ARG
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out {out} is a directory\n"
+        assert captured.out == ""
+        assert not any(out.iterdir())
+
+    def test_lift_prefix_may_name_a_directory(self, tmp_path):
+        cfg, sc = tiny_config(tmp_path)
+        write_snapshot(tmp_path / "ref.snap", sc.initial_field())
+        prefix = tmp_path / "lift"
+        prefix.mkdir()
+        assert main(["lift", "--config", str(cfg), "--reference", str(tmp_path / "ref.snap"),
+                     "--order", "0", "--out", str(prefix)]) == EXIT_OK
+        assert (tmp_path / "lift_relerr.csv").is_file()
 
     def test_spectrum_projector(self, tmp_path):
         cfg, _ = tiny_config(tmp_path)
@@ -427,6 +482,19 @@ class TestCLI:
         assert rows[0] == ["N", "m", "gmres_iterations", "newton_iterations", "converged"]
         assert len(rows) == 1 + 4
         assert all(r[4] == "1" for r in rows[1:])
+
+    @pytest.mark.parametrize("grid_sizes, orders", [("8,12", "0,99"), ("8,-4", "0")])
+    def test_sweep_checks_every_n_and_m_before_any_step(self, tmp_path, capsys, monkeypatch,
+                                                         grid_sizes, orders):
+        cfg, _ = tiny_config(tmp_path)
+        monkeypatch.setattr(BGKStepper, "step", no_step)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--grid-sizes", grid_sizes,
+                     "--orders", orders, "--steps", "5", "--out", str(out)]) == EXIT_ARG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "N=" not in captured.out
+        assert not out.exists()
 
     def test_restrict_export(self, tmp_path):
         cfg, sc = tiny_config(tmp_path)

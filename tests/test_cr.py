@@ -534,6 +534,11 @@ class TestLiftBuffers:
         first_map = {data_address(out) for out in outs[:2]}
         assert len(first_map) == 2
         assert {data_address(out) for out in outs} == first_map
+        # both are rows of the lift's one (7, N, Nv) scratch block: freed as one
+        # block, it is reused by the next lift instead of trimmed and faulted in again
+        block = outs[0].base
+        assert block is not None and outs[1].base is block
+        assert block.shape == (7,) + lifted.values.shape
 
         ref, ref_report = lift_macro(FreshCopyStepper(stepper), basis, macro, sc.gas, cfg,
                                      **common)

@@ -50,6 +50,15 @@ class TestBasisConstruction:
         for r in range(4):
             np.testing.assert_allclose(b.M[r], v**r, rtol=1e-14)
 
+    def test_chebyshev_rows_follow_the_recurrence(self):
+        v = reference_vgrid(24).velocities
+        b = build_moment_basis(BasisKind.CHEBYSHEV, v, 3)
+        vt = 2.0 * (v - v.min()) / (v.max() - v.min()) - 1.0
+        rows = [np.ones_like(vt), vt]
+        for _ in range(2, 24):
+            rows.append(2.0 * vt * rows[-1] - rows[-2])
+        np.testing.assert_array_equal(b.M, rows)
+
     def test_chebyshev_rows_bounded(self):
         b = build_moment_basis(BasisKind.CHEBYSHEV, reference_vgrid(16), 3)
         assert np.abs(b.M).max() <= 1.0 + 1e-12
