@@ -16,7 +16,7 @@ import numpy as np
 from .cr import SOLVERS, lift_macro, restrict_lift_error
 from .diagnostics import check_dense_dimension, cr_jacobian_spectrum, projector_spectrum
 from .errors import KliftError, NumericalError
-from .kinetic import equilibrium_field, restrict
+from .kinetic import DistributionField, equilibrium_field, restrict
 from .moments import BasisKind, build_moment_basis, naive_projector
 from .scenario import Scenario, config_hash, load_scenario
 from .snapshots import read_snapshot, write_snapshot
@@ -57,7 +57,9 @@ def _write_csv(path, comments, header, rows):
         writer.writerows(rows)
 
 
-def _check_snapshot_matches(scenario: Scenario, field) -> None:
+def _read_matching_snapshot(scenario: Scenario, path) -> DistributionField:
+    """The snapshot at ``path``, checked against the config's grids and scale."""
+    field = read_snapshot(path)
     if field.grid.n_cells != scenario.n_cells or field.vgrid.n_velocities != scenario.n_velocities:
         raise ValueError(
             f"snapshot grid {field.grid.n_cells}x{field.vgrid.n_velocities} does not match "
@@ -71,6 +73,7 @@ def _check_snapshot_matches(scenario: Scenario, field) -> None:
     ):
         if not np.isclose(got, want, rtol=1e-12, atol=0.0):
             raise ValueError(f"snapshot {name} {got:.12g} does not match the config's {want:.12g}")
+    return field
 
 
 def _check_out_dir(out: str, *, prefix: bool = False) -> None:
@@ -88,8 +91,7 @@ def _check_out_dir(out: str, *, prefix: bool = False) -> None:
 # ---- subcommands ------------------------------------------------------------
 
 
-def cmd_run_reference(args) -> int:
-    scenario = load_scenario(args.config)
+def cmd_run_reference(args, scenario: Scenario) -> None:
     steps = scenario.reference_steps if args.steps is None else args.steps
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -128,13 +130,10 @@ def cmd_run_reference(args) -> int:
         if os.path.exists(tmp_path):
             os.remove(tmp_path)
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
-def cmd_lift(args) -> int:
-    scenario = load_scenario(args.config)
-    reference = read_snapshot(args.reference)
-    _check_snapshot_matches(scenario, reference)
+def cmd_lift(args, scenario: Scenario) -> None:
+    reference = _read_matching_snapshot(scenario, args.reference)
     gas = scenario.gas
     cfg = scenario.cr_config(args.order, args.solver)
 
@@ -197,13 +196,12 @@ def cmd_lift(args) -> int:
     print(f"|f(m={cfg.order_m}) - f_c| = {lift_err.two_norm:.6e} "
           f"({report.solver}, {report.iterations} iterations, "
           f"{report.gmres_iterations} GMRES iterations)")
-    return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
-    scenario = load_scenario(args.config)
+def cmd_spectrum(args, scenario: Scenario) -> None:
     if args.n is not None:
         scenario = scenario.with_overrides(n_cells=args.n)
+    cfg = scenario.cr_config(args.order)  # checks --order for every operator
     basis = build_moment_basis(BasisKind.MONOMIAL, scenario.vgrid, CONSERVED_MOMENTS)
 
     if args.operator in ("qr-projector", "naive-projector"):
@@ -211,7 +209,6 @@ def cmd_spectrum(args) -> int:
         report = projector_spectrum(basis, which)
     else:
         check_dense_dimension(scenario.n_cells, basis)
-        cfg = scenario.cr_config(args.order)
         stepper = scenario.make_stepper()
         f0 = scenario.initial_field().values
         naive_P = naive_projector(basis)[0] if args.operator == "cr-naive" else None
@@ -228,14 +225,10 @@ def cmd_spectrum(args) -> int:
     )
     print(f"{report.operator}: {report.eigenvalues.size} eigenvalues, "
           f"spectral radius {report.spectral_radius:.6e}")
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    scenario = load_scenario(args.config)
-    grid_sizes = [int(s) for s in args.grid_sizes.split(",")]
-    orders = [int(s) for s in args.orders.split(",")]
-    steps = args.steps
+def cmd_sweep(args, scenario: Scenario) -> None:
+    grid_sizes, orders, steps = args.grid_sizes, args.orders, args.steps
     if steps < 0:
         raise ValueError("steps must be nonnegative")
 
@@ -264,7 +257,9 @@ def cmd_sweep(args) -> int:
                 print(f"N={n} m={m}: {report.gmres_iterations} GMRES iterations, "
                       f"{report.iterations} Newton iterations")
             except KliftError as exc:
-                rows.append((n, m, "", len(getattr(exc, "history", [])), 0))
+                # the history opens with the residual before the first Newton step
+                history = getattr(exc, "history", None)
+                rows.append((n, m, "", len(history) - 1 if history else "", 0))
                 print(f"N={n} m={m}: FAILED ({exc})")
 
     comments = _comment_block(scenario, {"reference_steps": steps})
@@ -273,13 +268,10 @@ def cmd_sweep(args) -> int:
         ("N", "m", "gmres_iterations", "newton_iterations", "converged"),
         rows,
     )
-    return EXIT_OK
 
 
-def cmd_restrict(args) -> int:
-    scenario = load_scenario(args.config)
-    field = read_snapshot(args.snapshot)
-    _check_snapshot_matches(scenario, field)
+def cmd_restrict(args, scenario: Scenario) -> None:
+    field = _read_matching_snapshot(scenario, args.snapshot)
     macro = restrict(field, scenario.gas)
     comments = _comment_block(scenario)
     _write_csv(
@@ -289,10 +281,14 @@ def cmd_restrict(args) -> int:
             macro.velocity.tolist(), macro.temperature.tolist()),
     )
     print(f"wrote {args.out}")
-    return EXIT_OK
 
 
 # ---- entry point ------------------------------------------------------------
+
+
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers; argparse names the flag when one does not parse."""
+    return [int(s) for s in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,63 +296,61 @@ def build_parser() -> argparse.ArgumentParser:
         prog="klift",
         description="Discrete-velocity BGK solver with constrained-runs lifting",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="scenario config file")
+    common.add_argument("--out", required=True,
+                        help="output file (for lift, the output file prefix)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run-reference", help="run the reference time integration")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("run-reference", parents=[common],
+                       help="run the reference time integration")
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run_reference)
 
-    p = sub.add_parser("lift", help="restrict a reference snapshot and lift it back")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("lift", parents=[common],
+                       help="restrict a reference snapshot and lift it back")
     p.add_argument("--reference", required=True)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--solver", choices=SOLVERS, default=None)
-    p.add_argument("--out", required=True, help="output file prefix")
     p.set_defaults(func=cmd_lift)
 
-    p = sub.add_parser("spectrum", help="projector or CR-Jacobian spectrum")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("spectrum", parents=[common], help="projector or CR-Jacobian spectrum")
     p.add_argument("--operator", required=True,
                    choices=("qr-projector", "naive-projector", "cr-qr", "cr-naive"))
     p.add_argument("--n", type=int, default=None, help="override grid.N")
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("sweep", help="GMRES iteration counts over N and m")
-    p.add_argument("--config", required=True)
-    p.add_argument("--grid-sizes", required=True, help="comma-separated N values")
-    p.add_argument("--orders", required=True, help="comma-separated m values")
+    p = sub.add_parser("sweep", parents=[common], help="GMRES iteration counts over N and m")
+    p.add_argument("--grid-sizes", required=True, type=int_list, help="comma-separated N values")
+    p.add_argument("--orders", required=True, type=int_list, help="comma-separated m values")
     p.add_argument("--steps", type=int, default=200,
                    help="reference steps before each restrict-lift")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("restrict", help="export macroscopic fields of a snapshot")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("restrict", parents=[common],
+                       help="export macroscopic fields of a snapshot")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_restrict)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # every subcommand writes its results under --out; a run must not do
         # its work only to find it cannot be saved
         _check_out_dir(args.out, prefix=args.command == "lift")
-        return args.func(args)
-    except (ValueError, OSError) as exc:
+        args.func(args, load_scenario(args.config))
+    # a config or snapshot too large to allocate is a bad input, not a crash
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARG
     except KliftError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from .kinetic import (
     GasParams,
     MacroFields,
     equilibrium_field,
-    restrict,
 )
 from .moments import MomentBasis, project_complement, reset_conserved
 

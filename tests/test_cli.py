@@ -15,6 +15,7 @@ import klift
 from klift import BGKStepper, DistributionField, Scenario, load_scenario, save_scenario
 from klift.cli import EXIT_ARG, EXIT_NUMERICAL, EXIT_OK, main
 from klift.cr import restrict_lift_error
+from klift.errors import NumericalError
 from klift.scenario import config_hash, parse_config, serialize_config
 from klift.snapshots import read_snapshot, write_snapshot
 
@@ -416,6 +417,16 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "dense cap 2000" in err and "--n" in err
 
+    @pytest.mark.parametrize("operator, order", [("qr-projector", "99"),
+                                                 ("naive-projector", "-3")])
+    def test_spectrum_checks_order_for_every_operator(self, tmp_path, capsys, operator, order):
+        cfg, _ = tiny_config(tmp_path)
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", str(cfg), "--operator", operator,
+                     "--order", order, "--out", str(out)]) == EXIT_ARG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     @pytest.mark.parametrize("text", [w for w, _ in BAD_FLOAT_WORDS])
     def test_bad_float_value_is_arg_error(self, tmp_path, capsys, key, text):
@@ -496,6 +507,40 @@ class TestCLI:
         assert "N=" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, text", [("--grid-sizes", "20,x"), ("--orders", "0,,1")])
+    def test_sweep_bad_list_entry_names_the_flag(self, tmp_path, capsys, monkeypatch, flag,
+                                                 text):
+        cfg, _ = tiny_config(tmp_path)
+        monkeypatch.setattr(BGKStepper, "step", no_step)
+        lists = {"--grid-sizes": "8", "--orders": "0", flag: text}
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), *(a for kv in lists.items() for a in kv),
+                  "--out", str(tmp_path / "sweep.csv")])
+        assert exc.value.code == EXIT_ARG
+        captured = capsys.readouterr()
+        assert f"argument {flag}: " in captured.err and repr(text) in captured.err
+        assert "N=" not in captured.out
+
+    def test_sweep_failed_lift_counts_completed_newton_steps(self, tmp_path):
+        # one GMRES iteration cannot reach rtol, so each lift fails in Newton step 0
+        cfg, _ = tiny_config(tmp_path, gmres_max_iters=1)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--grid-sizes", "24", "--orders", "0,1",
+                     "--steps", "20", "--out", str(out)]) == EXIT_OK
+        assert read_rows(out)[1:] == [["24", "0", "", "0", "0"], ["24", "1", "", "0", "0"]]
+
+    def test_sweep_failure_without_history_leaves_newton_count_empty(self, tmp_path,
+                                                                     monkeypatch):
+        def fails(*args, **kwargs):
+            raise NumericalError("no history")
+
+        monkeypatch.setattr("klift.cli.lift_macro", fails)
+        cfg, _ = tiny_config(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--grid-sizes", "8", "--orders", "0",
+                     "--steps", "0", "--out", str(out)]) == EXIT_OK
+        assert read_rows(out)[1:] == [["8", "0", "", "", "0"]]
+
     def test_restrict_export(self, tmp_path):
         cfg, sc = tiny_config(tmp_path)
         ref = tmp_path / "ref.snap"
@@ -528,6 +573,16 @@ class TestCLI:
         assert main(["run-reference", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o.snap")]) == EXIT_ARG
 
+    def test_memory_error_is_arg_error(self, tmp_path, capsys, monkeypatch):
+        def too_large(self):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(Scenario, "initial_field", too_large)
+        cfg, _ = tiny_config(tmp_path)
+        assert main(["run-reference", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.snap")]) == EXIT_ARG
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+
     def test_lift_nonconvergence_is_numerical_error(self, tmp_path):
         # an unreachable Picard tolerance forces a ConvergenceError; the
         # report CSV must still be persisted for post-mortem
@@ -552,6 +607,14 @@ class TestCLI:
         assert first == f"# config_hash = {config_hash(sc)}"
 
 
+def package_env():
+    """The environment with this checkout's klift first on PYTHONPATH, for subprocesses."""
+    env = dict(os.environ)
+    package_root = str(Path(klift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 NO_SCIPY_LIFT = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
@@ -566,12 +629,37 @@ sys.exit(code or main(["lift", "--config", cfg, "--reference", "ref.snap",
 
 def test_lift_runs_without_scipy(tmp_path):
     """numpy is klift's only runtime dependency: a desk lift needs no scipy."""
-    env = dict(os.environ)
-    package_root = str(Path(klift.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env = package_env()
     done = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_LIFT, str(scenario_path("helium_desk.cfg"))],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == EXIT_OK, done.stdout + done.stderr
     assert (tmp_path / "lift1_lifted.snap").exists()
+
+
+def test_unallocatable_grid_is_arg_error(tmp_path):
+    """A grid too large to allocate exits 2 with numpy's message, not a traceback.
+
+    The address-space limit makes the allocation fail whatever the kernel's
+    overcommit setting, before any memory is touched; never run this case
+    without it.
+    """
+    resource = pytest.importorskip("resource")
+    limit = 4 * 1024**3
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    cfg = config_with(tmp_path, "grid.N", "1000000000000")
+    env = package_env()
+    done = subprocess.run(
+        [sys.executable, "-m", "klift.cli", "run-reference", "--config", str(cfg),
+         "--out", str(tmp_path / "o.snap")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=limit_address_space,
+    )
+    assert done.returncode == EXIT_ARG, done.stdout + done.stderr
+    assert done.stderr.startswith("error: Unable to allocate")
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "o.snap").exists()
