@@ -77,8 +77,10 @@ def _read_matching_snapshot(scenario: Scenario, path) -> DistributionField:
 
 
 def _check_out_dir(out: str, *, prefix: bool = False) -> None:
-    """Raise ValueError unless ``--out``'s directory exists and is writable and,
-    unless ``--out`` is a file prefix, ``--out`` is no directory itself."""
+    """Raise ValueError unless ``--out`` is not empty, its directory exists and
+    is writable and, unless ``--out`` is a file prefix, it is no directory itself."""
+    if not out:
+        raise ValueError("--out is empty")
     if not prefix and os.path.isdir(out):
         raise ValueError(f"--out {out} is a directory")
     directory = os.path.dirname(out) or "."

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, KliftError, NumericalError
 from .kinetic import (
     DistributionField,
     GasParams,
@@ -306,15 +306,25 @@ def lift_picard(
 
     Stops when the two-norm of the change in the unconserved components
     drops below ``picard_tol``; raises ConvergenceError (with the residual
-    history) if the iteration stalls or diverges.  ``f_guess`` warm-starts
-    the iteration from a state other than f0.
+    history) if the iteration stalls or diverges, also when a diverging
+    iterate makes a CR map fail.  ``f_guess`` warm-starts the iteration from
+    a state other than f0.
     """
     t0 = _time.perf_counter()
     f = f0.copy() if f_guess is None else f_guess.copy()
     f_new, work = np.empty_like(f), cr_buffers(f)
     history: list[float] = []
     for it in range(1, cfg.max_picard_iters + 1):
-        cr_map(stepper, basis, f0, f, cfg.order_m, out=f_new, work=work)
+        try:
+            cr_map(stepper, basis, f0, f, cfg.order_m, out=f_new, work=work)
+        except KliftError as exc:
+            last = f"{history[-1]:.3e}" if history else "none"
+            raise ConvergenceError(
+                f"Picard CR iteration {it} failed in its CR map (last residual {last}, "
+                f"m = {cfg.order_m}): {exc}",
+                residual=history[-1] if history else None,
+                history=history,
+            ) from exc
         resid = float(np.linalg.norm(project_complement(basis, f_new - f)))
         history.append(resid)
         f, f_new = f_new, f

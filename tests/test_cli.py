@@ -356,6 +356,23 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out {out}: directory ") and "does not exist" in err
 
+    @pytest.mark.parametrize("argv", STEPPING + [["restrict", "--snapshot", "ref.snap"]],
+                             ids=lambda argv: argv[0])
+    def test_empty_out_fails_before_any_step(self, tmp_path, capsys, monkeypatch, argv):
+        # the directory of "" reads as ".", so only an explicit check stops it
+        cfg, sc = tiny_config(tmp_path)
+        write_snapshot(tmp_path / "ref.snap", sc.initial_field())
+        monkeypatch.setattr(BGKStepper, "step", no_step)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = [a.replace("ref.snap", str(tmp_path / "ref.snap")) for a in argv]
+        assert main([argv[0], "--config", str(cfg), *argv[1:], "--out", ""]) == EXIT_ARG
+        captured = capsys.readouterr()
+        assert captured.err == "error: --out is empty\n"
+        assert captured.out == ""
+        assert not any(work.iterdir())
+
     @pytest.mark.parametrize("argv", OUT_FILE, ids=lambda argv: argv[0])
     def test_out_naming_a_directory_fails_before_any_step(self, tmp_path, capsys, monkeypatch,
                                                           argv):

@@ -27,6 +27,7 @@ from klift import (
 )
 from klift.cli import lift_report_rows
 from klift.cr import GMRESResult, conserved_drift, cr_buffers, cr_jvp, gmres
+from klift.errors import NumericalError
 from klift.kinetic import DistributionField, equilibrium_field
 from klift.moments import basis_from_matrix, naive_projector, project_complement, reset_conserved
 from klift.steppers import D1Q3Stepper
@@ -191,6 +192,28 @@ class TestPicard:
             lift_picard(st, basis, f0, cfg)
         assert len(exc.value.history) == 3
         assert exc.value.residual == exc.value.history[-1]
+
+
+    def test_failed_map_raises_with_history(self, rng):
+        # a diverging iterate that makes a step fail ends in ConvergenceError,
+        # not in the step's own NumericalError
+        class FailingStepper(D1Q3Stepper):
+            steps = 0
+
+            def step(self, values, out=None):
+                self.steps += 1
+                if self.steps > 4:
+                    raise NumericalError("unphysical state entering a step")
+                return super().step(values, out)
+
+        basis = build_moment_basis(BasisKind.D1Q3, None, 1)
+        cfg = CRConfig(order_m=0, solver="picard", picard_tol=1e-16)
+        with pytest.raises(ConvergenceError, match="Picard CR iteration 5 failed") as exc:
+            lift_picard(FailingStepper(omega=1.9), basis, rng.random((6, 3)), cfg)
+        assert len(exc.value.history) == 4
+        assert exc.value.residual == exc.value.history[-1]
+        assert isinstance(exc.value.__cause__, NumericalError)
+        assert "unphysical state entering a step" in str(exc.value)
 
 
 class TestNewton:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from klift import BasisKind, CRConfig, build_moment_basis, lift_picard
 from klift.cr import cr_jvp, cr_map
@@ -18,6 +19,12 @@ from klift.moments import naive_projector, unconserved_basis
 from klift.steppers import D1Q3Stepper
 
 from conftest import IdentityStepper, load_shipped, reference_vgrid
+
+
+def spectrum_distance(a, b):
+    """Largest distance between two spectra matched as multisets."""
+    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    return float(np.abs(a[rows] - b[cols]).max())
 
 
 class TestProjectorSpectrum:
@@ -206,6 +213,74 @@ class TestCRJacobian:
                        max_picard_iters=budget)
         _, report = lift_picard(st, basis, f0, cfg)
         assert report.iterations <= budget
+
+
+class TestReflectionSplit:
+    # A well-conditioned eigenvalue agrees to rounding; the worst
+    # ill-conditioned one of the criterion-8 short domain moved 2.1e-6, and
+    # the dense solve alone moves it 1.5e-6 when J is given in another
+    # orthonormal basis, so the split adds no error of its own beyond that.
+    EIG_ATOL = 1e-5
+
+    @staticmethod
+    def criterion_8(**overrides):
+        sc = load_shipped("helium_L30000.cfg").with_overrides(n_cells=50, n_velocities=24)
+        sc = sc.with_overrides(**overrides)
+        return (sc.make_stepper(), build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3),
+                sc.initial_field().values)
+
+    def assert_split_matches_dense(self, stepper, basis, f0, cfg, blocks, radius_rtol=1e-12):
+        rep = cr_jacobian_spectrum(stepper, basis, f0, cfg)
+        dense = np.linalg.eigvals(cr_jacobian_matrix(stepper, basis, f0, cfg))
+        assert rep.params["reflection_blocks"] == blocks
+        assert rep.eigenvalues.size == dense.size
+        assert spectrum_distance(rep.eigenvalues, dense) <= self.EIG_ATOL
+        assert rep.spectral_radius == pytest.approx(np.abs(dense).max(), rel=radius_rtol)
+
+    @pytest.mark.parametrize("overrides, blocks", [
+        ({}, [525, 525]),
+        ({"lambda_multiple": 30.0}, [525, 525]),
+        ({"n_cells": 49}, [514, 515]),   # the middle cell holds 10 even and 11 odd directions
+    ], ids=["long", "short", "odd-N"])
+    def test_criterion_8_grid(self, overrides, blocks):
+        self.assert_split_matches_dense(*self.criterion_8(**overrides), CRConfig(order_m=0),
+                                        blocks)
+
+    @pytest.mark.parametrize("n_cells, order_m", [(8, 0), (7, 0), (8, 2), (2, 1)])
+    def test_d1q3_ring(self, n_cells, order_m):
+        # The D1Q3 CR map is linear and mirror-symmetric on the ring at every
+        # m.  Its forward-difference columns round to eps |C(f)| / h, about
+        # 1e-11 of max|J| at populations of 1e-4; at populations of order 1
+        # that rounding alone reads 1e-9 to 3e-8, around REFLECTION_RTOL.
+        # The radius is a double eigenvalue, one symmetric and one
+        # antisymmetric Fourier mode, so the dropped 1e-11 coupling moves it
+        # by about as much.
+        basis = build_moment_basis(BasisKind.D1Q3, None, 1)
+        f0 = np.full((n_cells, 3), 1e-4)
+        self.assert_split_matches_dense(D1Q3Stepper(omega=1.3), basis, f0,
+                                        CRConfig(order_m=order_m), [n_cells, n_cells],
+                                        radius_rtol=1e-10)
+
+    @pytest.mark.parametrize("case", ["order-1", "float-naive-P", "random-f0", "asymmetric-grid"])
+    def test_dense_fallback(self, case, rng):
+        # none of these Jacobians commutes with the reflection: off-diagonal
+        # blocks 7e-5, 0.3 and 8e-2 of max|J| for the first three; the last
+        # velocity grid is not symmetric
+        sc = load_shipped("helium_L30000.cfg").with_overrides(n_cells=10, n_velocities=24)
+        stepper, f0, naive_P = sc.make_stepper(), sc.initial_field().values, None
+        basis = build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3)
+        cfg = CRConfig(order_m=1 if case == "order-1" else 0)
+        if case == "float-naive-P":
+            naive_P = naive_projector(basis)[0]
+        elif case == "random-f0":
+            f0 = f0 * (1.0 + 0.05 * rng.random(f0.shape))
+        elif case == "asymmetric-grid":
+            stepper, f0 = IdentityStepper(), rng.random((6, 6))
+            basis = build_moment_basis(BasisKind.MONOMIAL, np.sort(rng.normal(size=6)), 3)
+        rep = cr_jacobian_spectrum(stepper, basis, f0, cfg, naive_P=naive_P)
+        assert "reflection_blocks" not in rep.params
+        J = cr_jacobian_matrix(stepper, basis, f0, cfg, naive_P=naive_P)
+        np.testing.assert_array_equal(rep.eigenvalues, np.linalg.eigvals(J))
 
 
 class TestCRJvp:

@@ -174,8 +174,11 @@ class TestNaiveProjector:
 
     @pytest.mark.parametrize("kind", [BasisKind.MONOMIAL, BasisKind.CHEBYSHEV])
     def test_large_basis_degrades(self, kind):
+        # How far the float P's eigenvalues lie from {0, 1} is rounding noise
+        # of the BLAS kernel (monomial: 0.41 on Haswell, 3.77 on SkylakeX);
+        # that P misses being a projector by more than the rounding of its own
+        # square is not.
         b = build_moment_basis(kind, reference_vgrid(56), 3)
         P, _ = naive_projector(b)
-        ev = np.linalg.eigvals(P)
-        dev = np.minimum(np.abs(ev), np.abs(ev - 1.0))
-        assert dev.max() > 0.5
+        rounding = b.q * np.finfo(float).eps * (np.abs(P) @ np.abs(P)).max()
+        assert np.abs(P @ P - P).max() > rounding
