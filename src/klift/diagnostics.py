@@ -17,10 +17,13 @@ The dense eigensolve then splits in two where the Jacobian allows it.  At
 m = 0 on a spatially uniform state the Jacobian commutes with the mirror
 reflection R: (cell j, velocity i) -> (N - 1 - j, Nv - 1 - i), because on
 unconserved directions the linearised collision is a multiple of the
-identity and upwind advection is mirror-symmetric.  In an R-adapted
-orthonormal basis J is then block diagonal, and its spectrum is the union of
-two eigensolves of about half the size, each about an eighth of the cost.
-Whether J has the symmetry is read from J itself (``REFLECTION_RTOL``).
+identity and upwind advection is mirror-symmetric.  Each row block of J then
+equals its mirror image, and in an R-adapted orthonormal basis J is block
+diagonal.  Its spectrum is the union of two eigensolves of about half the
+size, each about an eighth of the cost, whose matrices are sums of J's four
+cell quadrants once each cell's velocity directions are rotated to parity
+eigenvectors (``_mirror_split``).  Whether J has the symmetry is read from
+J itself (``REFLECTION_RTOL``).
 """
 
 from __future__ import annotations
@@ -40,19 +43,20 @@ PROJECTOR_DIM_CAP = 512
 # (helium_L30.cfg at N = 20..60, Nv = 16..32, m = 0..3, QR and naive resets);
 # a stepper that also adds 0.1 x the cell mean reads 0.1-0.25.
 BAND_CHECK_RTOL = 1e-2
-# Off-diagonal blocks of the reflection-adapted CR Jacobian at most this
-# fraction of max|J| are dropped, and the spectrum is taken from the two
-# diagonal blocks.  That moves an eigenvalue by about the blocks' size (one
-# shared by both blocks) or less (the first-order change of any other is
-# zero), no more than the forward differences' own rounding, about sqrt(eps)
-# relative.  Measured: criterion-8 problems at m = 0 (QR and exact naive
-# resets, N = 49 and 50, ambient u = 0 and 100 m/s, both domains) read 1e-12
-# to 3e-11; inflow at m = 1 and 2 reads 7e-5 to 2e-2, the float naive reset
-# 2e-6 (Nv = 16) to 0.3 and a 5 % perturbed f0 0.1.  Where J is symmetric
-# only up to that rounding (D1Q3 rings at populations of order 1: 1e-9 to
-# 3e-8; periodic BGK rings at m >= 1: 3e-7 to 9e-7) either path may run.
+# J commutes with the mirror reflection R when every row block J[p] differs
+# from its mirror image (R J R)[p] by at most this fraction of max|J|; the
+# spectrum is then taken from the two diagonal blocks of the R-adapted J.
+# The dropped off-diagonal blocks are about that size and move an eigenvalue
+# by about as much (one shared by both blocks) or less (the first-order change
+# of any other is zero), no more than the forward differences' own rounding,
+# about sqrt(eps) relative.  Measured max_p max|J[p] - (R J R)[p]| / max|J|:
+# criterion-8 problems at m = 0 (QR and exact naive resets, N = 49 and 50,
+# ambient u = 0 and 100 m/s, both domains) 6e-13 to 6e-11; inflow at m = 1
+# and 2 1.5e-4 to 0.15, the float naive reset 5e-7 (Nv = 16) to 1.2 and a
+# 5 % perturbed f0 0.2.  Where J is symmetric only up to that rounding (D1Q3
+# rings at populations of order 1: 7e-9 to 4e-8; periodic BGK rings at
+# m >= 1: 8e-7 to 4e-6) either path may run.
 REFLECTION_RTOL = 1e-8
-REFLECTION_SCRATCH = 7  # (q - k) x N (q - k) arrays used by the reflection
 
 
 @dataclass
@@ -164,7 +168,6 @@ def cr_jacobian_matrix(
     *,
     naive_P: np.ndarray | None = None,
     threads: int = 1,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """FD-assembled Jacobian of the CR map in unconserved coordinates.
 
@@ -177,8 +180,7 @@ def cr_jacobian_matrix(
     ``fd_step(f0)``.  The check map is ``cr_jvp`` along a fixed random
     direction z and raises NumericalError when it disagrees with J z beyond
     ``BAND_CHECK_RTOL``, i.e. when the stepper couples cells further apart.
-    J is written into ``out``, a zeroed C-contiguous (N (q - k), N (q - k))
-    array, when one is given.
+    J is returned as a new array, which ``cr_jacobian_spectrum`` may split in place.
 
     ``threads`` does nothing.  It is kept so that callers which still pass
     it (the benchmark's spectrum workload) keep working; the thread pool it
@@ -188,7 +190,7 @@ def cr_jacobian_matrix(
     n_cells = f0.shape[0]
     dim = check_dense_dimension(n_cells, basis)
     U = unconserved_basis(basis)
-    J = np.zeros((dim, dim)) if out is None else out
+    J = np.zeros((dim, dim))
 
     work = cr_buffers(f0)
 
@@ -218,94 +220,67 @@ def _maxabs(x: np.ndarray) -> float:
     return max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
 
 
-def _velocity_parity(U: np.ndarray):
-    """Eigenvectors Z of U^T Pi U, +1 first, and how many have eigenvalue +1.
+def _mirror_split(J: np.ndarray, n_cells: int, U: np.ndarray) -> int | None:
+    """Split J in place under the mirror reflection; the symmetric block's size, or None.
 
-    Pi reverses the velocity index.  None unless every eigenvalue is +-1
-    within 1e-12, that is unless the velocity reflection maps the unconserved
-    span onto itself (a velocity grid symmetric about its midpoint).
+    R maps (cell p, velocity i) to (p' = N - 1 - p, Nv - 1 - i); on the
+    unconserved coordinates it reverses the cells and applies
+    G = U^T Pi U, where Pi reverses the velocity index.  Row block p of J
+    must equal G J[p'] G with the cells reversed to ``REFLECTION_RTOL`` *
+    max|J|; None, J untouched, at the first that misses, or unless G has
+    only eigenvalues +-1 within 1e-12 (a velocity grid symmetric about its
+    midpoint).  J is then rotated in place, one cell at a time, to the
+    eigenvectors z_k of G = Z diag(s) Z^T, +1 first, taken as s_k z_k on the
+    mirror cells p >= N - N // 2, so that R maps direction k of cell p to
+    direction k of p'.  The R-symmetric and antisymmetric vectors
+    (e_p +- e_p') / sqrt 2 of a pair p < N // 2 give the blocks
+    1/2 (K_pq +- K_pq' +- K_p'q + K_p'q') from J's four cell quadrants,
+    written over K_pq and K_p'q'.  For odd N the middle cell's directions with
+    s_k = +1 (symmetric) or -1 (antisymmetric) join them, coupled to the pairs
+    with weight 1 / sqrt 2.  The symmetric block is then J[:ns, :ns] and the
+    antisymmetric one J[ns:, ns:], its pairs in reverse order.
     """
-    w, Z = np.linalg.eigh(U.T @ U[::-1])
-    if not np.all(np.abs(np.abs(w) - 1.0) <= 1e-12):
+    G = U.T @ U[::-1]
+    s, Z = np.linalg.eigh(G)
+    if n_cells < 2 or not np.all(np.abs(np.abs(s) - 1.0) <= 1e-12):
         return None
-    return Z[:, ::-1], int(np.count_nonzero(w > 0.0))
-
-
-def _reflect_in_place(J: np.ndarray, n_cells: int, U: np.ndarray,
-                      scratch: np.ndarray) -> int | None:
-    """Rotate J into an R-adapted basis in place when that makes it block diagonal.
-
-    Velocity axes use the parity eigenvectors z_k (parity s_k = +-1) of
-    ``_velocity_parity``.  Cell p < N // 2 pairs with its mirror
-    p' = N - 1 - p: slot p of the new basis holds the R-symmetric vectors
-    (e_p + s_k e_p') z_k / sqrt 2 in order k, slot p' the antisymmetric
-    (e_p - s_k e_p') z_k / sqrt 2 in reverse order of k; for odd N the
-    middle cell keeps e_h z_k, symmetric for s_k = +1.  The symmetric vectors
-    are thus the first ``ns``, and the rotated J is [[S, B], [C, A]].  The
-    reversed order lets the mirror half of a row be read as one reversed run
-    instead of slot by slot.
-
-    A first pass computes the rotated rows pair by pair into scratch and
-    returns None, J untouched, as soon as an entry of B or C exceeds
-    ``REFLECTION_RTOL`` * max|J|.  Otherwise a second pass writes the
-    rotated rows over J's own (a pair's rows depend only on its two slots)
-    and ``ns`` is returned.  ``scratch`` holds ``REFLECTION_SCRATCH`` arrays
-    of N (q - k)^2 floats.
-    """
-    parity = _velocity_parity(U)
-    if parity is None or n_cells < 2:
-        return None
-    Z, r_plus = parity
     r = U.shape[1]
-    n = n_cells * r
-    half = n_cells // 2
-    width = half * r                  # columns of the near (and of the mirror) half
-    ns = width + (r_plus if n_cells % 2 else 0)
-    Zc = np.sqrt(0.5) * Z
-    Zc_mirror = Zc * np.where(np.arange(r) < r_plus, 1.0, -1.0)
-    row_near, row_mirror = Zc.T.copy(), Zc_mirror.T.copy()
-    col_mirror = Zc_mirror[:, ::-1].copy()
-    rows = J.reshape(n_cells, r, n)
-    u, v, sym, anti, y, out_s, out_a = scratch.reshape(REFLECTION_SCRATCH, r, n)
-    mirror_run = np.s_[:, :n - width - 1:-1]    # columns n - 1 .. n - width
-
-    def rotate_columns(x, dest):
-        x3, y3 = x.reshape(r, n_cells, r), y.reshape(r, n_cells, r)
-        np.matmul(x3[:, :half], Zc, out=y3[:, :half])
-        np.matmul(x3[:, n_cells - half:], col_mirror, out=y3[:, n_cells - half:])
-        near, far = y[:, :width], y[mirror_run]
-        np.add(near, far, out=dest[:, :width])
-        np.subtract(near, far, out=dest[mirror_run])
-        if n_cells % 2:
-            np.matmul(x3[:, half], Z, out=dest[:, width:width + r])
-
-    def rotate_pair(p, dest_s, dest_a):
-        np.matmul(row_near, rows[p], out=u)
-        np.matmul(row_mirror, rows[n_cells - 1 - p], out=v)
-        np.add(u, v, out=sym)
-        np.subtract(u[::-1], v[::-1], out=anti)
-        rotate_columns(sym, dest_s)
-        rotate_columns(anti, dest_a)
-
-    def rotate_middle(dest):
-        np.matmul(Z.T, rows[half], out=sym)
-        rotate_columns(sym, dest)
-
+    rows = J.reshape(n_cells, r, -1)
     bound = REFLECTION_RTOL * _maxabs(J)
-    for p in range(half):
-        rotate_pair(p, out_s, out_a)
-        if not max(_maxabs(out_s[:, ns:]), _maxabs(out_a[:, :ns])) <= bound:
-            return None
-    if n_cells % 2:
-        rotate_middle(out_s)
-        if not max(_maxabs(out_s[:r_plus, ns:]), _maxabs(out_s[r_plus:, :ns])) <= bound:
+    for p in range((n_cells + 1) // 2):
+        mirror = (G @ rows[n_cells - 1 - p]).reshape(r, n_cells, r)[:, ::-1] @ G
+        mirror -= rows[p].reshape(r, n_cells, r)
+        if not _maxabs(mirror) <= bound:
             return None
 
-    for p in range(half):
-        rotate_pair(p, rows[p], rows[n_cells - 1 - p])
-    if n_cells % 2:
-        rotate_middle(rows[half])
-    return ns
+    h, odd = n_cells // 2, n_cells % 2
+    Z, r_plus = Z[:, ::-1], int(np.count_nonzero(s > 0.0))
+    Zs = Z * np.sign(s[::-1])
+    K = J.reshape(n_cells, r, n_cells, r)
+    for p in range(n_cells):
+        rot = ((Zs if p >= h + odd else Z).T @ rows[p]).reshape(r, n_cells, r)
+        np.matmul(rot[:, :h + odd], Z, out=K[p, :, :h + odd])
+        np.matmul(rot[:, h + odd:], Zs, out=K[p, :, h + odd:])
+
+    w = np.sqrt(0.5)
+    for p in range(h):
+        near, far = K[p], K[n_cells - 1 - p]      # rows of p and p'
+        sym, anti = near[:, :h], far[:, ::-1][:, :h]    # K_pq and K_p'q'
+        even = sym + anti
+        cross = near[:, ::-1][:, :h] + far[:, :h]       # K_pq' + K_p'q
+        np.add(even, cross, out=sym)
+        np.subtract(even, cross, out=anti)
+        sym *= 0.5
+        anti *= 0.5
+        if odd:                                   # column of the middle cell
+            x, y = near[:, h], far[:, h]
+            plus, minus = w * (x + y), w * (x - y)
+            x[:, :r_plus], y[:, r_plus:] = plus[:, :r_plus], minus[:, r_plus:]
+    if odd:                                       # row of the middle cell
+        x, y = K[h, :, :h], K[h, :, ::-1][:, :h]
+        plus, minus = w * (x + y), w * (x - y)
+        x[:r_plus], y[r_plus:] = plus[:r_plus], minus[r_plus:]
+    return h * r + (r_plus if odd else 0)
 
 
 def cr_jacobian_spectrum(
@@ -321,31 +296,20 @@ def cr_jacobian_spectrum(
 
     The Jacobian comes from ``cr_jacobian_matrix``; ``threads`` does nothing
     and is kept for the same reason as there.  When J commutes with the
-    mirror reflection (``_reflect_in_place``), the eigenvalues are those of
-    its two diagonal blocks, symmetric block first, and ``params`` records
-    their sizes as ``reflection_blocks``; otherwise they come from one dense
+    mirror reflection (``_mirror_split``), the eigenvalues are those of its
+    two diagonal blocks, symmetric block first, and ``params`` records their
+    sizes as ``reflection_blocks``; otherwise they come from one dense
     eigensolve of J.
     """
-    n_cells, q = f0.shape
-    r = q - basis.k
-    n = check_dense_dimension(n_cells, basis)
-    # J and then the reflection's scratch share one buffer.  The dense path
-    # cuts the scratch off before its eigensolve copies J, so that the copy
-    # can reuse that memory; resize needs every view of buf gone.
-    buf = np.zeros(n * n + REFLECTION_SCRATCH * r * n)
-    J = cr_jacobian_matrix(stepper, basis, f0, cfg, naive_P=naive_P,
-                           out=buf[:n * n].reshape(n, n))
+    J = cr_jacobian_matrix(stepper, basis, f0, cfg, naive_P=naive_P)
     params = {
-        "N": n_cells, "q": q, "k": basis.k, "m": cfg.order_m,
+        "N": f0.shape[0], "q": basis.q, "k": basis.k, "m": cfg.order_m,
         "projector": "naive" if naive_P is not None else "qr",
     }
-    ns = _reflect_in_place(J, n_cells, unconserved_basis(basis), buf[n * n:])
+    ns = _mirror_split(J, f0.shape[0], unconserved_basis(basis))
     if ns is None:
-        del J
-        buf.resize(n * n)
-        ev = np.linalg.eigvals(buf.reshape(n, n))
+        ev = np.linalg.eigvals(J)
     else:
-        # one block's eigensolve copy at a time
         ev = np.concatenate([np.linalg.eigvals(J[:ns, :ns]), np.linalg.eigvals(J[ns:, ns:])])
-        params["reflection_blocks"] = [ns, n - ns]
+        params["reflection_blocks"] = [ns, len(J) - ns]
     return _report(ev, "cr-jacobian", params)

@@ -288,23 +288,33 @@ def equilibrium_field(
     return DistributionField(grid, vgrid, scale * feq, time=time, scale=scale)
 
 
-def restrict(f: DistributionField, gas: GasParams) -> MacroFields:
+def restrict(
+    f: DistributionField | np.ndarray,
+    gas: GasParams,
+    *,
+    vgrid: VelocityGrid | None = None,
+    scale: float = 1.0,
+) -> MacroFields:
     """Velocity moments of the field: per-cell (n, u, T), scale-aware.
 
     n = dv sum f, u = dv sum v f / n, T = (m / (k_B n)) dv sum (v - u)^2 f
     with the one-dimensional normalization, from the moments about the grid
-    midpoint ``f.values @ vgrid.moments[:, :3] / scale``.
+    midpoint ``values @ vgrid.moments[:, :3] / scale``.  ``f`` is a field,
+    or the (N, Nv) array of scale * f on ``vgrid``; unlike a field's values,
+    such an array is not checked to be finite, and a non-finite row gives a
+    non-finite or non-positive n or T in its cell.
     """
-    vg = f.vgrid
-    M = f.values @ vg.moments[:, :3]
-    M /= f.scale
+    if isinstance(f, DistributionField):
+        f, vgrid, scale = f.values, f.vgrid, f.scale
+    M = f @ vgrid.moments[:, :3]
+    M /= scale
     n = M[:, 0]
     bad = np.nonzero(n == 0.0)[0]
     if bad.size:
         raise ZeroDensityError(int(bad[0]))
     c = M[:, 1] / n  # u - v_mid
     T = (gas.molecular_mass / (BOLTZMANN * n)) * (M[:, 2] - c * M[:, 1])
-    return MacroFields(number_density=n, velocity=vg.v_mid + c, temperature=T)
+    return MacroFields(number_density=n, velocity=vgrid.v_mid + c, temperature=T)
 
 
 def relaxation_frequency(macro: MacroFields, gas: GasParams) -> np.ndarray:

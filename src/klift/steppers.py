@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .kinetic import (
-    DistributionField,
     GasParams,
     SpatialGrid,
     VelocityGrid,
@@ -56,7 +55,8 @@ class BGKStepper:
     ghost cells, whose discrete equilibria are built once here; ``None``
     closes the grid into a periodic ring.  ``step`` is a pure map: the output
     depends only on the input values.  It raises NumericalError, naming the
-    cell, when a cell of the input has a non-positive density or temperature.
+    cell, when a cell of the input has a non-positive or non-finite density
+    or temperature, which is also what a NaN or +-inf entry gives.
 
     The stepper owns the face-flux scratch every step reuses, and the
     relaxation source dt omega f_eq is built in the output itself, so a step
@@ -93,9 +93,11 @@ class BGKStepper:
         self._flux = np.empty((grid.n_cells + 1, vgrid.n_velocities))
 
     def step(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        shape = (self.grid.n_cells, self.vgrid.n_velocities)
+        if values.shape != shape:
+            raise ValueError(f"values shape {values.shape} != {shape}")
         new = _step_output(values, out)
-        f = DistributionField(self.grid, self.vgrid, values, scale=self.scale)
-        macro = restrict(f, self.gas)
+        macro = restrict(values, self.gas, vgrid=self.vgrid, scale=self.scale)
         bad = np.flatnonzero(~(macro.number_density > 0.0) | ~(macro.temperature > 0.0))
         if bad.size:
             j = int(bad[0])

@@ -289,6 +289,11 @@ class TestRestrict:
         )
         np.testing.assert_allclose(scaled.number_density, plain.number_density, rtol=1e-14)
         np.testing.assert_allclose(scaled.temperature, plain.temperature, rtol=1e-14)
+        # the value-array form, as a step reads it, is the same computation
+        rows = restrict(gas.molecular_mass * feq, gas, vgrid=vg, scale=gas.molecular_mass)
+        for a, b in ((rows.number_density, scaled.number_density),
+                     (rows.velocity, scaled.velocity), (rows.temperature, scaled.temperature)):
+            assert a.tobytes() == b.tobytes()
 
     def test_zero_density_error(self):
         gas = helium_gas()

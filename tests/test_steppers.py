@@ -1,5 +1,7 @@
 """Finite-volume BGK stepping and the D1Q3 lattice model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,18 @@ class TestFvStep:
             for _ in range(50):
                 values = st.step(values)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    def test_non_finite_input_names_its_cell(self, bad):
+        # the step's own density and temperature check catches a non-finite
+        # row: NaN gives n = NaN, +-inf gives n = +-inf and T = NaN (numpy
+        # warns as u divides inf by inf)
+        sc = load_shipped("helium_desk.cfg")
+        values = sc.initial_field().values.copy()
+        values[7, 3] = bad
+        with pytest.raises(NumericalError, match=r"^unphysical state entering a step: cell 7 "):
+            sc.make_stepper().step(values)
+
     def test_upwind_exact_shift_at_cfl_one(self):
         # nearly collisionless gas: the velocity column at CFL = 1 is an
         # exact one-cell right shift under periodic upwind transport
@@ -157,6 +171,13 @@ class TestFvStep:
             BGKStepper(
                 grid, vg, helium_gas(), 1.0, inflow=((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
             )
+
+    def test_misshaped_values_raise(self):
+        sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=20)
+        values = sc.initial_field().values
+        for bad in (values[:-1], values[:, :-1], values[:2]):
+            with pytest.raises(ValueError, match="values shape"):
+                sc.make_stepper().step(bad)
 
     def test_step_is_pure(self, rng):
         # stepping another state in between must not change the result for A
