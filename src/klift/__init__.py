@@ -4,14 +4,13 @@ from .cr import (
     CRConfig,
     GMRESParams,
     LiftReport,
+    cr_lift,
     cr_map,
     cr_weights,
     lift_macro,
-    lift_newton,
-    lift_picard,
     restrict_lift_error,
 )
-from .errors import ConvergenceError, KliftError, NumericalError, ZeroDensityError
+from .errors import ConvergenceError, KliftError, NumericalError
 from .kinetic import (
     BOLTZMANN,
     DistributionField,
@@ -33,7 +32,6 @@ from .moments import (
     basis_from_matrix,
     build_moment_basis,
     naive_projector,
-    project_complement,
     reset_conserved,
 )
 from .scenario import Scenario, load_scenario, save_scenario

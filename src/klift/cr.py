@@ -1,12 +1,12 @@
-"""Constrained-runs lifting: the one-step CR map, Picard iteration, and the
-matrix-free Newton-GMRES solve of s - C_m(r0, s) = 0.
+"""Constrained-runs lifting: the one-step CR map and the solve of
+s - C_m(r0, s) = 0 by Picard iteration or matrix-free Newton-GMRES.
 
 A microscopic stepper is anything with ``step(values, out=None) -> out``
 acting on (N, q) arrays: the output depends on the input values alone and is
 written to ``out`` (a fresh array when None).  One CR map applies ``step``
 m+1 times to the guess, backward-extrapolates with the order-m weights, and
-resets the conserved moments to those of the target state f0.  The lifts
-allocate every grid-sized array of their inner loop once and pass it down
+resets the conserved moments to those of the target state f0.  The lift
+allocates every grid-sized array of its inner loop once and passes it down
 as ``out=`` and ``work=``; a call with ``None`` for them does the same
 arithmetic in fresh arrays.
 """
@@ -27,7 +27,7 @@ from .kinetic import (
     MacroFields,
     equilibrium_field,
 )
-from .moments import MomentBasis, project_complement, reset_conserved
+from .moments import MomentBasis, reset_conserved
 
 MAX_ORDER = 8
 MAX_NEWTON_ITERS = 20
@@ -294,7 +294,7 @@ def conserved_drift(basis: MomentBasis, f: np.ndarray, f0: np.ndarray) -> float:
     return float(np.max(np.abs(m - m0) / row_scale))
 
 
-def lift_picard(
+def cr_lift(
     stepper,
     basis: MomentBasis,
     f0: np.ndarray,
@@ -302,68 +302,27 @@ def lift_picard(
     *,
     f_guess: np.ndarray | None = None,
 ) -> tuple[np.ndarray, LiftReport]:
-    """Fixed-point iteration f <- C_m(r0, f) starting from f0.
+    """Solve g(f) = f - C_m(r0, f) = 0 from f0, or from ``f_guess`` when given.
 
-    Stops when the two-norm of the change in the unconserved components
-    drops below ``picard_tol``; raises ConvergenceError (with the residual
-    history) if the iteration stalls or diverges, also when a diverging
-    iterate makes a CR map fail.  ``f_guess`` warm-starts the iteration from
-    a state other than f0.
-    """
-    t0 = _time.perf_counter()
-    f = f0.copy() if f_guess is None else f_guess.copy()
-    f_new, work = np.empty_like(f), cr_buffers(f)
-    history: list[float] = []
-    for it in range(1, cfg.max_picard_iters + 1):
-        try:
-            cr_map(stepper, basis, f0, f, cfg.order_m, out=f_new, work=work)
-        except KliftError as exc:
-            last = f"{history[-1]:.3e}" if history else "none"
-            raise ConvergenceError(
-                f"Picard CR iteration {it} failed in its CR map (last residual {last}, "
-                f"m = {cfg.order_m}): {exc}",
-                residual=history[-1] if history else None,
-                history=history,
-            ) from exc
-        resid = float(np.linalg.norm(project_complement(basis, f_new - f)))
-        history.append(resid)
-        f, f_new = f_new, f
-        if resid < cfg.picard_tol:
-            report = LiftReport(
-                solver="picard",
-                iterations=it,
-                residual_history=history,
-                conserved_drift=conserved_drift(basis, f, f0),
-                wall_time=_time.perf_counter() - t0,
-            )
-            return f, report
-    raise ConvergenceError(
-        f"Picard CR iteration did not reach {cfg.picard_tol:g} "
-        f"in {cfg.max_picard_iters} iterations (last residual {history[-1]:.3e})",
-        residual=history[-1],
-        history=history,
-    )
+    Each iteration maps f and stops once ||g|| is below the solver's
+    tolerance (``newton_tol`` or ``picard_tol``); a final reset then removes
+    the last rounding-level drift of the conserved moments, which every CR
+    map pins.  Otherwise f moves by the correction x of (I - J) x = -g:
+    Newton solves it by GMRES with J the matrix-free ``cr_jvp``, a forward
+    difference of the CR map; Picard takes J = 0, so f <- C_m(r0, f).
 
-
-def lift_newton(
-    stepper,
-    basis: MomentBasis,
-    f0: np.ndarray,
-    cfg: CRConfig,
-    *,
-    f_guess: np.ndarray | None = None,
-) -> tuple[np.ndarray, LiftReport]:
-    """Newton-GMRES solve of g(f) = f - C_m(r0, f) = 0.
-
-    The Jacobian action is matrix-free: ``cr_jvp``, a forward difference of
-    the CR map.  The conserved moments stay pinned because every CR
-    evaluation resets them; a final reset removes the last rounding-level
-    drift.  Every grid-sized array of the loop is allocated once per lift:
-    the CR map's scratch, C(f), the residual, and the JVP's perturbed state
-    and result.
+    Every failure raises ConvergenceError with the residual history: a CR
+    map that fails (also inside a GMRES matvec), GMRES stagnation, three
+    rising residuals, and a budget of MAX_NEWTON_ITERS or
+    ``max_picard_iters`` corrections spent.  Every grid-sized array of the
+    loop is allocated once per lift: the CR map's scratch, C(f), the
+    residual, and the JVP's perturbed state and result.
     """
     t0 = _time.perf_counter()
     shape = f0.shape
+    newton = cfg.solver == "newton"
+    name = cfg.solver.capitalize()
+    tol, budget = (cfg.newton_tol, MAX_NEWTON_ITERS) if newton else (cfg.picard_tol, cfg.max_picard_iters)
     f = f0.copy() if f_guess is None else f_guess.copy()
     # one block for all seven: glibc's trim threshold follows the largest
     # block freed, so the next lift reuses this one where seven separate
@@ -374,22 +333,31 @@ def lift_newton(
     history: list[float] = []
     gmres_total = 0
 
+    def failure(message):
+        return ConvergenceError(message, residual=history[-1] if history else None, history=history)
+
     def apply_map(state, out=None):
-        return cr_map(stepper, basis, f0, state, cfg.order_m, out=out, work=work)
+        try:
+            return cr_map(stepper, basis, f0, state, cfg.order_m, out=out, work=work)
+        except KliftError as exc:
+            last = f"{history[-1]:.3e}" if history else "none"
+            raise failure(
+                f"{name} CR iteration {it} failed in its CR map (last residual {last}, "
+                f"m = {cfg.order_m}): {exc}") from exc
 
     def matvec(v):
         cr_jvp(apply_map, f, Cf, v.reshape(shape), out=jvp, work=pert)
         return np.subtract(v, jvp.reshape(-1), out=jvp.reshape(-1))
 
-    for it in range(MAX_NEWTON_ITERS + 1):
+    for it in range(budget + 1):
         apply_map(f, Cf)
         np.subtract(f, Cf, out=g)
         resid = float(np.linalg.norm(g))
         history.append(resid)
-        if resid < cfg.newton_tol:
+        if resid < tol:
             reset_conserved(basis, f, f0, out=f, work=g)
             report = LiftReport(
-                solver="newton",
+                solver=cfg.solver,
                 iterations=it,
                 residual_history=history,
                 conserved_drift=conserved_drift(basis, f, f0),
@@ -397,34 +365,29 @@ def lift_newton(
                 gmres_iterations=gmres_total,
             )
             return f, report
-        if it == MAX_NEWTON_ITERS:
+        if it == budget:
             break
         if len(history) >= 3 and history[-1] > history[-2] > history[-3]:
-            raise ConvergenceError(
-                "Newton CR iteration diverging",
-                residual=resid,
-                history=history,
-            )
+            raise failure(
+                f"{name} CR iteration diverging: residuals {history[-3]:.3e}, "
+                f"{history[-2]:.3e}, {resid:.3e} (m = {cfg.order_m})")
+        if not newton:
+            np.copyto(f, Cf)
+            continue
 
         solve = gmres(matvec, np.negative(g, out=g).reshape(-1), cfg.gmres)
         gmres_total += solve.iterations
         if solve.info != 0:
-            raise ConvergenceError(
+            raise failure(
                 f"GMRES stagnated in Newton step {it} (info={solve.info}): "
                 f"{solve.iterations} inner iterations, estimated relative residual "
                 f"{solve.estimate:.3e} and true relative residual {solve.residual:.3e} "
-                f"against rtol {cfg.gmres.tol:g}",
-                residual=resid,
-                history=history,
-            )
+                f"against rtol {cfg.gmres.tol:g}")
         f += solve.x.reshape(shape)
 
-    raise ConvergenceError(
-        f"Newton CR iteration did not reach {cfg.newton_tol:g} "
-        f"in {MAX_NEWTON_ITERS} iterations (last residual {history[-1]:.3e})",
-        residual=history[-1],
-        history=history,
-    )
+    raise failure(
+        f"{name} CR iteration did not reach {tol:g} "
+        f"in {budget} iterations (last residual {history[-1]:.3e})")
 
 
 def lift_macro(
@@ -448,8 +411,7 @@ def lift_macro(
     keeps high-order iterates close to the slow manifold).
     """
     f0 = equilibrium_field(macro, grid, vgrid, gas, scale=scale, time=time)
-    solve = lift_newton if cfg.solver == "newton" else lift_picard
-    values, report = solve(stepper, basis, f0.values, cfg, f_guess=f_guess)
+    values, report = cr_lift(stepper, basis, f0.values, cfg, f_guess=f_guess)
     return f0.with_values(values), report
 
 

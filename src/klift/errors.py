@@ -20,11 +20,3 @@ class ConvergenceError(KliftError):
 
 class NumericalError(KliftError):
     """A computation produced non-finite values or lost numerical rank."""
-
-
-class ZeroDensityError(KliftError):
-    """Restriction hit a cell with vanishing density."""
-
-    def __init__(self, cell_index):
-        super().__init__(f"zero number density in cell {cell_index}")
-        self.cell_index = cell_index

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, ZeroDensityError
+from .errors import ConvergenceError, NumericalError
 
 BOLTZMANN = 1.380649e-23  # J/K
 # Relative residual tolerance and iteration cap of the equilibrium Newton solve.
@@ -179,10 +179,13 @@ def discrete_equilibrium(
     n = np.atleast_1d(np.asarray(n, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     T = np.atleast_1d(np.asarray(T, dtype=float))
-    if np.any(n <= 0.0):
-        raise ValueError("number density must be positive")
-    if np.any(T <= 0.0):
-        raise ValueError("temperature must be positive")
+    bad = np.flatnonzero(~((n > 0.0) & (T > 0.0) & np.isfinite(n) & np.isfinite(u) & np.isfinite(T)))
+    if bad.size:
+        j = int(bad[0])
+        n, u, T = np.broadcast_arrays(n, u, T)  # a scalar may stand for every cell
+        raise ValueError(
+            f"the equilibrium needs positive finite n and T and finite u: cell {j} has "
+            f"n {n[j]:.3e} 1/m^3, u {u[j]:.3e} m/s, T {T[j]:.3e} K")
 
     kB, m = BOLTZMANN, gas.molecular_mass
     feq = np.empty((n.size, vgrid.n_velocities)) if out is None else out
@@ -300,20 +303,25 @@ def restrict(
     n = dv sum f, u = dv sum v f / n, T = (m / (k_B n)) dv sum (v - u)^2 f
     with the one-dimensional normalization, from the moments about the grid
     midpoint ``values @ vgrid.moments[:, :3] / scale``.  ``f`` is a field,
-    or the (N, Nv) array of scale * f on ``vgrid``; unlike a field's values,
-    such an array is not checked to be finite, and a non-finite row gives a
-    non-finite or non-positive n or T in its cell.
+    or the (N, Nv) array of scale * f on ``vgrid``, such as a step's input.
+    This is the one check that a state is physical: NumericalError names the
+    first cell whose n or T is not positive and finite, which is also where
+    a non-finite value lands.
     """
     if isinstance(f, DistributionField):
         f, vgrid, scale = f.values, f.vgrid, f.scale
-    M = f @ vgrid.moments[:, :3]
-    M /= scale
-    n = M[:, 0]
-    bad = np.nonzero(n == 0.0)[0]
+    with np.errstate(all="ignore"):  # a bad cell is named below instead
+        M = f @ vgrid.moments[:, :3]
+        M /= scale
+        n = M[:, 0]
+        c = M[:, 1] / n  # u - v_mid
+        T = (gas.molecular_mass / (BOLTZMANN * n)) * (M[:, 2] - c * M[:, 1])
+    bad = np.flatnonzero(~((n > 0.0) & (T > 0.0) & np.isfinite(n) & np.isfinite(T)))
     if bad.size:
-        raise ZeroDensityError(int(bad[0]))
-    c = M[:, 1] / n  # u - v_mid
-    T = (gas.molecular_mass / (BOLTZMANN * n)) * (M[:, 2] - c * M[:, 1])
+        j = int(bad[0])
+        raise NumericalError(
+            f"unphysical state: cell {j} has density {n[j]:.3e} 1/m^3 "
+            f"and temperature {T[j]:.3e} K")
     return MacroFields(number_density=n, velocity=vgrid.v_mid + c, temperature=T)
 
 

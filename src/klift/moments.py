@@ -94,11 +94,6 @@ def basis_from_matrix(M: np.ndarray, k: int, *, kind: BasisKind = BasisKind.CUST
     return MomentBasis(kind=kind, M=M, k=k, M0=M0, Q=Q, R=R)
 
 
-def project_complement(basis: MomentBasis, f: np.ndarray) -> np.ndarray:
-    """Apply I - Q Q^T along the last axis: strips the conserved components."""
-    return f - (f @ basis.Q) @ basis.Q.T
-
-
 def reset_conserved(
     basis: MomentBasis,
     f_pre: np.ndarray,

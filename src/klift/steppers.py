@@ -54,9 +54,10 @@ class BGKStepper:
     ``inflow`` gives the (n, u, T) of the left (surface) and right (ambient)
     ghost cells, whose discrete equilibria are built once here; ``None``
     closes the grid into a periodic ring.  ``step`` is a pure map: the output
-    depends only on the input values.  It raises NumericalError, naming the
-    cell, when a cell of the input has a non-positive or non-finite density
-    or temperature, which is also what a NaN or +-inf entry gives.
+    depends only on the input values.  Its ``restrict`` raises NumericalError,
+    naming the cell, when a cell of the input has a non-positive or
+    non-finite density or temperature, which is also what a NaN or +-inf
+    entry gives.
 
     The stepper owns the face-flux scratch every step reuses, and the
     relaxation source dt omega f_eq is built in the output itself, so a step
@@ -98,13 +99,6 @@ class BGKStepper:
             raise ValueError(f"values shape {values.shape} != {shape}")
         new = _step_output(values, out)
         macro = restrict(values, self.gas, vgrid=self.vgrid, scale=self.scale)
-        bad = np.flatnonzero(~(macro.number_density > 0.0) | ~(macro.temperature > 0.0))
-        if bad.size:
-            j = int(bad[0])
-            raise NumericalError(
-                f"unphysical state entering a step: cell {j} has density "
-                f"{macro.number_density[j]:.3e} 1/m^3 and temperature {macro.temperature[j]:.3e} K"
-            )
 
         left, right = (values[-1], values[0]) if self._ghosts is None else self._ghosts
         # flux[j] is (dt/dx) times the flux on face j - 1/2, between rows j - 1

@@ -579,6 +579,21 @@ class TestCLI:
                      "--out", str(tmp_path / "macro.csv")]) == EXIT_ARG
         assert "cut.snap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["restrict", "lift"])
+    def test_unphysical_snapshot_is_numerical_error(self, tmp_path, capsys, command):
+        # a negative-density cell is named by restriction before any output
+        cfg, sc = tiny_config(tmp_path)
+        field = sc.initial_field()
+        values = field.values.copy()
+        values[7] *= -1.0
+        snap = tmp_path / "bad.snap"
+        write_snapshot(snap, field.with_values(values))
+        flag = "--reference" if command == "lift" else "--snapshot"
+        assert main([command, "--config", str(cfg), flag, str(snap),
+                     "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: unphysical state: cell 7 ")
+        assert not list(tmp_path.glob("out*"))
+
     def test_restrict_grid_mismatch_is_arg_error(self, tmp_path):
         snap = tmp_path / "seven.snap"
         write_snapshot(snap, load_shipped("helium_desk.cfg").with_overrides(n_cells=7)

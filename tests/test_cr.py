@@ -17,11 +17,10 @@ from klift import (
     build_moment_basis,
     build_spatial_grid,
     build_velocity_grid,
+    cr_lift,
     cr_map,
     cr_weights,
     lift_macro,
-    lift_newton,
-    lift_picard,
     restrict,
     restrict_lift_error,
 )
@@ -29,7 +28,7 @@ from klift.cli import lift_report_rows
 from klift.cr import GMRESResult, conserved_drift, cr_buffers, cr_jvp, gmres
 from klift.errors import NumericalError
 from klift.kinetic import DistributionField, equilibrium_field
-from klift.moments import basis_from_matrix, naive_projector, project_complement, reset_conserved
+from klift.moments import basis_from_matrix, naive_projector, reset_conserved
 from klift.steppers import D1Q3Stepper
 
 from conftest import IdentityStepper, LinearODEStepper, load_shipped
@@ -166,8 +165,10 @@ class TestPicard:
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
         st = D1Q3Stepper(omega=1.2)
         f0 = np.full((6, 3), 0.5)
-        out, report = lift_picard(st, basis, f0, CRConfig(order_m=0, solver="picard"))
-        assert report.iterations == 1
+        # the first map already passes: no correction, and f0 comes back reset
+        out, report = cr_lift(st, basis, f0, CRConfig(order_m=0, solver="picard"))
+        assert report.iterations == 0
+        assert len(report.residual_history) == 1
         np.testing.assert_allclose(out, f0, atol=1e-14)
 
     def test_ode_slow_manifold(self):
@@ -177,7 +178,7 @@ class TestPicard:
         r0 = 2.0
         f0 = np.array([[r0, 0.0]])
         cfg = CRConfig(order_m=0, solver="picard", picard_tol=1e-14)
-        out, report = lift_picard(st, basis, f0, cfg)
+        out, report = cr_lift(st, basis, f0, cfg)
         a = st.slow_slope
         assert out[0, 0] == pytest.approx(r0, abs=1e-13)
         assert abs(out[0, 1] - a * r0) <= 10.0 * eps * abs(r0)
@@ -188,15 +189,17 @@ class TestPicard:
         st = D1Q3Stepper(omega=1.9)
         f0 = rng.random((6, 3))
         cfg = CRConfig(order_m=0, solver="picard", picard_tol=1e-16, max_picard_iters=3)
-        with pytest.raises(ConvergenceError) as exc:
-            lift_picard(st, basis, f0, cfg)
-        assert len(exc.value.history) == 3
+        with pytest.raises(ConvergenceError, match="did not reach") as exc:
+            cr_lift(st, basis, f0, cfg)
+        # three corrections: the residual of f0 and of each corrected iterate
+        assert len(exc.value.history) == 4
         assert exc.value.residual == exc.value.history[-1]
 
-
-    def test_failed_map_raises_with_history(self, rng):
-        # a diverging iterate that makes a step fail ends in ConvergenceError,
-        # not in the step's own NumericalError
+    @pytest.mark.parametrize("solver,iteration,residuals", [("picard", 4, 4), ("newton", 0, 1)])
+    def test_failed_map_raises_with_history(self, rng, solver, iteration, residuals):
+        # a step that fails ends in ConvergenceError, not in the step's own
+        # NumericalError: for Picard in the fifth map of f, for Newton in a
+        # GMRES matvec of the first Newton step
         class FailingStepper(D1Q3Stepper):
             steps = 0
 
@@ -207,13 +210,31 @@ class TestPicard:
                 return super().step(values, out)
 
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
-        cfg = CRConfig(order_m=0, solver="picard", picard_tol=1e-16)
-        with pytest.raises(ConvergenceError, match="Picard CR iteration 5 failed") as exc:
-            lift_picard(FailingStepper(omega=1.9), basis, rng.random((6, 3)), cfg)
-        assert len(exc.value.history) == 4
+        cfg = CRConfig(order_m=0, solver=solver, picard_tol=1e-16, newton_tol=1e-16)
+        name = solver.capitalize()
+        with pytest.raises(ConvergenceError, match=f"^{name} CR iteration {iteration} failed") as exc:
+            cr_lift(FailingStepper(omega=1.9), basis, rng.random((6, 3)), cfg)
+        assert len(exc.value.history) == residuals
         assert exc.value.residual == exc.value.history[-1]
         assert isinstance(exc.value.__cause__, NumericalError)
         assert "unphysical state entering a step" in str(exc.value)
+
+    def test_diverging_lift_stops_with_history(self):
+        # the CR map at m = 2 is unstable on this 50-step state: three rising
+        # residuals end the lift before an iterate leaves the physical states
+        sc = load_shipped("helium_L30.cfg").with_overrides(n_cells=20, n_velocities=16)
+        stepper = sc.make_stepper()
+        values = sc.initial_field().values
+        for _ in range(50):
+            values = stepper.step(values)
+        reference = sc.initial_field().with_values(values)
+        basis = build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3)
+        with pytest.raises(ConvergenceError, match=r"^Picard CR iteration diverging: ") as exc:
+            lift_macro(stepper, basis, restrict(reference, sc.gas), sc.gas, sc.cr_config(2, "picard"),
+                       grid=sc.grid, vgrid=sc.vgrid, scale=sc.scale)
+        history = exc.value.history
+        assert len(history) == 3 and history[0] < history[1] < history[2]
+        assert exc.value.residual == history[-1]
 
 
 class TestNewton:
@@ -227,7 +248,7 @@ class TestNewton:
             order_m=0, solver="newton", newton_tol=1e-6,
             gmres=GMRESParams(tol=1e-8, max_iters=200),
         )
-        out, report = lift_newton(st, basis, f0, cfg)
+        out, report = cr_lift(st, basis, f0, cfg)
         assert report.iterations == 1
         assert report.residual_history[-1] < 1e-6
         assert conserved_drift(basis, out, f0) < 1e-12
@@ -251,7 +272,7 @@ class TestNewton:
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
         st = D1Q3Stepper(omega=1.3)
         f0 = rng.random((4, 3)) + 0.5
-        _, report = lift_newton(st, basis, f0, CRConfig(order_m=1, solver="newton"))
+        _, report = cr_lift(st, basis, f0, CRConfig(order_m=1, solver="newton"))
         assert all(np.isfinite(report.residual_history))
         assert report.gmres_iterations > 0
         rows = lift_report_rows(report.residual_history)
@@ -328,8 +349,9 @@ class TestConservedDrift:
         basis = build_moment_basis(BasisKind.MONOMIAL, np.sort(rng.normal(size=6)), 3)
         f0, guess = rng.random((4, 6)), rng.random((4, 6))
         out = cr_map(IdentityStepper(), basis, f0, guess, 0)
-        np.testing.assert_allclose(
-            project_complement(basis, out), project_complement(basis, guess), atol=1e-13
+        np.testing.assert_allclose(  # a reset to zero moments strips the conserved components
+            reset_conserved(basis, out, np.zeros_like(out)),
+            reset_conserved(basis, guess, np.zeros_like(guess)), atol=1e-13
         )
         assert conserved_drift(basis, out, f0) < 1e-12
 
@@ -348,7 +370,7 @@ def desk_lift_problem():
 
 
 def scipy_gmres(matvec, b, params):
-    """scipy.sparse.linalg.gmres called as lift_newton called it before klift.cr.gmres.
+    """scipy.sparse.linalg.gmres called as the Newton lift called it before klift.cr.gmres.
 
     restart=None meant min(n, max_iters); the iteration count is the number
     of pr_norm callbacks.  The true residual is not computed (NaN).

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from klift import BasisKind, CRConfig, build_moment_basis, lift_picard
+from klift import BasisKind, CRConfig, build_moment_basis, cr_lift
 from klift.cr import cr_jvp, cr_map, fd_step
 from klift.diagnostics import (
     cr_jacobian_matrix,
@@ -212,7 +212,7 @@ class TestCRJacobian:
         budget = math.ceil(math.log(theta) / math.log(rho)) + 20
         cfg = CRConfig(order_m=0, solver="picard", picard_tol=theta,
                        max_picard_iters=budget)
-        _, report = lift_picard(st, basis, f0, cfg)
+        _, report = cr_lift(st, basis, f0, cfg)
         assert report.iterations <= budget
 
 

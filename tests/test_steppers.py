@@ -84,16 +84,17 @@ class TestFvStep:
             for _ in range(50):
                 values = st.step(values)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
-    def test_non_finite_input_names_its_cell(self, bad):
-        # the step's own density and temperature check catches a non-finite
-        # row: NaN gives n = NaN, +-inf gives n = +-inf and T = NaN (numpy
-        # warns as u divides inf by inf)
+    @pytest.mark.parametrize("bad,row", [(b, row) for row in (False, True)
+                                         for b in (math.nan, math.inf, -math.inf)],
+                             ids=["nan", "inf", "-inf", "nan-row", "inf-row", "-inf-row"])
+    def test_non_finite_input_names_its_cell(self, bad, row):
+        # restriction's density and temperature check catches a non-finite
+        # entry or row, without a numpy warning: NaN gives n = NaN, +-inf
+        # gives n = +-inf and T = NaN
         sc = load_shipped("helium_desk.cfg")
         values = sc.initial_field().values.copy()
-        values[7, 3] = bad
-        with pytest.raises(NumericalError, match=r"^unphysical state entering a step: cell 7 "):
+        values[7, slice(None) if row else 3] = bad
+        with pytest.raises(NumericalError, match=r"^unphysical state: cell 7 "):
             sc.make_stepper().step(values)
 
     def test_upwind_exact_shift_at_cfl_one(self):
