@@ -195,11 +195,10 @@ class TestPicard:
         assert len(exc.value.history) == 4
         assert exc.value.residual == exc.value.history[-1]
 
-    @pytest.mark.parametrize("solver,iteration,residuals", [("picard", 4, 4), ("newton", 0, 1)])
-    def test_failed_map_raises_with_history(self, rng, solver, iteration, residuals):
+    @staticmethod
+    def _check_failed_map(rng, solver, iteration, residuals):
         # a step that fails ends in ConvergenceError, not in the step's own
-        # NumericalError: for Picard in the fifth map of f, for Newton in a
-        # GMRES matvec of the first Newton step
+        # NumericalError
         class FailingStepper(D1Q3Stepper):
             steps = 0
 
@@ -218,6 +217,14 @@ class TestPicard:
         assert exc.value.residual == exc.value.history[-1]
         assert isinstance(exc.value.__cause__, NumericalError)
         assert "unphysical state entering a step" in str(exc.value)
+
+    def test_failed_map_raises_with_history(self, rng):
+        # Picard fails in the fifth map of f, after four corrections
+        self._check_failed_map(rng, "picard", 4, 4)
+
+    def test_failed_gmres_matvec_map_raises_with_history(self, rng):
+        # Newton fails in a GMRES matvec of its first step
+        self._check_failed_map(rng, "newton", 0, 1)
 
     def test_diverging_lift_stops_with_history(self):
         # the CR map at m = 2 is unstable on this 50-step state: three rising
