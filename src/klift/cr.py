@@ -35,6 +35,10 @@ SOLVERS = ("picard", "newton")
 # Relative forward-difference step: the square root of machine epsilon
 # balances truncation against rounding for a smooth map.
 FD_EPSILON = math.sqrt(np.finfo(float).eps)
+# ||f - C f|| cannot fall below the rounding of C f: residuals within this
+# multiple of eps ||f|| are at that floor (desk lifts at m = 0..3 stall at
+# 0.3-4.1 eps ||f||), and rising there is noise, not divergence.
+ROUNDING_FLOOR = 100.0
 
 
 def cr_weights(order_m: int) -> np.ndarray:
@@ -313,7 +317,9 @@ def cr_lift(
 
     Every failure raises ConvergenceError with the residual history: a CR
     map that fails (also inside a GMRES matvec), GMRES stagnation, three
-    rising residuals, and a budget of MAX_NEWTON_ITERS or
+    rising residuals (a stall when all three lie within ROUNDING_FLOOR
+    eps ||f||, since the tolerance then lies below what rounding allows, and
+    divergence otherwise), and a budget of MAX_NEWTON_ITERS or
     ``max_picard_iters`` corrections spent.  Every grid-sized array of the
     loop is allocated once per lift: the CR map's scratch, C(f), the
     residual, and the JVP's perturbed state and result.
@@ -368,9 +374,14 @@ def cr_lift(
         if it == budget:
             break
         if len(history) >= 3 and history[-1] > history[-2] > history[-3]:
-            raise failure(
-                f"{name} CR iteration diverging: residuals {history[-3]:.3e}, "
-                f"{history[-2]:.3e}, {resid:.3e} (m = {cfg.order_m})")
+            rising = f"residuals {history[-3]:.3e}, {history[-2]:.3e}, {resid:.3e}"
+            floor = ROUNDING_FLOOR * np.finfo(float).eps * float(np.linalg.norm(f))
+            if resid <= floor:
+                raise failure(
+                    f"{name} CR iteration stalled at the rounding floor: {rising} lie "
+                    f"within {ROUNDING_FLOOR:g} eps ||f|| = {floor:.3e}, so the tolerance "
+                    f"{tol:g} lies below it (m = {cfg.order_m})")
+            raise failure(f"{name} CR iteration diverging: {rising} (m = {cfg.order_m})")
         if not newton:
             np.copyto(f, Cf)
             continue

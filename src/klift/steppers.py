@@ -7,24 +7,37 @@ is all the constrained-runs machinery needs.  The finite-volume
 step follows the integrated form
 f_i(x_j, t+dt) = f_i - (dt/dx)(phi_{i,j+1/2} - phi_{i,j-1/2}) + dt w (f_eq - f_i)
 with first-order upwind fluxes and equilibrium ghost cells; upwind is the one
-flux, as forward Euler with a centred flux is unstable for advection.  The
-three-speed diffusive lattice Boltzmann model is kept as a small exact oracle
-for the constrained-runs machinery.
+flux, as forward Euler with a centred flux is unstable for advection.
+
+The step is local and translation invariant: output row j is one and the same
+function of rows j - 1, j and j + 1 at every cell, where row -1 and row N are
+the ghost rows (or, on a periodic ring, rows N - 1 and 0).  A cell whose three
+rows equal its left neighbour's therefore has its neighbour's output, so a run
+of equal rows, such as the undisturbed ambient gas ahead of an expansion, is
+stepped once.  The three-speed diffusive lattice Boltzmann model is kept as a
+small exact oracle for the constrained-runs machinery.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import KliftError, NumericalError
 from .kinetic import (
     GasParams,
+    MacroFields,
     SpatialGrid,
     VelocityGrid,
     discrete_equilibrium,
     relaxation_frequency,
     restrict,
 )
+
+# A step computes only the kept cells when more than this share of the grid
+# drops; otherwise the row compare, gather and scatter cost more than the
+# cells they save.  On helium_L30000 states (N = 1600, Nv = 56, 2 vCPUs) the
+# two paths broke even at 19-29 % of the cells dropped.
+MIN_DROPPED_SHARE = 0.25
 
 
 def _step_output(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -37,6 +50,37 @@ def _step_output(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     if np.may_share_memory(out, values):
         raise ValueError("out must not overlap the values it is stepped from")
     return out
+
+
+def _kept_cells(values: np.ndarray) -> np.ndarray | None:
+    """The cells a step must compute, as a mask, or None to compute them all.
+
+    Cell c (2 <= c <= N - 2) is dropped when its rows c - 2 .. c + 1 are
+    equal: its stencil c - 1 .. c + 1 is then its left neighbour's, and so is
+    its output.  Cells 0, 1 and N - 1 are always kept, as their stencils or
+    their left neighbour's hold a ghost (or periodic) row.  Neighbouring rows
+    with equal middle entries are the candidate pairs, which an exact compare
+    of the rows confirms; a state without runs costs only the first test.
+    (Equal (n, u, T) would name the candidates too, but restriction's matrix
+    product may round an equal row differently at the edge of its tiles.)
+    None unless more than MIN_DROPPED_SHARE of the cells drop.
+    """
+    most = MIN_DROPPED_SHARE * len(values)
+    middle = values[:, values.shape[1] // 2]
+    same = middle[1:] == middle[:-1]
+    if np.count_nonzero(same) <= most:
+        return None
+    # a candidate whose rows differ in any entry is no pair; flagging the
+    # unequal entries costs less than a per-row reduction
+    differ = values[1:] != values[:-1]
+    differ[~same] = False
+    same[np.flatnonzero(differ) // values.shape[1]] = False
+    drop = same[:-2] & same[1:-1] & same[2:]
+    if np.count_nonzero(drop) <= most:
+        return None
+    keep = np.ones(len(values), dtype=bool)
+    keep[2:-1] = ~drop
+    return keep
 
 
 def stable_dt(vgrid: VelocityGrid, dx: float, omega0: np.ndarray, safety: float = 0.9) -> float:
@@ -54,15 +98,29 @@ class BGKStepper:
     ``inflow`` gives the (n, u, T) of the left (surface) and right (ambient)
     ghost cells, whose discrete equilibria are built once here; ``None``
     closes the grid into a periodic ring.  ``step`` is a pure map: the output
-    depends only on the input values.  Its ``restrict`` raises NumericalError,
-    naming the cell, when a cell of the input has a non-positive or
-    non-finite density or temperature, which is also what a NaN or +-inf
-    entry gives.
+    depends only on the input values, and row j only on rows j - 1 .. j + 1,
+    by the same arithmetic at every cell.  Its ``restrict`` raises
+    NumericalError, naming the cell, when a cell of the input has a
+    non-positive or non-finite density or temperature, which is also what a
+    NaN or +-inf entry gives.
+
+    Identical stencils are stepped once: when more than MIN_DROPPED_SHARE of
+    the cells sit inside runs of equal rows, the flux, equilibrium and update
+    run on the kept cells only (see ``_kept_cells``), packed together, and
+    each dropped cell copies the output of the last kept cell before it.
+    Packing the kept rows is exact: two kept cells with only dropped cells
+    between them sit in one run of equal rows, so the face between them
+    carries the flux of either of their own faces into the run.  An error in
+    the packed arithmetic reruns the full grid, so it names the cell of the
+    input.  The result agrees with the full grid's to the rounding of the
+    matrix products in restriction and the equilibrium, which may round an
+    equal row differently at another row position.
 
     The stepper owns the face-flux scratch every step reuses, and the
     relaxation source dt omega f_eq is built in the output itself, so a step
-    given ``out`` allocates nothing the size of the grid; one stepper must
-    not step from two threads at once.
+    given ``out`` allocates nothing the size of the grid: the packed step's
+    two arrays hold the kept rows only, fewer than (1 - MIN_DROPPED_SHARE) N.
+    One stepper must not step from two threads at once.
     """
 
     def __init__(
@@ -99,12 +157,29 @@ class BGKStepper:
             raise ValueError(f"values shape {values.shape} != {shape}")
         new = _step_output(values, out)
         macro = restrict(values, self.gas, vgrid=self.vgrid, scale=self.scale)
+        keep = _kept_cells(values)
+        if keep is None:
+            return self._update(values, macro, new)
+        # the packed row holding each cell's output: its own, or that of the
+        # last kept cell before it
+        rows = np.cumsum(keep) - 1
+        packed = MacroFields(macro.number_density[keep], macro.velocity[keep],
+                             macro.temperature[keep])
+        try:
+            result = self._update(values[keep], packed, np.empty((rows[-1] + 1, shape[1])))
+        except KliftError:
+            # the full grid fails the same way and names the cell of ``values``
+            return self._update(values, macro, new)
+        # mode="raise" would buffer ``out``; every row index is in range
+        return np.take(result, rows, axis=0, out=new, mode="clip")
 
+    def _update(self, values: np.ndarray, macro: MacroFields, new: np.ndarray) -> np.ndarray:
+        """The step's arithmetic from rows ``values``, whose (n, u, T) is ``macro``, into ``new``."""
         left, right = (values[-1], values[0]) if self._ghosts is None else self._ghosts
         # flux[j] is (dt/dx) times the flux on face j - 1/2, between rows j - 1
         # and j; faces 0 and N take the ghost (or periodic) rows.  ``new`` holds
         # v- f_right until the equilibrium overwrites it.
-        vp, vm, flux = self._v_plus, self._v_minus, self._flux
+        vp, vm, flux = self._v_plus, self._v_minus, self._flux[:len(values) + 1]
         np.multiply(values[:-1], vp, out=flux[1:-1])
         flux[1:-1] += np.multiply(values[1:], vm, out=new[:-1])
         flux[0] = vp * left + vm * values[0]

@@ -160,6 +160,19 @@ class TestCRMap:
             cr_map(D1Q3Stepper(1.0), basis, np.zeros((2, 3)), np.zeros((3, 3)), 0)
 
 
+def reference_lift(name, steps, order, solver, **overrides):
+    """Lift the (n, u, T) of a reference state after ``steps`` steps at one order."""
+    sc = load_shipped(name).with_overrides(**overrides)
+    stepper = sc.make_stepper()
+    values = sc.initial_field().values
+    for _ in range(steps):
+        values = stepper.step(values)
+    reference = sc.initial_field().with_values(values)
+    basis = build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3)
+    return lift_macro(stepper, basis, restrict(reference, sc.gas), sc.gas, sc.cr_config(order, solver),
+                      grid=sc.grid, vgrid=sc.vgrid, scale=sc.scale)
+
+
 class TestPicard:
     def test_steady_state_one_iteration(self):
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
@@ -229,19 +242,41 @@ class TestPicard:
     def test_diverging_lift_stops_with_history(self):
         # the CR map at m = 2 is unstable on this 50-step state: three rising
         # residuals end the lift before an iterate leaves the physical states
-        sc = load_shipped("helium_L30.cfg").with_overrides(n_cells=20, n_velocities=16)
-        stepper = sc.make_stepper()
-        values = sc.initial_field().values
-        for _ in range(50):
-            values = stepper.step(values)
-        reference = sc.initial_field().with_values(values)
-        basis = build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3)
         with pytest.raises(ConvergenceError, match=r"^Picard CR iteration diverging: ") as exc:
-            lift_macro(stepper, basis, restrict(reference, sc.gas), sc.gas, sc.cr_config(2, "picard"),
-                       grid=sc.grid, vgrid=sc.vgrid, scale=sc.scale)
+            reference_lift("helium_L30.cfg", 50, 2, "picard", n_cells=20, n_velocities=16)
         history = exc.value.history
         assert len(history) == 3 and history[0] < history[1] < history[2]
         assert exc.value.residual == history[-1]
+
+
+class TestRisingResiduals:
+    @pytest.mark.parametrize("solver", ["newton", "picard"])
+    def test_tolerance_below_the_rounding_floor_stalls(self, solver):
+        # 1e-30 lies far below the rounding of ||f - C f|| (eps ||f|| = 5.4e-20
+        # on this state): the residuals settle and wander up at that floor,
+        # which is a stall, not a divergence
+        name = solver.capitalize()
+        with pytest.raises(ConvergenceError, match=(
+                rf"^{name} CR iteration stalled at the rounding floor: residuals .* lie "
+                r"within 100 eps \|\|f\|\| = \S+, so the tolerance 1e-30 lies below it "
+                r"\(m = 0\)$")) as exc:
+            reference_lift("helium_desk.cfg", 5, 0, solver, n_cells=8, n_velocities=16,
+                           newton_tol=1e-30, picard_tol=1e-30)
+        history = exc.value.history
+        assert history[-3] < history[-2] < history[-1] < 1e-18
+        assert exc.value.residual == history[-1]
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_full_scale_picard_still_diverges(self, order):
+        # the CR-map Jacobian's radius exceeds 1 at m = 2 and 3 on the
+        # full-scale states (1.73 and 2.84 at 300 steps): Picard diverges far
+        # above the rounding floor
+        with pytest.raises(ConvergenceError, match=(
+                rf"^Picard CR iteration diverging: residuals \S+, \S+, \S+ \(m = {order}\)$")) as exc:
+            reference_lift("helium_L30000.cfg", 200, order, "picard")
+        history = exc.value.history
+        assert history[-3] < history[-2] < history[-1]
+        assert history[-3] > 1e-9
 
 
 class TestNewton:

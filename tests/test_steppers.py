@@ -15,10 +15,22 @@ from klift import (
     restrict,
     stable_dt,
 )
-from klift.errors import NumericalError
+from klift import steppers
+from klift.errors import ConvergenceError, NumericalError
 from klift.kinetic import DistributionField, MacroFields
 
 from conftest import KB, helium_gas, load_shipped
+
+
+def tiled(row, n_cells, perturbed=(), rng=None):
+    """``row`` on ``n_cells`` cells, each cell in ``perturbed`` scaled entry by entry on its own.
+
+    The unperturbed cells form runs of equal rows, which the step packs.
+    """
+    values = np.tile(row, (n_cells, 1))
+    for c in perturbed:
+        values[c] *= 1 + 0.05 * rng.random(len(row))
+    return values
 
 
 def uniform_equilibrium_field(gas, grid, vg, n, u, T):
@@ -181,15 +193,18 @@ class TestFvStep:
                 sc.make_stepper().step(bad)
 
     def test_step_is_pure(self, rng):
-        # stepping another state in between must not change the result for A
+        # stepping another state in between must not change the result for
+        # the first: uniform rows and rows with runs take the packed step,
+        # entry-by-entry perturbed rows the full grid
         sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=20)
         stepper = sc.make_stepper()
         f = sc.initial_field().values
-        a = f * (1 + 1e-3)
-        b = f * (1 + 0.05 * rng.random(f.shape))
-        first = stepper.step(a)
-        stepper.step(b)
-        assert np.array_equal(stepper.step(a), first)
+        states = (f * (1 + 1e-3), tiled(f[0], 20, (5, 12), rng), f * (1 + 0.05 * rng.random(f.shape)))
+        for a in states:
+            first = stepper.step(a)
+            for b in states:
+                stepper.step(b)
+                assert np.array_equal(stepper.step(a), first)
 
     @pytest.mark.parametrize("periodic", [False, True], ids=["ghost", "periodic"])
     def test_step_aliases_nothing(self, rng, periodic):
@@ -202,13 +217,15 @@ class TestFvStep:
         f = sc.initial_field().values
         a = f * (1 + 0.05 * rng.random(f.shape))
         b = f * (1 + 0.05 * rng.random(f.shape))
-        a0, b0 = a.copy(), b.copy()
+        c = tiled(f[0], 20, (5, 12), rng)  # takes the packed step
+        a0, b0, c0 = a.copy(), b.copy(), c.copy()
         out_a = stepper.step(a)
         out_b = stepper.step(b)
-        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+        out_c = stepper.step(c)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0) and np.array_equal(c, c0)
         held = list(held_arrays(stepper))
         assert held
-        for out, earlier in ((out_a, [a]), (out_b, [b, out_a])):
+        for out, earlier in ((out_a, [a]), (out_b, [b, out_a]), (out_c, [c, out_a, out_b])):
             for other in earlier + held:
                 assert not np.shares_memory(out, other)
 
@@ -285,6 +302,158 @@ class TestUpwindFlux:
         np.testing.assert_allclose(got, integrated_form_step(stepper, ghosts, values), rtol=1e-14)
 
 
+@pytest.fixture
+def equilibrium_rows(monkeypatch):
+    """The number of cells of each equilibrium call a step makes, in call order."""
+    rows = []
+
+    def counting(n, *args, **kwargs):
+        rows.append(np.size(n))
+        return discrete_equilibrium(n, *args, **kwargs)
+
+    monkeypatch.setattr(steppers, "discrete_equilibrium", counting)
+    return rows
+
+
+def desk_case(n_cells, rng, *, periodic=False, dt_factor=1.0):
+    """A desk stepper on ``n_cells`` cells and one off-equilibrium row for its states."""
+    sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=n_cells)
+    inflow = None if periodic else (sc.surface, sc.ambient)
+    stepper = BGKStepper(sc.grid, sc.vgrid, sc.gas, dt_factor * sc.dt, inflow=inflow,
+                         scale=sc.scale)
+    return stepper, sc.initial_field().values[0] * (1 + 0.05 * rng.random(sc.vgrid.n_velocities))
+
+
+def full_grid_step(stepper, values):
+    """The step with no cell dropped: no grid has more than all of its cells drop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(steppers, "MIN_DROPPED_SHARE", 1.0)
+        return stepper.step(values)
+
+
+def assert_step_matches_full_grid(stepper, values, equilibrium_rows, kept):
+    """The step equals the step-order oracle within 1e-14 and computed ``kept`` cells."""
+    ghosts = (values[-1], values[0]) if stepper._ghosts is None else stepper._ghosts
+    want = where_flux_step(stepper, ghosts, values)
+    del equilibrium_rows[:]
+    got = stepper.step(values)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert equilibrium_rows == [kept]
+
+
+class TestPackedStep:
+    """Cells inside runs of equal rows are stepped once; the result is the full grid's."""
+
+    @pytest.fixture(autouse=True)
+    def any_drop_packs(self, monkeypatch):
+        # pack whenever a cell drops, whatever the break-even share
+        monkeypatch.setattr(steppers, "MIN_DROPPED_SHARE", 0.0)
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["ghost", "periodic"])
+    def test_runs_at_both_ends(self, rng, equilibrium_rows, periodic):
+        # rows 0-5 and 14-19 equal: cells 2-4 and 16-18 drop; cells 0, 1 and
+        # 19 stay although their rows are in a run, as their stencils or
+        # their left neighbour's reach a ghost or wrapped row
+        stepper, row = desk_case(20, rng, periodic=periodic)
+        values = tiled(row, 20, range(6, 14), rng)
+        assert_step_matches_full_grid(stepper, values, equilibrium_rows, 14)
+
+    def test_run_wrapping_past_the_last_cell(self, rng, equilibrium_rows):
+        # on the ring, rows 14-19 and 0-3 form one run of ten; only the cells
+        # whose four rows lie inside the grid drop: 2 and 16-18
+        stepper, row = desk_case(20, rng, periodic=True)
+        values = tiled(row, 20, range(4, 14), rng)
+        assert_step_matches_full_grid(stepper, values, equilibrium_rows, 16)
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["ghost", "periodic"])
+    @pytest.mark.parametrize("n_cells,kept", [(1, 1), (2, 2), (3, 3), (4, 3), (5, 3)])
+    def test_tiny_grids(self, rng, equilibrium_rows, periodic, n_cells, kept):
+        # one row on every cell: cells 2 .. N - 2 drop, which needs N >= 4
+        stepper, row = desk_case(n_cells, rng, periodic=periodic)
+        assert_step_matches_full_grid(stepper, tiled(row, n_cells), equilibrium_rows, kept)
+
+    def test_run_broken_by_one_entry(self, rng, equilibrium_rows):
+        # one tail entry of row 10 moves by 1 %, which moves neither the
+        # middle entry nor the (n, u, T) of the row: only the exact row
+        # compare keeps cells 9-12
+        stepper, row = desk_case(20, rng)
+        values = tiled(row, 20)
+        values[10, 0] *= 1.01
+        macro = restrict(values, stepper.gas, vgrid=stepper.vgrid, scale=stepper.scale)
+        for moment in (macro.number_density, macro.velocity, macro.temperature):
+            assert moment[9] == moment[10] == moment[11]
+        assert_step_matches_full_grid(stepper, values, equilibrium_rows, 7)
+
+    def test_no_run(self, rng, equilibrium_rows):
+        stepper, row = desk_case(20, rng)
+        values = tiled(row, 20, range(20), rng)
+        assert_step_matches_full_grid(stepper, values, equilibrium_rows, 20)
+
+
+class TestPackedStepChoice:
+    """The shipped break-even share, the full-scale run, and errors naming the input's cell."""
+
+    def test_too_few_drops_step_the_full_grid(self, rng, equilibrium_rows):
+        # rows 0-6 equal: cells 2-5 drop, 4 of 20, not more than the share
+        assert 4 <= steppers.MIN_DROPPED_SHARE * 20
+        stepper, row = desk_case(20, rng)
+        values = tiled(row, 20, range(7, 20), rng)
+        assert_step_matches_full_grid(stepper, values, equilibrium_rows, 20)
+
+    def test_full_scale_trajectory(self, equilibrium_rows):
+        # 1,000 steps of the expanding gas from the uniform ambient state: each
+        # step is within 1e-14 of the full grid's from the same input, and the
+        # trajectory within 1e-13 of the full grid's (bit for bit on four
+        # OpenBLAS kernels; 1.7e-16 a step and 4.4e-14 after the run on Nehalem)
+        sc = load_shipped("helium_L30000.cfg")
+        stepper = sc.make_stepper()
+        packed = full = sc.initial_field().values
+        kept = []
+        for k in range(1, 1001):
+            del equilibrium_rows[:]
+            previous, packed = packed, stepper.step(packed)
+            kept.append(equilibrium_rows[0])
+            full = full_grid_step(stepper, full)
+            if k % 100 == 0:
+                scale = np.max(np.abs(full))
+                assert np.max(np.abs(packed - full)) <= 1e-13 * scale, k
+                one = full_grid_step(stepper, previous)
+                assert np.max(np.abs(packed - one)) <= 1e-14 * scale, k
+        # the uniform input keeps cells 0, 1 and N - 1; the front then
+        # widens the kept part, which stays under a fifth of the grid
+        assert kept[0] == 3
+        assert max(kept) < 0.2 * sc.grid.n_cells
+
+    def test_failed_equilibrium_names_the_cell_of_the_input(self, rng, equilibrium_rows):
+        # cell 15 holds mass only at the two extreme velocities, which no
+        # discrete Maxwellian on the grid matches; it follows a run whose
+        # cells 2-13 drop, so it is packed row 3 but named as cell 15
+        stepper, row = desk_case(20, rng)
+        values = tiled(row, 20)
+        values[15] = 0.0
+        values[15, [0, -1]] = row.max()
+        with pytest.raises(ConvergenceError) as want:
+            full_grid_step(stepper, values)
+        assert "in cell 15:" in str(want.value)
+        del equilibrium_rows[:]
+        with pytest.raises(ConvergenceError) as got:
+            stepper.step(values)
+        assert str(got.value) == str(want.value)
+        # the packed cells, then the full grid on the failure path
+        assert equilibrium_rows == [7, 20]
+
+    def test_non_finite_output_reruns_the_full_grid(self, rng, equilibrium_rows):
+        # values 1e265 times the desk's, a time step 1e300 times too long:
+        # the input restricts to finite (n, u, T), the fluxes overflow
+        stepper, row = desk_case(20, rng, dt_factor=1e300)
+        values = tiled(1e265 * row, 20, (5, 12), rng)
+        del equilibrium_rows[:]
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match=r"^finite-volume step produced non-finite values$"):
+            stepper.step(values)
+        assert equilibrium_rows == [11, 20]
+
+
 class TestD1Q3:
     def test_equilibrium_invariant(self):
         f = np.full((10, 3), 0.7)
@@ -338,18 +507,23 @@ class TestD1Q3:
             D1Q3Stepper(omega=1.0).step(np.zeros((4, 2)))
 
 
-STEPPERS = ("bgk-ring", "bgk-inflow", "d1q3")
+STEPPERS = ("bgk-ring", "bgk-inflow", "d1q3", "bgk-ring-runs", "bgk-inflow-runs")
 
 
 def stepper_case(kind, rng):
-    """A factory of like-built steppers of one kind, and a state for them to step."""
+    """A factory of like-built steppers of one kind, and a state for them to step.
+
+    The "-runs" states keep runs of equal rows, so their step is the packed one.
+    """
     if kind == "d1q3":
         return (lambda: D1Q3Stepper(omega=1.3)), rng.random((12, 3)) + 0.5
     sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=20)
-    inflow = None if kind == "bgk-ring" else (sc.surface, sc.ambient)
+    inflow = None if kind.startswith("bgk-ring") else (sc.surface, sc.ambient)
     f = sc.initial_field().values
+    state = (tiled(f[0], 20, (5, 12), rng) if kind.endswith("-runs")
+             else f * (1 + 0.05 * rng.random(f.shape)))
     return ((lambda: BGKStepper(sc.grid, sc.vgrid, sc.gas, sc.dt, inflow=inflow, scale=sc.scale)),
-            f * (1 + 0.05 * rng.random(f.shape)))
+            state)
 
 
 @pytest.mark.parametrize("kind", STEPPERS)
