@@ -3,7 +3,8 @@
 All quantities are SI.  Distribution values are number density per velocity,
 1/(m^3 (m/s)), optionally multiplied by a scale factor (typically the
 molecular mass) that is carried on the field so restriction stays
-scale-aware.
+scale-aware.  The discrete equilibrium is exp(c0 + c1 x + c2 x^2) in
+x = v - v_mid, scaled to the cell's density; Newton solves for (c1, c2).
 """
 
 from __future__ import annotations
@@ -19,6 +20,13 @@ BOLTZMANN = 1.380649e-23  # J/K
 # Relative residual tolerance and iteration cap of the equilibrium Newton solve.
 EQUILIBRIUM_TOL = 1e-13
 EQUILIBRIUM_MAX_ITER = 50
+EPS = np.finfo(float).eps
+# Restriction multiplies whole blocks of this many rows.  OpenBLAS's matrix
+# product rounds a row of a partial block at the end of a product unlike one
+# of a whole block (Nehalem, Prescott, SkylakeX); in whole blocks a row's
+# moments do not depend on where the row sits, which on Prescott, Nehalem,
+# Sandybridge, Haswell and SkylakeX takes 8 rows.
+ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -48,7 +56,8 @@ class VelocityGrid:
     grid midpoint v_mid: ``values @ moments`` gives every velocity moment
     restriction and the equilibrium solve need.  Centring keeps the
     rounding of moments shifted to a mean u at |u - v_mid| / v_th, not at
-    |u| / v_th.
+    |u| / v_th.  ``basis`` is the (3, Nv) matrix [1; x; x^2], x = v - v_mid,
+    that turns the equilibrium exponent's coefficients into its values.
     """
 
     n_velocities: int
@@ -57,6 +66,7 @@ class VelocityGrid:
     dv: float
     velocities: np.ndarray  # (Nv,), strictly increasing
     moments: np.ndarray     # (Nv, 5)
+    basis: np.ndarray       # (3, Nv)
 
     @property
     def v_mid(self) -> float:
@@ -75,8 +85,9 @@ def build_velocity_grid(v_min: float, v_max: float, n_velocities: int) -> Veloci
         raise ValueError("v_min must be smaller than v_max")
     dv = (v_max - v_min) / n_velocities
     v = v_min + dv / 2.0 + dv * np.arange(n_velocities)
-    moments = dv * np.vander(v - 0.5 * (v_min + v_max), 5, increasing=True)
-    return VelocityGrid(n_velocities, float(v_min), float(v_max), dv, v, moments)
+    powers = np.vander(v - 0.5 * (v_min + v_max), 5, increasing=True)
+    return VelocityGrid(n_velocities, float(v_min), float(v_max), dv, v, dv * powers,
+                        np.ascontiguousarray(powers[:, :3].T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,11 +144,6 @@ class MacroFields:
     temperature: np.ndarray     # K
 
 
-def _shift(M: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Moments (k, N) of x^p g -> moments (k - 1, N) of x^p (x - s) g, per cell."""
-    return M[1:] - s * M[:-1]
-
-
 def discrete_equilibrium(
     n,
     u,
@@ -148,27 +154,33 @@ def discrete_equilibrium(
     out: np.ndarray | None = None,
     weight: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Discrete Maxwell-Boltzmann equilibrium f_eq = A exp(-B^2 (v - D)^2) per cell.
+    """Discrete Maxwell-Boltzmann equilibrium f_eq = A exp(c0 + c1 x + c2 x^2) per cell.
 
     Returns f_eq of shape (N, Nv) (or (1, Nv) for scalars), whose three
     dv-weighted sums reproduce n, n u and n k_B T / m to the Newton
-    tolerance.  (B, D) come from Newton on the pair R_1 = 0,
-    R_2 - R_0 k_B T / m = 0 with R_j = dv sum_i (v_i - u)^j exp(-B^2 (v_i - D)^2),
-    then A = n / R_0.  Each iteration builds E = exp(-B^2 (v - D)^2) in
-    (cells, Nv) row layout by one product: with x = v - v_mid and
-    a = D - v_mid, the exponent -B^2 (x - a)^2 is the (cells, 3) coefficients
-    (-B^2 a^2, 2 B^2 a, -B^2) times the (3, Nv) basis [1; x; x^2].  Its
-    moments about the grid midpoint come from one ``vgrid.moments.T @ E.T``,
-    are shifted to central moments C_p about D and then to (v - u)-weighted
-    sums, so the residual and the closed-form 2x2 Jacobian are arithmetic on
-    (cells,) arrays.  Residuals are nondimensionalized with the thermal speed
-    so ``EQUILIBRIUM_TOL`` is a relative tolerance.  Newton starts from the
-    continuous Maxwellian's B = sqrt(m / (2 k_B T)), D = u.  Vectorized over
-    cells: a cell whose residual is below the tolerance has its A E written
-    to f_eq and leaves the iteration, so the 2x2 update and later iterations
-    see only the unconverged cells.
+    tolerance.  With x = v - v_mid, the exponent's coefficients (c1, c2)
+    come from Newton on the pair F1 = dv sum (v - u) E = 0,
+    F2 = dv sum ((v - u)^2 - k_B T / m) E = 0, and c0 = c1^2 / (4 c2) puts
+    the exponent's peak at 0; then A = n / R0 with R0 = dv sum E.  Each
+    iteration builds E in (cells, Nv) row layout by one product of the
+    (cells, 3) coefficients (c0, c1, c2) with the grid's (3, Nv) basis
+    [1; x; x^2], and takes its moments about the grid midpoint from one
+    ``vgrid.moments.T @ E.T``.  With b = u - v_mid, those give the
+    (v - u)-weighted moments G_p = dv sum x^p (v - u) E and
+    H_p = dv sum x^p ((v - u)^2 - k_B T / m) E, so F1 = G_0, F2 = H_0 and
+    the 2x2 Jacobian in (c1, c2) is [[G_1, G_2], [H_1, H_2]], all
+    arithmetic on (cells,) arrays.  F is homogeneous in E, so holding c0
+    within an evaluation leaves the root where it is.  Residuals are
+    nondimensionalized with the thermal speed so ``EQUILIBRIUM_TOL`` is a
+    relative tolerance.  Newton starts from the continuous Maxwellian's
+    c2 = -m / (2 k_B T), c1 = -2 c2 b.  Vectorized over cells: a cell whose
+    residual is below the tolerance has its A E written to f_eq and leaves
+    the iteration, so the 2x2 update and later iterations see only the
+    unconverged cells.  A cell whose E sums on the grid to less than eps of
+    its peak, such as a Gaussian colder than the grid resolves or an
+    iterate that left the grid, raises ConvergenceError naming the cell.
 
-    The product form rounds the exponent to about (|D - v_mid| / v_th)^2 eps
+    The product form rounds the exponent to about (|u - v_mid| / v_th)^2 eps
     absolute, the same law as the moment shift; on a grid centred near the
     flow it is a few eps.
 
@@ -179,13 +191,16 @@ def discrete_equilibrium(
     n = np.atleast_1d(np.asarray(n, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     T = np.atleast_1d(np.asarray(T, dtype=float))
-    bad = np.flatnonzero(~((n > 0.0) & (T > 0.0) & np.isfinite(n) & np.isfinite(u) & np.isfinite(T)))
-    if bad.size:
-        j = int(bad[0])
+    ok = (n > 0.0) & (T > 0.0) & np.isfinite(n) & np.isfinite(u) & np.isfinite(T)
+    if not ok.all():
+        j = int(np.flatnonzero(~ok)[0])
         n, u, T = np.broadcast_arrays(n, u, T)  # a scalar may stand for every cell
         raise ValueError(
             f"the equilibrium needs positive finite n and T and finite u: cell {j} has "
             f"n {n[j]:.3e} 1/m^3, u {u[j]:.3e} m/s, T {T[j]:.3e} K")
+
+    def state(j: int) -> str:
+        return f"cell {j}: n {n[j]:.3e} 1/m^3, u {u[j]:.3e} m/s, T {T[j]:.3e} K"
 
     kB, m = BOLTZMANN, gas.molecular_mass
     feq = np.empty((n.size, vgrid.n_velocities)) if out is None else out
@@ -198,34 +213,32 @@ def discrete_equilibrium(
         if weight.shape != n.shape:
             raise ValueError(f"weight has shape {weight.shape}, the equilibrium needs {n.shape}")
         nw = n * weight
-    # per unconverged cell: its index into feq, its (n w, u, T) and Newton unknowns
+    # per unconverged cell: its index into feq, its (n w, u - v_mid, T) and Newton unknowns
     idx = np.arange(n.size)
-    u_a = u
+    b = u - vgrid.v_mid
     theta = kB * T / m
     vt = np.sqrt(theta)  # thermal speed scale
-    B = np.sqrt(m / (2.0 * kB * T))
-    D = u.copy()
+    c2 = -m / (2.0 * kB * T)
+    c1 = -2.0 * c2 * b
 
-    X = np.vander(vgrid.velocities - vgrid.v_mid, 3, increasing=True).T  # [1; x; x^2]
     for _ in range(EQUILIBRIUM_MAX_ITER):
-        a = D - vgrid.v_mid
-        B2 = B * B
-        coef = np.array((-B2 * a * a, 2.0 * B2 * a, -B2))
+        coef = np.array((c1 * c1 / (4.0 * c2), c1, c2))
         # (cells, Nv); while every cell is active, E is f_eq itself
-        E = np.matmul(coef.T, X, out=feq if idx.size == n.size else None)
+        E = np.matmul(coef.T, vgrid.basis, out=feq if idx.size == n.size else None)
         np.exp(E, out=E)
-        M = vgrid.moments.T @ E.T  # (5, cells): dv sum (v - v_mid)^p E
-        C = [M[0]]  # central moments C_p = dv sum (v - D)^p E
-        for _ in range(4):
-            M = _shift(M, a)
-            C.append(M[0])
-        # with w = v - u = (v - D) + (D - u): W1[p] = dv sum w (v - D)^p E,
-        # W2[p] = dv sum w^2 (v - D)^p E
-        W1 = _shift(np.array(C), u_a - D)
-        W2 = _shift(W1, u_a - D)
-        R0 = C[0]
-        F1 = W1[0]
-        F2 = W2[0] - R0 * theta
+        M = vgrid.moments.T @ E.T  # (5, cells): dv sum x^p E
+        R0 = M[0]
+        # a Gaussian whose values on the grid sum to less than eps of its
+        # peak of 1 has left the grid, and any 2x2 step from it is rounding
+        lost = ~((R0 > EPS * vgrid.dv) & (R0 < np.inf))
+        if lost.any():
+            k = int(np.flatnonzero(lost)[0])
+            raise ConvergenceError(
+                f"equilibrium Newton solve lost the discrete Gaussian in {state(int(idx[k]))} "
+                f"(its values on the velocity grid sum to {R0[k] / vgrid.dv:.3e} of its peak)")
+        G = M[1:] - b * M[:-1]  # G_p = dv sum x^p (v - u) E
+        H = G[1:] - b * G[:-1] - theta * M[:-2]  # H_p = dv sum x^p ((v - u)^2 - theta) E
+        F1, F2 = G[0], H[0]
         res = np.maximum(np.abs(F1) / (R0 * vt), np.abs(F2) / (R0 * theta))
         active = res > EQUILIBRIUM_TOL
         # every evaluated cell is written; an active one is overwritten later
@@ -235,42 +248,28 @@ def discrete_equilibrium(
         if not active.any():
             return feq
 
-        W1_1, W1_2, W2_1, W2_2, C_1, C_2 = W1[1], W1[2], W2[1], W2[2], C[1], C[2]
+        G1, G2, H1, H2 = G[1], G[2], H[1], H[2]
         if not active.all():
             keep = np.flatnonzero(active)
-            (idx, nw, u_a, theta, vt, B, D, res, F1, F2,
-             W1_1, W1_2, W2_1, W2_2, C_1, C_2) = (
-                x[keep] for x in (idx, nw, u_a, theta, vt, B, D, res, F1, F2,
-                                  W1_1, W1_2, W2_1, W2_2, C_1, C_2)
+            idx, nw, b, theta, vt, c1, c2, res, F1, F2, G1, G2, H1, H2 = (
+                x[keep] for x in (idx, nw, b, theta, vt, c1, c2, res, F1, F2, G1, G2, H1, H2)
             )
-        # dE/dB = -2 B (v - D)^2 E,  dE/dD = 2 B^2 (v - D) E
-        J11 = -2.0 * B * W1_2
-        J12 = 2.0 * B * B * W1_1
-        J21 = -2.0 * B * (W2_2 - C_2 * theta)
-        J22 = 2.0 * B * B * (W2_1 - C_1 * theta)
-        det = J11 * J22 - J12 * J21
+        det = G1 * H2 - G2 * H1
         singular = np.flatnonzero(det == 0.0)
         if singular.size:
-            j = int(idx[singular[0]])
             raise NumericalError(
-                f"singular Jacobian in equilibrium Newton solve in cell {j}: n {n[j]:.3e} 1/m^3, "
-                f"u {u[j]:.3e} m/s, T {T[j]:.3e} K"
-            )
-        dB = -(F1 * J22 - F2 * J12) / det
-        dD = -(J11 * F2 - J21 * F1) / det
-
-        Bn = B + dB
-        # keep B positive; halve instead of crossing zero
-        bad = Bn <= 0.0
-        Bn[bad] = 0.5 * B[bad]
-        B = Bn
-        D = D + dD
+                f"singular Jacobian in equilibrium Newton solve in {state(int(idx[singular[0]]))}")
+        c1 = c1 - (F1 * H2 - F2 * G2) / det
+        c2n = c2 - (G1 * F2 - H1 * F1) / det
+        # keep c2 negative; halve it instead of crossing zero
+        bad = c2n >= 0.0
+        c2n[bad] = 0.5 * c2[bad]
+        c2 = c2n
 
     k = int(np.argmax(res))  # the worst unconverged cell
-    j = int(idx[k])
     raise ConvergenceError(
-        f"equilibrium Newton solve did not converge in cell {j}: n {n[j]:.3e} 1/m^3, "
-        f"u {u[j]:.3e} m/s, T {T[j]:.3e} K (residual {res[k]:.3e})",
+        f"equilibrium Newton solve did not converge in {state(int(idx[k]))} "
+        f"(residual {res[k]:.3e})",
         residual=float(res[k]),
     )
 
@@ -302,16 +301,28 @@ def restrict(
 
     n = dv sum f, u = dv sum v f / n, T = (m / (k_B n)) dv sum (v - u)^2 f
     with the one-dimensional normalization, from the moments about the grid
-    midpoint ``values @ vgrid.moments[:, :3] / scale``.  ``f`` is a field,
-    or the (N, Nv) array of scale * f on ``vgrid``, such as a step's input.
+    midpoint ``values @ vgrid.moments[:, :3] / scale``.  The product runs on
+    whole blocks of ROW_BLOCK rows, the last one filled up with copies of the
+    last row, so a row's moments are the same bits at every row position and
+    restricting some rows of an array gives those rows of its restriction.
+    ``f`` is a field, or the (N, Nv) array of scale * f on ``vgrid``, such as
+    a step's input.
+
     This is the one check that a state is physical: NumericalError names the
     first cell whose n or T is not positive and finite, which is also where
     a non-finite value lands.
     """
     if isinstance(f, DistributionField):
         f, vgrid, scale = f.values, f.vgrid, f.scale
+    W = vgrid.moments[:, :3]
+    rows = len(f)
+    whole = rows - rows % ROW_BLOCK
     with np.errstate(all="ignore"):  # a bad cell is named below instead
-        M = f @ vgrid.moments[:, :3]
+        M = np.empty((rows, 3))
+        np.matmul(f[:whole], W, out=M[:whole])
+        if whole < rows:  # the last block, filled up with copies of the last row
+            last = f[np.minimum(np.arange(whole, whole + ROW_BLOCK), rows - 1)]
+            M[whole:] = (last @ W)[:rows - whole]
         M /= scale
         n = M[:, 0]
         c = M[:, 1] / n  # u - v_mid

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import KliftError, NumericalError
 from .kinetic import (
     GasParams,
-    MacroFields,
     SpatialGrid,
     VelocityGrid,
     discrete_equilibrium,
@@ -36,7 +35,8 @@ from .kinetic import (
 # A step computes only the kept cells when more than this share of the grid
 # drops; otherwise the row compare, gather and scatter cost more than the
 # cells they save.  On helium_L30000 states (N = 1600, Nv = 56, 2 vCPUs) the
-# two paths broke even at 19-29 % of the cells dropped.
+# two paths broke even between 21 % and 27 % of the cells dropped (the
+# 7,000- and 6,500-step states; packed over full 1.01 and 0.96).
 MIN_DROPPED_SHARE = 0.25
 
 
@@ -61,8 +61,7 @@ def _kept_cells(values: np.ndarray) -> np.ndarray | None:
     their left neighbour's hold a ghost (or periodic) row.  Neighbouring rows
     with equal middle entries are the candidate pairs, which an exact compare
     of the rows confirms; a state without runs costs only the first test.
-    (Equal (n, u, T) would name the candidates too, but restriction's matrix
-    product may round an equal row differently at the edge of its tiles.)
+    It runs before restriction, which then reads the kept rows only.
     None unless more than MIN_DROPPED_SHARE of the cells drop.
     """
     most = MIN_DROPPED_SHARE * len(values)
@@ -105,16 +104,18 @@ class BGKStepper:
     NaN or +-inf entry gives.
 
     Identical stencils are stepped once: when more than MIN_DROPPED_SHARE of
-    the cells sit inside runs of equal rows, the flux, equilibrium and update
-    run on the kept cells only (see ``_kept_cells``), packed together, and
-    each dropped cell copies the output of the last kept cell before it.
-    Packing the kept rows is exact: two kept cells with only dropped cells
-    between them sit in one run of equal rows, so the face between them
-    carries the flux of either of their own faces into the run.  An error in
-    the packed arithmetic reruns the full grid, so it names the cell of the
-    input.  The result agrees with the full grid's to the rounding of the
-    matrix products in restriction and the equilibrium, which may round an
-    equal row differently at another row position.
+    the cells sit inside runs of equal rows, restriction, flux, equilibrium
+    and update run on the kept rows only (see ``_kept_cells``), packed
+    together, and each dropped cell copies the output of the last kept cell
+    before it.  Packing the kept rows is exact: two kept cells with only
+    dropped cells between them sit in one run of equal rows, so the face
+    between them carries the flux of either of their own faces into the run.
+    No unphysical input cell is dropped, as a dropped row equals the kept
+    row before it.  An error in the packed arithmetic, restriction included,
+    reruns the full grid, so it names the cell of the input.  Restriction
+    gives a row the same (n, u, T) at any row position; the result agrees
+    with the full grid's to the rounding of the equilibrium's moment
+    product, which may round a cell differently at another position.
 
     The stepper owns the face-flux scratch every step reuses, and the
     relaxation source dt omega f_eq is built in the output itself, so a step
@@ -156,25 +157,23 @@ class BGKStepper:
         if values.shape != shape:
             raise ValueError(f"values shape {values.shape} != {shape}")
         new = _step_output(values, out)
-        macro = restrict(values, self.gas, vgrid=self.vgrid, scale=self.scale)
         keep = _kept_cells(values)
-        if keep is None:
-            return self._update(values, macro, new)
-        # the packed row holding each cell's output: its own, or that of the
-        # last kept cell before it
-        rows = np.cumsum(keep) - 1
-        packed = MacroFields(macro.number_density[keep], macro.velocity[keep],
-                             macro.temperature[keep])
-        try:
-            result = self._update(values[keep], packed, np.empty((rows[-1] + 1, shape[1])))
-        except KliftError:
-            # the full grid fails the same way and names the cell of ``values``
-            return self._update(values, macro, new)
-        # mode="raise" would buffer ``out``; every row index is in range
-        return np.take(result, rows, axis=0, out=new, mode="clip")
+        if keep is not None:
+            # the packed row holding each cell's output: its own, or that of
+            # the last kept cell before it
+            rows = np.cumsum(keep) - 1
+            try:
+                result = self._update(values[keep], np.empty((rows[-1] + 1, shape[1])))
+            except KliftError:
+                pass  # the full grid fails the same way and names the cell of ``values``
+            else:
+                # mode="raise" would buffer ``out``; every row index is in range
+                return np.take(result, rows, axis=0, out=new, mode="clip")
+        return self._update(values, new)
 
-    def _update(self, values: np.ndarray, macro: MacroFields, new: np.ndarray) -> np.ndarray:
-        """The step's arithmetic from rows ``values``, whose (n, u, T) is ``macro``, into ``new``."""
+    def _update(self, values: np.ndarray, new: np.ndarray) -> np.ndarray:
+        """The step's arithmetic from rows ``values`` into ``new``."""
+        macro = restrict(values, self.gas, vgrid=self.vgrid, scale=self.scale)
         left, right = (values[-1], values[0]) if self._ghosts is None else self._ghosts
         # flux[j] is (dt/dx) times the flux on face j - 1/2, between rows j - 1
         # and j; faces 0 and N take the ghost (or periodic) rows.  ``new`` holds

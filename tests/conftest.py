@@ -95,10 +95,12 @@ def exact_naive_projector(basis) -> np.ndarray:
 def weighted_sum_equilibrium(n, u, T, vgrid, gas) -> np.ndarray:
     """Discrete equilibrium by Newton on weighted sums over the full grid.
 
-    The same iteration as ``discrete_equilibrium`` (start, residual, 2x2
-    Jacobian, step rule and tolerance), with every sum formed directly as
+    Newton on the Gaussian's width and centre (B, D) in
+    E = exp(-B^2 (v - D)^2), with every sum formed directly as
     dv sum_i (v_i - u)^j d^k E / dB^a dD^b on (N, Nv) arrays: the oracle for
-    the moment-matrix solve.
+    the moment-matrix solve, which iterates on the exponent's coefficients
+    instead.  Both start from the continuous Maxwellian and stop at the same
+    relative residual, so they reach the same root.
     """
     n, u, T = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (n, u, T))
     m = gas.molecular_mass

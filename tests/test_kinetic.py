@@ -200,6 +200,34 @@ class TestDiscreteEquilibrium:
         with pytest.raises(ConvergenceError, match=want):
             discrete_equilibrium(n, u, T, vg, sc.gas)
 
+    def test_gaussian_lost_from_the_grid_names_the_cell(self):
+        # a 0.01 K Maxwellian centred between two desk velocities underflows
+        # at every velocity of the grid: its E sums to 0, which the solve
+        # reports for the cell before it divides by the sum
+        sc = load_shipped("helium_desk.cfg").with_overrides(n_velocities=16)
+        vg = sc.vgrid
+        u = 0.5 * (vg.velocities[10] + vg.velocities[11])
+        want = re.escape(f"lost the discrete Gaussian in cell 1: n 2.000e+25 1/m^3, u {u:.3e} m/s, "
+                         "T 1.000e-02 K (its values on the velocity grid sum to 0.000e+00 of its "
+                         "peak)")
+        with pytest.raises(ConvergenceError, match=want):
+            discrete_equilibrium(np.array([1e25, 2e25]), np.array([0.0, u]),
+                                 np.array([300.0, 0.01]), vg, sc.gas)
+
+    def test_hot_truncated_maxwellian_takes_a_second_evaluation(self, monkeypatch):
+        # the full-scale surface cells: at 1,265 K and 410 m/s the 56-velocity
+        # grid truncates the Maxwellian's tail, so the first evaluation leaves a
+        # residual of 6e-8 and the second converges to the oracle's root
+        sc = load_shipped("helium_L30000.cfg")
+        args = (sc.surface[0], 410.0, 1265.0, sc.vgrid, sc.gas)
+        monkeypatch.setattr(kinetic, "EQUILIBRIUM_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError) as first:
+            discrete_equilibrium(*args)
+        assert 1e-8 < first.value.residual < 1e-7
+        monkeypatch.setattr(kinetic, "EQUILIBRIUM_MAX_ITER", 2)
+        feq, want = discrete_equilibrium(*args), weighted_sum_equilibrium(*args)
+        assert np.max(np.abs(feq - want)) <= 1e-14 * np.max(want)
+
     @pytest.mark.parametrize("name", SHIPPED)
     def test_matches_weighted_sum_oracle(self, shipped_states, name):
         sc, values = shipped_states[name]
@@ -245,6 +273,24 @@ class TestRestrict:
         np.testing.assert_allclose(macro.number_density, n, rtol=1e-14)
         assert np.max(np.abs(macro.velocity - u)) <= 1e-14 * np.max(np.sqrt(KB * T / sc.gas.molecular_mass))
         np.testing.assert_allclose(macro.temperature, T, rtol=1e-14)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_a_row_restricts_alike_at_every_position(self, shipped_states, rng, name):
+        # the packed step restricts its kept rows only and must get the full
+        # grid's (n, u, T) for them, bit for bit, wherever a row sits in
+        # either array and however many rows each has
+        sc, values = shipped_states[name]
+
+        def moments(rows):
+            macro = restrict(rows, sc.gas, vgrid=sc.vgrid, scale=sc.scale)
+            return np.stack((macro.number_density, macro.velocity, macro.temperature))
+
+        for n_rows in (len(values), 37, 8, 3):
+            rows = values[rng.permutation(len(values))[:n_rows]]
+            full = moments(rows)
+            for _ in range(10):
+                keep = np.sort(rng.choice(n_rows, rng.integers(1, n_rows + 1), replace=False))
+                assert moments(rows[keep]).tobytes() == full[:, keep].tobytes()
 
     def test_round_trip(self):
         gas = helium_gas()

@@ -1,6 +1,7 @@
 """Finite-volume BGK stepping and the D1Q3 lattice model."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,17 +303,32 @@ class TestUpwindFlux:
         np.testing.assert_allclose(got, integrated_form_step(stepper, ghosts, values), rtol=1e-14)
 
 
+def counted_rows(monkeypatch, name):
+    """The rows of each call a step makes to ``steppers.<name>``, in call order.
+
+    The rows are those of the first argument: the cells of an equilibrium's
+    n, or the value rows a restriction reads.
+    """
+    rows, original = [], getattr(steppers, name)
+
+    def counting(first, *args, **kwargs):
+        rows.append(len(np.atleast_1d(first)))
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(steppers, name, counting)
+    return rows
+
+
 @pytest.fixture
 def equilibrium_rows(monkeypatch):
     """The number of cells of each equilibrium call a step makes, in call order."""
-    rows = []
+    return counted_rows(monkeypatch, "discrete_equilibrium")
 
-    def counting(n, *args, **kwargs):
-        rows.append(np.size(n))
-        return discrete_equilibrium(n, *args, **kwargs)
 
-    monkeypatch.setattr(steppers, "discrete_equilibrium", counting)
-    return rows
+@pytest.fixture
+def restrict_rows(monkeypatch):
+    """The number of rows of each restriction a step makes, in call order."""
+    return counted_rows(monkeypatch, "restrict")
 
 
 def desk_case(n_cells, rng, *, periodic=False, dt_factor=1.0):
@@ -331,14 +347,17 @@ def full_grid_step(stepper, values):
         return stepper.step(values)
 
 
-def assert_step_matches_full_grid(stepper, values, equilibrium_rows, kept):
-    """The step equals the step-order oracle within 1e-14 and computed ``kept`` cells."""
+def assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, kept):
+    """The step equals the step-order oracle within 1e-14 and computed ``kept`` cells.
+
+    Restriction and the equilibrium each see the kept rows only.
+    """
     ghosts = (values[-1], values[0]) if stepper._ghosts is None else stepper._ghosts
     want = where_flux_step(stepper, ghosts, values)
-    del equilibrium_rows[:]
+    del equilibrium_rows[:], restrict_rows[:]
     got = stepper.step(values)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert equilibrium_rows == [kept]
+    assert equilibrium_rows == restrict_rows == [kept]
 
 
 class TestPackedStep:
@@ -350,29 +369,30 @@ class TestPackedStep:
         monkeypatch.setattr(steppers, "MIN_DROPPED_SHARE", 0.0)
 
     @pytest.mark.parametrize("periodic", [False, True], ids=["ghost", "periodic"])
-    def test_runs_at_both_ends(self, rng, equilibrium_rows, periodic):
+    def test_runs_at_both_ends(self, rng, equilibrium_rows, restrict_rows, periodic):
         # rows 0-5 and 14-19 equal: cells 2-4 and 16-18 drop; cells 0, 1 and
         # 19 stay although their rows are in a run, as their stencils or
         # their left neighbour's reach a ghost or wrapped row
         stepper, row = desk_case(20, rng, periodic=periodic)
         values = tiled(row, 20, range(6, 14), rng)
-        assert_step_matches_full_grid(stepper, values, equilibrium_rows, 14)
+        assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, 14)
 
-    def test_run_wrapping_past_the_last_cell(self, rng, equilibrium_rows):
+    def test_run_wrapping_past_the_last_cell(self, rng, equilibrium_rows, restrict_rows):
         # on the ring, rows 14-19 and 0-3 form one run of ten; only the cells
         # whose four rows lie inside the grid drop: 2 and 16-18
         stepper, row = desk_case(20, rng, periodic=True)
         values = tiled(row, 20, range(4, 14), rng)
-        assert_step_matches_full_grid(stepper, values, equilibrium_rows, 16)
+        assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, 16)
 
     @pytest.mark.parametrize("periodic", [False, True], ids=["ghost", "periodic"])
     @pytest.mark.parametrize("n_cells,kept", [(1, 1), (2, 2), (3, 3), (4, 3), (5, 3)])
-    def test_tiny_grids(self, rng, equilibrium_rows, periodic, n_cells, kept):
+    def test_tiny_grids(self, rng, equilibrium_rows, restrict_rows, periodic, n_cells, kept):
         # one row on every cell: cells 2 .. N - 2 drop, which needs N >= 4
         stepper, row = desk_case(n_cells, rng, periodic=periodic)
-        assert_step_matches_full_grid(stepper, tiled(row, n_cells), equilibrium_rows, kept)
+        assert_step_matches_full_grid(stepper, tiled(row, n_cells), equilibrium_rows,
+                                      restrict_rows, kept)
 
-    def test_run_broken_by_one_entry(self, rng, equilibrium_rows):
+    def test_run_broken_by_one_entry(self, rng, equilibrium_rows, restrict_rows):
         # one tail entry of row 10 moves by 1 %, which moves neither the
         # middle entry nor the (n, u, T) of the row: only the exact row
         # compare keeps cells 9-12
@@ -382,36 +402,37 @@ class TestPackedStep:
         macro = restrict(values, stepper.gas, vgrid=stepper.vgrid, scale=stepper.scale)
         for moment in (macro.number_density, macro.velocity, macro.temperature):
             assert moment[9] == moment[10] == moment[11]
-        assert_step_matches_full_grid(stepper, values, equilibrium_rows, 7)
+        assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, 7)
 
-    def test_no_run(self, rng, equilibrium_rows):
+    def test_no_run(self, rng, equilibrium_rows, restrict_rows):
         stepper, row = desk_case(20, rng)
         values = tiled(row, 20, range(20), rng)
-        assert_step_matches_full_grid(stepper, values, equilibrium_rows, 20)
+        assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, 20)
 
 
 class TestPackedStepChoice:
     """The shipped break-even share, the full-scale run, and errors naming the input's cell."""
 
-    def test_too_few_drops_step_the_full_grid(self, rng, equilibrium_rows):
+    def test_too_few_drops_step_the_full_grid(self, rng, equilibrium_rows, restrict_rows):
         # rows 0-6 equal: cells 2-5 drop, 4 of 20, not more than the share
         assert 4 <= steppers.MIN_DROPPED_SHARE * 20
         stepper, row = desk_case(20, rng)
         values = tiled(row, 20, range(7, 20), rng)
-        assert_step_matches_full_grid(stepper, values, equilibrium_rows, 20)
+        assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, 20)
 
-    def test_full_scale_trajectory(self, equilibrium_rows):
+    def test_full_scale_trajectory(self, equilibrium_rows, restrict_rows):
         # 1,000 steps of the expanding gas from the uniform ambient state: each
         # step is within 1e-14 of the full grid's from the same input, and the
         # trajectory within 1e-13 of the full grid's (bit for bit on four
-        # OpenBLAS kernels; 1.7e-16 a step and 4.4e-14 after the run on Nehalem)
+        # OpenBLAS kernels; 1.7e-16 a step and 3.9e-14 after the run on Nehalem)
         sc = load_shipped("helium_L30000.cfg")
         stepper = sc.make_stepper()
         packed = full = sc.initial_field().values
         kept = []
         for k in range(1, 1001):
-            del equilibrium_rows[:]
+            del equilibrium_rows[:], restrict_rows[:]
             previous, packed = packed, stepper.step(packed)
+            assert restrict_rows == equilibrium_rows, k
             kept.append(equilibrium_rows[0])
             full = full_grid_step(stepper, full)
             if k % 100 == 0:
@@ -424,7 +445,7 @@ class TestPackedStepChoice:
         assert kept[0] == 3
         assert max(kept) < 0.2 * sc.grid.n_cells
 
-    def test_failed_equilibrium_names_the_cell_of_the_input(self, rng, equilibrium_rows):
+    def test_failed_equilibrium_names_the_cell_of_the_input(self, rng, equilibrium_rows, restrict_rows):
         # cell 15 holds mass only at the two extreme velocities, which no
         # discrete Maxwellian on the grid matches; it follows a run whose
         # cells 2-13 drop, so it is packed row 3 but named as cell 15
@@ -435,23 +456,61 @@ class TestPackedStepChoice:
         with pytest.raises(ConvergenceError) as want:
             full_grid_step(stepper, values)
         assert "in cell 15:" in str(want.value)
-        del equilibrium_rows[:]
+        del equilibrium_rows[:], restrict_rows[:]
         with pytest.raises(ConvergenceError) as got:
             stepper.step(values)
         assert str(got.value) == str(want.value)
         # the packed cells, then the full grid on the failure path
-        assert equilibrium_rows == [7, 20]
+        assert equilibrium_rows == restrict_rows == [7, 20]
 
-    def test_non_finite_output_reruns_the_full_grid(self, rng, equilibrium_rows):
+    def test_underflowing_gaussian_names_the_cell_of_the_input(self, equilibrium_rows,
+                                                               restrict_rows):
+        # row 15 holds only its two top velocities, in the ratio 0.01 : 1:
+        # a 7.35 K gas at the grid's edge whose Newton iterates underflow;
+        # both paths end in the same error naming cell 15 and its state
+        sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=20, n_velocities=16)
+        stepper = sc.make_stepper()
+        values = sc.initial_field().values.copy()
+        top = values.max()
+        values[15] = 0.0
+        values[15, -2:] = 0.01 * top, top
+        with pytest.raises(ConvergenceError) as want:
+            full_grid_step(stepper, values)
+        assert re.search(r"in cell 15: n 1\.144e\+25 1/m\^3, u 9\.349e\+03 m/s, T 7\.352e\+00 K",
+                         str(want.value))
+        del equilibrium_rows[:], restrict_rows[:]
+        with pytest.raises(ConvergenceError) as got:
+            stepper.step(values)
+        assert str(got.value) == str(want.value)
+        assert equilibrium_rows == restrict_rows == [7, 20]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_repeated_infinite_rows_name_the_first_cell(self, rng, equilibrium_rows,
+                                                        restrict_rows, bad):
+        # rows 8-15 are one infinite row, so cells 10-14 drop with their
+        # copies; the first, cell 8, is kept, as a dropped row equals the
+        # kept row before it.  The packed restriction fails at packed row 3
+        # and the full grid's names cell 8.
+        stepper, row = desk_case(20, rng)
+        values = tiled(row, 20)
+        values[8:16] = bad
+        del equilibrium_rows[:], restrict_rows[:]
+        with pytest.raises(NumericalError) as got:
+            stepper.step(values)
+        assert str(got.value) == (f"unphysical state: cell 8 has density {bad:.3e} 1/m^3 "
+                                  "and temperature nan K")
+        assert restrict_rows == [9, 20] and equilibrium_rows == []
+
+    def test_non_finite_output_reruns_the_full_grid(self, rng, equilibrium_rows, restrict_rows):
         # values 1e265 times the desk's, a time step 1e300 times too long:
         # the input restricts to finite (n, u, T), the fluxes overflow
         stepper, row = desk_case(20, rng, dt_factor=1e300)
         values = tiled(1e265 * row, 20, (5, 12), rng)
-        del equilibrium_rows[:]
+        del equilibrium_rows[:], restrict_rows[:]
         with np.errstate(all="ignore"), pytest.raises(
                 NumericalError, match=r"^finite-volume step produced non-finite values$"):
             stepper.step(values)
-        assert equilibrium_rows == [11, 20]
+        assert equilibrium_rows == restrict_rows == [11, 20]
 
 
 class TestD1Q3:
