@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cr import SOLVERS, lift_macro, restrict_lift_error
+from .cr import SOLVERS, cr_lift, lift_macro, restrict_lift_error
 from .diagnostics import check_dense_dimension, cr_jacobian_spectrum, projector_spectrum
 from .errors import KliftError, NumericalError
 from .kinetic import DistributionField, equilibrium_field, restrict
@@ -152,11 +152,7 @@ def cmd_lift(args, scenario: Scenario) -> None:
     prefix = args.out
     comments = _comment_block(scenario, {"order_m": cfg.order_m, "solver": cfg.solver})
     try:
-        lifted, report = lift_macro(
-            stepper, basis, macro, gas, cfg,
-            grid=reference.grid, vgrid=reference.vgrid,
-            scale=reference.scale, time=reference.time,
-        )
+        values, report = cr_lift(stepper, basis, feq_field.values, cfg)
     except KliftError as exc:
         _write_csv(
             f"{prefix}_report.csv", comments, REPORT_HEADER,
@@ -164,6 +160,7 @@ def cmd_lift(args, scenario: Scenario) -> None:
         )
         raise
 
+    lifted = feq_field.with_values(values)
     lift_err = restrict_lift_error(reference, lifted)
     write_snapshot(f"{prefix}_lifted.snap", lifted)
     _write_csv(

@@ -7,8 +7,8 @@ written to ``out`` (a fresh array when None).  One CR map applies ``step``
 m+1 times to the guess, backward-extrapolates with the order-m weights, and
 resets the conserved moments to those of the target state f0.  The lift
 allocates every grid-sized array of its inner loop once and passes it down
-as ``out=`` and ``work=``; a call with ``None`` for them does the same
-arithmetic in fresh arrays.
+as ``out=`` (and the CR map's two step buffers as ``work=``); a call with
+``None`` for them does the same arithmetic in fresh arrays.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .moments import MomentBasis, reset_conserved
 
 MAX_ORDER = 8
 MAX_NEWTON_ITERS = 20
+# Picard's budget of corrections, far above what a contractive map needs:
+# the slowest in the tests, criterion 5 at m = 3 and eps = 0.01, takes 186.
+MAX_PICARD_ITERS = 2000
 SOLVERS = ("picard", "newton")
 # Relative forward-difference step: the square root of machine epsilon
 # balances truncation against rounding for a smooth map.
@@ -175,7 +178,6 @@ class CRConfig:
     solver: str = "newton"          # one of SOLVERS
     picard_tol: float = 1e-12
     newton_tol: float = 1e-10
-    max_picard_iters: int = 2000
     gmres: GMRESParams = field(default_factory=GMRESParams)
 
     def __post_init__(self):
@@ -197,10 +199,10 @@ class LiftReport:
     gmres_iterations: int = 0
 
 
-def cr_buffers(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scratch for ``cr_map(work=)`` on states like f: two step outputs, used
-    in turn, and the extrapolation sum."""
-    return np.empty_like(f), np.empty_like(f), np.empty_like(f)
+def cr_buffers(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for ``cr_map(work=)`` on states like f: the two step outputs,
+    used in turn."""
+    return np.empty_like(f), np.empty_like(f)
 
 
 def cr_map(
@@ -212,12 +214,17 @@ def cr_map(
     *,
     naive_P: np.ndarray | None = None,
     out: np.ndarray | None = None,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """One CR step C_m: m+1 micro-steps, backward extrapolation, moment reset.
 
-    The result goes to ``out``; the steps, the sum and the reset run in
-    ``work`` from ``cr_buffers``.  Either is allocated when None.
+    The steps run in the two ``work`` buffers from ``cr_buffers``; the
+    extrapolation sum is built in ``out`` and reset in place, with the step
+    buffer that does not hold the last state as scratch.  Either is
+    allocated when None.  The first step has read ``f_guess`` before ``out``
+    is written, so ``out`` may be ``f_guess`` itself; it must be neither
+    ``f0``, which the reset reads after the sum is built, nor a work buffer.
+    A non-finite sum raises NumericalError naming its first such cell.
 
     ``naive_P`` switches the reset to the inverse-based projector
     P = I - M^{-1} M0 (failure-study mode); by default the QR projector is
@@ -229,9 +236,9 @@ def cr_map(
     if f0.shape != f_guess.shape:
         raise ValueError("f0 and f_guess must share shapes")
     w = cr_weights(order_m)
-    a, b, f_pre = cr_buffers(f_guess) if work is None else work
+    a, b = cr_buffers(f_guess) if work is None else work
     cur = stepper.step(f_guess, out=a)
-    np.multiply(cur, w[0], out=f_pre)
+    f_pre = np.multiply(cur, w[0], out=out)
     for wj in w[1:]:
         # the step reads the last output and writes the other buffer, which
         # then holds wj times the new state until the next step overwrites it
@@ -239,12 +246,13 @@ def cr_map(
         cur = stepper.step(cur, out=a)
         f_pre += np.multiply(cur, wj, out=b)
     if not np.all(np.isfinite(f_pre)):
-        raise NumericalError(f"non-finite extrapolation in CR map (order {order_m})")
+        cell = int(np.flatnonzero(~np.isfinite(f_pre).all(axis=1))[0])
+        raise NumericalError(
+            f"non-finite extrapolation in CR map (order {order_m}), first in cell {cell}")
     if naive_P is None:
-        return reset_conserved(basis, f_pre, f0, out=out, work=b)
-    out = np.matmul(f_pre, naive_P.T, out=out)
-    out += f0 @ (np.eye(basis.q) - naive_P).T
-    return out
+        return reset_conserved(basis, f_pre, f0, out=f_pre, work=b)
+    np.matmul(f_pre, naive_P.T, out=b)
+    return np.add(b, f0 @ (np.eye(basis.q) - naive_P).T, out=f_pre)
 
 
 def fd_step(f: np.ndarray, vnorm: float = 1.0) -> float:
@@ -259,16 +267,15 @@ def cr_jvp(
     v: np.ndarray,
     *,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Forward difference (apply_map(f + h v) - Cf) / h: the CR-map Jacobian along v.
 
     ``Cf`` is apply_map(f), and ``apply_map(state, out)`` writes the map of
-    state to ``out`` (a fresh array when None).  The step h = fd_step(f, ||v||)
-    makes the perturbation h v of norm FD_EPSILON (1 + ||f||) whatever the
-    length of v.  A zero direction returns zeros without running the map.
-    The result goes to ``out`` and f + h v to ``work``; either is allocated
-    when None.
+    state to ``out``, which may be the state itself (as ``cr_map`` allows).
+    The step h = fd_step(f, ||v||) makes the perturbation h v of norm
+    FD_EPSILON (1 + ||f||) whatever the length of v.  A zero direction
+    returns zeros without running the map.  f + h v is formed in ``out``,
+    allocated when None, and mapped in place; ``out`` must not be f or Cf.
     """
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:
@@ -276,9 +283,9 @@ def cr_jvp(
         out.fill(0.0)
         return out
     h = fd_step(f, vnorm)
-    pert = np.multiply(v, h, out=work)
-    pert += f
-    out = apply_map(pert, out)
+    out = np.multiply(v, h, out=out)
+    out += f
+    out = apply_map(out, out)
     out -= Cf
     out /= h
     return out
@@ -320,22 +327,23 @@ def cr_lift(
     rising residuals (a stall when all three lie within ROUNDING_FLOOR
     eps ||f||, since the tolerance then lies below what rounding allows, and
     divergence otherwise), and a budget of MAX_NEWTON_ITERS or
-    ``max_picard_iters`` corrections spent.  Every grid-sized array of the
-    loop is allocated once per lift: the CR map's scratch, C(f), the
-    residual, and the JVP's perturbed state and result.
+    MAX_PICARD_ITERS corrections spent.  Every grid-sized array of the loop
+    is allocated once per lift: the CR map's two step buffers, C(f), the
+    residual, and the JVP, which forms the perturbed state in its own output.
     """
     t0 = _time.perf_counter()
     shape = f0.shape
     newton = cfg.solver == "newton"
     name = cfg.solver.capitalize()
-    tol, budget = (cfg.newton_tol, MAX_NEWTON_ITERS) if newton else (cfg.picard_tol, cfg.max_picard_iters)
+    tol, budget = (cfg.newton_tol, MAX_NEWTON_ITERS) if newton else (cfg.picard_tol, MAX_PICARD_ITERS)
     f = f0.copy() if f_guess is None else f_guess.copy()
-    # one block for all seven: glibc's trim threshold follows the largest
-    # block freed, so the next lift reuses this one where seven separate
-    # arrays were trimmed and faulted in again (2,250 -> 420 minor faults
-    # per full-scale lift)
-    a, b, f_pre, Cf, g, pert, jvp = np.empty((7,) + shape)
-    work = (a, b, f_pre)
+    # one block for all five: glibc's trim threshold follows the largest
+    # block freed, so the next lift reuses this one, where separate arrays
+    # may be trimmed and faulted in again (median minor faults per
+    # full-scale lift: the block 368 in each of 11 runs, five arrays 368 or
+    # 516 from run to run, seven arrays 516)
+    a, b, Cf, g, jvp = np.empty((5,) + shape)
+    work = (a, b)
     history: list[float] = []
     gmres_total = 0
 
@@ -352,7 +360,7 @@ def cr_lift(
                 f"m = {cfg.order_m}): {exc}") from exc
 
     def matvec(v):
-        cr_jvp(apply_map, f, Cf, v.reshape(shape), out=jvp, work=pert)
+        cr_jvp(apply_map, f, Cf, v.reshape(shape), out=jvp)
         return np.subtract(v, jvp.reshape(-1), out=jvp.reshape(-1))
 
     for it in range(budget + 1):

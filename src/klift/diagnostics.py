@@ -124,16 +124,17 @@ def _colored_jacobian(apply_map, base_out, f0, U, h, half_band, J):
     One map per (colour, direction) perturbs every cell of the colour at
     once; output cell i is the response to the one perturbed cell within
     half_band of it (Curtis, Powell & Reid, IMA J. Appl. Math. 13, 1974).
-    ``apply_map(state, out)`` writes the map to ``out``; the perturbed state
-    and the map's output use one buffer each for all columns.  The columns
-    are written into the zeroed (N r, N r) array ``J``.
+    ``apply_map(state, out)`` writes the map to ``out``, which may be the
+    state itself; one buffer holds each perturbed state and then its map,
+    for all columns.  The columns are written into the zeroed (N r, N r)
+    array ``J``.
     """
     n_cells = f0.shape[0]
     r = U.shape[1]
     colors = ring_colors(n_cells, half_band)
     offsets = np.arange(-half_band, half_band + 1)
     J = J.reshape(n_cells, r, n_cells, r)
-    pert, mapped = np.empty_like(f0), np.empty_like(f0)
+    mapped = np.empty_like(f0)
     for c in range(colors.max() + 1):
         cells = np.flatnonzero(colors == c)
         # the windows of one colour's cells do not overlap
@@ -141,9 +142,9 @@ def _colored_jacobian(apply_map, base_out, f0, U, h, half_band, J):
         owner[(cells[:, None] + offsets) % n_cells] = cells[:, None]
         rows = np.flatnonzero(owner >= 0)
         for l in range(r):
-            np.copyto(pert, f0)
-            pert[cells] += h * U[:, l]
-            mapped = apply_map(pert, mapped)
+            np.copyto(mapped, f0)
+            mapped[cells] += h * U[:, l]
+            apply_map(mapped, mapped)
             mapped -= base_out
             col = (mapped @ U) / h
             J[rows, :, owner[rows], l] = col[rows]

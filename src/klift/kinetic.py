@@ -156,10 +156,11 @@ def discrete_equilibrium(
 ) -> np.ndarray:
     """Discrete Maxwell-Boltzmann equilibrium f_eq = A exp(c0 + c1 x + c2 x^2) per cell.
 
-    Returns f_eq of shape (N, Nv) (or (1, Nv) for scalars), whose three
-    dv-weighted sums reproduce n, n u and n k_B T / m to the Newton
-    tolerance.  With x = v - v_mid, the exponent's coefficients (c1, c2)
-    come from Newton on the pair F1 = dv sum (v - u) E = 0,
+    Returns f_eq of shape (N, Nv) (or (1, Nv) for scalars; a scalar among
+    (N,) arrays stands for every cell), whose three dv-weighted sums
+    reproduce n, n u and n k_B T / m to the Newton tolerance.  With
+    x = v - v_mid, the exponent's coefficients (c1, c2) come from Newton on
+    the pair F1 = dv sum (v - u) E = 0,
     F2 = dv sum ((v - u)^2 - k_B T / m) E = 0, and c0 = c1^2 / (4 c2) puts
     the exponent's peak at 0; then A = n / R0 with R0 = dv sum E.  Each
     iteration builds E in (cells, Nv) row layout by one product of the
@@ -191,10 +192,16 @@ def discrete_equilibrium(
     n = np.atleast_1d(np.asarray(n, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     T = np.atleast_1d(np.asarray(T, dtype=float))
+    if not n.shape == u.shape == T.shape:
+        try:
+            n, u, T = np.broadcast_arrays(n, u, T)
+        except ValueError:
+            raise ValueError(
+                f"n, u and T must share one shape or be scalars, got shapes "
+                f"{n.shape}, {u.shape} and {T.shape}") from None
     ok = (n > 0.0) & (T > 0.0) & np.isfinite(n) & np.isfinite(u) & np.isfinite(T)
     if not ok.all():
         j = int(np.flatnonzero(~ok)[0])
-        n, u, T = np.broadcast_arrays(n, u, T)  # a scalar may stand for every cell
         raise ValueError(
             f"the equilibrium needs positive finite n and T and finite u: cell {j} has "
             f"n {n[j]:.3e} 1/m^3, u {u[j]:.3e} m/s, T {T[j]:.3e} K")

@@ -101,7 +101,8 @@ class BGKStepper:
     by the same arithmetic at every cell.  Its ``restrict`` raises
     NumericalError, naming the cell, when a cell of the input has a
     non-positive or non-finite density or temperature, which is also what a
-    NaN or +-inf entry gives.
+    NaN or +-inf entry gives; a step whose output overflows raises it naming
+    the first cell with a non-finite output.
 
     Identical stencils are stepped once: when more than MIN_DROPPED_SHARE of
     the cells sit inside runs of equal rows, restriction, flux, equilibrium
@@ -195,7 +196,9 @@ class BGKStepper:
         # flux[1:] is spent, so it holds the last term
         new += np.multiply(values, (1.0 - dt_omega)[:, None], out=flux[1:])
         if not np.all(np.isfinite(new)):
-            raise NumericalError("finite-volume step produced non-finite values")
+            cell = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
+            raise NumericalError(
+                f"finite-volume step produced non-finite values, first in cell {cell}")
         return new
 
 

@@ -133,8 +133,7 @@ def test_criterion_5_ode_slow_manifold():
         st = LinearODEStepper(eps, dt=eps)
         a = st.slow_slope
         for m in range(4):
-            cfg = CRConfig(order_m=m, solver="picard", picard_tol=1e-15,
-                           max_picard_iters=5000)
+            cfg = CRConfig(order_m=m, solver="picard", picard_tol=1e-15)
             out, _ = cr_lift(st, basis, np.array([[r0, 0.0]]), cfg)
             err = abs(out[0, 1] - a * r0)
             C = err / (eps ** (m + 1) * abs(r0))
@@ -202,8 +201,8 @@ def test_criterion_7_full_scale_reference():
     from klift.cr import GMRESParams
 
     solver_cfgs = {
-        0: CRConfig(order_m=0, solver="picard", picard_tol=1e-12, max_picard_iters=200),
-        1: CRConfig(order_m=1, solver="picard", picard_tol=1e-12, max_picard_iters=200),
+        0: CRConfig(order_m=0, solver="picard", picard_tol=1e-12),
+        1: CRConfig(order_m=1, solver="picard", picard_tol=1e-12),
         2: CRConfig(order_m=2, solver="newton", newton_tol=1e-10,
                     gmres=GMRESParams(tol=1e-4, max_iters=300)),
         3: CRConfig(order_m=3, solver="newton", newton_tol=1e-10,

@@ -159,6 +159,24 @@ class TestCRMap:
         with pytest.raises(ValueError):
             cr_map(D1Q3Stepper(1.0), basis, np.zeros((2, 3)), np.zeros((3, 3)), 0)
 
+    def test_non_finite_extrapolation_names_the_first_cell(self):
+        # the second step multiplies by 1e10, which overflows cells 3 and 5 only
+        class OverflowingStepper:
+            steps = 0
+
+            def step(self, values, out=None):
+                self.steps += 1
+                with np.errstate(over="ignore"):
+                    return np.multiply(values, 1e10 if self.steps == 2 else 1.0, out=out)
+
+        basis = build_moment_basis(BasisKind.D1Q3, None, 1)
+        f0 = np.ones((6, 3))
+        guess = f0.copy()
+        guess[3, 1] = guess[5, 0] = 1e300
+        with pytest.raises(NumericalError, match=r"^non-finite extrapolation in CR map "
+                                                 r"\(order 1\), first in cell 3$"):
+            cr_map(OverflowingStepper(), basis, f0, guess, 1)
+
 
 def reference_lift(name, steps, order, solver, **overrides):
     """Lift the (n, u, T) of a reference state after ``steps`` steps at one order."""
@@ -197,11 +215,12 @@ class TestPicard:
         assert abs(out[0, 1] - a * r0) <= 10.0 * eps * abs(r0)
         assert report.residual_history[-1] < 1e-14
 
-    def test_non_convergence_raises_with_history(self, rng):
+    def test_non_convergence_raises_with_history(self, rng, monkeypatch):
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
         st = D1Q3Stepper(omega=1.9)
         f0 = rng.random((6, 3))
-        cfg = CRConfig(order_m=0, solver="picard", picard_tol=1e-16, max_picard_iters=3)
+        monkeypatch.setattr(klift.cr, "MAX_PICARD_ITERS", 3)
+        cfg = CRConfig(order_m=0, solver="picard", picard_tol=1e-16)
         with pytest.raises(ConvergenceError, match="did not reach") as exc:
             cr_lift(st, basis, f0, cfg)
         # three corrections: the residual of f0 and of each corrected iterate
@@ -621,11 +640,11 @@ class TestLiftBuffers:
         first_map = {data_address(out) for out in outs[:2]}
         assert len(first_map) == 2
         assert {data_address(out) for out in outs} == first_map
-        # both are rows of the lift's one (7, N, Nv) scratch block: freed as one
+        # both are rows of the lift's one (5, N, Nv) scratch block: freed as one
         # block, it is reused by the next lift instead of trimmed and faulted in again
         block = outs[0].base
         assert block is not None and outs[1].base is block
-        assert block.shape == (7,) + lifted.values.shape
+        assert block.shape == (5,) + lifted.values.shape
 
         ref, ref_report = lift_macro(FreshCopyStepper(stepper), basis, macro, sc.gas, cfg,
                                      **common)
@@ -646,13 +665,18 @@ class TestLiftBuffers:
         assert got is out
         Cf = cr_map(stepper, basis, f0, guess, order_m)
         assert got.tobytes() == Cf.tobytes()
+        # the first step has read the state, so the map may overwrite it
+        state = guess.copy()
+        got = cr_map(stepper, basis, f0, state, order_m, out=state, work=work)
+        assert got is state
+        assert got.tobytes() == Cf.tobytes()
 
         def apply_map(state, out=None):
             return cr_map(stepper, basis, f0, state, order_m, out=out, work=work)
 
         v = rng.standard_normal(f0.shape) * f0
-        jvp, pert = np.full_like(f0, np.nan), np.full_like(f0, np.nan)
-        got = cr_jvp(apply_map, guess, Cf, v, out=jvp, work=pert)
+        jvp = np.full_like(f0, np.nan)
+        got = cr_jvp(apply_map, guess, Cf, v, out=jvp)
         assert got is jvp
         assert got.tobytes() == cr_jvp(apply_map, guess, Cf, v).tobytes()
 

@@ -210,8 +210,7 @@ class TestCRJacobian:
         assert rho < 0.95  # this configuration is comfortably contractive
         theta = 1e-12
         budget = math.ceil(math.log(theta) / math.log(rho)) + 20
-        cfg = CRConfig(order_m=0, solver="picard", picard_tol=theta,
-                       max_picard_iters=budget)
+        cfg = CRConfig(order_m=0, solver="picard", picard_tol=theta)
         _, report = cr_lift(st, basis, f0, cfg)
         assert report.iterations <= budget
 

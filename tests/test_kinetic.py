@@ -98,6 +98,18 @@ class TestDiscreteEquilibrium:
             fj = discrete_equilibrium(n[j], u[j], T[j], vg, gas)
             np.testing.assert_allclose(feq[j], fj[0], rtol=1e-12)
 
+    def test_a_scalar_stands_for_every_cell(self):
+        gas = helium_gas()
+        vg = reference_vgrid(24)
+        n = np.array([1e25, 3e25, 2e24])
+        u = np.array([0.0, 500.0, -800.0])
+        want = discrete_equilibrium(n, np.full(3, 500.0), np.full(3, 900.0), vg, gas)
+        assert discrete_equilibrium(n, 500.0, 900.0, vg, gas).tobytes() == want.tobytes()
+        want = discrete_equilibrium(np.full(3, 1e25), u, np.full(3, 900.0), vg, gas)
+        assert discrete_equilibrium(1e25, u, 900.0, vg, gas).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match=re.escape("got shapes (2,), (3,) and (1,)")):
+            discrete_equilibrium(n[:2], u, 900.0, vg, gas)
+
     def test_out_is_the_fresh_result_and_weight_scales_rows(self):
         gas = helium_gas()
         vg = reference_vgrid(24)

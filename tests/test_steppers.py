@@ -508,9 +508,25 @@ class TestPackedStepChoice:
         values = tiled(1e265 * row, 20, (5, 12), rng)
         del equilibrium_rows[:], restrict_rows[:]
         with np.errstate(all="ignore"), pytest.raises(
-                NumericalError, match=r"^finite-volume step produced non-finite values$"):
+                NumericalError,
+                match=r"^finite-volume step produced non-finite values, first in cell 0$"):
             stepper.step(values)
         assert equilibrium_rows == restrict_rows == [11, 20]
+
+    def test_non_finite_output_names_the_input_cell(self, rng, equilibrium_rows):
+        # cell 14 holds 1e160 times the density of the rest: it restricts to a
+        # finite state, but its relaxation term, quadratic in the density,
+        # overflows.  It is packed row 3 of the 7 kept cells, and the full
+        # grid's rerun names it by its place in the input.
+        stepper, row = desk_case(20, rng)
+        values = tiled(row, 20)
+        values[14] *= 1e160
+        del equilibrium_rows[:]
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError,
+                match=r"^finite-volume step produced non-finite values, first in cell 14$"):
+            stepper.step(values)
+        assert equilibrium_rows == [7, 20]
 
 
 class TestD1Q3:
