@@ -27,7 +27,7 @@ from .kinetic import (
     MacroFields,
     equilibrium_field,
 )
-from .moments import MomentBasis, reset_conserved
+from .moments import MomentBasis, conserved_drift, reset_conserved
 
 MAX_ORDER = 8
 MAX_NEWTON_ITERS = 20
@@ -226,12 +226,12 @@ def cr_map(
     ``f0``, which the reset reads after the sum is built, nor a work buffer.
     A non-finite sum raises NumericalError naming its first such cell.
 
-    ``naive_P`` switches the reset to the inverse-based projector
-    P = I - M^{-1} M0 (failure-study mode); by default the QR projector is
+    ``naive_P`` switches the reset to the inverse-based projector P of
+    ``naive_projector`` (failure-study mode); by default the QR projector is
     applied without ever materializing a q x q matrix.  For a monomial basis
-    the P from ``naive_projector`` is the noise of an unequilibrated float
-    solve: it breaks the conserved moments, and the CR spectrum built on it
-    depends on the LAPACK build.
+    that P is the noise of an unequilibrated float solve: it breaks the
+    conserved moments, and the CR spectrum built on it depends on the LAPACK
+    build.
     """
     if f0.shape != f_guess.shape:
         raise ValueError("f0 and f_guess must share shapes")
@@ -289,20 +289,6 @@ def cr_jvp(
     out -= Cf
     out /= h
     return out
-
-
-def conserved_drift(basis: MomentBasis, f: np.ndarray, f0: np.ndarray) -> float:
-    """Max relative deviation of the first k raw moments from those of f0.
-
-    Each moment row is normalized by the largest attainable magnitude
-    |f0| |M0|^T over the cells, so a moment that cancels to zero (momentum at
-    u ~ 0) does not blow up the relative measure.
-    """
-    m = np.atleast_2d(basis.conserved_moments(f))
-    m0 = np.atleast_2d(basis.conserved_moments(f0))
-    attain = np.atleast_2d(np.abs(f0) @ np.abs(basis.M0[: basis.k]).T)
-    row_scale = np.maximum(attain.max(axis=0), np.finfo(float).tiny)
-    return float(np.max(np.abs(m - m0) / row_scale))
 
 
 def cr_lift(

@@ -34,7 +34,7 @@ import numpy as np
 
 from .cr import CRConfig, cr_buffers, cr_jvp, cr_map, fd_step
 from .errors import NumericalError
-from .moments import MomentBasis, naive_projector, unconserved_basis
+from .moments import MomentBasis, naive_projector
 
 DENSE_SPECTRUM_CAP = 2000
 PROJECTOR_DIM_CAP = 512
@@ -80,10 +80,10 @@ def projector_spectrum(basis: MomentBasis, which: str = "qr") -> SpectrumReport:
     """Eigenvalues of the materialized q x q projector.
 
     which = "qr": I - Q Q^T (expected spectrum {0 x k, 1 x (q-k)});
-    which = "naive": I - M^{-1} M0, whose spectrum degrades with cond(M).
-    For the monomial basis that degradation comes from the unequilibrated
-    float solve in ``naive_projector``, so the naive eigenvalues (and a CR
-    spectrum built on the naive P) depend on the LAPACK build.
+    which = "naive": the inverse-based P of ``naive_projector``, whose
+    spectrum degrades with cond(M).  For the monomial basis that degradation
+    comes from its unequilibrated float solve, so the naive eigenvalues (and
+    a CR spectrum built on the naive P) depend on the LAPACK build.
     """
     q = basis.q
     if q > PROJECTOR_DIM_CAP:
@@ -190,7 +190,7 @@ def cr_jacobian_matrix(
     """
     n_cells = f0.shape[0]
     dim = check_dense_dimension(n_cells, basis)
-    U = unconserved_basis(basis)
+    U = basis.U
     J = np.zeros((dim, dim))
 
     work = cr_buffers(f0)
@@ -307,7 +307,7 @@ def cr_jacobian_spectrum(
         "N": f0.shape[0], "q": basis.q, "k": basis.k, "m": cfg.order_m,
         "projector": "naive" if naive_P is not None else "qr",
     }
-    ns = _mirror_split(J, f0.shape[0], unconserved_basis(basis))
+    ns = _mirror_split(J, f0.shape[0], basis.U)
     if ns is None:
         ev = np.linalg.eigvals(J)
     else:

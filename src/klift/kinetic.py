@@ -10,6 +10,7 @@ x = v - v_mid, scaled to the cell's density; Newton solves for (c1, c2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,12 +82,18 @@ def build_velocity_grid(v_min: float, v_max: float, n_velocities: int) -> Veloci
     """Cell-centered grid: v_i = v_min + dv/2 + i dv, dv = (v_max - v_min)/Nv."""
     if n_velocities < 2:
         raise ValueError("n_velocities must be at least 2")
+    v_min, v_max = float(v_min), float(v_max)
     if not v_min < v_max:
         raise ValueError("v_min must be smaller than v_max")
     dv = (v_max - v_min) / n_velocities
+    # the moments dv x^p, p = 0..4, must be normal numbers out to the edge x = +-h
+    h = 0.5 * (v_max - v_min)
+    if not all(sys.float_info.min <= x <= sys.float_info.max for x in (dv, dv * h * h * h * h)):
+        raise ValueError(f"the velocity grid [{v_min:.3e}, {v_max:.3e}] m/s is too wide or too "
+                         f"narrow for its moments dv (v - v_mid)^p, p <= 4, to be normal numbers")
     v = v_min + dv / 2.0 + dv * np.arange(n_velocities)
     powers = np.vander(v - 0.5 * (v_min + v_max), 5, increasing=True)
-    return VelocityGrid(n_velocities, float(v_min), float(v_max), dv, v, dv * powers,
+    return VelocityGrid(n_velocities, v_min, v_max, dv, v, dv * powers,
                         np.ascontiguousarray(powers[:, :3].T))
 
 
@@ -192,6 +199,9 @@ def discrete_equilibrium(
     n = np.atleast_1d(np.asarray(n, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     T = np.atleast_1d(np.asarray(T, dtype=float))
+    if not n.ndim == u.ndim == T.ndim == 1:
+        raise ValueError(f"n, u and T must be scalars or 1-D arrays over the cells, got shapes "
+                         f"{n.shape}, {u.shape} and {T.shape}")
     if not n.shape == u.shape == T.shape:
         try:
             n, u, T = np.broadcast_arrays(n, u, T)
@@ -321,6 +331,8 @@ def restrict(
     """
     if isinstance(f, DistributionField):
         f, vgrid, scale = f.values, f.vgrid, f.scale
+    elif vgrid is None:
+        raise ValueError("restricting an array of values needs its velocity grid as vgrid=")
     W = vgrid.moments[:, :3]
     rows = len(f)
     whole = rows - rows % ROW_BLOCK

@@ -1,10 +1,13 @@
 """Moment matrices and the conserved-moment projectors.
 
 The moment matrix M maps a per-cell population vector to raw velocity
-moments.  The conserved block M0 keeps the first k rows.  The stable
-projector never materializes M^{-1}: it stores the thin orthonormal factor Q
-of M0^T(:, 1:k) and applies I - Q Q^T as two skinny matvecs.  The naive
-inverse-based projector is kept only to reproduce its failure modes.
+moments.  The conserved block M0 keeps the first k rows.  The basis splits
+velocity space once into the conserved directions, the thin orthonormal
+factor Q of M0^T(:, 1:k), and their orthonormal complement U, the
+unconserved directions; this module is the only one that reads M0 or
+derives that split.  The stable projector never materializes M^{-1}: it
+applies I - Q Q^T as two skinny matvecs.  The naive inverse-based projector
+is kept only to reproduce its failure modes.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class MomentBasis:
     k: int                  # number of conserved moments, 1 <= k < q
     M0: np.ndarray          # M with rows >= k zeroed
     Q: np.ndarray           # (q, k), orthonormal columns spanning rows 0..k-1 of M
-    R: np.ndarray           # (k, k) upper triangular
+    U: np.ndarray           # (q, q-k), orthonormal columns spanning the complement of Q
 
     @property
     def q(self) -> int:
@@ -91,7 +94,23 @@ def basis_from_matrix(M: np.ndarray, k: int, *, kind: BasisKind = BasisKind.CUST
     Q, R = np.linalg.qr(M0[:k].T)  # reduced: Q (q, k), R (k, k)
     if np.min(np.abs(np.diag(R))) <= q * np.finfo(float).eps * np.max(np.abs(R)):
         raise NumericalError("conserved moment rows are numerically rank deficient")
-    return MomentBasis(kind=kind, M=M, k=k, M0=M0, Q=Q, R=R)
+    # qr(complete) may flip signs relative to Q; only the span of U matters
+    U = np.linalg.qr(Q, mode="complete")[0][:, k:]
+    return MomentBasis(kind=kind, M=M, k=k, M0=M0, Q=Q, U=U)
+
+
+def conserved_drift(basis: MomentBasis, f: np.ndarray, f0: np.ndarray) -> float:
+    """Max relative deviation of the first k raw moments from those of f0.
+
+    Each moment row is normalized by the largest attainable magnitude
+    |f0| |M0|^T over the cells, so a moment that cancels to zero (momentum at
+    u ~ 0) does not blow up the relative measure.
+    """
+    m = np.atleast_2d(basis.conserved_moments(f))
+    m0 = np.atleast_2d(basis.conserved_moments(f0))
+    attain = np.atleast_2d(np.abs(f0) @ np.abs(basis.M0[: basis.k]).T)
+    row_scale = np.maximum(attain.max(axis=0), np.finfo(float).tiny)
+    return float(np.max(np.abs(m - m0) / row_scale))
 
 
 def reset_conserved(
@@ -139,11 +158,3 @@ def naive_projector(basis: MomentBasis) -> tuple[np.ndarray, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         cond = float(np.linalg.cond(basis.M, 1))
     return P, cond
-
-
-def unconserved_basis(basis: MomentBasis) -> np.ndarray:
-    """Orthonormal basis U (q, q-k) of the complement of span(Q)."""
-    Qfull, _ = np.linalg.qr(basis.Q, mode="complete")
-    U = Qfull[:, basis.k:]
-    # qr(complete) may flip signs relative to Q; only the span matters here
-    return U

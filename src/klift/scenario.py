@@ -93,6 +93,22 @@ class Scenario:
                 "domain.lambda_multiple mean free paths, set by gas.molecular_diameter "
                 "and the surface state"
             )
+        # the grid must hold each boundary state's mean and variance, and the
+        # gas must relax it at a positive finite rate
+        b = self.vgrid.v_max
+        for name, (_, u, T) in (("ambient", self.ambient), ("surface", self.surface)):
+            if not (abs(u) < b and BOLTZMANN * T / self.molecular_mass < b * b):
+                raise ValueError(
+                    f"the {name} state (u {u:.3e} m/s, T {T:.3e} K) does not fit the velocity "
+                    f"grid +-{b:.3e} m/s, set by velocity.bound_multiple and the surface state")
+        with np.errstate(all="ignore"):  # an overflow is reported below
+            omega = relaxation_frequency(
+                MacroFields(*np.array([self.ambient, self.surface]).T), self.gas)
+        if not np.all((omega > 0.0) & (omega < math.inf)):
+            raise ValueError(
+                f"the relaxation frequency at the ambient and surface states is {omega[0]:.3e} "
+                f"and {omega[1]:.3e} 1/s, not positive and finite; it is set by gas.mu_ref, "
+                "gas.T_ref and gas.viscosity_index")
 
     def cr_config(self, order: int | None = None, solver: str | None = None) -> CRConfig:
         """The lifting configuration, with ``order`` and ``solver`` overriding the config."""

@@ -64,6 +64,14 @@ OUT_OF_RANGE = [
     ("surface.T", "0"), ("grid.N", "0"), ("grid.Nv", "1"), ("gas.mu_ref", "-1"),
     ("gas.viscosity_index", "-1"), ("velocity.bound_multiple", "-1"),
     ("domain.lambda_multiple", "-1"), ("gas.molecular_diameter", "1e200"),
+    ("gas.viscosity_index", "1e300"),
+]
+# values at the ends of the float range, which must reach an exit code without
+# overflowing on the way: (key, config text)
+EXTREME = [
+    ("gas.molecular_mass", "1e-300"), ("gas.molecular_mass", "1e300"), ("ambient.T", "1e300"),
+    ("ambient.u", "1e300"), ("velocity.bound_multiple", "1e-300"),
+    ("velocity.bound_multiple", "1e300"), ("gas.viscosity_index", "1e300"),
 ]
 # values a float key rejects: (config text, a Python value passed to Scenario.from_dict)
 BAD_FLOAT_WORDS = [("true", True), ("nan", math.nan), ("inf", math.inf), ("fast", "fast")]
@@ -189,6 +197,18 @@ class TestScenarioDerived:
         desk = load_shipped("helium_desk.cfg")
         assert (desk.n_cells, desk.n_velocities, desk.reference_steps) == (100, 24, 500)
         assert desk.lambda_multiple == 30000.0
+
+    def test_boundary_states_must_fit_the_velocity_grid(self):
+        desk = load_shipped("helium_desk.cfg")
+        b = desk.vgrid.v_max
+        T_max = b * b * desk.molecular_mass / KB  # k_B T / m = b^2
+        # necessary, not sufficient, for a discrete equilibrium: just inside loads
+        desk.with_overrides(ambient_u=0.99 * b)
+        desk.with_overrides(ambient_T=0.99 * T_max)
+        for overrides in ({"ambient_u": 1.01 * b}, {"ambient_u": -1.01 * b},
+                          {"ambient_T": 1.01 * T_max}):
+            with pytest.raises(ValueError, match="the ambient state .* does not fit"):
+                desk.with_overrides(**overrides)
 
     def test_initial_field_is_ambient_equilibrium(self):
         sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=10)
@@ -483,6 +503,27 @@ class TestCLI:
     def test_out_of_range_value_is_arg_error(self, tmp_path, capsys, argv, key, text):
         # checked when the config loads, whether or not the subcommand uses the key
         self.assert_config_value_is_arg_error(tmp_path, capsys, argv, key, text)
+
+    @pytest.mark.parametrize("key,text", EXTREME, ids=[f"{k}={t}" for k, t in EXTREME])
+    @pytest.mark.parametrize("argv", [
+        ["run-reference", "--steps", "3"], ["spectrum", "--operator", "cr-qr", "--n", "6"],
+        ["sweep", "--grid-sizes", "6", "--orders", "0", "--steps", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_extreme_value_keeps_the_exit_contract(self, tmp_path, argv, key, text):
+        # any RuntimeWarning on the way fails the test (pyproject's filterwarnings)
+        cfg = config_with(tmp_path, key, text)
+        assert main([argv[0], "--config", str(cfg), *argv[1:],
+                     "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_ARG, EXIT_NUMERICAL)
+
+    def test_viscosity_overflow_is_arg_error(self, tmp_path, capsys):
+        # mu(T) overflows to inf at both boundary states, so the gas would never relax
+        cfg = config_with(tmp_path, "gas.viscosity_index", "1e300")
+        assert main(["run-reference", "--config", str(cfg), "--steps", "3",
+                     "--out", str(tmp_path / "o.snap")]) == EXIT_ARG
+        err = capsys.readouterr().err
+        assert "relaxation frequency" in err
+        assert all(key in err for key in ("gas.mu_ref", "gas.T_ref", "gas.viscosity_index"))
+        assert not (tmp_path / "o.snap").exists()
 
     def test_unstable_time_step_is_numerical_error(self, tmp_path, capsys):
         cfg = config_with(tmp_path, "run.cfl_safety", "10")

@@ -16,7 +16,7 @@ from klift.diagnostics import (
     ring_colors,
 )
 from klift.errors import NumericalError
-from klift.moments import naive_projector, unconserved_basis
+from klift.moments import naive_projector
 from klift.steppers import D1Q3Stepper
 
 from conftest import IdentityStepper, load_shipped, reference_vgrid
@@ -69,7 +69,7 @@ class TestProjectorSpectrum:
 
 def fd_reference_jacobian(stepper, basis, f0, order_m):
     """Per-column forward differences with the step cr_jacobian_matrix uses."""
-    U = unconserved_basis(basis)
+    U = basis.U
     n_cells, r = f0.shape[0], U.shape[1]
     h = fd_step(f0)
     base = cr_map(stepper, basis, f0, f0, order_m)
@@ -120,7 +120,7 @@ def d1q3_exact_jacobian(basis, n_cells, omega, order_m):
         total += wj * Ak
     Pfull = np.kron(np.eye(n_cells), np.eye(3) - basis.Q @ basis.Q.T)
     J_full = Pfull @ total
-    U = unconserved_basis(basis)
+    U = basis.U
     Ub = np.kron(np.eye(n_cells), U)
     return Ub.T @ J_full @ Ub
 
@@ -325,7 +325,7 @@ class TestCRJvp:
         st = D1Q3Stepper(omega=1.3)
         f0 = rng.random((9, 3)) + 0.5
         J = cr_jacobian_matrix(st, basis, f0, CRConfig(order_m=order_m))
-        U = unconserved_basis(basis)
+        U = basis.U
 
         def apply_map(state, out=None):
             return cr_map(st, basis, f0, state, order_m, out=out)

@@ -50,6 +50,12 @@ class TestVelocityGrid:
         with pytest.raises(ValueError):
             build_velocity_grid(-1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("bound", [1e-300, 1e-75, 1e62, 1e300])
+    def test_moments_out_of_float_range(self, bound):
+        # dv (v - v_mid)^4 at the edge overflows or underflows; no warning on the way
+        with pytest.raises(ValueError, match="too wide or too narrow"):
+            build_velocity_grid(-bound, bound, 24)
+
 
 class TestSpatialGrid:
     def test_centers(self):
@@ -109,6 +115,15 @@ class TestDiscreteEquilibrium:
         assert discrete_equilibrium(1e25, u, 900.0, vg, gas).tobytes() == want.tobytes()
         with pytest.raises(ValueError, match=re.escape("got shapes (2,), (3,) and (1,)")):
             discrete_equilibrium(n[:2], u, 900.0, vg, gas)
+
+    def test_two_dimensional_input_names_the_shapes(self):
+        gas = helium_gas()
+        vg = reference_vgrid(24)
+        with pytest.raises(ValueError, match=re.escape("got shapes (3, 1), (1,) and (1,)")):
+            discrete_equilibrium(np.full((3, 1), 1e25), 0.0, 300.0, vg, gas)
+        square = np.ones((2, 2))
+        with pytest.raises(ValueError, match=re.escape("got shapes (2, 2), (2, 2) and (2, 2)")):
+            discrete_equilibrium(1e25 * square, 0.0 * square, 300.0 * square, vg, gas)
 
     def test_out_is_the_fresh_result_and_weight_scales_rows(self):
         gas = helium_gas()
@@ -367,6 +382,10 @@ class TestRestrict:
         values[1] *= -1.0
         with pytest.raises(NumericalError, match=r"^unphysical state: cell 1 has density -2\.000e\+00 "):
             restrict(values, gas, vgrid=vg)
+
+    def test_value_array_needs_vgrid(self):
+        with pytest.raises(ValueError, match="vgrid="):
+            restrict(np.ones((3, 4)), helium_gas())
 
 
 class TestGasRelations:
