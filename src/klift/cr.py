@@ -42,6 +42,11 @@ FD_EPSILON = math.sqrt(np.finfo(float).eps)
 # multiple of eps ||f|| are at that floor (desk lifts at m = 0..3 stall at
 # 0.3-4.1 eps ||f||), and rising there is noise, not divergence.
 ROUNDING_FLOOR = 100.0
+# GMRES gives an Arnoldi vector a second Gram-Schmidt pass once the loss of
+# orthogonality one pass would leave it may exceed this fraction of the
+# solve's tolerance (see ``gmres``).  Long solves (n = 200 and 300, tol 1e-6
+# to 1e-13) kept scipy's counts at margins up to 10; 1e-3 leaves 1e4 to spare.
+ORTHOGONALITY_MARGIN = 1e-3
 
 
 def cr_weights(order_m: int) -> np.ndarray:
@@ -78,6 +83,7 @@ class GMRESResult(NamedTuple):
     iterations: int    # inner (Arnoldi) iterations over all cycles
     estimate: float    # the last Givens residual estimate over ||b||
     residual: float    # the true residual ||b - A x|| over ||b||
+    reorthogonalized: int = 0  # Arnoldi vectors given a second Gram-Schmidt pass
 
 
 def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
@@ -92,10 +98,25 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     restart=None means max_iters, and restart is capped at n, the largest
     Krylov space.  A cycle that ends early still counts, as in scipy.
 
-    Each Arnoldi vector is orthogonalized by classical Gram-Schmidt done
-    twice, each pass one product with the stacked basis rows; twice is enough
-    to keep the basis as orthogonal as modified Gram-Schmidt does (Giraud,
-    Langou & Rozloznik 2005).
+    Each Arnoldi vector w is orthogonalized by one pass of classical
+    Gram-Schmidt, one product with the stacked basis rows, and by a second
+    pass only when the basis may have drifted too far from orthogonal.  A
+    pass that takes w of norm h0 to a remainder of norm h1 leaves the
+    remainder about h0 / h1 times the basis's loss of orthogonality away
+    from orthogonal (the cancellation test of Daniel, Gragg, Kaufman &
+    Stewart 1976), and a second pass brings it back to rounding (Giraud,
+    Langou & Rozloznik 2005).  ``growth`` estimates, in units of eps, the
+    loss a vector given one pass carries: the loss the last second pass
+    measured, times h0 / h1 of every vector given one pass since.  A vector
+    whose one pass takes growth above ORTHOGONALITY_MARGIN tol / eps, or
+    leaves h1 = 0, gets the second pass, whose coefficients c2 measure what
+    the first pass left, max|c2| / h1; growth restarts from that.  A second
+    pass mends only its own vector, so growth does not restart from 1: the
+    vectors given one pass keep their loss and pass it on.  At tol below
+    about 2e-13 the limit is under 1 and every vector gets both passes
+    (CGS2); at the shipped 1e-6 it is 4.5e6, and the full-scale lifts take
+    the second pass on 40 of 534 vectors with every count unchanged.
+    ``reorthogonalized`` counts the second passes.
 
     Each ``matvec`` result is used up before the next call, so ``matvec``
     may return the same buffer every time.
@@ -107,6 +128,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
         rel = 1.0 if bnrm2 else 0.0
         return GMRESResult(np.zeros(n), 0, 0, rel, rel)
     eps = np.finfo(float).eps
+    limit = ORTHOGONALITY_MARGIN * params.tol / eps
     restart = min(params.restart or params.max_iters, params.max_iters, n)
     V = np.empty((restart + 1, n))  # rows never reached are never touched
     R = np.zeros((restart, restart))  # R[j, :j+1] = rotated Hessenberg column j
@@ -114,7 +136,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     r = b.copy()
     tmp = np.empty(n)  # each Gram-Schmidt pass's c @ basis, and y @ V
     ptol, ptol_max_factor = atol, 1.0
-    used = 0
+    used = reorthogonalized = 0
     for cycles in range(1, math.ceil(params.max_iters / restart) + 1):
         beta = float(np.linalg.norm(r))
         V[0] = r
@@ -122,16 +144,23 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
         S = [beta] + [0.0] * restart
         rotations = []
         breakdown = False
+        growth = 1.0
         for col in range(min(restart, params.max_iters - used)):
             w = matvec(V[col])
-            h0 = np.linalg.norm(w)
+            h0 = float(np.linalg.norm(w))
             basis, v_new = V[: col + 1], V[col + 1]
             c = basis @ w
             np.subtract(w, np.matmul(c, basis, out=tmp), out=v_new)
-            c2 = basis @ v_new
-            v_new -= np.matmul(c2, basis, out=tmp)
-            h = (c + c2).tolist()
             h1 = float(np.linalg.norm(v_new))
+            growth *= h0 / h1 if h1 else math.inf
+            if growth > limit:
+                c2 = basis @ v_new
+                v_new -= np.matmul(c2, basis, out=tmp)
+                c += c2
+                growth = max(1.0, float(np.abs(c2).max()) / (eps * h1)) if h1 else 1.0
+                h1 = float(np.linalg.norm(v_new))
+                reorthogonalized += 1
+            h = c.tolist()
             if h1 <= eps * h0:  # the Krylov space is invariant: x is exact
                 h1, breakdown = 0.0, True
             else:
@@ -169,7 +198,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
     info = 0 if rnorm <= atol else cycles
-    return GMRESResult(x, info, used, presid / bnrm2, rnorm / bnrm2)
+    return GMRESResult(x, info, used, presid / bnrm2, rnorm / bnrm2, reorthogonalized)
 
 
 @dataclass(frozen=True)

@@ -186,7 +186,10 @@ def discrete_equilibrium(
     the iteration, so the 2x2 update and later iterations see only the
     unconverged cells.  A cell whose E sums on the grid to less than eps of
     its peak, such as a Gaussian colder than the grid resolves or an
-    iterate that left the grid, raises ConvergenceError naming the cell.
+    iterate that left the grid, raises ConvergenceError naming the cell, as
+    does one whose |u - v_mid| or k_B T / m reaches the grid's half-width h
+    or h^2, which no distribution on the grid has; n <= 0, T <= 0 or a
+    non-finite n, u or T raises ValueError.
 
     The product form rounds the exponent to about (|u - v_mid| / v_th)^2 eps
     absolute, the same law as the moment shift; on a grid centred near the
@@ -209,17 +212,31 @@ def discrete_equilibrium(
             raise ValueError(
                 f"n, u and T must share one shape or be scalars, got shapes "
                 f"{n.shape}, {u.shape} and {T.shape}") from None
-    ok = (n > 0.0) & (T > 0.0) & np.isfinite(n) & np.isfinite(u) & np.isfinite(T)
-    if not ok.all():
-        j = int(np.flatnonzero(~ok)[0])
-        raise ValueError(
-            f"the equilibrium needs positive finite n and T and finite u: cell {j} has "
-            f"n {n[j]:.3e} 1/m^3, u {u[j]:.3e} m/s, T {T[j]:.3e} K")
 
     def state(j: int) -> str:
         return f"cell {j}: n {n[j]:.3e} 1/m^3, u {u[j]:.3e} m/s, T {T[j]:.3e} K"
 
     kB, m = BOLTZMANN, gas.molecular_mass
+    b = u - vgrid.v_mid
+    # no distribution on the grid has |u - v_mid| or k_B T / m reaching its
+    # half-width h or h^2; such a cell is named here, before a hot or fast
+    # state can overflow the solve's arithmetic
+    h = 0.5 * (vgrid.v_max - vgrid.v_min)
+    T_max = h * h * m / kB
+    ok = (n > 0.0) & np.isfinite(n) & (T > 0.0) & (T < T_max) & (np.abs(b) < h)
+    if not ok.all():
+        valid = (n > 0.0) & (T > 0.0) & np.isfinite(n) & np.isfinite(u) & np.isfinite(T)
+        if not valid.all():
+            j = int(np.flatnonzero(~valid)[0])
+            raise ValueError(
+                f"the equilibrium needs positive finite n and T and finite u: cell {j} has "
+                f"n {n[j]:.3e} 1/m^3, u {u[j]:.3e} m/s, T {T[j]:.3e} K")
+        j = int(np.flatnonzero(~ok)[0])
+        raise ConvergenceError(
+            f"no discrete equilibrium on the velocity grid in {state(j)} (the grid "
+            f"[{vgrid.v_min:.3e}, {vgrid.v_max:.3e}] m/s holds no distribution with "
+            f"|u - v_mid| >= {h:.3e} m/s or T >= {T_max:.3e} K)")
+
     feq = np.empty((n.size, vgrid.n_velocities)) if out is None else out
     if feq.shape != (n.size, vgrid.n_velocities):
         raise ValueError(f"out has shape {feq.shape}, the equilibrium needs "
@@ -232,7 +249,6 @@ def discrete_equilibrium(
         nw = n * weight
     # per unconverged cell: its index into feq, its (n w, u - v_mid, T) and Newton unknowns
     idx = np.arange(n.size)
-    b = u - vgrid.v_mid
     theta = kB * T / m
     vt = np.sqrt(theta)  # thermal speed scale
     c2 = -m / (2.0 * kB * T)

@@ -512,9 +512,42 @@ class TestGMRES:
         assert outcomes["zero rhs"] == (0, 0)
         assert outcomes["inexact matvec"][0] == 0 and outcomes["inexact matvec"][1] > 20
 
+    @staticmethod
+    def _long_systems():
+        """Two long nonsymmetric systems, n = 200 and 300, condition ~1e2 and ~1e3."""
+        rng = np.random.default_rng(3)
+        systems = {}
+        for n, decades in ((200, 2), (300, 3)):
+            A = np.diag(np.logspace(0.0, decades, n)) + rng.standard_normal((n, n)) / math.sqrt(n)
+            systems[n] = (A, rng.standard_normal(n))
+        return systems
+
+    @pytest.mark.parametrize("n, tol, iterations", [
+        # the shipped tolerance: most vectors take one pass
+        (200, 1e-6, 73),
+        # fails if growth restarts from 1 after a second pass: (info, iterations) = (1, 106)
+        (200, 1e-10, 107),
+        (200, 1e-12, 119),
+        # the limit is under 1, so every vector takes both passes; fails
+        # under Rutishauser's test alone (h1 < 0.1 h0): (1, 291)
+        (300, 1e-13, 216),
+    ])
+    def test_long_solves_match_scipy(self, n, tol, iterations):
+        A, b = self._long_systems()[n]
+        params = GMRESParams(tol=tol, max_iters=n)
+        ours = gmres(lambda v: A @ v, b, params)
+        ref = scipy_gmres(lambda v: A @ v, b, params)
+        assert (ours.info, ours.iterations) == (ref.info, ref.iterations) == (0, iterations)
+        assert ours.residual <= tol
+        if tol < 2e-13:
+            assert ours.reorthogonalized == ours.iterations
+        else:
+            assert 0 < ours.reorthogonalized < ours.iterations
+
     def test_ill_conditioned_basis_stays_orthogonal(self):
-        # condition ~1e12: one Gram-Schmidt pass loses orthogonality and stops
-        # 6x above the residual that modified Gram-Schmidt reaches; two passes do not
+        # condition ~1e12: one Gram-Schmidt pass per vector loses orthogonality
+        # and stops 6x above the residual that modified Gram-Schmidt reaches;
+        # at tol 1e-14 the rule takes the second pass on every vector instead
         rng = np.random.default_rng(7)
         n = self.N
         A = np.diag(np.logspace(0.0, 12.0, n)) + rng.standard_normal((n, n)) / math.sqrt(n)
@@ -523,6 +556,7 @@ class TestGMRES:
         ours = gmres(lambda v: A @ v, b, params)
         ref = scipy_gmres(lambda v: A @ v, b, params)
         assert (ours.info, ours.iterations) == (ref.info, ref.iterations) == (1, n - 1)
+        assert ours.reorthogonalized == n - 1
         ref_residual = np.linalg.norm(b - A @ ref.x) / np.linalg.norm(b)
         assert ours.residual == pytest.approx(ref_residual, rel=1e-2)
 
@@ -583,9 +617,19 @@ class TestGMRES:
 
     def test_lift_matches_scipy_solver(self, monkeypatch):
         sc, stepper, basis, macro, common = desk_lift_problem()
-        for m in (0, 1):
+        for m in (0, 1, 3):
             cfg = sc.cr_config(m, "newton")
-            ours, ours_report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
+            solves = []
+
+            def recording_gmres(*args):
+                solves.append(gmres(*args))
+                return solves[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(klift.cr, "gmres", recording_gmres)
+                ours, ours_report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
+            if m == 3:  # the shipped tolerance: most vectors take one pass
+                assert sum(s.reorthogonalized for s in solves) <= sum(s.iterations for s in solves) // 2
             with monkeypatch.context() as patch:
                 patch.setattr(klift.cr, "gmres", scipy_gmres)
                 ref, ref_report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -240,6 +241,20 @@ class TestDiscreteEquilibrium:
         with pytest.raises(ConvergenceError, match=want):
             discrete_equilibrium(np.array([1e25, 2e25]), np.array([0.0, u]),
                                  np.array([300.0, 0.01]), vg, sc.gas)
+
+    @pytest.mark.parametrize("u, T", [(0.0, 1e300), (1e300, 300.0), (1e4, 300.0)])
+    def test_state_off_the_grid_names_the_cell(self, u, T):
+        # no distribution on a +-1e4 m/s grid has |u - v_mid| or k_B T / m
+        # reaching 1e4 m/s or its square; the cell is named before any
+        # arithmetic can overflow, also with every warning an error
+        vg = build_velocity_grid(-1e4, 1e4, 24)
+        want = re.escape(f"no discrete equilibrium on the velocity grid in cell 1: n 2.000e+25 "
+                         f"1/m^3, u {u:.3e} m/s, T {T:.3e} K")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=want):
+                discrete_equilibrium(np.array([1e25, 2e25]), np.array([0.0, u]),
+                                     np.array([300.0, T]), vg, helium_gas())
 
     def test_hot_truncated_maxwellian_takes_a_second_evaluation(self, monkeypatch):
         # the full-scale surface cells: at 1,265 K and 410 m/s the 56-velocity
