@@ -34,7 +34,7 @@ from .moments import (
     naive_projector,
     reset_conserved,
 )
-from .scenario import Scenario, load_scenario, save_scenario
+from .scenario import Scenario, load_scenario
 from .steppers import BGKStepper, D1Q3Stepper, stable_dt
 
 __version__ = "0.1.0"

@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", parents=[common],
                        help="restrict a reference snapshot and lift it back")
     p.add_argument("--reference", required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=int, default=0)
     p.add_argument("--solver", choices=SOLVERS, default=None)
     p.set_defaults(func=cmd_lift)
 
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", required=True,
                    choices=("qr-projector", "naive-projector", "cr-qr", "cr-naive"))
     p.add_argument("--n", type=int, default=None, help="override grid.N")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=int, default=0)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sweep", parents=[common], help="GMRES iteration counts over N and m")

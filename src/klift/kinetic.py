@@ -188,8 +188,10 @@ def discrete_equilibrium(
     its peak, such as a Gaussian colder than the grid resolves or an
     iterate that left the grid, raises ConvergenceError naming the cell, as
     does one whose |u - v_mid| or k_B T / m reaches the grid's half-width h
-    or h^2, which no distribution on the grid has; n <= 0, T <= 0 or a
-    non-finite n, u or T raises ValueError.
+    or h^2, which no distribution on the grid has, or whose k_B T / m is at
+    most eps h^2, a Gaussian too narrow for a grid of fewer than a million
+    velocities to resolve; n <= 0, T <= 0 or a non-finite n, u or T raises
+    ValueError.
 
     The product form rounds the exponent to about (|u - v_mid| / v_th)^2 eps
     absolute, the same law as the moment shift; on a grid centred near the
@@ -219,11 +221,14 @@ def discrete_equilibrium(
     kB, m = BOLTZMANN, gas.molecular_mass
     b = u - vgrid.v_mid
     # no distribution on the grid has |u - v_mid| or k_B T / m reaching its
-    # half-width h or h^2; such a cell is named here, before a hot or fast
-    # state can overflow the solve's arithmetic
+    # half-width h or h^2, and at k_B T / m <= eps h^2 the starting Gaussian
+    # is zero at every velocity but the one nearest u, so the solve cannot
+    # fit T; such a cell is named here, before a hot, cold or fast state can
+    # overflow the solve's arithmetic
     h = 0.5 * (vgrid.v_max - vgrid.v_min)
     T_max = h * h * m / kB
-    ok = (n > 0.0) & np.isfinite(n) & (T > 0.0) & (T < T_max) & (np.abs(b) < h)
+    T_min = EPS * T_max
+    ok = (n > 0.0) & np.isfinite(n) & (T > T_min) & (T < T_max) & (np.abs(b) < h)
     if not ok.all():
         valid = (n > 0.0) & (T > 0.0) & np.isfinite(n) & np.isfinite(u) & np.isfinite(T)
         if not valid.all():
@@ -235,7 +240,8 @@ def discrete_equilibrium(
         raise ConvergenceError(
             f"no discrete equilibrium on the velocity grid in {state(j)} (the grid "
             f"[{vgrid.v_min:.3e}, {vgrid.v_max:.3e}] m/s holds no distribution with "
-            f"|u - v_mid| >= {h:.3e} m/s or T >= {T_max:.3e} K)")
+            f"|u - v_mid| >= {h:.3e} m/s or T >= {T_max:.3e} K, and resolves none with "
+            f"T <= {T_min:.3e} K)")
 
     feq = np.empty((n.size, vgrid.n_velocities)) if out is None else out
     if feq.shape != (n.size, vgrid.n_velocities):

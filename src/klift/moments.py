@@ -1,10 +1,10 @@
 """Moment matrices and the conserved-moment projectors.
 
 The moment matrix M maps a per-cell population vector to raw velocity
-moments.  The conserved block M0 keeps the first k rows.  The basis splits
+moments; its first k rows are the conserved moments.  The basis splits
 velocity space once into the conserved directions, the thin orthonormal
-factor Q of M0^T(:, 1:k), and their orthonormal complement U, the
-unconserved directions; this module is the only one that reads M0 or
+factor Q of M(:k)^T, and their orthonormal complement U, the unconserved
+directions; this module is the only one that reads M's conserved rows or
 derives that split.  The stable projector never materializes M^{-1}: it
 applies I - Q Q^T as two skinny matvecs.  The naive inverse-based projector
 is kept only to reproduce its failure modes.
@@ -41,7 +41,6 @@ class MomentBasis:
     kind: BasisKind
     M: np.ndarray           # (q, q) populations -> moments
     k: int                  # number of conserved moments, 1 <= k < q
-    M0: np.ndarray          # M with rows >= k zeroed
     Q: np.ndarray           # (q, k), orthonormal columns spanning rows 0..k-1 of M
     U: np.ndarray           # (q, q-k), orthonormal columns spanning the complement of Q
 
@@ -51,11 +50,12 @@ class MomentBasis:
 
     def conserved_moments(self, f: np.ndarray) -> np.ndarray:
         """First k raw moments of population vector(s); last axis is q."""
-        return f @ self.M0[: self.k].T
+        # in C order the rows M[:k] round the product alike whatever M's layout
+        return f @ np.ascontiguousarray(self.M[: self.k]).T
 
 
 def build_moment_basis(kind: BasisKind | str, velocities, k: int) -> MomentBasis:
-    """Build M, its conserved block, and the orthonormal conserved basis.
+    """Build M and the orthonormal conserved basis.
 
     ``velocities`` may be a VelocityGrid or an explicit 1-D array; it is
     ignored for the D1Q3 kind (speeds are fixed to {1, 0, -1} lattice units).
@@ -71,7 +71,10 @@ def build_moment_basis(kind: BasisKind | str, velocities, k: int) -> MomentBasis
             raise ValueError("velocities must be distinct")
         q = v.size
         if kind is BasisKind.MONOMIAL:
-            M = np.vander(v, q, increasing=True).T
+            # the rows v^r, r >= k, overflow on a fine grid; only the conserved
+            # rows must be finite, and naive_projector refuses the others
+            with np.errstate(over="ignore"):
+                M = np.vander(v, q, increasing=True).T
         elif kind is BasisKind.CHEBYSHEV:
             # rows T_r(vt), vt the affine map of [min, max] onto [-1, 1]
             lo, hi = v.min(), v.max()
@@ -89,26 +92,26 @@ def basis_from_matrix(M: np.ndarray, k: int, *, kind: BasisKind = BasisKind.CUST
         raise ValueError("moment matrix must be square")
     if not 1 <= k < q:
         raise ValueError(f"k must satisfy 1 <= k < q, got k={k}, q={q}")
-    M0 = M.copy()
-    M0[k:] = 0.0
-    Q, R = np.linalg.qr(M0[:k].T)  # reduced: Q (q, k), R (k, k)
+    if not np.all(np.isfinite(M[:k])):
+        raise NumericalError(f"the conserved moment rows 0..{k - 1} are not all finite")
+    Q, R = np.linalg.qr(M[:k].T)  # reduced: Q (q, k), R (k, k)
     if np.min(np.abs(np.diag(R))) <= q * np.finfo(float).eps * np.max(np.abs(R)):
         raise NumericalError("conserved moment rows are numerically rank deficient")
     # qr(complete) may flip signs relative to Q; only the span of U matters
     U = np.linalg.qr(Q, mode="complete")[0][:, k:]
-    return MomentBasis(kind=kind, M=M, k=k, M0=M0, Q=Q, U=U)
+    return MomentBasis(kind=kind, M=M, k=k, Q=Q, U=U)
 
 
 def conserved_drift(basis: MomentBasis, f: np.ndarray, f0: np.ndarray) -> float:
     """Max relative deviation of the first k raw moments from those of f0.
 
     Each moment row is normalized by the largest attainable magnitude
-    |f0| |M0|^T over the cells, so a moment that cancels to zero (momentum at
+    |f0| |M(:k)|^T over the cells, so a moment that cancels to zero (momentum at
     u ~ 0) does not blow up the relative measure.
     """
     m = np.atleast_2d(basis.conserved_moments(f))
     m0 = np.atleast_2d(basis.conserved_moments(f0))
-    attain = np.atleast_2d(np.abs(f0) @ np.abs(basis.M0[: basis.k]).T)
+    attain = np.atleast_2d(np.abs(f0) @ np.abs(np.ascontiguousarray(basis.M[: basis.k])).T)
     row_scale = np.maximum(attain.max(axis=0), np.finfo(float).tiny)
     return float(np.max(np.abs(m - m0) / row_scale))
 
@@ -136,7 +139,7 @@ def reset_conserved(
 
 
 def naive_projector(basis: MomentBasis) -> tuple[np.ndarray, float]:
-    """P = I - M^{-1} M0 via a dense solve, plus cond_1(M).
+    """P = I - M^{-1} M0 via a dense solve, plus cond_1(M); M0 is M with rows >= k zeroed.
 
     Kept for the failure studies: for large monomial or Chebyshev bases M is
     catastrophically ill-conditioned and P stops being a projector.  The
@@ -149,10 +152,19 @@ def naive_projector(basis: MomentBasis) -> tuple[np.ndarray, float]:
     is rounding noise whose values, and any CR spectrum built on it, depend
     on the LAPACK build; only its loss of the conserved moments is
     build-independent.
+
+    A moment matrix whose higher rows overflow, the monomial one on a fine
+    velocity grid, raises NumericalError before the solve.
     """
-    q = basis.q
+    q, k = basis.q, basis.k
+    if not np.all(np.isfinite(basis.M)):
+        raise NumericalError(
+            f"the {basis.kind.value} moment matrix of q = {q} velocities overflows; "
+            "the inverse-based projector needs every row finite")
+    M0 = np.zeros_like(basis.M)
+    M0[:k] = basis.M[:k]
     try:
-        P = np.eye(q) - np.linalg.solve(basis.M, basis.M0)
+        P = np.eye(q) - np.linalg.solve(basis.M, M0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"moment matrix is singular: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):

@@ -31,6 +31,10 @@ from .kinetic import (
 )
 from .steppers import BGKStepper, stable_dt
 
+# The velocity grid spans +-VELOCITY_BOUND_MULTIPLE surface thermal speeds,
+# the paper's truncation for every scenario.
+VELOCITY_BOUND_MULTIPLE = 4.0
+
 
 def _key(key: str, *, above=None, **kwargs):
     """A Scenario field stored under ``key`` in the flat config.
@@ -67,16 +71,13 @@ class Scenario:
     n_cells: int = _key("grid.N", above=0)
     n_velocities: int = _key("grid.Nv", above=1)
     lambda_multiple: float = _key("domain.lambda_multiple", above=0.0)
-    bound_multiple: float = _key("velocity.bound_multiple", above=0.0, default=4.0)
     reference_steps: int = _key("run.steps", above=-1, default=10000)
     # lifting defaults
-    order_m: int = _key("cr.order_m", default=CRConfig.order_m)
     solver: str = _key("cr.solver", default=CRConfig.solver)
     newton_tol: float = _key("cr.newton_tol", default=CRConfig.newton_tol)
     picard_tol: float = _key("cr.picard_tol", default=CRConfig.picard_tol)
     gmres_tol: float = _key("gmres.tol", default=GMRESParams.tol)
     gmres_max_iters: int = _key("gmres.max_iters", default=GMRESParams.max_iters)
-    cfl_safety: float = _key("run.cfl_safety", above=0.0, default=0.9)
 
     def __post_init__(self):
         for f in fields(self):
@@ -100,7 +101,7 @@ class Scenario:
             if not (abs(u) < b and BOLTZMANN * T / self.molecular_mass < b * b):
                 raise ValueError(
                     f"the {name} state (u {u:.3e} m/s, T {T:.3e} K) does not fit the velocity "
-                    f"grid +-{b:.3e} m/s, set by velocity.bound_multiple and the surface state")
+                    f"grid +-{b:.3e} m/s, set by the surface state")
         with np.errstate(all="ignore"):  # an overflow is reported below
             omega = relaxation_frequency(
                 MacroFields(*np.array([self.ambient, self.surface]).T), self.gas)
@@ -110,10 +111,10 @@ class Scenario:
                 f"and {omega[1]:.3e} 1/s, not positive and finite; it is set by gas.mu_ref, "
                 "gas.T_ref and gas.viscosity_index")
 
-    def cr_config(self, order: int | None = None, solver: str | None = None) -> CRConfig:
-        """The lifting configuration, with ``order`` and ``solver`` overriding the config."""
+    def cr_config(self, order: int = 0, solver: str | None = None) -> CRConfig:
+        """The lifting configuration at order ``order``, with ``solver`` overriding the config."""
         return CRConfig(
-            order_m=self.order_m if order is None else order,
+            order_m=order,
             solver=self.solver if solver is None else solver,
             picard_tol=self.picard_tol,
             newton_tol=self.newton_tol,
@@ -156,7 +157,7 @@ class Scenario:
 
     @property
     def vgrid(self) -> VelocityGrid:
-        b = self.bound_multiple * self.u0
+        b = VELOCITY_BOUND_MULTIPLE * self.u0
         return build_velocity_grid(-b, b, self.n_velocities)
 
     @property
@@ -185,7 +186,7 @@ class Scenario:
     def dt(self) -> float:
         """Stability time step from the initial (ambient) relaxation rate."""
         omega0 = relaxation_frequency(self.initial_macro(), self.gas)
-        return stable_dt(self.vgrid, self.grid.dx, omega0, safety=self.cfl_safety)
+        return stable_dt(self.vgrid, self.grid.dx, omega0)
 
     def make_stepper(self, *, warm_start: bool = False) -> BGKStepper:
         """The scenario's BGK stepper.
@@ -284,8 +285,3 @@ def config_hash(scenario: Scenario) -> str:
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         return Scenario.from_dict(parse_config(fh.read()))
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(scenario.to_dict()))

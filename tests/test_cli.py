@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import klift
-from klift import BGKStepper, DistributionField, Scenario, load_scenario, save_scenario
+from klift import BGKStepper, DistributionField, Scenario, build_velocity_grid, load_scenario
+from klift import steppers
 from klift.cli import EXIT_ARG, EXIT_NUMERICAL, EXIT_OK, main
 from klift.cr import restrict_lift_error
 from klift.errors import NumericalError
@@ -22,21 +23,25 @@ from klift.snapshots import read_snapshot, write_snapshot
 from conftest import KB, load_shipped, scenario_path
 
 
+def write_config(sc, path):
+    path.write_text(serialize_config(sc.to_dict()), encoding="utf-8")
+
+
 def tiny_config(tmp_path, **overrides):
     """A fast variant of the shipped scenario for end-to-end CLI tests."""
     params = dict(n_cells=24, n_velocities=16, reference_steps=20)
     params.update(overrides)
     sc = load_shipped("helium_desk.cfg").with_overrides(**params)
     path = tmp_path / "tiny.cfg"
-    save_scenario(sc, path)
+    write_config(sc, path)
     return path, sc
 
 
 FLOAT_KEYS = [
     "gas.molecular_mass", "gas.molecular_diameter", "gas.mu_ref", "gas.T_ref",
     "gas.viscosity_index", "ambient.p", "ambient.T", "ambient.u", "surface.p",
-    "surface.T", "surface.u", "domain.lambda_multiple", "velocity.bound_multiple",
-    "cr.newton_tol", "cr.picard_tol", "gmres.tol", "run.cfl_safety",
+    "surface.T", "surface.u", "domain.lambda_multiple", "cr.newton_tol", "cr.picard_tol",
+    "gmres.tol",
 ]
 # one invocation of each subcommand; "ref.snap" stands for a valid snapshot
 SUBCOMMANDS = [
@@ -58,20 +63,18 @@ OUT_FILE = [argv for argv in STEPPING if argv[0] != "lift"] + [
     ["restrict", "--snapshot", "ref.snap"]]
 # well-typed values outside a key's range: (key, config text)
 OUT_OF_RANGE = [
-    ("cr.order_m", "99"), ("cr.order_m", "-1"), ("run.cfl_safety", "0.0"),
     ("gmres.max_iters", "0"), ("gmres.tol", "0.0"), ("cr.newton_tol", "-1e-10"),
     ("run.steps", "-5"), ("ambient.p", "-1"), ("ambient.T", "0"), ("surface.p", "-1"),
     ("surface.T", "0"), ("grid.N", "0"), ("grid.Nv", "1"), ("gas.mu_ref", "-1"),
-    ("gas.viscosity_index", "-1"), ("velocity.bound_multiple", "-1"),
-    ("domain.lambda_multiple", "-1"), ("gas.molecular_diameter", "1e200"),
-    ("gas.viscosity_index", "1e300"),
+    ("gas.viscosity_index", "-1"), ("domain.lambda_multiple", "-1"),
+    ("gas.molecular_diameter", "1e200"), ("gas.viscosity_index", "1e300"),
 ]
 # values at the ends of the float range, which must reach an exit code without
 # overflowing on the way: (key, config text)
 EXTREME = [
     ("gas.molecular_mass", "1e-300"), ("gas.molecular_mass", "1e300"), ("ambient.T", "1e300"),
-    ("ambient.u", "1e300"), ("velocity.bound_multiple", "1e-300"),
-    ("velocity.bound_multiple", "1e300"), ("gas.viscosity_index", "1e300"),
+    ("ambient.u", "1e300"), ("surface.T", "1e-130"), ("surface.T", "1e300"),
+    ("gas.viscosity_index", "1e300"),
 ]
 # values a float key rejects: (config text, a Python value passed to Scenario.from_dict)
 BAD_FLOAT_WORDS = [("true", True), ("nan", math.nan), ("inf", math.inf), ("fast", "fast")]
@@ -127,7 +130,7 @@ class TestConfigFormat:
         ("grid.N", 20.7),
         ("grid.Nv", True),
         ("run.steps", 1500.5),
-        ("cr.order_m", "2"),
+        ("grid.N", "20"),
         ("gmres.max_iters", float("inf")),
     ] + [(key, value) for key in FLOAT_KEYS for _, value in BAD_FLOAT_WORDS])
     def test_rejects_coerced_values(self, key, value):
@@ -150,10 +153,10 @@ class TestConfigFormat:
         assert sorted(k for k, v in d.items() if type(v) is float) == sorted(FLOAT_KEYS)
 
     def test_shipped_config_hashes(self):
-        # CSV headers carry these hashes; a schema change must not move them
-        assert config_hash(load_shipped("helium_desk.cfg")) == "483d29046e3d9a37"
-        assert config_hash(load_shipped("helium_L30.cfg")) == "a32acfa719baef66"
-        assert config_hash(load_shipped("helium_L30000.cfg")) == "871ef8a7d68f8e18"
+        # CSV headers carry these hashes; only a schema change may move them
+        assert config_hash(load_shipped("helium_desk.cfg")) == "aec6397b3836a615"
+        assert config_hash(load_shipped("helium_L30.cfg")) == "b7d39dd2bbe51b92"
+        assert config_hash(load_shipped("helium_L30000.cfg")) == "caa71b2971408dfb"
 
     @pytest.mark.parametrize("name", ["helium_desk.cfg", "helium_L30.cfg", "helium_L30000.cfg"])
     def test_shipped_config_lists_every_key(self, name):
@@ -168,7 +171,7 @@ class TestConfigFormat:
     def test_save_load_file(self, tmp_path):
         sc = load_shipped("helium_desk.cfg")
         p = tmp_path / "copy.cfg"
-        save_scenario(sc, p)
+        write_config(sc, p)
         assert load_scenario(p) == sc
 
 
@@ -246,6 +249,16 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="short.snap.*header"):
             read_snapshot(p)
 
+    def test_unsupported_version(self, tmp_path):
+        sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=4, n_velocities=16)
+        p = tmp_path / "f.snap"
+        write_snapshot(p, sc.initial_field())
+        data = bytearray(p.read_bytes())
+        data[6:8] = (2).to_bytes(2, "little")  # the u16 version after the 6-byte magic
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="f.snap: unsupported snapshot version 2"):
+            read_snapshot(p)
+
     def test_truncated_payload(self, tmp_path, rng):
         sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=4, n_velocities=16)
         p = tmp_path / "f.snap"
@@ -264,6 +277,20 @@ class TestCLI:
                      "--out", str(out)]) == EXIT_OK
         field = read_snapshot(out)
         assert np.array_equal(field.values, sc.initial_field().values)
+
+    def test_failed_snapshot_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def fails(path, field):
+            Path(path).write_bytes(b"KLIFT1")  # a write cut short
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr("klift.cli.write_snapshot", fails)
+        cfg, _ = tiny_config(tmp_path)
+        out = tmp_path / "ref.snap"
+        assert main(["run-reference", "--config", str(cfg), "--steps", "2",
+                     "--out", str(out)]) == EXIT_ARG
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert not out.exists()
+        assert not (tmp_path / "ref.snap.partial").exists()
 
     def test_run_reference_deterministic(self, tmp_path):
         cfg, _ = tiny_config(tmp_path)
@@ -329,7 +356,7 @@ class TestCLI:
         other, _ = tiny_config(tmp_path, n_cells=12)
         other_path = tmp_path / "other.cfg"
         sc = load_scenario(cfg).with_overrides(n_cells=12)
-        save_scenario(sc, other_path)
+        write_config(sc, other_path)
         assert main(["lift", "--config", str(other_path), "--reference", str(ref),
                      "--out", str(tmp_path / "x")]) == EXIT_ARG
 
@@ -343,7 +370,7 @@ class TestCLI:
         if mismatch == "dx":
             grid = sc.with_overrides(lambda_multiple=0.6).grid
         elif mismatch == "velocity grid":
-            vgrid = sc.with_overrides(bound_multiple=6.0).vgrid
+            vgrid = build_velocity_grid(1.5 * vgrid.v_min, 1.5 * vgrid.v_max, vgrid.n_velocities)
         else:
             # physical values at scale 1, as configs without mass rescaling wrote them
             values, scale = values / scale, 1.0
@@ -490,11 +517,15 @@ class TestCLI:
         err = self.assert_config_value_is_arg_error(tmp_path, capsys, argv, "cr.solver", "bogus")
         assert "bogus" in err
 
-    @pytest.mark.parametrize("key,text", [("flux.scheme", "upwind"),
-                                          ("field.mass_rescaled", "true")])
+    @pytest.mark.parametrize("key,text", [
+        ("flux.scheme", "upwind"), ("field.mass_rescaled", "true"), ("cr.order_m", "0"),
+        ("run.cfl_safety", "0.9"), ("velocity.bound_multiple", "4.0"),
+    ])
     @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
     def test_removed_key_is_arg_error(self, tmp_path, capsys, argv, key, text):
-        # upwind fluxes on mass-rescaled fields are the one discretization
+        # upwind fluxes on mass-rescaled fields are the one discretization; the
+        # order comes from --order, and the velocity bound and the CFL safety
+        # factor are constants
         err = self.assert_config_value_is_arg_error(tmp_path, capsys, argv, key, text)
         assert "unrecognized config keys" in err and key in err
 
@@ -525,22 +556,71 @@ class TestCLI:
         assert all(key in err for key in ("gas.mu_ref", "gas.T_ref", "gas.viscosity_index"))
         assert not (tmp_path / "o.snap").exists()
 
-    def test_unstable_time_step_is_numerical_error(self, tmp_path, capsys):
-        cfg = config_with(tmp_path, "run.cfl_safety", "10")
+    def test_unstable_time_step_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(steppers, "CFL_SAFETY", 10.0)
+        cfg = scenario_path("helium_desk.cfg")
         assert main(["run-reference", "--config", str(cfg),
                      "--out", str(tmp_path / "o.snap")]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "temperature" in err
         assert not (tmp_path / "o.snap").exists()
 
-    def test_non_finite_totals_are_numerical_error(self, tmp_path, capsys):
+    def test_non_finite_totals_are_numerical_error(self, tmp_path, capsys, monkeypatch):
         # the step's output is finite, but its totals overflow once divided by the mass scale
-        cfg = config_with(tmp_path, "run.cfl_safety", "1e300")
+        monkeypatch.setattr(steppers, "CFL_SAFETY", 1e300)
+        cfg = scenario_path("helium_desk.cfg")
         assert main(["run-reference", "--config", str(cfg), "--steps", "1",
                      "--out", str(tmp_path / "o.snap")]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: non-finite totals after step 1")
         assert not (tmp_path / "o.snap").exists()
+
+    def test_cold_ambient_is_numerical_error(self, tmp_path, capsys):
+        # a 1e-200 K ambient gas off the grid midpoint: the equilibrium names
+        # the cell before its starting exponent can overflow
+        d = load_shipped("helium_desk.cfg").to_dict()
+        d.update({"ambient.u": 300.0, "ambient.T": 1e-200})
+        cfg = tmp_path / "cold.cfg"
+        cfg.write_text(serialize_config(d), encoding="utf-8")
+        assert main(["run-reference", "--config", str(cfg), "--steps", "2",
+                     "--out", str(tmp_path / "o.snap")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: no discrete equilibrium on the velocity grid "
+                              "in cell 0: ")
+        assert not (tmp_path / "o.snap").exists()
+
+    # the monomial rows v^r overflow from Nv = 79 on the shipped bounds; the
+    # QR reset reads only the conserved rows, and the naive projector refuses
+    # the matrix before any step or solve
+    @pytest.mark.parametrize("nv", [79, 96])
+    @pytest.mark.parametrize("operator", ["qr-projector", "naive-projector", "cr-qr", "cr-naive"])
+    def test_fine_velocity_grid_spectrum(self, tmp_path, capsys, monkeypatch, nv, operator):
+        cfg, _ = tiny_config(tmp_path, n_cells=4, n_velocities=nv)
+        out = tmp_path / "spec.csv"
+        naive = operator in ("naive-projector", "cr-naive")
+        if naive:
+            monkeypatch.setattr(BGKStepper, "step", no_step)
+        code = main(["spectrum", "--config", str(cfg), "--operator", operator,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        if naive:
+            assert code == EXIT_NUMERICAL
+            assert err == (f"numerical failure: the monomial moment matrix of q = {nv} velocities "
+                           "overflows; the inverse-based projector needs every row finite\n")
+            assert not out.exists()
+        else:
+            assert (code, err) == (EXIT_OK, "")
+            assert len(read_rows(out)) == 1 + (nv if operator == "qr-projector" else 4 * (nv - 3))
+
+    @pytest.mark.parametrize("nv", [79, 96])
+    def test_fine_velocity_grid_lift(self, tmp_path, nv):
+        cfg, _ = tiny_config(tmp_path, n_cells=20, n_velocities=nv)
+        ref = tmp_path / "ref.snap"
+        assert main(["run-reference", "--config", str(cfg), "--steps", "5",
+                     "--out", str(ref)]) == EXIT_OK
+        assert main(["lift", "--config", str(cfg), "--reference", str(ref), "--order", "1",
+                     "--out", str(tmp_path / "lift")]) == EXIT_OK
+        assert read_rows(tmp_path / "lift_norms.csv")[2][0] == "cr_m1"
 
     def test_sweep(self, tmp_path):
         cfg, _ = tiny_config(tmp_path)

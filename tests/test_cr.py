@@ -389,8 +389,11 @@ class TestErrorDiagnostics:
         a = DistributionField(grid, vg, rng.random((4, 8)) + 0.2)
         vg2 = build_velocity_grid(-3.0, 3.0, 8)
         b = DistributionField(grid, vg2, rng.random((4, 8)) + 0.2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mismatched velocity grids"):
             restrict_lift_error(a, b)
+        c = DistributionField(build_spatial_grid(1.0, 5), vg, rng.random((5, 8)) + 0.2)
+        with pytest.raises(ValueError, match="mismatched grids"):
+            restrict_lift_error(a, c)
 
 
 class TestConservedDrift:

@@ -16,7 +16,7 @@ from klift.diagnostics import (
     ring_colors,
 )
 from klift.errors import NumericalError
-from klift.moments import naive_projector
+from klift.moments import basis_from_matrix, naive_projector
 from klift.steppers import D1Q3Stepper
 
 from conftest import IdentityStepper, load_shipped, reference_vgrid
@@ -65,6 +65,11 @@ class TestProjectorSpectrum:
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
         with pytest.raises(ValueError):
             projector_spectrum(basis, "oblique")
+
+    def test_dimension_cap(self):
+        basis = basis_from_matrix(np.eye(513), 1)
+        with pytest.raises(ValueError, match="capped at q=512"):
+            projector_spectrum(basis, "qr")
 
 
 def fd_reference_jacobian(stepper, basis, f0, order_m):

@@ -58,6 +58,21 @@ class TestVelocityGrid:
             build_velocity_grid(-bound, bound, 24)
 
 
+class TestDistributionField:
+    def test_values_must_match_the_grids(self):
+        with pytest.raises(ValueError, match=re.escape("values shape (4, 7) != (4, 8)")):
+            DistributionField(build_spatial_grid(1.0, 4), build_velocity_grid(-2.0, 2.0, 8),
+                              np.ones((4, 7)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_numerical_error(self, bad):
+        values = np.ones((4, 8))
+        values[2, 3] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            DistributionField(build_spatial_grid(1.0, 4), build_velocity_grid(-2.0, 2.0, 8),
+                              values)
+
+
 class TestSpatialGrid:
     def test_centers(self):
         g = build_spatial_grid(2.0, 4)
@@ -242,11 +257,15 @@ class TestDiscreteEquilibrium:
             discrete_equilibrium(np.array([1e25, 2e25]), np.array([0.0, u]),
                                  np.array([300.0, 0.01]), vg, sc.gas)
 
-    @pytest.mark.parametrize("u, T", [(0.0, 1e300), (1e300, 300.0), (1e4, 300.0)])
+    @pytest.mark.parametrize("u, T", [(0.0, 1e300), (1e300, 300.0), (1e4, 300.0)] + [
+        (u, T) for u in (0.0, 300.0, -9990.0, 9990.0) for T in (1e-200, 1e-300, 1e-308, 5e-324)])
     def test_state_off_the_grid_names_the_cell(self, u, T):
         # no distribution on a +-1e4 m/s grid has |u - v_mid| or k_B T / m
-        # reaching 1e4 m/s or its square; the cell is named before any
-        # arithmetic can overflow, also with every warning an error
+        # reaching 1e4 m/s or its square, and at k_B T / m <= eps h^2 the
+        # starting Gaussian is zero at every velocity but the one nearest u;
+        # the cell is named before any arithmetic, such as the starting
+        # exponent m (u - v_mid)^2 / (2 k_B T), can overflow, also with every
+        # warning an error
         vg = build_velocity_grid(-1e4, 1e4, 24)
         want = re.escape(f"no discrete equilibrium on the velocity grid in cell 1: n 2.000e+25 "
                          f"1/m^3, u {u:.3e} m/s, T {T:.3e} K")

@@ -24,8 +24,8 @@ class TestBasisConstruction:
     def test_d1q3_k1(self):
         b = build_moment_basis(BasisKind.D1Q3, None, 1)
         np.testing.assert_array_equal(b.M, D1Q3_MOMENT_MATRIX)
-        np.testing.assert_array_equal(b.M0[0], [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(b.M0[1:], 0.0)
+        # the one conserved moment is the density, row 0 of M
+        np.testing.assert_array_equal(b.conserved_moments(np.eye(3)), D1Q3_MOMENT_MATRIX[:1].T)
         # Q spans (1,1,1)/sqrt(3); sign is QR-dependent, compare the projector
         np.testing.assert_allclose(b.Q @ b.Q.T, np.full((3, 3), 1.0 / 3.0), atol=1e-14)
 
@@ -40,9 +40,9 @@ class TestBasisConstruction:
     def test_reconstruction_invariant(self):
         for kind in (BasisKind.MONOMIAL, BasisKind.CHEBYSHEV):
             b = build_moment_basis(kind, reference_vgrid(24), 3)
-            recon = (b.Q @ (b.Q.T @ b.M0[:3].T)).T
-            scale = np.abs(b.M0[:3]).max()
-            np.testing.assert_allclose(recon, b.M0[:3], atol=1e-10 * scale)
+            recon = (b.Q @ (b.Q.T @ b.M[:3].T)).T
+            scale = np.abs(b.M[:3]).max()
+            np.testing.assert_allclose(recon, b.M[:3], atol=1e-10 * scale)
 
     def test_monomial_rows_are_powers(self):
         v = np.array([-2.0, -0.5, 1.0, 3.0])
@@ -71,6 +71,14 @@ class TestBasisConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_moment_basis(BasisKind.MONOMIAL, np.array([1.0, 1.0, 2.0]), 1)
+        with pytest.raises(ValueError, match="at least two velocities"):
+            build_moment_basis(BasisKind.MONOMIAL, np.array([1.0]), 1)
+        with pytest.raises(ValueError, match="basis_from_matrix"):
+            build_moment_basis(BasisKind.CUSTOM, np.array([-1.0, 0.0, 1.0]), 1)
+        with pytest.raises(ValueError, match="square"):
+            basis_from_matrix(np.ones((3, 4)), 1)
+        with pytest.raises(NumericalError, match="not all finite"):
+            basis_from_matrix(np.array([[1.0, np.inf, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]]), 1)
         with pytest.raises(ValueError):
             basis_from_matrix(np.eye(3), 0)
         with pytest.raises(ValueError):
@@ -98,8 +106,8 @@ class TestProjector:
     def test_annihilates_conserved_rows(self, rng):
         b = build_moment_basis(BasisKind.MONOMIAL, reference_vgrid(16), 3)
         f = rng.random(16)
-        out = b.M0[:3] @ strip_conserved(b, f)
-        assert np.abs(out).max() < 1e-10 * np.abs(b.M0[:3] @ f).max()
+        out = b.M[:3] @ strip_conserved(b, f)
+        assert np.abs(out).max() < 1e-10 * np.abs(b.M[:3] @ f).max()
 
     def test_eigenvalues_reference_grid(self):
         b = build_moment_basis(BasisKind.MONOMIAL, reference_vgrid(56), 3)
@@ -136,8 +144,9 @@ class TestResetConserved:
 
     def test_d1q3_density_matches_inverse_form(self, rng):
         b = build_moment_basis(BasisKind.D1Q3, None, 1)
-        Minv = np.linalg.inv(b.M)
-        proj = Minv @ b.M0
+        M0 = np.zeros_like(b.M)
+        M0[0] = b.M[0]
+        proj = np.linalg.inv(b.M) @ M0
         for _ in range(50):
             f_pre, f0 = rng.random(3), rng.random(3)
             out_qr = reset_conserved(b, f_pre, f0)
@@ -163,6 +172,23 @@ class TestResetConserved:
         np.testing.assert_allclose(out_m, out_c, atol=1e-10)
 
 
+class TestFineVelocityGrid:
+    # on the shipped bounds the monomial rows v^r overflow from Nv = 79 on
+    @pytest.mark.parametrize("nv", [78, 79, 96])
+    def test_conserved_rows_stay_finite(self, nv):
+        # any RuntimeWarning fails the test (pyproject's filterwarnings)
+        b = build_moment_basis(BasisKind.MONOMIAL, reference_vgrid(nv), 3)
+        assert np.all(np.isfinite(b.M[:3])) and np.all(np.isfinite(b.Q))
+        assert np.all(np.isfinite(b.M)) == (nv == 78)
+        np.testing.assert_allclose(b.Q.T @ b.Q, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("nv", [79, 96])
+    def test_naive_projector_refuses_overflowing_rows(self, nv):
+        b = build_moment_basis(BasisKind.MONOMIAL, reference_vgrid(nv), 3)
+        with pytest.raises(NumericalError, match=f"moment matrix of q = {nv} velocities overflows"):
+            naive_projector(b)
+
+
 class TestNaiveProjector:
     def test_d1q3_exact(self):
         b = build_moment_basis(BasisKind.D1Q3, None, 1)
@@ -171,6 +197,11 @@ class TestNaiveProjector:
         ev = np.sort(np.linalg.eigvals(P).real)
         np.testing.assert_allclose(ev, [0.0, 1.0, 1.0], atol=1e-12)
         assert cond < 100
+
+    def test_singular_matrix_is_numerical_error(self):
+        b = basis_from_matrix(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), 1)
+        with pytest.raises(NumericalError, match="moment matrix is singular"):
+            naive_projector(b)
 
     @pytest.mark.parametrize("kind", [BasisKind.MONOMIAL, BasisKind.CHEBYSHEV])
     def test_large_basis_degrades(self, kind):
