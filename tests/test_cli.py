@@ -519,7 +519,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("key,text", [
         ("flux.scheme", "upwind"), ("field.mass_rescaled", "true"), ("cr.order_m", "0"),
-        ("run.cfl_safety", "0.9"), ("velocity.bound_multiple", "4.0"),
+        ("cr.order_m", "-1"), ("cr.order_m", "99"), ("run.cfl_safety", "0.9"),
+        ("velocity.bound_multiple", "4.0"),
     ])
     @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
     def test_removed_key_is_arg_error(self, tmp_path, capsys, argv, key, text):
