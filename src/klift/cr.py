@@ -84,6 +84,53 @@ class GMRESResult(NamedTuple):
     estimate: float    # the last Givens residual estimate over ||b||
     residual: float    # the true residual ||b - A x|| over ||b||
     reorthogonalized: int = 0  # Arnoldi vectors given a second Gram-Schmidt pass
+    runs: int = 0      # runs of equal consecutive rows the basis held at the end
+
+
+class _Runs:
+    """The runs of equal consecutive rows of an (N, q) array, which later
+    arrays may split.
+
+    Run j holds ``weights[j]`` consecutive rows from row ``first[j]``;
+    ``owner[i]`` is the run of row i, and ``same[i]`` says whether rows i and
+    i + 1 share a run.  Runs are only ever split: the tail from each row that
+    differs from the row before it in its run becomes a new run, numbered
+    after all the others, so a run's number keeps its meaning.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        n = len(rows)
+        self.same = (rows[1:] == rows[:-1]).all(axis=1)
+        self.owner = np.concatenate(([0], np.cumsum(~self.same)))
+        starts = np.flatnonzero(np.concatenate(([True], ~self.same)))
+        self.count = len(starts)
+        self.first = np.empty(n, np.intp)
+        self.first[: self.count] = starts
+        self.weights = np.empty(n)
+        self.weights[: self.count] = np.diff(starts, append=n)
+
+    def split(self, rows: np.ndarray, *stores: np.ndarray) -> None:
+        """Split every run in which ``rows`` differ; each store, an array
+        with one row per run in its last two axes, copies the parent run's
+        row into the new run."""
+        if self.count == len(self.owner):  # every run is one row
+            return
+        cut = np.flatnonzero(self.same & (rows[1:] != rows[:-1]).any(axis=1)) + 1
+        if not cut.size:
+            return
+        self.same[cut - 1] = False
+        bounds = np.append(np.flatnonzero(~self.same) + 1, len(self.owner))
+        ends = bounds[np.searchsorted(bounds, cut, side="right")]
+        parents = self.owner[cut]
+        new = np.arange(self.count, self.count + cut.size)
+        for start, end, run in zip(cut.tolist(), ends.tolist(), new.tolist()):
+            self.owner[start:end] = run
+        self.first[new] = cut
+        self.weights[new] = ends - cut
+        np.subtract.at(self.weights, parents, ends - cut)
+        for store in stores:
+            store[..., new, :] = store[..., parents, :]
+        self.count += cut.size
 
 
 def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
@@ -97,6 +144,20 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     ceil(max_iters / restart) cycles, each of at most min(restart, remaining);
     restart=None means max_iters, and restart is capped at n, the largest
     Krylov space.  A cycle that ends early still counts, as in scipy.
+
+    The Arnoldi vectors and x are stored as one row per run of equal
+    consecutive rows of b's (N, q) shape (a 1-D b is one row), and inner
+    products weigh each row by its run's length: c = V (w * counts) and
+    ||w||^2 = w . (w * counts).  ``matvec`` receives and returns arrays of
+    b's shape; each argument is expanded from the stored rows into one
+    scratch buffer.  Where a matvec result (or the residual of a cycle)
+    differs inside a run, the tail from the first differing row becomes a
+    new run, and every stored vector copies its parent's row into it, so
+    each stored vector stays exact and runs only split.  A b without equal
+    neighbouring rows is stored as it is: its vectors go to ``matvec`` and
+    into the products unexpanded and unweighted, the arithmetic of
+    full-length vectors bit for bit.  ``runs`` is the number of runs at the
+    end.
 
     Each Arnoldi vector w is orthogonalized by one pass of classical
     Gram-Schmidt, one product with the stacked basis rows, and by a second
@@ -119,54 +180,81 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     ``reorthogonalized`` counts the second passes.
 
     Each ``matvec`` result is used up before the next call, so ``matvec``
-    may return the same buffer every time.
+    may return the same buffer every time; it must not change its argument,
+    which may be a stored vector.
     """
     n = b.size
+    rows = b.reshape(len(b) if b.ndim > 1 else 1, -1)
+    runs = _Runs(rows)
     bnrm2 = float(np.linalg.norm(b))
     atol = params.tol * bnrm2
     if bnrm2 == 0.0 or bnrm2 < atol:  # b = 0, or rtol > 1 accepts x = 0
         rel = 1.0 if bnrm2 else 0.0
-        return GMRESResult(np.zeros(n), 0, 0, rel, rel)
+        return GMRESResult(np.zeros(b.shape), 0, 0, rel, rel, 0, runs.count)
     eps = np.finfo(float).eps
     limit = ORTHOGONALITY_MARGIN * params.tol / eps
     restart = min(params.restart or params.max_iters, params.max_iters, n)
-    V = np.empty((restart + 1, n))  # rows never reached are never touched
+    V = np.empty((restart + 1,) + rows.shape)  # rows never reached are never touched
     R = np.zeros((restart, restart))  # R[j, :j+1] = rotated Hessenberg column j
-    x = np.zeros(n)
-    r = b.copy()
-    tmp = np.empty(n)  # each Gram-Schmidt pass's c @ basis, and y @ V
+    x = np.zeros(rows.shape)
+    full = np.empty(b.shape)  # the matvec argument, and b - A x
+    full_rows = full.reshape(rows.shape)
+    tmp = np.empty(n)  # each vector times its run lengths, c @ basis, and y @ V
+    # every row its own run: vectors are stored and used as they are
+    plain = runs.count == len(rows)
+
+    def expand(stored):
+        """``stored``, one row per run, as an array of b's shape."""
+        if plain:
+            return stored.reshape(b.shape)
+        np.take(stored[: runs.count], runs.owner, axis=0, out=full_rows, mode="clip")
+        return full
+
+    def weigh(v):
+        """v times its run lengths (in tmp unless plain) as one row, and v's weighted norm."""
+        if plain:
+            return v.reshape(-1), float(np.linalg.norm(v))
+        wv = np.multiply(v, runs.weights[: len(v), None], out=tmp[: v.size].reshape(v.shape))
+        return wv.reshape(-1), math.sqrt(float(np.dot(v.reshape(-1), wv.reshape(-1))))
+
+    r, rnorm = rows, bnrm2
     ptol, ptol_max_factor = atol, 1.0
     used = reorthogonalized = 0
     for cycles in range(1, math.ceil(params.max_iters / restart) + 1):
-        beta = float(np.linalg.norm(r))
-        V[0] = r
-        V[0] *= 1.0 / beta
+        beta = rnorm
+        np.take(r, runs.first[: runs.count], axis=0, out=V[0, : runs.count], mode="clip")
+        V[0, : runs.count] *= 1.0 / beta
         S = [beta] + [0.0] * restart
         rotations = []
         breakdown = False
         growth = 1.0
         for col in range(min(restart, params.max_iters - used)):
-            w = matvec(V[col])
-            h0 = float(np.linalg.norm(w))
-            basis, v_new = V[: col + 1], V[col + 1]
-            c = basis @ w
-            np.subtract(w, np.matmul(c, basis, out=tmp), out=v_new)
-            h1 = float(np.linalg.norm(v_new))
+            w = np.reshape(matvec(expand(V[col])), rows.shape)
+            runs.split(w, V[: col + 1], x)
+            k = runs.count
+            basis, v_new = V[: col + 1, :k].reshape(col + 1, -1), V[col + 1, :k]
+            v_flat = v_new.reshape(-1)
+            if not plain:  # one row per run of w
+                w = np.take(w, runs.first[:k], axis=0, out=v_new, mode="clip")
+            wv, h0 = weigh(w)
+            c = basis @ wv
+            np.subtract(w.reshape(-1), np.matmul(c, basis, out=tmp[: v_flat.size]), out=v_flat)
+            wv, h1 = weigh(v_new)
             growth *= h0 / h1 if h1 else math.inf
             if growth > limit:
-                c2 = basis @ v_new
-                v_new -= np.matmul(c2, basis, out=tmp)
+                c2 = basis @ wv
+                v_flat -= np.matmul(c2, basis, out=tmp[: v_flat.size])
                 c += c2
                 growth = max(1.0, float(np.abs(c2).max()) / (eps * h1)) if h1 else 1.0
-                h1 = float(np.linalg.norm(v_new))
+                _, h1 = weigh(v_new)
                 reorthogonalized += 1
             h = c.tolist()
             if h1 <= eps * h0:  # the Krylov space is invariant: x is exact
                 h1, breakdown = 0.0, True
             else:
                 v_new *= 1.0 / h1
-            for k, (cs, sn) in enumerate(rotations):
-                h[k], h[k + 1] = cs * h[k] + sn * h[k + 1], -sn * h[k] + cs * h[k + 1]
+            for j, (cs, sn) in enumerate(rotations):
+                h[j], h[j + 1] = cs * h[j] + sn * h[j + 1], -sn * h[j] + cs * h[j + 1]
             mag = math.hypot(h[col], h1)
             cs, sn = (h[col] / mag, h1 / mag) if mag else (1.0, 0.0)
             rotations.append((cs, sn))
@@ -181,24 +269,27 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
         if R[col, col] == 0.0:
             S[col] = 0.0
         y = np.array(S[: col + 1])
-        for k in range(col, 0, -1):
-            if y[k] != 0.0:
-                y[k] /= R[k, k]
-                y[:k] -= y[k] * R[k, :k]
+        for j in range(col, 0, -1):
+            if y[j] != 0.0:
+                y[j] /= R[j, j]
+                y[:j] -= y[j] * R[j, :j]
         if y[0] != 0.0:
             y[0] /= R[0, 0]
-        x += np.matmul(y, V[: col + 1], out=tmp)
-        np.subtract(b, matvec(x), out=r)
-        rnorm = float(np.linalg.norm(r))
+        x_flat = x[:k].reshape(-1)
+        x_flat += np.matmul(y, basis, out=tmp[: x_flat.size])
+        r = np.subtract(rows, np.reshape(matvec(expand(x)), rows.shape), out=full_rows)
+        rnorm = float(np.linalg.norm(full))
         if rnorm <= atol or breakdown:
             break
+        runs.split(r, x)
         if presid <= ptol:  # the estimate passed but the true residual did not
             ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
         else:
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
     info = 0 if rnorm <= atol else cycles
-    return GMRESResult(x, info, used, presid / bnrm2, rnorm / bnrm2, reorthogonalized)
+    x = expand(x).copy()
+    return GMRESResult(x, info, used, presid / bnrm2, rnorm / bnrm2, reorthogonalized, runs.count)
 
 
 @dataclass(frozen=True)
@@ -347,7 +438,6 @@ def cr_lift(
     residual, and the JVP, which forms the perturbed state in its own output.
     """
     t0 = _time.perf_counter()
-    shape = f0.shape
     newton = cfg.solver == "newton"
     name = cfg.solver.capitalize()
     tol, budget = (cfg.newton_tol, MAX_NEWTON_ITERS) if newton else (cfg.picard_tol, MAX_PICARD_ITERS)
@@ -355,9 +445,9 @@ def cr_lift(
     # one block for all five: glibc's trim threshold follows the largest
     # block freed, so the next lift reuses this one, where separate arrays
     # may be trimmed and faulted in again (median minor faults per
-    # full-scale lift: the block 368 in each of 11 runs, five arrays 368 or
-    # 516 from run to run, seven arrays 516)
-    a, b, Cf, g, jvp = np.empty((5,) + shape)
+    # full-scale lift: the block 53.5-54 in each of 6 runs, five arrays
+    # 71.5-82 in each of 4)
+    a, b, Cf, g, jvp = np.empty((5,) + f0.shape)
     work = (a, b)
     history: list[float] = []
     gmres_total = 0
@@ -375,8 +465,8 @@ def cr_lift(
                 f"m = {cfg.order_m}): {exc}") from exc
 
     def matvec(v):
-        cr_jvp(apply_map, f, Cf, v.reshape(shape), out=jvp)
-        return np.subtract(v, jvp.reshape(-1), out=jvp.reshape(-1))
+        cr_jvp(apply_map, f, Cf, v, out=jvp)
+        return np.subtract(v, jvp, out=jvp)
 
     for it in range(budget + 1):
         apply_map(f, Cf)
@@ -409,7 +499,7 @@ def cr_lift(
             np.copyto(f, Cf)
             continue
 
-        solve = gmres(matvec, np.negative(g, out=g).reshape(-1), cfg.gmres)
+        solve = gmres(matvec, np.negative(g, out=g), cfg.gmres)
         gmres_total += solve.iterations
         if solve.info != 0:
             raise failure(
@@ -417,7 +507,7 @@ def cr_lift(
                 f"{solve.iterations} inner iterations, estimated relative residual "
                 f"{solve.estimate:.3e} and true relative residual {solve.residual:.3e} "
                 f"against rtol {cfg.gmres.tol:g}")
-        f += solve.x.reshape(shape)
+        f += solve.x
 
     raise failure(
         f"{name} CR iteration did not reach {tol:g} "

@@ -437,18 +437,21 @@ def scipy_gmres(matvec, b, params):
     """scipy.sparse.linalg.gmres called as the Newton lift called it before klift.cr.gmres.
 
     restart=None meant min(n, max_iters); the iteration count is the number
-    of pr_norm callbacks.  The true residual is not computed (NaN).
+    of pr_norm callbacks.  The true residual is not computed (NaN).  A b of
+    any shape is solved flattened, with matvec seeing and x taking b's shape.
     """
     n = b.size
     restart = params.restart if params.restart is not None else min(n, params.max_iters)
     estimates = []
     x, info = scipy.sparse.linalg.gmres(
-        scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float),
-        b, rtol=params.tol, atol=0.0, restart=restart,
+        scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=lambda v: np.reshape(matvec(v.reshape(b.shape)), -1), dtype=float),
+        b.reshape(-1), rtol=params.tol, atol=0.0, restart=restart,
         maxiter=max(1, params.max_iters // restart),
         callback=estimates.append, callback_type="pr_norm",
     )
-    return GMRESResult(x, info, len(estimates), estimates[-1] if estimates else 0.0, math.nan)
+    return GMRESResult(x.reshape(b.shape), info, len(estimates),
+                       estimates[-1] if estimates else 0.0, math.nan)
 
 
 def shift_matvec(v):
@@ -618,6 +621,66 @@ class TestGMRES:
         assert true == pytest.approx(true_residual, rel=1e-3)
         assert true > 10.0 * rtol
 
+    @staticmethod
+    def _spreading_system(N=200, q=3):
+        """A translation-invariant block-tridiagonal operator on (N, q) arrays
+        (zero beyond the ends), and a b nonzero on rows 0-2 and constant on
+        rows 100-179, zero elsewhere: each product spreads a vector one row
+        further and wears the constant block down by a row at each end, so
+        runs split on every iteration, and runs longer than one row are not
+        all zero."""
+        rng = np.random.default_rng(11)
+        D = 3.0 * np.eye(q) + rng.standard_normal((q, q)) / math.sqrt(q)
+        L, U = 0.6 * rng.standard_normal((2, q, q)) / math.sqrt(q)
+
+        def matvec(v):
+            out = v @ D.T
+            out[1:] += v[:-1] @ L.T
+            out[:-1] += v[1:] @ U.T
+            return out
+
+        b = np.zeros((N, q))
+        b[:3] = rng.standard_normal((3, q))
+        b[100:180] = rng.standard_normal(q)
+        return matvec, b
+
+    @pytest.mark.parametrize("restart, norm_term", [(None, 0.0), (7, 0.0), (7, 0.01)])
+    def test_runs_that_split_match_scipy(self, restart, norm_term):
+        linear, b = self._spreading_system()
+        # a term that is zero on the unit Arnoldi vectors but not on x, and
+        # differs between rows 149 and 150: only a cycle's residual splits there
+        upper = (np.arange(len(b)) >= 150)[:, None]
+
+        def matvec(v):
+            return linear(v) + norm_term * max(0.0, float(np.linalg.norm(v)) - 2.0) * upper
+
+        params = GMRESParams(tol=1e-10, max_iters=200, restart=restart)
+        ours = gmres(matvec, b, params)
+        ref = scipy_gmres(matvec, b, params)
+        assert (ours.info, ours.iterations) == (ref.info, ref.iterations)
+        assert ours.info == 0 and ours.iterations > (7 if restart else 10)
+        assert ours.x.shape == b.shape
+        assert np.linalg.norm(ours.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
+        true = np.linalg.norm(b - matvec(ours.x)) / np.linalg.norm(b)
+        assert ours.residual == pytest.approx(true, rel=1e-12)
+        # b's 5 runs split as the vectors spread, but the far rows never differ
+        assert 5 < ours.runs < len(b)
+
+    def test_rows_without_runs_solve_bit_for_bit_as_one_row(self, rng):
+        N, q = 30, 4
+        A = np.eye(N * q) + rng.standard_normal((N * q, N * q)) / math.sqrt(N * q)
+        b = rng.standard_normal((N, q))
+        assert (b[1:] != b[:-1]).any(axis=1).all()
+        params = GMRESParams(tol=1e-10, max_iters=200, restart=20)
+        rows = gmres(lambda v: (A @ v.reshape(-1)).reshape(N, q), b, params)
+        flat = gmres(lambda v: A @ v, b.reshape(-1), params)
+        assert rows.iterations > 20  # the restart path runs too
+        assert (rows.runs, flat.runs) == (N, 1)
+        assert rows.x.shape == (N, q)
+        assert rows.x.tobytes() == flat.x.tobytes()
+        assert (rows.info, rows.iterations, rows.estimate, rows.residual) == (
+            flat.info, flat.iterations, flat.estimate, flat.residual)
+
     def test_lift_matches_scipy_solver(self, monkeypatch):
         sc, stepper, basis, macro, common = desk_lift_problem()
         for m in (0, 1, 3):
@@ -633,6 +696,8 @@ class TestGMRES:
                 ours, ours_report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
             if m == 3:  # the shipped tolerance: most vectors take one pass
                 assert sum(s.reorthogonalized for s in solves) <= sum(s.iterations for s in solves) // 2
+            # the state's undisturbed cells share rows, so the basis is stored by runs
+            assert solves and all(s.runs < sc.n_cells for s in solves)
             with monkeypatch.context() as patch:
                 patch.setattr(klift.cr, "gmres", scipy_gmres)
                 ref, ref_report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
