@@ -154,10 +154,9 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     differs inside a run, the tail from the first differing row becomes a
     new run, and every stored vector copies its parent's row into it, so
     each stored vector stays exact and runs only split.  A b without equal
-    neighbouring rows is stored as it is: its vectors go to ``matvec`` and
-    into the products unexpanded and unweighted, the arithmetic of
-    full-length vectors bit for bit.  ``runs`` is the number of runs at the
-    end.
+    neighbouring rows has runs of one row each, whose weights of 1.0 leave
+    every product the full-length one bit for bit.  ``runs`` is the number
+    of runs at the end.
 
     Each Arnoldi vector w is orthogonalized by one pass of classical
     Gram-Schmidt, one product with the stacked basis rows, and by a second
@@ -180,8 +179,8 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     ``reorthogonalized`` counts the second passes.
 
     Each ``matvec`` result is used up before the next call, so ``matvec``
-    may return the same buffer every time; it must not change its argument,
-    which may be a stored vector.
+    may return the same buffer every time.  Its argument is one scratch
+    buffer, refilled before every call.
     """
     n = b.size
     rows = b.reshape(len(b) if b.ndim > 1 else 1, -1)
@@ -200,20 +199,14 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     full = np.empty(b.shape)  # the matvec argument, and b - A x
     full_rows = full.reshape(rows.shape)
     tmp = np.empty(n)  # each vector times its run lengths, c @ basis, and y @ V
-    # every row its own run: vectors are stored and used as they are
-    plain = runs.count == len(rows)
 
     def expand(stored):
         """``stored``, one row per run, as an array of b's shape."""
-        if plain:
-            return stored.reshape(b.shape)
         np.take(stored[: runs.count], runs.owner, axis=0, out=full_rows, mode="clip")
         return full
 
     def weigh(v):
-        """v times its run lengths (in tmp unless plain) as one row, and v's weighted norm."""
-        if plain:
-            return v.reshape(-1), float(np.linalg.norm(v))
+        """v times its run lengths (in tmp) as one row, and v's weighted norm."""
         wv = np.multiply(v, runs.weights[: len(v), None], out=tmp[: v.size].reshape(v.shape))
         return wv.reshape(-1), math.sqrt(float(np.dot(v.reshape(-1), wv.reshape(-1))))
 
@@ -234,8 +227,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
             k = runs.count
             basis, v_new = V[: col + 1, :k].reshape(col + 1, -1), V[col + 1, :k]
             v_flat = v_new.reshape(-1)
-            if not plain:  # one row per run of w
-                w = np.take(w, runs.first[:k], axis=0, out=v_new, mode="clip")
+            w = np.take(w, runs.first[:k], axis=0, out=v_new, mode="clip")  # one row per run
             wv, h0 = weigh(w)
             c = basis @ wv
             np.subtract(w.reshape(-1), np.matmul(c, basis, out=tmp[: v_flat.size]), out=v_flat)
