@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cr import SOLVERS, cr_lift, lift_macro, restrict_lift_error
+from .cr import cr_lift, lift_macro, restrict_lift_error
 from .diagnostics import check_dense_dimension, cr_jacobian_spectrum, projector_spectrum
 from .errors import KliftError, NumericalError
 from .kinetic import DistributionField, equilibrium_field, restrict
@@ -137,7 +137,7 @@ def cmd_run_reference(args, scenario: Scenario) -> None:
 def cmd_lift(args, scenario: Scenario) -> None:
     reference = _read_matching_snapshot(scenario, args.reference)
     gas = scenario.gas
-    cfg = scenario.cr_config(args.order, args.solver)
+    cfg = scenario.cr_config(args.order)
 
     macro = restrict(reference, gas)
     stepper = scenario.make_stepper()
@@ -233,7 +233,7 @@ def cmd_sweep(args, scenario: Scenario) -> None:
 
     # every N and m is checked before the first step; the basis does not depend on N
     scenarios = [scenario.with_overrides(n_cells=n) for n in grid_sizes]
-    cfgs = [scenario.cr_config(m, "newton") for m in orders]
+    cfgs = [scenario.with_overrides(solver="newton").cr_config(m) for m in orders]
     basis = build_moment_basis(BasisKind.MONOMIAL, scenario.vgrid, CONSERVED_MOMENTS)
 
     rows = []
@@ -310,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict a reference snapshot and lift it back")
     p.add_argument("--reference", required=True)
     p.add_argument("--order", type=int, default=0)
-    p.add_argument("--solver", choices=SOLVERS, default=None)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("spectrum", parents=[common], help="projector or CR-Jacobian spectrum")

@@ -1,14 +1,13 @@
 """Constrained-runs lifting: the one-step CR map and the solve of
 s - C_m(r0, s) = 0 by Picard iteration or matrix-free Newton-GMRES.
 
-A microscopic stepper is anything with ``step(values, out=None) -> out``
-acting on (N, q) arrays: the output depends on the input values alone and is
-written to ``out`` (a fresh array when None).  One CR map applies ``step``
-m+1 times to the guess, backward-extrapolates with the order-m weights, and
-resets the conserved moments to those of the target state f0.  The lift
-allocates every grid-sized array of its inner loop once and passes it down
-as ``out=`` (and the CR map's two step buffers as ``work=``); a call with
-``None`` for them does the same arithmetic in fresh arrays.
+A microscopic stepper is anything with the ``step(values, out=None) -> out``
+of ``klift.steppers``.  One CR map applies ``step`` m+1 times to the guess,
+backward-extrapolates with the order-m weights, and resets the conserved
+moments to those of the target state f0.  The lift allocates every
+grid-sized array of its inner loop once and passes it down as ``out=`` (and
+the CR map's two step buffers as ``work=``); a call with ``None`` for them
+does the same arithmetic in fresh arrays.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .kinetic import (
     equilibrium_field,
 )
 from .moments import MomentBasis, conserved_drift, reset_conserved
+from .steppers import equal_neighbours
 
 MAX_ORDER = 8
 MAX_NEWTON_ITERS = 20
@@ -92,22 +92,18 @@ class _Runs:
     arrays may split.
 
     Run j holds ``weights[j]`` consecutive rows from row ``first[j]``;
-    ``owner[i]`` is the run of row i, and ``same[i]`` says whether rows i and
-    i + 1 share a run.  Runs are only ever split: the tail from each row that
-    differs from the row before it in its run becomes a new run, numbered
-    after all the others, so a run's number keeps its meaning.
+    ``owner[i]`` is the run of row i.  The array starts as one run; ``split``
+    cuts a run at each row unequal to the one before (``equal_neighbours``),
+    and the tail takes the next free number, so a run keeps its number.
     """
 
     def __init__(self, rows: np.ndarray):
         n = len(rows)
-        self.same = (rows[1:] == rows[:-1]).all(axis=1)
-        self.owner = np.concatenate(([0], np.cumsum(~self.same)))
-        starts = np.flatnonzero(np.concatenate(([True], ~self.same)))
-        self.count = len(starts)
-        self.first = np.empty(n, np.intp)
-        self.first[: self.count] = starts
-        self.weights = np.empty(n)
-        self.weights[: self.count] = np.diff(starts, append=n)
+        self.owner = np.zeros(n, np.intp)
+        self.first = np.zeros(n, np.intp)
+        self.weights = np.full(n, float(n))
+        self.count = 1
+        self.split(rows)
 
     def split(self, rows: np.ndarray, *stores: np.ndarray) -> None:
         """Split every run in which ``rows`` differ; each store, an array
@@ -115,19 +111,18 @@ class _Runs:
         row into the new run."""
         if self.count == len(self.owner):  # every run is one row
             return
-        cut = np.flatnonzero(self.same & (rows[1:] != rows[:-1]).any(axis=1)) + 1
+        inside = self.owner[1:] == self.owner[:-1]
+        same = equal_neighbours(rows) & inside
+        cut = np.flatnonzero(same != inside) + 1
         if not cut.size:
             return
-        self.same[cut - 1] = False
-        bounds = np.append(np.flatnonzero(~self.same) + 1, len(self.owner))
-        ends = bounds[np.searchsorted(bounds, cut, side="right")]
-        parents = self.owner[cut]
+        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+        owners, parents = self.owner[starts], self.owner[cut]
         new = np.arange(self.count, self.count + cut.size)
-        for start, end, run in zip(cut.tolist(), ends.tolist(), new.tolist()):
-            self.owner[start:end] = run
-        self.first[new] = cut
-        self.weights[new] = ends - cut
-        np.subtract.at(self.weights, parents, ends - cut)
+        owners[np.searchsorted(starts, cut)] = new
+        lengths = np.diff(starts, append=len(self.owner))
+        self.owner = np.repeat(owners, lengths)
+        self.first[owners], self.weights[owners] = starts, lengths
         for store in stores:
             store[..., new, :] = store[..., parents, :]
         self.count += cut.size
@@ -145,18 +140,15 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     restart=None means max_iters, and restart is capped at n, the largest
     Krylov space.  A cycle that ends early still counts, as in scipy.
 
-    The Arnoldi vectors and x are stored as one row per run of equal
-    consecutive rows of b's (N, q) shape (a 1-D b is one row), and inner
-    products weigh each row by its run's length: c = V (w * counts) and
-    ||w||^2 = w . (w * counts).  ``matvec`` receives and returns arrays of
-    b's shape; each argument is expanded from the stored rows into one
-    scratch buffer.  Where a matvec result (or the residual of a cycle)
-    differs inside a run, the tail from the first differing row becomes a
-    new run, and every stored vector copies its parent's row into it, so
-    each stored vector stays exact and runs only split.  A b without equal
-    neighbouring rows has runs of one row each, whose weights of 1.0 leave
-    every product the full-length one bit for bit.  ``runs`` is the number
-    of runs at the end.
+    Only the Arnoldi vectors are stored by runs (``_Runs``): one row per run
+    of equal consecutive rows of b's (N, q) shape (a 1-D b is one row), with
+    inner products weighted by run length: c = V (w * counts) and
+    ||w||^2 = w . (w * counts).  A matvec result or a cycle's residual (the
+    next cycle's first vector) that differs inside a run splits it, and every
+    stored vector copies its parent's row into the new run, so each stays
+    exact.  A b without equal neighbouring rows has runs of one row each,
+    whose weights of 1.0 leave every product the full-length one bit for
+    bit.  x is full-length; ``runs`` is the number of runs at the end.
 
     Each Arnoldi vector w is orthogonalized by one pass of classical
     Gram-Schmidt, one product with the stacked basis rows, and by a second
@@ -180,7 +172,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
 
     Each ``matvec`` result is used up before the next call, so ``matvec``
     may return the same buffer every time.  Its argument is one scratch
-    buffer, refilled before every call.
+    buffer of b's shape, refilled from V or from x before every call.
     """
     n = b.size
     rows = b.reshape(len(b) if b.ndim > 1 else 1, -1)
@@ -195,7 +187,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     restart = min(params.restart or params.max_iters, params.max_iters, n)
     V = np.empty((restart + 1,) + rows.shape)  # rows never reached are never touched
     R = np.zeros((restart, restart))  # R[j, :j+1] = rotated Hessenberg column j
-    x = np.zeros(rows.shape)
+    x = np.zeros(b.shape)
     full = np.empty(b.shape)  # the matvec argument, and b - A x
     full_rows = full.reshape(rows.shape)
     tmp = np.empty(n)  # each vector times its run lengths, c @ basis, and y @ V
@@ -223,7 +215,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
         growth = 1.0
         for col in range(min(restart, params.max_iters - used)):
             w = np.reshape(matvec(expand(V[col])), rows.shape)
-            runs.split(w, V[: col + 1], x)
+            runs.split(w, V[: col + 1])
             k = runs.count
             basis, v_new = V[: col + 1, :k].reshape(col + 1, -1), V[col + 1, :k]
             v_flat = v_new.reshape(-1)
@@ -267,20 +259,19 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
                 y[:j] -= y[j] * R[j, :j]
         if y[0] != 0.0:
             y[0] /= R[0, 0]
-        x_flat = x[:k].reshape(-1)
-        x_flat += np.matmul(y, basis, out=tmp[: x_flat.size])
-        r = np.subtract(rows, np.reshape(matvec(expand(x)), rows.shape), out=full_rows)
+        x += expand(np.matmul(y, basis, out=tmp[: basis.shape[1]]).reshape(k, -1))
+        np.copyto(full, x)
+        r = np.subtract(rows, np.reshape(matvec(full), rows.shape), out=full_rows)
         rnorm = float(np.linalg.norm(full))
         if rnorm <= atol or breakdown:
             break
-        runs.split(r, x)
+        runs.split(r)
         if presid <= ptol:  # the estimate passed but the true residual did not
             ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
         else:
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
     info = 0 if rnorm <= atol else cycles
-    x = expand(x).copy()
     return GMRESResult(x, info, used, presid / bnrm2, rnorm / bnrm2, reorthogonalized, runs.count)
 
 

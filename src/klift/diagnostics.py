@@ -105,16 +105,16 @@ def projector_spectrum(basis: MomentBasis, which: str = "qr") -> SpectrumReport:
 def ring_colors(n_cells: int, half_band: int) -> np.ndarray:
     """Colour of each cell of a ring so that same-coloured cells lie > 2 * half_band apart.
 
-    The ring is cut into the most contiguous runs of at least
-    2 * half_band + 1 cells that fit, and the cells of each run are numbered
-    0, 1, ...; two cells of one colour are then a whole run apart, also across
+    The ring is cut into the most contiguous blocks of at least
+    2 * half_band + 1 cells that fit, and the cells of each block are numbered
+    0, 1, ...; two cells of one colour are then a whole block apart, also across
     the wrap.  That needs ceil(N / floor(N / (2 half_band + 1))) colours, at
     most 4 * half_band + 1; a ring of at most 2 * half_band + 1 cells gives
     every cell its own colour.  Ring distance never exceeds the distance
     along a line, so the colouring also holds for non-periodic steppers.
     """
-    runs = max(1, n_cells // (2 * half_band + 1))
-    starts = (np.arange(runs + 1) * n_cells) // runs
+    blocks = max(1, n_cells // (2 * half_band + 1))
+    starts = (np.arange(blocks + 1) * n_cells) // blocks
     return np.concatenate([np.arange(n) for n in np.diff(starts)])
 
 

@@ -111,11 +111,11 @@ class Scenario:
                 f"and {omega[1]:.3e} 1/s, not positive and finite; it is set by gas.mu_ref, "
                 "gas.T_ref and gas.viscosity_index")
 
-    def cr_config(self, order: int = 0, solver: str | None = None) -> CRConfig:
-        """The lifting configuration at order ``order``, with ``solver`` overriding the config."""
+    def cr_config(self, order: int = 0) -> CRConfig:
+        """The lifting configuration at order ``order``."""
         return CRConfig(
             order_m=order,
-            solver=self.solver if solver is None else solver,
+            solver=self.solver,
             picard_tol=self.picard_tol,
             newton_tol=self.newton_tol,
             gmres=GMRESParams(tol=self.gmres_tol, max_iters=self.gmres_max_iters),

@@ -54,28 +54,39 @@ def _step_output(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _kept_cells(values: np.ndarray) -> np.ndarray | None:
-    """The cells a step must compute, as a mask, or None to compute them all.
+def equal_neighbours(rows: np.ndarray, most: float = -1) -> np.ndarray | None:
+    """Whether each row of the (N, q) ``rows`` equals the next, as N - 1 flags.
 
-    Cell c (2 <= c <= N - 2) is dropped when its rows c - 2 .. c + 1 are
-    equal: its stencil c - 1 .. c + 1 is then its left neighbour's, and so is
-    its output.  Cells 0, 1 and N - 1 are always kept, as their stencils or
-    their left neighbour's hold a ghost (or periodic) row.  Neighbouring rows
-    with equal middle entries are the candidate pairs, which an exact compare
-    of the rows confirms; a state without runs costs only the first test.
-    It runs before restriction, which then reads the kept rows only.
-    None unless more than MIN_DROPPED_SHARE of the cells drop.
+    Rows are equal when every entry is, so a row holding a NaN equals none,
+    and -0.0 equals +0.0.  Neighbouring rows with equal middle entries are
+    the candidates, which an exact compare of the rows confirms.  None when
+    no more than ``most`` pairs are candidates, at the cost of that test only.
     """
-    most = MIN_DROPPED_SHARE * len(values)
-    middle = values[:, values.shape[1] // 2]
+    middle = rows[:, rows.shape[1] // 2]
     same = middle[1:] == middle[:-1]
     if np.count_nonzero(same) <= most:
         return None
     # a candidate whose rows differ in any entry is no pair; flagging the
     # unequal entries costs less than a per-row reduction
-    differ = values[1:] != values[:-1]
+    differ = rows[1:] != rows[:-1]
     differ[~same] = False
-    same[np.flatnonzero(differ) // values.shape[1]] = False
+    same[np.flatnonzero(differ) // rows.shape[1]] = False
+    return same
+
+
+def _kept_cells(values: np.ndarray) -> np.ndarray | None:
+    """The cells a step must compute, as a mask, or None to compute them all.
+
+    Cell c (2 <= c <= N - 2) is dropped when its rows c - 2 .. c + 1 are
+    equal (``equal_neighbours``): its stencil c - 1 .. c + 1 is then its left
+    neighbour's, and so is its output.  Cells 0, 1 and N - 1 are always kept,
+    as their stencils or their left neighbour's hold a ghost (or periodic)
+    row.  None unless more than MIN_DROPPED_SHARE of the cells drop.
+    """
+    most = MIN_DROPPED_SHARE * len(values)
+    same = equal_neighbours(values, most)
+    if same is None:
+        return None
     drop = same[:-2] & same[1:-1] & same[2:]
     if np.count_nonzero(drop) <= most:
         return None
@@ -96,9 +107,8 @@ class BGKStepper:
 
     ``inflow`` gives the (n, u, T) of the left (surface) and right (ambient)
     ghost cells, whose discrete equilibria are built once here; ``None``
-    closes the grid into a periodic ring.  ``step`` is a pure map: the output
-    depends only on the input values, and row j only on rows j - 1 .. j + 1,
-    by the same arithmetic at every cell.  Its ``restrict`` raises
+    closes the grid into a periodic ring.  ``step`` is a pure map, local and
+    translation invariant (see the module notes).  Its ``restrict`` raises
     NumericalError, naming the cell, when a cell of the input has a
     non-positive or non-finite density or temperature, which is also what a
     NaN or +-inf entry gives; a step whose output overflows raises it naming

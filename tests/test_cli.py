@@ -306,7 +306,7 @@ class TestCLI:
         main(["run-reference", "--config", str(cfg), "--steps", "20", "--out", str(ref)])
         prefix = tmp_path / "lift"
         code = main(["lift", "--config", str(cfg), "--reference", str(ref),
-                     "--order", "0", "--solver", "newton", "--out", str(prefix)])
+                     "--order", "0", "--out", str(prefix)])
         assert code == EXIT_OK
         lifted = read_snapshot(f"{prefix}_lifted.snap")
         assert lifted.values.shape == (24, 16)
@@ -632,6 +632,22 @@ class TestCLI:
         assert rows[0] == ["N", "m", "gmres_iterations", "newton_iterations", "converged"]
         assert len(rows) == 1 + 4
         assert all(r[4] == "1" for r in rows[1:])
+
+    def test_sweep_lifts_by_newton_on_a_picard_config(self, tmp_path):
+        cfg, _ = tiny_config(tmp_path, solver="picard")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--grid-sizes", "8",
+                     "--orders", "0,1", "--steps", "5", "--out", str(out)]) == EXIT_OK
+        rows = read_rows(out)[1:]
+        assert len(rows) == 2 and all(r[4] == "1" and int(r[2]) > 0 for r in rows)
+
+    def test_lift_solver_is_chosen_by_the_config_alone(self, tmp_path, capsys):
+        cfg, _ = tiny_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["lift", "--config", str(cfg), "--reference", "ref.snap", "--solver", "picard",
+                  "--out", str(tmp_path / "lift")])
+        assert exc.value.code == EXIT_ARG
+        assert "unrecognized arguments: --solver picard" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid_sizes, orders", [("8,12", "0,99"), ("8,-4", "0")])
     def test_sweep_checks_every_n_and_m_before_any_step(self, tmp_path, capsys, monkeypatch,

@@ -180,14 +180,14 @@ class TestCRMap:
 
 def reference_lift(name, steps, order, solver, **overrides):
     """Lift the (n, u, T) of a reference state after ``steps`` steps at one order."""
-    sc = load_shipped(name).with_overrides(**overrides)
+    sc = load_shipped(name).with_overrides(solver=solver, **overrides)
     stepper = sc.make_stepper()
     values = sc.initial_field().values
     for _ in range(steps):
         values = stepper.step(values)
     reference = sc.initial_field().with_values(values)
     basis = build_moment_basis(BasisKind.MONOMIAL, sc.vgrid, 3)
-    return lift_macro(stepper, basis, restrict(reference, sc.gas), sc.gas, sc.cr_config(order, solver),
+    return lift_macro(stepper, basis, restrict(reference, sc.gas), sc.gas, sc.cr_config(order),
                       grid=sc.grid, vgrid=sc.vgrid, scale=sc.scale)
 
 
@@ -684,7 +684,7 @@ class TestGMRES:
     def test_lift_matches_scipy_solver(self, monkeypatch):
         sc, stepper, basis, macro, common = desk_lift_problem()
         for m in (0, 1, 3):
-            cfg = sc.cr_config(m, "newton")
+            cfg = sc.cr_config(m)
             solves = []
 
             def recording_gmres(*args):
@@ -740,7 +740,7 @@ def data_address(a):
 class TestLiftBuffers:
     def test_newton_lift_steps_into_two_buffers(self):
         sc, stepper, basis, macro, common = desk_lift_problem()
-        cfg = sc.cr_config(1, "newton")
+        cfg = sc.cr_config(1)
         recorder = RecordingStepper(stepper)
         lifted, report = lift_macro(recorder, basis, macro, sc.gas, cfg, **common)
         assert report.gmres_iterations >= 4

@@ -17,6 +17,7 @@ from klift import (
     stable_dt,
 )
 from klift import steppers
+from klift.cr import _Runs
 from klift.errors import ConvergenceError, NumericalError
 from klift.kinetic import DistributionField, MacroFields
 
@@ -521,6 +522,107 @@ class TestPackedStepChoice:
                 match=r"^finite-volume step produced non-finite values, first in cell 14$"):
             stepper.step(values)
         assert equilibrium_rows == [7, 20]
+
+
+def planted_rows(rng, n_rows, q):
+    """(n_rows, q) rows in blocks of 1, 2, 3 or n_rows equal rows (the last
+    block cut short), among them a block whose row has the last one's middle
+    entry and differs in one other, blocks of a row holding a NaN, and a
+    block whose row is the last one's with its zeros' signs flipped."""
+    mid = q // 2
+    blocks = []
+    while sum(map(len, blocks)) < n_rows:
+        row, kind = rng.standard_normal(q), rng.integers(4)
+        if kind == 0 and blocks and q > 1:
+            row = blocks[-1][0].copy()
+            row[(mid + rng.integers(1, q)) % q] += 1.0
+        elif kind == 1:
+            row[rng.integers(q)] = np.nan
+        elif kind == 2:
+            row[[mid, rng.integers(q)]] = 0.0
+            blocks.append(np.tile(row, (int(rng.choice([1, 2, 3])), 1)))
+            row = np.where(row == 0.0, -row, row)
+        blocks.append(np.tile(row, (int(rng.choice([1, 2, 3, n_rows])), 1)))
+    return np.concatenate(blocks)[:n_rows]
+
+
+def equal_pairs(rows):
+    """Whether each row equals the next, entry by entry, one pair at a time."""
+    return np.array([bool(np.all(rows[i] == rows[i + 1])) for i in range(len(rows) - 1)],
+                    dtype=bool)
+
+
+ORACLE_SHAPES = [(1, 5), (2, 1), (2, 3), (7, 2), (40, 3), (200, 7), (120, 56)]
+
+
+class TestEqualNeighbours:
+    """One rule finds equal neighbouring rows for the packed step and for GMRES's runs."""
+
+    def test_nan_equals_nothing_and_signed_zeros_are_equal(self):
+        rows = np.array([[0.0, 0.0, 1.0], [-0.0, -0.0, 1.0], [np.nan, 2.0, 1.0],
+                         [np.nan, 2.0, 1.0], [3.0, np.nan, 1.0], [3.0, np.nan, 1.0],
+                         [3.0, 2.0, 4.0]])
+        assert steppers.equal_neighbours(rows).tolist() == [True, False, False, False, False,
+                                                            False]
+
+    @pytest.mark.parametrize("n_rows, q", ORACLE_SHAPES)
+    def test_runs_are_the_maximal_blocks_of_equal_rows(self, n_rows, q):
+        for seed in range(20):
+            rows = planted_rows(np.random.default_rng(seed), n_rows, q)
+            equal = equal_pairs(rows)
+            assert steppers.equal_neighbours(rows).tolist() == equal.tolist()
+            runs = _Runs(rows)
+            # numbered in row order: a run starts at every row unequal to the one before
+            owner = np.concatenate(([0], np.cumsum(~equal)))
+            assert runs.owner.tolist() == owner.tolist()
+            assert runs.count == owner[-1] + 1
+            starts = np.flatnonzero(np.concatenate(([True], ~equal)))
+            assert runs.first[: runs.count].tolist() == starts.tolist()
+            assert runs.weights[: runs.count].tolist() == np.diff(starts, append=n_rows).tolist()
+
+    @pytest.mark.parametrize("n_rows, q", ORACLE_SHAPES)
+    def test_split_is_the_common_refinement(self, n_rows, q):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            first = planted_rows(rng, n_rows, q)
+            runs = _Runs(first)
+            stores = rng.standard_normal((2, n_rows, 3)), rng.standard_normal((n_rows, q))
+            equal = equal_pairs(first)
+            for _ in range(2):
+                rows = planted_rows(rng, n_rows, q)
+                equal &= equal_pairs(rows)
+                before = runs.count, runs.first.copy(), [s[..., runs.owner, :] for s in stores]
+                runs.split(rows, *stores)
+                # each run is one maximal block, and an old run keeps its
+                # number on the block that holds its first row
+                assert runs.count == 1 + np.count_nonzero(~equal)
+                assert (runs.owner[1:] == runs.owner[:-1]).tolist() == equal.tolist()
+                assert sorted(set(runs.owner.tolist())) == list(range(runs.count))
+                count, old_first, expanded = before
+                assert runs.owner[old_first[:count]].tolist() == list(range(count))
+                for j in range(runs.count):
+                    members = np.flatnonzero(runs.owner == j)
+                    assert (runs.first[j], runs.weights[j]) == (members[0], len(members))
+                # every store copied the parent run's row into each new run
+                for store, was in zip(stores, expanded):
+                    assert np.array_equal(store[..., runs.owner, :], was)
+
+    @pytest.mark.parametrize("n_rows, q", ORACLE_SHAPES)
+    def test_kept_cells_drop_the_cells_inside_runs(self, n_rows, q):
+        masks = 0
+        for seed in range(20):
+            values = planted_rows(np.random.default_rng(seed), n_rows, q)
+            equal = equal_pairs(values)
+            # cell c drops when rows c - 2 .. c + 1 are equal, 2 <= c <= N - 2
+            drop = np.zeros(n_rows, dtype=bool)
+            drop[2:-1] = equal[:-2] & equal[1:-1] & equal[2:]
+            keep = steppers._kept_cells(values)
+            if keep is None:
+                assert np.count_nonzero(drop) <= steppers.MIN_DROPPED_SHARE * n_rows
+            else:
+                masks += 1
+                assert keep.tolist() == (~drop).tolist()
+        assert masks > 0 or n_rows < 7
 
 
 class TestD1Q3:
