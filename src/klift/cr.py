@@ -112,7 +112,8 @@ class _Runs:
         if self.count == len(self.owner):  # every run is one row
             return
         inside = self.owner[1:] == self.owner[:-1]
-        same = equal_neighbours(rows) & inside
+        equal = equal_neighbours(rows, 0)  # None when no two rows are equal
+        same = inside & (False if equal is None else equal)
         cut = np.flatnonzero(same != inside) + 1
         if not cut.size:
             return

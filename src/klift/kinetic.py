@@ -103,18 +103,20 @@ class SpatialGrid:
 
     n_cells: int
     dx: float
-    length: float
-    centers: np.ndarray  # (N,)
+
+    @property
+    def centers(self) -> np.ndarray:
+        """The (N,) cell centres, built on demand so a grid costs no array."""
+        return self.dx / 2.0 + self.dx * np.arange(self.n_cells)
 
 
 def build_spatial_grid(length: float, n_cells: int) -> SpatialGrid:
     if n_cells < 1:
         raise ValueError("n_cells must be positive")
-    if length <= 0.0:
-        raise ValueError("length must be positive")
     dx = length / n_cells
-    x = dx / 2.0 + dx * np.arange(n_cells)
-    return SpatialGrid(n_cells, dx, float(length), x)
+    if not 0.0 < dx < math.inf:
+        raise ValueError(f"domain length {length!r} m over {n_cells} cells is no positive finite dx")
+    return SpatialGrid(n_cells, dx)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .cr import CRConfig, GMRESParams
+from .errors import KliftError
 from .kinetic import (
     BOLTZMANN,
     GasParams,
@@ -25,6 +26,7 @@ from .kinetic import (
     VelocityGrid,
     build_spatial_grid,
     build_velocity_grid,
+    discrete_equilibrium,
     equilibrium_field,
     mean_free_path,
     relaxation_frequency,
@@ -51,7 +53,8 @@ class Scenario:
     The fields are the config schema: each names its flat config key and
     any lower bound, and a field with a default may be left out of a config
     file.  The gas keys are checked by ``GasParams``, the CR and GMRES keys by
-    ``CRConfig``.
+    ``CRConfig``, the domain and the boundary states by building the spatial
+    grid and each state's discrete equilibrium.
     """
 
     # gas
@@ -88,20 +91,21 @@ class Scenario:
                 )
         self.gas  # checks the gas.* keys
         self.cr_config()  # checks the cr.* and gmres.* keys
-        if not 0.0 < self.length < math.inf:
+        # a config loads when the run's spatial grid and boundary equilibria (the
+        # ghost rows) build and the gas relaxes both states at a positive finite rate
+        try:
+            self.grid
+        except ValueError as exc:
             raise ValueError(
-                f"domain length {self.length!r} m is not positive and finite; it is "
-                "domain.lambda_multiple mean free paths, set by gas.molecular_diameter "
-                "and the surface state"
-            )
-        # the grid must hold each boundary state's mean and variance, and the
-        # gas must relax it at a positive finite rate
-        b = self.vgrid.v_max
-        for name, (_, u, T) in (("ambient", self.ambient), ("surface", self.surface)):
-            if not (abs(u) < b and BOLTZMANN * T / self.molecular_mass < b * b):
-                raise ValueError(
-                    f"the {name} state (u {u:.3e} m/s, T {T:.3e} K) does not fit the velocity "
-                    f"grid +-{b:.3e} m/s, set by the surface state")
+                f"{exc}; the domain is domain.lambda_multiple mean free paths, set by "
+                "gas.molecular_diameter and the surface state, in grid.N cells") from None
+        vgrid = self.vgrid
+        for name, (n, u, T) in (("ambient", self.ambient), ("surface", self.surface)):
+            try:
+                discrete_equilibrium(n, u, T, vgrid, self.gas)
+            except (ValueError, KliftError) as exc:
+                raise ValueError(f"the {name} state: {exc}; the velocity grid is set by the "
+                                 "surface state and grid.Nv") from None
         with np.errstate(all="ignore"):  # an overflow is reported below
             omega = relaxation_frequency(
                 MacroFields(*np.array([self.ambient, self.surface]).T), self.gas)
@@ -138,17 +142,13 @@ class Scenario:
         """Fields hold m f; mass-rescaled values keep the absolute CR tolerances above rounding."""
         return self.molecular_mass
 
-    def _triple(self, p: float, T: float, u: float) -> tuple[float, float, float]:
-        n = p / (BOLTZMANN * T)
-        return n, u, T
-
     @property
     def ambient(self) -> tuple[float, float, float]:
-        return self._triple(self.ambient_p, self.ambient_T, self.ambient_u)
+        return self.ambient_p / (BOLTZMANN * self.ambient_T), self.ambient_u, self.ambient_T
 
     @property
     def surface(self) -> tuple[float, float, float]:
-        return self._triple(self.surface_p, self.surface_T, self.surface_u)
+        return self.surface_p / (BOLTZMANN * self.surface_T), self.surface_u, self.surface_T
 
     @property
     def u0(self) -> float:
@@ -173,19 +173,10 @@ class Scenario:
     def grid(self) -> SpatialGrid:
         return build_spatial_grid(self.length, self.n_cells)
 
-    def initial_macro(self) -> MacroFields:
-        n_a, u_a, T_a = self.ambient
-        N = self.n_cells
-        return MacroFields(
-            number_density=np.full(N, n_a),
-            velocity=np.full(N, u_a),
-            temperature=np.full(N, T_a),
-        )
-
     @property
     def dt(self) -> float:
         """Stability time step from the initial (ambient) relaxation rate."""
-        omega0 = relaxation_frequency(self.initial_macro(), self.gas)
+        omega0 = relaxation_frequency(MacroFields(*np.array([self.ambient]).T), self.gas)
         return stable_dt(self.vgrid, self.grid.dx, omega0)
 
     def make_stepper(self, *, warm_start: bool = False) -> BGKStepper:
@@ -202,9 +193,8 @@ class Scenario:
 
     def initial_field(self):
         """Ambient-equilibrium initial state."""
-        return equilibrium_field(
-            self.initial_macro(), self.grid, self.vgrid, self.gas, scale=self.scale
-        )
+        macro = MacroFields(*(np.full(self.n_cells, x) for x in self.ambient))
+        return equilibrium_field(macro, self.grid, self.vgrid, self.gas, scale=self.scale)
 
     def with_overrides(self, **kwargs) -> "Scenario":
         return replace(self, **kwargs)
@@ -249,8 +239,9 @@ def _parse_value(key: str, typ: type, val):
 
 
 def parse_config(text: str) -> dict:
-    """Flat key=value lines; '#' starts a comment; values typed on parse."""
+    """Flat key=value lines, each key once; '#' starts a comment; values typed on parse."""
     out: dict = {}
+    lines: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -258,6 +249,10 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ValueError(f"config key {key!r} is given twice, on lines {lines[key]} and "
+                             f"{lineno}")
+        lines[key] = lineno
         try:
             out[key] = int(val)
         except ValueError:

@@ -12,11 +12,18 @@ import numpy as np
 import pytest
 
 import klift
-from klift import BGKStepper, DistributionField, Scenario, build_velocity_grid, load_scenario
+from klift import (
+    BGKStepper,
+    DistributionField,
+    Scenario,
+    build_velocity_grid,
+    discrete_equilibrium,
+    load_scenario,
+)
 from klift import steppers
 from klift.cli import EXIT_ARG, EXIT_NUMERICAL, EXIT_OK, main
 from klift.cr import restrict_lift_error
-from klift.errors import NumericalError
+from klift.errors import KliftError, NumericalError
 from klift.scenario import config_hash, parse_config, serialize_config
 from klift.snapshots import read_snapshot, write_snapshot
 
@@ -76,6 +83,12 @@ EXTREME = [
     ("ambient.u", "1e300"), ("surface.T", "1e-130"), ("surface.T", "1e300"),
     ("gas.viscosity_index", "1e300"),
 ]
+# desk ambient states without a discrete equilibrium on the desk's velocity
+# grid (v_max 9,986 m/s, Nv = 24), though each is inside the grid's bounds
+# |u| < v_max and k_B T / m < v_max^2: colder than the grid resolves, close to
+# its bound, and hotter than its 24 velocities hold
+NO_EQUILIBRIUM = {"cold": ("ambient.T", "1e-12"), "fast": ("ambient.u", "9000"),
+                  "hot": ("ambient.T", "40000")}
 # values a float key rejects: (config text, a Python value passed to Scenario.from_dict)
 BAD_FLOAT_WORDS = [("true", True), ("nan", math.nan), ("inf", math.inf), ("fast", "fast")]
 
@@ -202,16 +215,29 @@ class TestScenarioDerived:
         assert desk.lambda_multiple == 30000.0
 
     def test_boundary_states_must_fit_the_velocity_grid(self):
+        # a boundary state loads exactly when its discrete equilibrium builds on
+        # the scenario's velocity grid; the grid's bounds |u| < b and
+        # k_B T / m < b^2 are necessary, not sufficient, so just inside them fails
         desk = load_shipped("helium_desk.cfg")
         b = desk.vgrid.v_max
         T_max = b * b * desk.molecular_mass / KB  # k_B T / m = b^2
-        # necessary, not sufficient, for a discrete equilibrium: just inside loads
-        desk.with_overrides(ambient_u=0.99 * b)
-        desk.with_overrides(ambient_T=0.99 * T_max)
-        for overrides in ({"ambient_u": 1.01 * b}, {"ambient_u": -1.01 * b},
-                          {"ambient_T": 1.01 * T_max}):
-            with pytest.raises(ValueError, match="the ambient state .* does not fit"):
-                desk.with_overrides(**overrides)
+        T_a = desk.ambient_T
+        for u, T, loads in [(0.5 * b, T_a, True), (-0.8 * b, T_a, True), (0.0, 0.1 * T_max, True),
+                            (0.99 * b, T_a, False), (-1.01 * b, T_a, False),
+                            (0.0, 0.99 * T_max, False), (0.0, 1.01 * T_max, False),
+                            (0.0, 1e-12, False)]:
+            try:
+                discrete_equilibrium(desk.ambient_p / (KB * T), u, T, desk.vgrid, desk.gas)
+                builds = True
+            except (ValueError, KliftError):
+                builds = False
+            assert builds == loads
+            if loads:
+                assert desk.with_overrides(ambient_u=u, ambient_T=T).ambient == (
+                    desk.ambient_p / (KB * T), u, T)
+            else:
+                with pytest.raises(ValueError, match="^the ambient state: "):
+                    desk.with_overrides(ambient_u=u, ambient_T=T)
 
     def test_initial_field_is_ambient_equilibrium(self):
         sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=10)
@@ -576,19 +602,44 @@ class TestCLI:
         assert err.startswith("numerical failure: non-finite totals after step 1")
         assert not (tmp_path / "o.snap").exists()
 
-    def test_cold_ambient_is_numerical_error(self, tmp_path, capsys):
-        # a 1e-200 K ambient gas off the grid midpoint: the equilibrium names
-        # the cell before its starting exponent can overflow
+    def test_cold_ambient_is_arg_error(self, tmp_path, capsys):
+        # a 1e-200 K ambient gas off the grid midpoint: the equilibrium built at
+        # load names the state before its starting exponent can overflow
         d = load_shipped("helium_desk.cfg").to_dict()
         d.update({"ambient.u": 300.0, "ambient.T": 1e-200})
         cfg = tmp_path / "cold.cfg"
         cfg.write_text(serialize_config(d), encoding="utf-8")
         assert main(["run-reference", "--config", str(cfg), "--steps", "2",
-                     "--out", str(tmp_path / "o.snap")]) == EXIT_NUMERICAL
+                     "--out", str(tmp_path / "o.snap")]) == EXIT_ARG
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: no discrete equilibrium on the velocity grid "
-                              "in cell 0: ")
+        assert err.startswith("error: the ambient state: no discrete equilibrium on the velocity "
+                              "grid in cell 0: ")
         assert not (tmp_path / "o.snap").exists()
+
+    @pytest.mark.parametrize("state", NO_EQUILIBRIUM)
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    def test_boundary_state_without_equilibrium_is_arg_error(self, tmp_path, capsys, argv,
+                                                             state):
+        # checked when the config loads, so restrict, which builds no
+        # equilibrium, refuses it too
+        key, text = NO_EQUILIBRIUM[state]
+        err = self.assert_config_value_is_arg_error(tmp_path, capsys, argv, key, text)
+        assert err.startswith("error: the ambient state: ")
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    def test_key_given_twice_is_arg_error(self, tmp_path, capsys, argv):
+        # the desk config sets grid.N = 100 on line 17; a second value must not win
+        write_snapshot(tmp_path / "ref.snap", load_shipped("helium_desk.cfg").initial_field())
+        cfg = tmp_path / "twice.cfg"
+        lines = scenario_path("helium_desk.cfg").read_text(encoding="utf-8").splitlines()
+        cfg.write_text("\n".join(lines + ["grid.N = 7"]) + "\n", encoding="utf-8")
+        argv = [a.replace("ref.snap", str(tmp_path / "ref.snap")) for a in argv]
+        assert main([argv[0], "--config", str(cfg), *argv[1:],
+                     "--out", str(tmp_path / "out")]) == EXIT_ARG
+        assert capsys.readouterr().err == (
+            f"error: config key 'grid.N' is given twice, on lines 17 and {len(lines) + 1}\n")
+        assert not list(tmp_path.glob("out*"))
 
     # the monomial rows v^r overflow from Nv = 79 on the shipped bounds; the
     # QR reset reads only the conserved rows, and the naive projector refuses

@@ -85,6 +85,12 @@ class TestSpatialGrid:
         with pytest.raises(ValueError):
             build_spatial_grid(1.0, 0)
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_length_must_be_positive_and_finite(self, length):
+        # either would make dx and every cell centre NaN or inf
+        with pytest.raises(ValueError, match="is no positive finite dx"):
+            build_spatial_grid(length, 4)
+
 
 class TestDiscreteEquilibrium:
     def test_ambient_conservation_sums(self):
