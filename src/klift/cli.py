@@ -194,7 +194,7 @@ def cmd_lift(args, scenario: Scenario) -> None:
     print(f"|f_eq - f_c| = {eq_err.two_norm:.6e}")
     print(f"|f(m={cfg.order_m}) - f_c| = {lift_err.two_norm:.6e} "
           f"({report.solver}, {report.iterations} iterations, "
-          f"{report.gmres_iterations} GMRES iterations)")
+          f"{report.gmres_iterations} GMRES iterations, {report.runs} stored rows)")
 
 
 def cmd_spectrum(args, scenario: Scenario) -> None:

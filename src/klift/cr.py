@@ -4,17 +4,29 @@ s - C_m(r0, s) = 0 by Picard iteration or matrix-free Newton-GMRES.
 A microscopic stepper is anything with the ``step(values, out=None) -> out``
 of ``klift.steppers``.  One CR map applies ``step`` m+1 times to the guess,
 backward-extrapolates with the order-m weights, and resets the conserved
-moments to those of the target state f0.  The lift allocates every
+moments to those of the target state f0.
+
+With a stepper whose ``step`` takes ``runs``, the lift carries every state
+stored by one ``steppers.Runs``: one row per run of equal consecutive cell
+rows, found once by comparing the rows of f0.  Each step cuts the runs where
+its output needs it, and every call that steps (``cr_map``, ``cr_jvp``,
+``gmres``) brings the other states it was given onto the cut runs
+(``Runs.fill``).  The map, the reset, the JVP, GMRES and the norms (which
+weigh a row by its run's length) work on the stored rows alone, and the
+lifted state is expanded to the grid once.  The lift allocates every
 grid-sized array of its inner loop once and passes it down as ``out=`` (and
-the CR map's two step buffers as ``work=``); a call with ``None`` for them
-does the same arithmetic in fresh arrays.
+the CR map's two step buffers as ``work=``); a stored state uses the first
+``runs.count`` rows of such an array.  A call with ``None`` for them does
+the same arithmetic in fresh arrays.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import time as _time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +39,7 @@ from .kinetic import (
     equilibrium_field,
 )
 from .moments import MomentBasis, conserved_drift, reset_conserved
-from .steppers import equal_neighbours
+from .steppers import Runs
 
 MAX_ORDER = 8
 MAX_NEWTON_ITERS = 20
@@ -84,52 +96,10 @@ class GMRESResult(NamedTuple):
     estimate: float    # the last Givens residual estimate over ||b||
     residual: float    # the true residual ||b - A x|| over ||b||
     reorthogonalized: int = 0  # Arnoldi vectors given a second Gram-Schmidt pass
-    runs: int = 0      # runs of equal consecutive rows the basis held at the end
+    runs: int = 0      # runs the vectors were stored by at the end (see ``gmres``)
 
 
-class _Runs:
-    """The runs of equal consecutive rows of an (N, q) array, which later
-    arrays may split.
-
-    Run j holds ``weights[j]`` consecutive rows from row ``first[j]``;
-    ``owner[i]`` is the run of row i.  The array starts as one run; ``split``
-    cuts a run at each row unequal to the one before (``equal_neighbours``),
-    and the tail takes the next free number, so a run keeps its number.
-    """
-
-    def __init__(self, rows: np.ndarray):
-        n = len(rows)
-        self.owner = np.zeros(n, np.intp)
-        self.first = np.zeros(n, np.intp)
-        self.weights = np.full(n, float(n))
-        self.count = 1
-        self.split(rows)
-
-    def split(self, rows: np.ndarray, *stores: np.ndarray) -> None:
-        """Split every run in which ``rows`` differ; each store, an array
-        with one row per run in its last two axes, copies the parent run's
-        row into the new run."""
-        if self.count == len(self.owner):  # every run is one row
-            return
-        inside = self.owner[1:] == self.owner[:-1]
-        equal = equal_neighbours(rows, 0)  # None when no two rows are equal
-        same = inside & (False if equal is None else equal)
-        cut = np.flatnonzero(same != inside) + 1
-        if not cut.size:
-            return
-        starts = np.flatnonzero(np.concatenate(([True], ~same)))
-        owners, parents = self.owner[starts], self.owner[cut]
-        new = np.arange(self.count, self.count + cut.size)
-        owners[np.searchsorted(starts, cut)] = new
-        lengths = np.diff(starts, append=len(self.owner))
-        self.owner = np.repeat(owners, lengths)
-        self.first[owners], self.weights[owners] = starts, lengths
-        for store in stores:
-            store[..., new, :] = store[..., parents, :]
-        self.count += cut.size
-
-
-def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
+def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) -> GMRESResult:
     """Restarted GMRES (Saad & Schultz 1986) for A x = b from x = 0; A v = matvec(v).
 
     The stopping rule is scipy.sparse.linalg.gmres's with rtol = params.tol,
@@ -141,15 +111,16 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     restart=None means max_iters, and restart is capped at n, the largest
     Krylov space.  A cycle that ends early still counts, as in scipy.
 
-    Only the Arnoldi vectors are stored by runs (``_Runs``): one row per run
-    of equal consecutive rows of b's (N, q) shape (a 1-D b is one row), with
-    inner products weighted by run length: c = V (w * counts) and
-    ||w||^2 = w . (w * counts).  A matvec result or a cycle's residual (the
-    next cycle's first vector) that differs inside a run splits it, and every
-    stored vector copies its parent's row into the new run, so each stays
-    exact.  A b without equal neighbouring rows has runs of one row each,
-    whose weights of 1.0 leave every product the full-length one bit for
-    bit.  x is full-length; ``runs`` is the number of runs at the end.
+    With ``runs`` (``steppers.Runs``), b, x and every Arnoldi vector are
+    states stored by those runs, one row per run, and inner products are
+    weighted by run length: c = V (w * weights) and ||w||^2 = w . (w *
+    weights).  A matvec may cut the runs, as the steps of a CR map do, and
+    returns A v stored by the cut runs; every vector of the basis, x and b
+    (which is written to) then copy each parent run's row into its new runs
+    (``Runs.fill``), so each stays exact and nothing is expanded.  Runs of
+    one row each have weights of 1.0, and the products are the plain ones.
+    Without ``runs``, b of any shape is one vector.  ``runs`` is the number
+    of runs at the end: the rows of b (one for a 1-D b) without ``runs``.
 
     Each Arnoldi vector w is orthogonalized by one pass of classical
     Gram-Schmidt, one product with the stacked basis rows, and by a second
@@ -177,50 +148,62 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
     """
     n = b.size
     rows = b.reshape(len(b) if b.ndim > 1 else 1, -1)
-    runs = _Runs(rows)
-    bnrm2 = float(np.linalg.norm(b))
+    weighted = runs is not None and not runs.cells
+
+    def count():
+        return len(rows) if runs is None else runs.count
+
+    def weigh(v):
+        """v times its run lengths (in tmp) as one row, and v's weighted norm."""
+        flat = v.reshape(-1)
+        if not weighted:
+            return flat, math.sqrt(float(np.dot(flat, flat)))
+        wv = np.multiply(v, runs.weights[: len(v), None], out=tmp[: v.size].reshape(v.shape))
+        return wv.reshape(-1), math.sqrt(float(np.dot(flat, wv.reshape(-1))))
+
+    def norm(v):
+        return float(np.linalg.norm(v)) if runs is None else runs.norm(v)
+
+    k = count()
+    bnrm2 = norm(rows[:k])
     atol = params.tol * bnrm2
     if bnrm2 == 0.0 or bnrm2 < atol:  # b = 0, or rtol > 1 accepts x = 0
         rel = 1.0 if bnrm2 else 0.0
-        return GMRESResult(np.zeros(b.shape), 0, 0, rel, rel, 0, runs.count)
+        return GMRESResult(np.zeros(b.shape), 0, 0, rel, rel, 0, k)
     eps = np.finfo(float).eps
     limit = ORTHOGONALITY_MARGIN * params.tol / eps
     restart = min(params.restart or params.max_iters, params.max_iters, n)
     V = np.empty((restart + 1,) + rows.shape)  # rows never reached are never touched
     R = np.zeros((restart, restart))  # R[j, :j+1] = rotated Hessenberg column j
-    x = np.zeros(b.shape)
-    full = np.empty(b.shape)  # the matvec argument, and b - A x
-    full_rows = full.reshape(rows.shape)
+    x = np.zeros(rows.shape)
+    arg = np.empty(rows.shape)  # the matvec argument, and b - A x
     tmp = np.empty(n)  # each vector times its run lengths, c @ basis, and y @ V
 
-    def expand(stored):
-        """``stored``, one row per run, as an array of b's shape."""
-        np.take(stored[: runs.count], runs.owner, axis=0, out=full_rows, mode="clip")
-        return full
+    def apply(v, *stores):
+        """A v (in the matvec's buffer) from ``arg``, holding v; each store
+        is brought onto the runs the matvec leaves."""
+        arg[:k] = v
+        w = np.reshape(matvec(arg.reshape(b.shape)), rows.shape)
+        if runs is not None:
+            runs.fill(k, *stores)
+        return w
 
-    def weigh(v):
-        """v times its run lengths (in tmp) as one row, and v's weighted norm."""
-        wv = np.multiply(v, runs.weights[: len(v), None], out=tmp[: v.size].reshape(v.shape))
-        return wv.reshape(-1), math.sqrt(float(np.dot(v.reshape(-1), wv.reshape(-1))))
-
-    r, rnorm = rows, bnrm2
+    r, rnorm = rows[:k], bnrm2
     ptol, ptol_max_factor = atol, 1.0
     used = reorthogonalized = 0
     for cycles in range(1, math.ceil(params.max_iters / restart) + 1):
         beta = rnorm
-        np.take(r, runs.first[: runs.count], axis=0, out=V[0, : runs.count], mode="clip")
-        V[0, : runs.count] *= 1.0 / beta
+        np.multiply(r, 1.0 / beta, out=V[0, :k])
         S = [beta] + [0.0] * restart
         rotations = []
         breakdown = False
         growth = 1.0
         for col in range(min(restart, params.max_iters - used)):
-            w = np.reshape(matvec(expand(V[col])), rows.shape)
-            runs.split(w, V[: col + 1])
-            k = runs.count
+            w = apply(V[col, :k], V[: col + 1], x, rows)
+            k = count()
             basis, v_new = V[: col + 1, :k].reshape(col + 1, -1), V[col + 1, :k]
             v_flat = v_new.reshape(-1)
-            w = np.take(w, runs.first[:k], axis=0, out=v_new, mode="clip")  # one row per run
+            w = w[:k]
             wv, h0 = weigh(w)
             c = basis @ wv
             np.subtract(w.reshape(-1), np.matmul(c, basis, out=tmp[: v_flat.size]), out=v_flat)
@@ -260,20 +243,21 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams) -> GMRESResult:
                 y[:j] -= y[j] * R[j, :j]
         if y[0] != 0.0:
             y[0] /= R[0, 0]
-        x += expand(np.matmul(y, basis, out=tmp[: basis.shape[1]]).reshape(k, -1))
-        np.copyto(full, x)
-        r = np.subtract(rows, np.reshape(matvec(full), rows.shape), out=full_rows)
-        rnorm = float(np.linalg.norm(full))
+        x[:k] += np.matmul(y, basis, out=tmp[: basis.shape[1]]).reshape(k, -1)
+        w = apply(x[:k], x, rows)
+        k = count()
+        r = np.subtract(rows[:k], w[:k], out=arg[:k])
+        rnorm = norm(r)
         if rnorm <= atol or breakdown:
             break
-        runs.split(r)
         if presid <= ptol:  # the estimate passed but the true residual did not
             ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
         else:
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
     info = 0 if rnorm <= atol else cycles
-    return GMRESResult(x, info, used, presid / bnrm2, rnorm / bnrm2, reorthogonalized, runs.count)
+    return GMRESResult(x.reshape(b.shape), info, used, presid / bnrm2, rnorm / bnrm2,
+                       reorthogonalized, k)
 
 
 @dataclass(frozen=True)
@@ -301,12 +285,23 @@ class LiftReport:
     conserved_drift: float
     wall_time: float
     gmres_iterations: int = 0
+    runs: int = 0  # stored rows of the lifted state: its runs of equal cell rows
 
 
 def cr_buffers(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scratch for ``cr_map(work=)`` on states like f: the two step outputs,
     used in turn."""
     return np.empty_like(f), np.empty_like(f)
+
+
+def _rows(a: np.ndarray, runs: Runs | None) -> np.ndarray:
+    """The rows that hold a state: all of a grid array, the first runs.count of a run-stored one."""
+    return a if runs is None else a[: runs.count]
+
+
+def _norm(a: np.ndarray, runs: Runs | None) -> float:
+    """The two-norm of a state's grid array."""
+    return float(np.linalg.norm(a)) if runs is None else runs.norm(a)
 
 
 def cr_map(
@@ -319,6 +314,7 @@ def cr_map(
     naive_P: np.ndarray | None = None,
     out: np.ndarray | None = None,
     work: tuple[np.ndarray, np.ndarray] | None = None,
+    runs: Runs | None = None,
 ) -> np.ndarray:
     """One CR step C_m: m+1 micro-steps, backward extrapolation, moment reset.
 
@@ -329,6 +325,11 @@ def cr_map(
     is written, so ``out`` may be ``f_guess`` itself; it must be neither
     ``f0``, which the reset reads after the sum is built, nor a work buffer.
     A non-finite sum raises NumericalError naming its first such cell.
+
+    With ``runs``, every state is stored by those runs (``steppers.Runs``)
+    and the stepper steps it with ``step(values, out, runs=runs)``, which
+    cuts the runs; the sum, f0 and, unless it is ``out``, f_guess are then
+    brought onto the cut runs (``Runs.fill``).
 
     ``naive_P`` switches the reset to the inverse-based projector P of
     ``naive_projector`` (failure-study mode); by default the QR projector is
@@ -341,27 +342,40 @@ def cr_map(
         raise ValueError("f0 and f_guess must share shapes")
     w = cr_weights(order_m)
     a, b = cr_buffers(f_guess) if work is None else work
-    cur = stepper.step(f_guess, out=a)
-    f_pre = np.multiply(cur, w[0], out=out)
+    step = stepper.step if runs is None else partial(stepper.step, runs=runs)
+    since = 0 if runs is None else runs.count
+    cur = step(f_guess, out=a)
+    f_pre = np.empty_like(f_guess) if out is None else out
+    pre = np.multiply(_rows(cur, runs), w[0], out=_rows(f_pre, runs))
     for wj in w[1:]:
         # the step reads the last output and writes the other buffer, which
         # then holds wj times the new state until the next step overwrites it
         a, b = b, a
-        cur = stepper.step(cur, out=a)
-        f_pre += np.multiply(cur, wj, out=b)
-    if not np.all(np.isfinite(f_pre)):
-        cell = int(np.flatnonzero(~np.isfinite(f_pre).all(axis=1))[0])
+        count = 0 if runs is None else runs.count
+        cur = step(cur, out=a)
+        if runs is not None:  # the sum so far onto the runs the step cut
+            runs.fill(count, f_pre)
+            pre = _rows(f_pre, runs)
+        pre += np.multiply(_rows(cur, runs), wj, out=_rows(b, runs))
+    if not np.all(np.isfinite(pre)):
+        bad = ~np.isfinite(pre).all(axis=1)
+        cell = int(np.flatnonzero(bad)[0] if runs is None else runs.first[: runs.count][bad].min())
         raise NumericalError(
             f"non-finite extrapolation in CR map (order {order_m}), first in cell {cell}")
+    if runs is not None:
+        runs.fill(since, f0, *(() if f_guess is out else (f_guess,)))
+    target, scratch = _rows(f0, runs), _rows(b, runs)
     if naive_P is None:
-        return reset_conserved(basis, f_pre, f0, out=f_pre, work=b)
-    np.matmul(f_pre, naive_P.T, out=b)
-    return np.add(b, f0 @ (np.eye(basis.q) - naive_P).T, out=f_pre)
+        reset_conserved(basis, pre, target, out=pre, work=scratch)
+    else:
+        np.matmul(pre, naive_P.T, out=scratch)
+        np.add(scratch, target @ (np.eye(basis.q) - naive_P).T, out=pre)
+    return f_pre
 
 
-def fd_step(f: np.ndarray, vnorm: float = 1.0) -> float:
+def fd_step(f: np.ndarray, vnorm: float = 1.0, runs: Runs | None = None) -> float:
     """Forward-difference step FD_EPSILON (1 + ||f||) / vnorm for a direction of norm vnorm."""
-    return FD_EPSILON * (1.0 + float(np.linalg.norm(f))) / vnorm
+    return FD_EPSILON * (1.0 + _norm(f, runs)) / vnorm
 
 
 def cr_jvp(
@@ -371,6 +385,7 @@ def cr_jvp(
     v: np.ndarray,
     *,
     out: np.ndarray | None = None,
+    runs: Runs | None = None,
 ) -> np.ndarray:
     """Forward difference (apply_map(f + h v) - Cf) / h: the CR-map Jacobian along v.
 
@@ -380,18 +395,26 @@ def cr_jvp(
     FD_EPSILON (1 + ||f||) whatever the length of v.  A zero direction
     returns zeros without running the map.  f + h v is formed in ``out``,
     allocated when None, and mapped in place; ``out`` must not be f or Cf.
+    With ``runs``, the states are stored by them, and f, Cf and v are
+    brought onto the runs the map leaves.
     """
-    vnorm = float(np.linalg.norm(v))
+    out = np.empty_like(v) if out is None else out
+    vnorm = _norm(v, runs)
     if vnorm == 0.0:
-        out = np.empty_like(v) if out is None else out
         out.fill(0.0)
         return out
-    h = fd_step(f, vnorm)
-    out = np.multiply(v, h, out=out)
-    out += f
-    out = apply_map(out, out)
-    out -= Cf
-    out /= h
+    h = fd_step(f, vnorm, runs)
+    state = np.multiply(_rows(v, runs), h, out=_rows(out, runs))
+    state += _rows(f, runs)
+    if runs is not None:
+        since = runs.count
+        apply_map(out, out)
+        runs.fill(since, f, Cf, v)
+        state = _rows(out, runs)
+    else:
+        apply_map(out, out)
+    state -= _rows(Cf, runs)
+    state /= h
     return out
 
 
@@ -412,20 +435,34 @@ def cr_lift(
     Newton solves it by GMRES with J the matrix-free ``cr_jvp``, a forward
     difference of the CR map; Picard takes J = 0, so f <- C_m(r0, f).
 
+    A stepper whose ``step`` takes ``runs`` steps every state stored by one
+    ``steppers.Runs``: the rows of f0 (and of ``f_guess``) are compared once,
+    every step cuts the runs without comparing its input, the norms weigh
+    each row by its run's length, and the lifted state is expanded once, at
+    the end.
+    ``LiftReport.runs`` is the number of its stored rows.  Any other stepper
+    steps the (N, q) grid arrays, each row a run of its own.
+
     Every failure raises ConvergenceError with the residual history: a CR
-    map that fails (also inside a GMRES matvec), GMRES stagnation, three
-    rising residuals (a stall when all three lie within ROUNDING_FLOOR
-    eps ||f||, since the tolerance then lies below what rounding allows, and
-    divergence otherwise), and a budget of MAX_NEWTON_ITERS or
-    MAX_PICARD_ITERS corrections spent.  Every grid-sized array of the loop
-    is allocated once per lift: the CR map's two step buffers, C(f), the
-    residual, and the JVP, which forms the perturbed state in its own output.
+    map that fails (also inside a GMRES matvec), GMRES stagnation, a stall
+    (the last three residuals lie within ROUNDING_FLOOR eps ||f|| and none
+    is below the smallest before them, so the tolerance lies below what
+    rounding allows), divergence (three rising residuals above that floor),
+    and a budget of MAX_NEWTON_ITERS or MAX_PICARD_ITERS corrections spent.
+    Every grid-sized array of the loop is allocated once per lift: the CR
+    map's two step buffers, C(f), the residual, and the JVP, which forms the
+    perturbed state in its own output.
     """
     t0 = _time.perf_counter()
     newton = cfg.solver == "newton"
     name = cfg.solver.capitalize()
     tol, budget = (cfg.newton_tol, MAX_NEWTON_ITERS) if newton else (cfg.picard_tol, MAX_PICARD_ITERS)
-    f = f0.copy() if f_guess is None else f_guess.copy()
+    start = f0 if f_guess is None else f_guess
+    runs = None
+    if "runs" in inspect.signature(stepper.step).parameters:
+        runs = Runs(f0) if f_guess is None else Runs(f0, f_guess)
+    f = start.copy() if runs is None else runs.store(start)
+    target = f0 if runs is None or runs.cells else runs.store(f0)
     # one block for all five: glibc's trim threshold follows the largest
     # block freed, so the next lift reuses this one, where separate arrays
     # may be trimmed and faulted in again (median minor faults per
@@ -434,6 +471,7 @@ def cr_lift(
     a, b, Cf, g, jvp = np.empty((5,) + f0.shape)
     work = (a, b)
     history: list[float] = []
+    before = math.inf  # the smallest residual before the last three
     gmres_total = 0
 
     def failure(message):
@@ -441,7 +479,8 @@ def cr_lift(
 
     def apply_map(state, out=None):
         try:
-            return cr_map(stepper, basis, f0, state, cfg.order_m, out=out, work=work)
+            return cr_map(stepper, basis, target, state, cfg.order_m, out=out, work=work,
+                          runs=runs)
         except KliftError as exc:
             last = f"{history[-1]:.3e}" if history else "none"
             raise failure(
@@ -449,41 +488,53 @@ def cr_lift(
                 f"m = {cfg.order_m}): {exc}") from exc
 
     def matvec(v):
-        cr_jvp(apply_map, f, Cf, v, out=jvp)
-        return np.subtract(v, jvp, out=jvp)
+        cr_jvp(apply_map, f, Cf, v, out=jvp, runs=runs)
+        Jv = _rows(jvp, runs)
+        np.subtract(_rows(v, runs), Jv, out=Jv)
+        return jvp
 
     for it in range(budget + 1):
         apply_map(f, Cf)
-        np.subtract(f, Cf, out=g)
-        resid = float(np.linalg.norm(g))
+        np.subtract(_rows(f, runs), _rows(Cf, runs), out=_rows(g, runs))
+        resid = _norm(g, runs)
         history.append(resid)
         if resid < tol:
-            reset_conserved(basis, f, f0, out=f, work=g)
-            report = LiftReport(
+            state, f0_rows = _rows(f, runs), _rows(target, runs)
+            reset_conserved(basis, state, f0_rows, out=state, work=_rows(g, runs))
+            drift = conserved_drift(basis, state, f0_rows)
+            lifted = f if runs is None else runs.expand(f)
+            return lifted, LiftReport(
                 solver=cfg.solver,
                 iterations=it,
                 residual_history=history,
-                conserved_drift=conserved_drift(basis, f, f0),
+                conserved_drift=drift,
                 wall_time=_time.perf_counter() - t0,
                 gmres_iterations=gmres_total,
+                runs=len(state),
             )
-            return f, report
         if it == budget:
             break
-        if len(history) >= 3 and history[-1] > history[-2] > history[-3]:
-            rising = f"residuals {history[-3]:.3e}, {history[-2]:.3e}, {resid:.3e}"
-            floor = ROUNDING_FLOOR * np.finfo(float).eps * float(np.linalg.norm(f))
-            if resid <= floor:
+        if len(history) > 3:
+            before = min(before, history[-4])
+        last = history[-3:]
+        stalled = len(history) > 3 and min(last) >= before  # no new minimum
+        rising = len(last) == 3 and last[0] < last[1] < resid
+        if stalled or rising:
+            residuals = "residuals " + ", ".join(f"{r:.3e}" for r in last)
+            floor = ROUNDING_FLOOR * np.finfo(float).eps * _norm(f, runs)
+            if stalled and max(last) <= floor:
                 raise failure(
-                    f"{name} CR iteration stalled at the rounding floor: {rising} lie "
+                    f"{name} CR iteration stalled at the rounding floor: {residuals} lie "
                     f"within {ROUNDING_FLOOR:g} eps ||f|| = {floor:.3e}, so the tolerance "
                     f"{tol:g} lies below it (m = {cfg.order_m})")
-            raise failure(f"{name} CR iteration diverging: {rising} (m = {cfg.order_m})")
+            if rising and resid > floor:
+                raise failure(f"{name} CR iteration diverging: {residuals} (m = {cfg.order_m})")
         if not newton:
-            np.copyto(f, Cf)
+            np.copyto(_rows(f, runs), _rows(Cf, runs))
             continue
 
-        solve = gmres(matvec, np.negative(g, out=g), cfg.gmres)
+        np.negative(_rows(g, runs), out=_rows(g, runs))
+        solve = gmres(matvec, g, cfg.gmres, runs)
         gmres_total += solve.iterations
         if solve.info != 0:
             raise failure(
@@ -491,7 +542,7 @@ def cr_lift(
                 f"{solve.iterations} inner iterations, estimated relative residual "
                 f"{solve.estimate:.3e} and true relative residual {solve.residual:.3e} "
                 f"against rtol {cfg.gmres.tol:g}")
-        f += solve.x
+        np.add(_rows(f, runs), _rows(solve.x, runs), out=_rows(f, runs))
 
     raise failure(
         f"{name} CR iteration did not reach {tol:g} "

@@ -4,12 +4,14 @@ A scenario bundles gas constants, surface/ambient boundary parameters, and
 the discretization rules (velocity bounds as multiples of the surface
 thermal speed, domain length as a multiple of the mean free path, the
 stability time step).  The discretization itself is fixed: upwind fluxes on
-mass-rescaled fields.  Derived quantities are always recomputed from the
-primary parameters, never stored.
+mass-rescaled fields.  Derived quantities come from the primary parameters
+alone; the gas, the two grids and the time step are built once per scenario,
+at first use, and kept.
 """
 
 import hashlib
 import math
+from functools import cached_property
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -127,7 +129,7 @@ class Scenario:
 
     # ---- derived quantities -------------------------------------------------
 
-    @property
+    @cached_property
     def gas(self) -> GasParams:
         return GasParams(
             molecular_mass=self.molecular_mass,
@@ -155,7 +157,7 @@ class Scenario:
         """Surface thermal speed sqrt(2 k_B T_s / m): sets the velocity bounds."""
         return float(np.sqrt(2.0 * BOLTZMANN * self.surface_T / self.molecular_mass))
 
-    @property
+    @cached_property
     def vgrid(self) -> VelocityGrid:
         b = VELOCITY_BOUND_MULTIPLE * self.u0
         return build_velocity_grid(-b, b, self.n_velocities)
@@ -169,11 +171,11 @@ class Scenario:
     def length(self) -> float:
         return self.lambda_multiple * self.mean_free_path
 
-    @property
+    @cached_property
     def grid(self) -> SpatialGrid:
         return build_spatial_grid(self.length, self.n_cells)
 
-    @property
+    @cached_property
     def dt(self) -> float:
         """Stability time step from the initial (ambient) relaxation rate."""
         omega0 = relaxation_frequency(MacroFields(*np.array([self.ambient]).T), self.gas)

@@ -3,7 +3,9 @@
 A stepper is any object with ``step(values, out=None) -> out`` on (N, q)
 arrays: the output depends only on the input values and is written to
 ``out`` (a fresh array when None), which must not overlap ``values``; that
-is all the constrained-runs machinery needs.  The finite-volume
+is all the constrained-runs machinery needs.  A stepper whose ``step`` also
+takes ``runs`` steps states stored by their runs (``Runs``), as both steppers
+here do, and the lift then keeps every state stored that way.  The finite-volume
 step follows the integrated form
 f_i(x_j, t+dt) = f_i - (dt/dx)(phi_{i,j+1/2} - phi_{i,j-1/2}) + dt w (f_eq - f_i)
 with first-order upwind fluxes and equilibrium ghost cells; upwind is the one
@@ -11,14 +13,23 @@ flux, as forward Euler with a centred flux is unstable for advection.
 
 The step is local and translation invariant: output row j is one and the same
 function of rows j - 1, j and j + 1 at every cell, where row -1 and row N are
-the ghost rows (or, on a periodic ring, rows N - 1 and 0).  A cell whose three
-rows equal its left neighbour's therefore has its neighbour's output, so a run
-of equal rows, such as the undisturbed ambient gas ahead of an expansion, is
-stepped once.  The three-speed diffusive lattice Boltzmann model is kept as a
-small exact oracle for the constrained-runs machinery.
+the ghost rows (or, on a periodic ring, rows N - 1 and 0).  So a run of L
+equal consecutive rows, such as the undisturbed ambient gas ahead of an
+expansion, has at most three distinct output rows: its first, its interior
+and its last.  A state stored by its runs, one row per run, is stepped as
+min(L, 3) rows per run, side by side as on the grid (``Runs.stencils``), and
+the output's runs follow from the input's without a compare of its rows: each
+run is cut into its first, interior and last rows, except where two of these
+step to the same row bit for bit (``Runs.refine``).  Runs are found by
+comparing rows (``equal_neighbours``) only where a grid array comes in: once
+per lift, and at every step of a grid array (``_kept_cells``).  The
+three-speed diffusive lattice Boltzmann model is kept as a small exact
+oracle for the constrained-runs machinery.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,7 +47,8 @@ from .kinetic import (
 # drops; otherwise the row compare, gather and scatter cost more than the
 # cells they save.  On helium_L30000 states (N = 1600, Nv = 56, 2 vCPUs) the
 # two paths broke even between 21 % and 27 % of the cells dropped (the
-# 7,000- and 6,500-step states; packed over full 1.01 and 0.96).
+# 7,000- and 6,500-step states; packed over full 1.01 and 0.96).  ``Runs``
+# makes every row a run of its own below the same share of equal rows.
 MIN_DROPPED_SHARE = 0.25
 # The explicit step's share of its stability bound (see ``stable_dt``).
 CFL_SAFETY = 0.9
@@ -72,6 +84,142 @@ def equal_neighbours(rows: np.ndarray, most: float = -1) -> np.ndarray | None:
     differ[~same] = False
     same[np.flatnonzero(differ) // rows.shape[1]] = False
     return same
+
+
+class Runs:
+    """A partition of the N rows of an (N, q) grid into runs of equal
+    consecutive rows, and the layout of the states stored by it.
+
+    A run-stored state is an (N, q) array whose row j, for j < ``count``,
+    holds the row every cell of run j shares; the rows past ``count`` are
+    spare.  Run j covers ``lengths[j]`` rows (``weights[j]`` as a float) from
+    row ``first[j]``, and ``order`` lists the run numbers from the first row
+    to the last.  Runs
+    are only ever cut, never joined: a cut run keeps its number on its first
+    part and each new run takes the next free number, so every state stored
+    by the coarser runs stays exact once ``fill`` has copied each parent's
+    row into its new runs.  ``cells`` is true when every run is one row in
+    grid order, so that a stored state is the grid's own array.
+    """
+
+    def __init__(self, *arrays: np.ndarray):
+        """The runs of rows equal in every one of ``arrays`` (``equal_neighbours``),
+        numbered from the first row.
+
+        When no more than MIN_DROPPED_SHARE of the neighbouring pairs are
+        equal, every row is a run of its own: a step's gather and scatter by
+        runs would then cost more than the rows it saves.
+        """
+        n = len(arrays[0])
+        most = MIN_DROPPED_SHARE * (n - 1)
+        same = np.ones(n - 1, dtype=bool)
+        for rows in arrays:
+            equal = equal_neighbours(rows, most)  # None when too few are candidates
+            same &= False if equal is None else equal
+        if np.count_nonzero(same) <= most:
+            same[:] = False
+        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+        self.count = len(starts)
+        self.cells = self.count == n
+        self.order = np.arange(self.count)
+        self.first = np.zeros(n, np.intp)
+        self.first[: self.count] = starts
+        self.lengths = np.zeros(n, np.intp)
+        self.lengths[: self.count] = np.diff(starts, append=n)
+        self.weights = self.lengths.astype(float)
+        self.parent = np.arange(n)
+
+    def store(self, rows: np.ndarray) -> np.ndarray:
+        """The run-stored form of the (N, q) ``rows``, which must be equal within each run."""
+        out = np.empty(rows.shape)
+        np.take(rows, self.first[: self.count], axis=0, out=out[: self.count])
+        return out
+
+    def expand(self, stored: np.ndarray) -> np.ndarray:
+        """The (N, q) grid array of a run-stored state (``stored`` itself when ``cells``)."""
+        if self.cells:
+            return stored
+        return np.repeat(stored[self.order], self.lengths[self.order], axis=0)
+
+    def norm(self, stored: np.ndarray) -> float:
+        """The two-norm of the grid array of a run-stored state."""
+        rows = stored[: self.count]
+        if self.cells:  # weights of one: the plain norm, with no multiply
+            return float(np.linalg.norm(rows))
+        return math.sqrt(float(np.dot(self.weights[: self.count],
+                                      np.einsum("ij,ij->i", rows, rows))))
+
+    def fill(self, since: int, *stores: np.ndarray) -> None:
+        """Copy into the runs numbered ``since`` and above, in each store (an
+        array with one row per run in its last two axes), the row of the run
+        they were cut from when the count was ``since``."""
+        if since == self.count:
+            return
+        source = self.parent[since: self.count].copy()
+        late = source >= since
+        while late.any():  # cut from a run that was itself cut since then
+            source[late] = self.parent[source[late]]
+            late = source >= since
+        for store in stores:
+            store[..., since: self.count, :] = store[..., source, :]
+
+    def stencils(self) -> np.ndarray:
+        """The stored row of each row a step computes, in grid order.
+
+        A step's output row depends only on its input rows j - 1, j and
+        j + 1, so a run of L >= 3 rows has at most three distinct output
+        rows: its first, its interior and its last.  The step computes
+        min(L, 3) rows of each run, its own row repeated, and these stand
+        side by side exactly as the grid's rows do: each has the neighbours
+        the cell it stands for has in the grid.  A run of one row gives one
+        and a run of two gives two.  ``refine`` takes their outputs.
+        """
+        self._reps = np.minimum(self.lengths[self.order], 3)
+        self._heads = np.cumsum(self._reps) - self._reps  # each run's first row there
+        return np.repeat(self.order, self._reps)
+
+    def stencil_cells(self) -> np.ndarray:
+        """The grid row each row at ``stencils`` stands for (the first, for an interior)."""
+        reps, order = self._reps, self.order
+        part = np.arange(reps.sum()) - np.repeat(self._heads, reps)
+        last = np.repeat(self.lengths[order] - 1, reps)
+        return np.repeat(self.first[order], reps) + np.where(part == 2, last, part)
+
+    def refine(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Cut the runs for a step's output ``rows``, computed at ``stencils``,
+        and store that output in ``out``.
+
+        The first, interior and last rows of a run become runs of 1, L - 2
+        and 1 rows, except that a part whose output row equals, bit for bit,
+        that of the part before it in the same run stays joined to it: a
+        difference that a step rounds away does not cut.  Only these pairs,
+        at most two per run, are compared.
+        """
+        order, reps, heads = self.order, self._reps, self._heads
+        long = np.flatnonzero(reps > 1)
+        second = heads[long] + 1
+        parts = np.concatenate((second, second[reps[long] == 3] + 1))
+        bits = rows.view(np.int64)
+        differ = (bits[parts] != bits[parts - 1]).any(axis=1)
+        cuts = parts[differ]  # the second parts that cut, then the third parts
+        position = np.empty(self.count + cuts.size, np.intp)  # each run's output row
+        position[order] = heads
+        if cuts.size:
+            new = np.arange(self.count, len(position))
+            position[new] = cuts
+            cut = self.parent[new] = order[np.searchsorted(heads, cuts, side="right") - 1]
+            # a second part starts at its run's second row, a third at its last
+            self.first[new] = self.first[cut] + 1
+            seconds = np.count_nonzero(differ[: len(second)])
+            self.first[new[seconds:]] += self.lengths[cut[seconds:]] - 2
+            self.count = len(position)
+            self.order = order = np.argsort(self.first[: self.count])
+            first = self.first[order]
+            self.lengths[order] = np.append(first[1:], len(self.first)) - first
+            self.weights[order] = self.lengths[order]
+        # mode="raise" would buffer ``out``; every index is in range
+        np.take(rows, position, axis=0, out=out[: self.count], mode="clip")
+        return out
 
 
 def _kept_cells(values: np.ndarray) -> np.ndarray | None:
@@ -133,6 +281,15 @@ class BGKStepper:
     given ``out`` allocates nothing the size of the grid: the packed step's
     two arrays hold the kept rows only, fewer than (1 - MIN_DROPPED_SHARE) N.
     One stepper must not step from two threads at once.
+
+    ``step(rows, out, runs=runs)`` steps a state stored by ``runs`` into
+    ``out``, stored by the cut runs: restriction, flux, equilibrium and
+    update run on the rows at ``runs.stencils()`` alone, with no share to
+    reach and no compare of the input.  From the maximal runs these are the
+    rows ``_kept_cells`` keeps, so the grid's packed step gives the same
+    output bit for bit.  With every row a run of its own the stored state is
+    the grid array, stepped as it is.  An error reruns the expanded grid, so
+    it names the cell of the grid.
     """
 
     def __init__(
@@ -163,11 +320,23 @@ class BGKStepper:
         self._v_minus = v - self._v_plus
         self._flux = np.empty((grid.n_cells + 1, vgrid.n_velocities))
 
-    def step(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def step(self, values: np.ndarray, out: np.ndarray | None = None,
+             runs: Runs | None = None) -> np.ndarray:
         shape = (self.grid.n_cells, self.vgrid.n_velocities)
         if values.shape != shape:
             raise ValueError(f"values shape {values.shape} != {shape}")
         new = _step_output(values, out)
+        if runs is not None:
+            if runs.cells:
+                return self._update(values, new)
+            stencils = runs.stencils()
+            try:
+                rows = self._update(np.take(values, stencils, axis=0),
+                                    np.empty((len(stencils), shape[1])))
+            except KliftError:
+                # the grid fails the same way and names the cell of the state
+                rows = self._update(runs.expand(values), np.empty(shape))[runs.stencil_cells()]
+            return runs.refine(rows, new)
         keep = _kept_cells(values)
         if keep is not None:
             # the packed row holding each cell's output: its own, or that of
@@ -223,10 +392,14 @@ class D1Q3Stepper:
             raise ValueError("omega must lie in (0, 2)")
         self.omega = omega
 
-    def step(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def step(self, values: np.ndarray, out: np.ndarray | None = None,
+             runs: Runs | None = None) -> np.ndarray:
         if values.ndim != 2 or values.shape[1] != 3:
             raise ValueError("populations must have shape (N, 3)")
         out = _step_output(values, out)
+        if runs is not None and not runs.cells:
+            # the stencil rows stand side by side as on the ring, so they stream alike
+            return runs.refine(self.step(np.take(values, runs.stencils(), axis=0)), out)
         rho = values.sum(axis=1)
         post = (1.0 - self.omega) * values + self.omega * (rho[:, None] / 3.0)
         out[:, 0] = np.roll(post[:, 0], 1)   # speed +1

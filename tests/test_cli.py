@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -347,6 +348,11 @@ class TestCLI:
         assert report[0] == ["iter", "residual", "drift", "seconds"]
         relerr = read_rows(f"{prefix}_relerr.csv")
         assert len(relerr) == 1 + 24 * 16
+        # the summary names the solver's counts and the lifted state's stored
+        # rows, one per run of equal cell rows
+        found = re.search(r"^\|f\(m=0\) - f_c\| = \S+ \(newton, (\d+) iterations, (\d+) GMRES "
+                          r"iterations, (\d+) stored rows\)$", capsys.readouterr().out, re.M)
+        assert found and 1 <= int(found[3]) <= 24
 
     def test_lift_relerr_rows(self, tmp_path, monkeypatch):
         cfg, _ = tiny_config(tmp_path)

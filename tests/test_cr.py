@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse.linalg
 
 import klift.cr
+from klift import steppers
 from klift import (
     BasisKind,
     ConvergenceError,
@@ -27,9 +28,9 @@ from klift import (
 from klift.cli import lift_report_rows
 from klift.cr import GMRESResult, conserved_drift, cr_buffers, cr_jvp, gmres
 from klift.errors import NumericalError
-from klift.kinetic import DistributionField, equilibrium_field
+from klift.kinetic import DistributionField, discrete_equilibrium, equilibrium_field
 from klift.moments import basis_from_matrix, naive_projector, reset_conserved
-from klift.steppers import D1Q3Stepper
+from klift.steppers import D1Q3Stepper, Runs
 
 from conftest import IdentityStepper, LinearODEStepper, load_shipped
 
@@ -178,11 +179,18 @@ class TestCRMap:
             cr_map(OverflowingStepper(), basis, f0, guess, 1)
 
 
-def reference_lift(name, steps, order, solver, **overrides):
-    """Lift the (n, u, T) of a reference state after ``steps`` steps at one order."""
+def reference_lift(name, steps, order, solver, *, tiled=False, **overrides):
+    """Lift the (n, u, T) of a reference state after ``steps`` steps at one order.
+
+    The reference starts from the ambient equilibrium solved in every cell,
+    or, ``tiled``, from one cell's solve repeated on every cell.
+    """
     sc = load_shipped(name).with_overrides(solver=solver, **overrides)
     stepper = sc.make_stepper()
     values = sc.initial_field().values
+    if tiled:
+        row = sc.scale * discrete_equilibrium(*sc.ambient, sc.vgrid, sc.gas)
+        values = np.tile(row, (sc.n_cells, 1))
     for _ in range(steps):
         values = stepper.step(values)
     reference = sc.initial_field().with_values(values)
@@ -272,18 +280,24 @@ class TestRisingResiduals:
     @pytest.mark.parametrize("solver", ["newton", "picard"])
     def test_tolerance_below_the_rounding_floor_stalls(self, solver):
         # 1e-30 lies far below the rounding of ||f - C f|| (eps ||f|| = 5.4e-20
-        # on this state): the residuals settle and wander up at that floor,
-        # which is a stall, not a divergence
+        # on this state): the residuals settle and wander at that floor, which
+        # is a stall, not a divergence.  Picard also lifts from a reference
+        # started from one ambient row on every cell, whose tails differ from
+        # the N-cell solve's by up to 101 ulp: how the residuals wander there
+        # depends on such last bits, and the verdict must not
         name = solver.capitalize()
-        with pytest.raises(ConvergenceError, match=(
-                rf"^{name} CR iteration stalled at the rounding floor: residuals .* lie "
-                r"within 100 eps \|\|f\|\| = \S+, so the tolerance 1e-30 lies below it "
-                r"\(m = 0\)$")) as exc:
-            reference_lift("helium_desk.cfg", 5, 0, solver, n_cells=8, n_velocities=16,
-                           newton_tol=1e-30, picard_tol=1e-30)
-        history = exc.value.history
-        assert history[-3] < history[-2] < history[-1] < 1e-18
-        assert exc.value.residual == history[-1]
+        for tiled in (False, True) if solver == "picard" else (False,):
+            with pytest.raises(ConvergenceError, match=(
+                    rf"^{name} CR iteration stalled at the rounding floor: residuals .* lie "
+                    r"within 100 eps \|\|f\|\| = \S+, so the tolerance 1e-30 lies below it "
+                    r"\(m = 0\)$")) as exc:
+                reference_lift("helium_desk.cfg", 5, 0, solver, tiled=tiled, n_cells=8,
+                               n_velocities=16, newton_tol=1e-30, picard_tol=1e-30)
+            history = exc.value.history
+            # the last three stay at the floor without a new minimum
+            assert max(history[-3:]) < 1e-18
+            assert min(history[-3:]) >= min(history[:-3])
+            assert exc.value.residual == history[-1]
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_full_scale_picard_still_diverges(self, order):
@@ -433,13 +447,20 @@ def desk_lift_problem():
     return sc, stepper, basis, restrict(reference, sc.gas), common
 
 
-def scipy_gmres(matvec, b, params):
+def scipy_gmres(matvec, b, params, runs=None):
     """scipy.sparse.linalg.gmres called as the Newton lift called it before klift.cr.gmres.
 
     restart=None meant min(n, max_iters); the iteration count is the number
     of pr_norm callbacks.  The true residual is not computed (NaN).  A b of
     any shape is solved flattened, with matvec seeing and x taking b's shape.
+    With ``runs``, b is stored by them and scipy solves the grid's system:
+    each product stores its argument by the runs, which the matvec may cut,
+    and expands the result.
     """
+    if runs is not None:
+        solve = scipy_gmres(lambda v: runs.expand(matvec(runs.store(v))).copy(),
+                            runs.expand(b).copy(), params)
+        return solve._replace(x=runs.store(solve.x))
     n = b.size
     restart = params.restart if params.restart is not None else min(n, params.max_iters)
     estimates = []
@@ -627,7 +648,7 @@ class TestGMRES:
         (zero beyond the ends), and a b nonzero on rows 0-2 and constant on
         rows 100-179, zero elsewhere: each product spreads a vector one row
         further and wears the constant block down by a row at each end, so
-        runs split on every iteration, and runs longer than one row are not
+        runs are cut on every iteration, and runs longer than one row are not
         all zero."""
         rng = np.random.default_rng(11)
         D = 3.0 * np.eye(q) + rng.standard_normal((q, q)) / math.sqrt(q)
@@ -648,23 +669,33 @@ class TestGMRES:
     def test_runs_that_split_match_scipy(self, restart, norm_term):
         linear, b = self._spreading_system()
         # a term that is zero on the unit Arnoldi vectors but not on x, and
-        # differs between rows 149 and 150: only a cycle's residual splits there
+        # differs between rows 149 and 150, where the runs start cut
         upper = (np.arange(len(b)) >= 150)[:, None]
+        runs = Runs(b, upper)
 
         def matvec(v):
             return linear(v) + norm_term * max(0.0, float(np.linalg.norm(v)) - 2.0) * upper
 
+        def stored_matvec(v):
+            # the operator is a step's stencil: it acts on the rows a step
+            # computes, which it stores by the runs it cuts
+            term = norm_term * max(0.0, runs.norm(v) - 2.0)
+            out = runs.refine(linear(np.take(v, runs.stencils(), axis=0)), np.empty_like(v))
+            out[: runs.count] += term * (runs.first[: runs.count] >= 150)[:, None]
+            return out
+
         params = GMRESParams(tol=1e-10, max_iters=200, restart=restart)
-        ours = gmres(matvec, b, params)
+        ours = gmres(stored_matvec, runs.store(b), params, runs)
         ref = scipy_gmres(matvec, b, params)
         assert (ours.info, ours.iterations) == (ref.info, ref.iterations)
         assert ours.info == 0 and ours.iterations > (7 if restart else 10)
-        assert ours.x.shape == b.shape
-        assert np.linalg.norm(ours.x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
-        true = np.linalg.norm(b - matvec(ours.x)) / np.linalg.norm(b)
+        x = runs.expand(ours.x)
+        assert x.shape == b.shape
+        assert np.linalg.norm(x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
+        true = np.linalg.norm(b - matvec(x)) / np.linalg.norm(b)
         assert ours.residual == pytest.approx(true, rel=1e-12)
-        # b's 5 runs split as the vectors spread, but the far rows never differ
-        assert 5 < ours.runs < len(b)
+        # b's 6 runs are cut as the vectors spread, but the far rows never differ
+        assert ours.runs == runs.count and 6 < ours.runs < len(b)
 
     def test_rows_without_runs_solve_bit_for_bit_as_one_row(self, rng):
         N, q = 30, 4
@@ -705,6 +736,65 @@ class TestGMRES:
             assert ours_report.iterations == ref_report.iterations
             np.testing.assert_allclose(ours.values, ref.values, rtol=0.0,
                                        atol=1e-12 * np.abs(ref.values).max())
+
+
+class TestRunStoredLift:
+    """The lift carries every state stored by one set of runs, which only its steps cut."""
+
+    @staticmethod
+    def _no_equal_rows(rows, most=-1):
+        return None
+
+    def test_rows_without_runs_lift_alike(self, monkeypatch):
+        # the desk state lifted from its runs, and with every row its own run:
+        # the same counts, and states within rounding; with runs of one row the
+        # lift is the grid arrays' own, bit for bit
+        sc, stepper, basis, macro, common = desk_lift_problem()
+        for m in (0, 1, 3):
+            cfg = sc.cr_config(m)
+            compares = []
+
+            def counting(rows, most=-1, original=steppers.equal_neighbours):
+                compares.append(len(rows))
+                return original(rows, most)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(steppers, "equal_neighbours", counting)
+                stored, report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
+            assert compares == [sc.n_cells]  # f0's rows, once
+            with monkeypatch.context() as patch:
+                patch.setattr(steppers, "equal_neighbours", self._no_equal_rows)
+                free, free_report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
+                grid, grid_report = lift_macro(FreshCopyStepper(stepper), basis, macro, sc.gas,
+                                               cfg, **common)
+            assert report.gmres_iterations > 0
+            assert (report.iterations, report.gmres_iterations) == (
+                free_report.iterations, free_report.gmres_iterations)
+            assert report.runs < sc.n_cells == free_report.runs == grid_report.runs
+            scale = np.max(np.abs(free.values))
+            assert np.max(np.abs(stored.values - free.values)) <= 1e-12 * scale
+            assert free.values.tobytes() == grid.values.tobytes()
+            assert free_report.residual_history == grid_report.residual_history
+
+    def test_guess_runs_refine_the_target_runs(self, monkeypatch):
+        # a guess is compared once too, and the lift stores both by the runs
+        # of rows equal in each
+        sc, stepper, basis, macro, common = desk_lift_problem()
+        f0 = equilibrium_field(macro, sc.grid, sc.vgrid, sc.gas, scale=sc.scale).values
+        guess = f0.copy()
+        guess[60] *= 1.0 + 1e-9  # inside f0's undisturbed run
+        compares = []
+
+        def counting(rows, most=-1, original=steppers.equal_neighbours):
+            compares.append(len(rows))
+            return original(rows, most)
+
+        monkeypatch.setattr(steppers, "equal_neighbours", counting)
+        cfg = sc.cr_config(1)
+        _, report = cr_lift(stepper, basis, f0, cfg, f_guess=guess)
+        _, plain = cr_lift(stepper, basis, f0, cfg)
+        assert compares == [sc.n_cells] * 3
+        assert report.runs > plain.runs
 
 
 class RecordingStepper:

@@ -17,7 +17,7 @@ from klift import (
     stable_dt,
 )
 from klift import steppers
-from klift.cr import _Runs
+from klift.steppers import Runs
 from klift.errors import ConvergenceError, NumericalError
 from klift.kinetic import DistributionField, MacroFields
 
@@ -555,8 +555,19 @@ def equal_pairs(rows):
 ORACLE_SHAPES = [(1, 5), (2, 1), (2, 3), (7, 2), (40, 3), (200, 7), (120, 56)]
 
 
+def run_owner(runs):
+    """The number of the run each grid row lies in."""
+    return runs.expand(np.arange(len(runs.first), dtype=float)[:, None])[:, 0].astype(int)
+
+
+@pytest.fixture
+def any_equal_pair_is_a_run(monkeypatch):
+    """Runs however few rows they save."""
+    monkeypatch.setattr(steppers, "MIN_DROPPED_SHARE", 0.0)
+
+
 class TestEqualNeighbours:
-    """One rule finds equal neighbouring rows for the packed step and for GMRES's runs."""
+    """One rule finds equal neighbouring rows for the packed step and for the lift's runs."""
 
     def test_nan_equals_nothing_and_signed_zeros_are_equal(self):
         rows = np.array([[0.0, 0.0, 1.0], [-0.0, -0.0, 1.0], [np.nan, 2.0, 1.0],
@@ -566,46 +577,51 @@ class TestEqualNeighbours:
                                                             False]
 
     @pytest.mark.parametrize("n_rows, q", ORACLE_SHAPES)
+    @pytest.mark.usefixtures("any_equal_pair_is_a_run")
     def test_runs_are_the_maximal_blocks_of_equal_rows(self, n_rows, q):
         for seed in range(20):
             rows = planted_rows(np.random.default_rng(seed), n_rows, q)
             equal = equal_pairs(rows)
             assert steppers.equal_neighbours(rows).tolist() == equal.tolist()
-            runs = _Runs(rows)
+            runs = Runs(rows)
             # numbered in row order: a run starts at every row unequal to the one before
             owner = np.concatenate(([0], np.cumsum(~equal)))
-            assert runs.owner.tolist() == owner.tolist()
+            assert run_owner(runs).tolist() == owner.tolist()
             assert runs.count == owner[-1] + 1
+            assert runs.order.tolist() == list(range(runs.count))
+            assert runs.cells == (runs.count == n_rows)
             starts = np.flatnonzero(np.concatenate(([True], ~equal)))
             assert runs.first[: runs.count].tolist() == starts.tolist()
             assert runs.weights[: runs.count].tolist() == np.diff(starts, append=n_rows).tolist()
+            stored = runs.store(rows)
+            assert runs.expand(stored).tobytes() == rows[starts[owner]].tobytes()
 
     @pytest.mark.parametrize("n_rows, q", ORACLE_SHAPES)
+    @pytest.mark.usefixtures("any_equal_pair_is_a_run")
     def test_split_is_the_common_refinement(self, n_rows, q):
+        # the runs of several arrays are the maximal blocks of rows equal in
+        # every one of them
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            first = planted_rows(rng, n_rows, q)
-            runs = _Runs(first)
-            stores = rng.standard_normal((2, n_rows, 3)), rng.standard_normal((n_rows, q))
-            equal = equal_pairs(first)
-            for _ in range(2):
-                rows = planted_rows(rng, n_rows, q)
-                equal &= equal_pairs(rows)
-                before = runs.count, runs.first.copy(), [s[..., runs.owner, :] for s in stores]
-                runs.split(rows, *stores)
-                # each run is one maximal block, and an old run keeps its
-                # number on the block that holds its first row
-                assert runs.count == 1 + np.count_nonzero(~equal)
-                assert (runs.owner[1:] == runs.owner[:-1]).tolist() == equal.tolist()
-                assert sorted(set(runs.owner.tolist())) == list(range(runs.count))
-                count, old_first, expanded = before
-                assert runs.owner[old_first[:count]].tolist() == list(range(count))
-                for j in range(runs.count):
-                    members = np.flatnonzero(runs.owner == j)
-                    assert (runs.first[j], runs.weights[j]) == (members[0], len(members))
-                # every store copied the parent run's row into each new run
-                for store, was in zip(stores, expanded):
-                    assert np.array_equal(store[..., runs.owner, :], was)
+            arrays = [planted_rows(rng, n_rows, q) for _ in range(3)]
+            equal = np.logical_and.reduce([equal_pairs(a) for a in arrays])
+            runs = Runs(*arrays)
+            owner = run_owner(runs)
+            assert (owner[1:] == owner[:-1]).tolist() == equal.tolist()
+            assert runs.count == 1 + np.count_nonzero(~equal)
+            assert runs.norm(runs.store(arrays[0])) == pytest.approx(
+                np.linalg.norm(runs.expand(runs.store(arrays[0]))), rel=1e-14, nan_ok=True)
+
+    def test_too_few_equal_rows_make_every_row_a_run(self, rng):
+        # 4 of 19 neighbouring pairs equal, no more than a quarter: storing by
+        # runs would save too little, so every row is a run; 5 of 19 make runs
+        rows = rng.random((20, 3))
+        rows[5:10] = rows[5]
+        runs = Runs(rows)
+        assert runs.cells and runs.count == 20
+        rows[10] = rows[5]
+        runs = Runs(rows)
+        assert not runs.cells and runs.count == 15
 
     @pytest.mark.parametrize("n_rows, q", ORACLE_SHAPES)
     def test_kept_cells_drop_the_cells_inside_runs(self, n_rows, q):
@@ -623,6 +639,124 @@ class TestEqualNeighbours:
                 masks += 1
                 assert keep.tolist() == (~drop).tolist()
         assert masks > 0 or n_rows < 7
+
+
+RUN_STEPPERS = ("bgk-inflow", "bgk-ring", "d1q3")
+# runs of 1, 2, 3 and more rows, at both ends and side by side
+RUN_LENGTHS = (4, 1, 2, 3, 1, 1, 9, 2, 3, 5)
+
+
+def run_state(kind, rng, lengths=RUN_LENGTHS, *, signed_zero=False):
+    """A stepper of ``kind`` and a state of blocks of equal rows, the i-th
+    ``lengths[i]`` rows long; ``signed_zero`` gives two neighbouring blocks
+    one row, with +0.0 and -0.0 in its first entry, which makes them one run."""
+    n_cells = sum(lengths)
+    if kind == "d1q3":
+        stepper, row = D1Q3Stepper(omega=1.3), rng.random(3) + 0.5
+    else:
+        stepper, row = desk_case(n_cells, rng, periodic=kind == "bgk-ring")
+    blocks = [np.tile(row * (1 + 0.05 * rng.random(len(row))), (n, 1)) for n in lengths]
+    if signed_zero:
+        blocks[3][:, 0] = 0.0
+        blocks[4] = np.tile(blocks[3][0], (lengths[4], 1))
+        blocks[4][:, 0] = -0.0
+    return stepper, np.concatenate(blocks)
+
+
+def grid_step(stepper, values):
+    """Today's step of the grid array: packed whenever a cell drops."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(steppers, "MIN_DROPPED_SHARE", 0.0)
+        return stepper.step(values)
+
+
+def assert_runs_refine(before, runs, count):
+    """Every run of ``runs`` lies inside one run of the grid numbering ``before``
+    (of ``count`` runs); a cut run keeps its number on its first row, and the
+    new runs take the next numbers."""
+    after = run_owner(runs)
+    for j in range(runs.count):
+        inside = before[after == j]
+        assert len(set(inside.tolist())) == 1, j
+        assert j >= count or inside[0] == j
+    starts = np.flatnonzero(np.concatenate(([True], before[1:] != before[:-1])))
+    assert after[starts].tolist() == before[starts].tolist()
+    assert sorted(set(after.tolist())) == list(range(runs.count))
+
+
+@pytest.mark.parametrize("kind", RUN_STEPPERS)
+class TestRunStoredStep:
+    """``step(rows, out, runs=runs)`` steps a state stored by its runs and cuts them."""
+
+    @pytest.mark.parametrize("signed_zero", [False, True], ids=["distinct", "signed-zero"])
+    def test_expanded_step_is_the_grid_step(self, kind, rng, signed_zero):
+        # from the maximal runs the step computes today's kept rows: the
+        # expanded output is the grid's step bit for bit, and each run it
+        # stores is a block of equal rows of that step
+        for _ in range(5):
+            stepper, values = run_state(kind, rng, signed_zero=signed_zero)
+            runs = Runs(values)
+            assert runs.count == len(RUN_LENGTHS) - signed_zero
+            rows = runs.store(values)
+            grid = runs.expand(rows)
+            before, count = run_owner(runs), runs.count
+            out = np.full_like(rows, np.nan)
+            assert stepper.step(rows, out, runs=runs) is out
+            want = grid_step(stepper, grid)
+            assert runs.expand(out).tobytes() == want.tobytes()
+            assert_runs_refine(before, runs, count)
+            # a run of L >= 3 rows has at most three parts
+            assert runs.count <= sum(min(n, 3) for n in RUN_LENGTHS)
+            owner = run_owner(runs)
+            for j in range(runs.count):
+                block = want[owner == j]
+                assert (block.view(np.int64) == block[0].view(np.int64)).all(), j
+
+    def test_trajectory_of_cut_runs(self, kind, rng):
+        # after the first step the runs are no longer maximal; the run-stored
+        # trajectory stays within rounding of the grid's, and a state stored
+        # by the earlier runs is carried onto the cut ones by ``fill``
+        stepper, values = run_state(kind, rng, (20, 1, 2, 24, 3))
+        runs = Runs(values)
+        rows, grid = runs.store(values), values
+        kept = rows.copy()
+        buffers = np.empty((2,) + values.shape)
+        for k in range(8):
+            before, count = run_owner(runs), runs.count
+            rows = stepper.step(rows, buffers[k % 2], runs=runs)
+            grid = grid_step(stepper, grid)
+            assert_runs_refine(before, runs, count)
+            runs.fill(count, kept)
+            assert runs.expand(kept).tobytes() == values.tobytes()
+            assert np.max(np.abs(runs.expand(rows) - grid)) <= 1e-14 * np.max(np.abs(grid)), k
+        assert 5 < runs.count < len(values)
+
+    def test_rows_without_runs_step_in_place(self, kind, rng):
+        # every row its own run: the stored state is the grid array, stepped as one
+        stepper, values = run_state(kind, rng, (1,) * 12)
+        runs = Runs(values)
+        assert runs.cells and runs.count == len(values)
+        out = np.empty_like(values)
+        assert stepper.step(values, out, runs=runs).tobytes() == stepper.step(values).tobytes()
+        assert runs.count == len(values)
+
+    def test_a_nan_row(self, kind, rng):
+        # a NaN row equals none, so it is a run of its own; the BGK step
+        # names its cell as the grid's step does, D1Q3 carries it bit for bit
+        stepper, values = run_state(kind, rng)
+        values[8] = np.nan  # inside the run of 3 rows
+        runs = Runs(values)
+        assert runs.count == len(RUN_LENGTHS) + 2
+        rows = runs.store(values)
+        if kind == "d1q3":
+            out = stepper.step(rows, runs=runs)
+            assert runs.expand(out).tobytes() == grid_step(stepper, values).tobytes()
+            return
+        with pytest.raises(NumericalError) as want:
+            grid_step(stepper, values)
+        with pytest.raises(NumericalError) as got:
+            stepper.step(rows, runs=runs)
+        assert str(got.value) == str(want.value) and "cell 8 " in str(got.value)
 
 
 class TestD1Q3:
