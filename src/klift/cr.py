@@ -6,23 +6,25 @@ of ``klift.steppers``.  One CR map applies ``step`` m+1 times to the guess,
 backward-extrapolates with the order-m weights, and resets the conserved
 moments to those of the target state f0.
 
-With a stepper whose ``step`` takes ``runs``, the lift carries every state
-stored by one ``steppers.Runs``: one row per run of equal consecutive cell
-rows, found once by comparing the rows of f0.  Each step cuts the runs where
-its output needs it, and every call that steps (``cr_map``, ``cr_jvp``,
-``gmres``) brings the other states it was given onto the cut runs
-(``Runs.fill``).  The map, the reset, the JVP, GMRES and the norms (which
-weigh a row by its run's length) work on the stored rows alone, and the
-lifted state is expanded to the grid once.  The lift allocates every
-grid-sized array of its inner loop once and passes it down as ``out=`` (and
-the CR map's two step buffers as ``work=``); a stored state uses the first
-``runs.count`` rows of such an array.  A call with ``None`` for them does
-the same arithmetic in fresh arrays.
+The lift carries every state stored by one ``steppers.Runs``.  With a
+stepper that sets ``steps_runs``, that is one row per run of equal
+consecutive cell rows, found once by comparing the rows of f0; with any
+other, every row is a run of its own and a stored state is the grid array.
+Each step cuts the runs where its output needs it, and every call that
+steps (``cr_map``, ``cr_jvp``, ``gmres``) brings the other states it was
+given onto the cut runs (``Runs.fill``).  The map, the reset, the JVP,
+GMRES and the norms (which weigh a row by its run's length) work on the
+stored rows alone, and the lifted state is expanded to the grid once.  The
+lift allocates every grid-sized array of its inner loop once and passes it
+down as ``out=`` (and the CR map's two step buffers as ``work=``); a stored
+state uses the first ``runs.count`` rows of such an array.  A call with
+``None`` for them does the same arithmetic in fresh arrays.  ``cr_map`` and
+``cr_jvp`` called without ``runs``, as ``diagnostics`` calls them, step grid
+arrays by plain ``step``.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -111,16 +113,17 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
     restart=None means max_iters, and restart is capped at n, the largest
     Krylov space.  A cycle that ends early still counts, as in scipy.
 
-    With ``runs`` (``steppers.Runs``), b, x and every Arnoldi vector are
-    states stored by those runs, one row per run, and inner products are
-    weighted by run length: c = V (w * weights) and ||w||^2 = w . (w *
-    weights).  A matvec may cut the runs, as the steps of a CR map do, and
-    returns A v stored by the cut runs; every vector of the basis, x and b
-    (which is written to) then copy each parent run's row into its new runs
+    b, x and every Arnoldi vector are states stored by ``runs``
+    (``steppers.Runs``), one row per run, and inner products are weighted by
+    run length: c = V (w * weights) and ||w||^2 = w . (w * weights).  A
+    matvec may cut the runs, as the steps of a CR map do, and returns A v
+    stored by the cut runs; every vector of the basis, x and b (which is
+    written to) then copy each parent run's row into its new runs
     (``Runs.fill``), so each stays exact and nothing is expanded.  Runs of
     one row each have weights of 1.0, and the products are the plain ones.
-    Without ``runs``, b of any shape is one vector.  ``runs`` is the number
-    of runs at the end: the rows of b (one for a 1-D b) without ``runs``.
+    Without ``runs``, each row of b (the one row of a 1-D b) is a run of its
+    own, so b of any shape is one vector.  ``runs`` is the number of runs at
+    the end.
 
     Each Arnoldi vector w is orthogonalized by one pass of classical
     Gram-Schmidt, one product with the stacked basis rows, and by a second
@@ -148,24 +151,18 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
     """
     n = b.size
     rows = b.reshape(len(b) if b.ndim > 1 else 1, -1)
-    weighted = runs is not None and not runs.cells
-
-    def count():
-        return len(rows) if runs is None else runs.count
+    runs = Runs.each_row(len(rows)) if runs is None else runs
 
     def weigh(v):
         """v times its run lengths (in tmp) as one row, and v's weighted norm."""
         flat = v.reshape(-1)
-        if not weighted:
+        if runs.cells:  # weights of one: no multiply
             return flat, math.sqrt(float(np.dot(flat, flat)))
         wv = np.multiply(v, runs.weights[: len(v), None], out=tmp[: v.size].reshape(v.shape))
         return wv.reshape(-1), math.sqrt(float(np.dot(flat, wv.reshape(-1))))
 
-    def norm(v):
-        return float(np.linalg.norm(v)) if runs is None else runs.norm(v)
-
-    k = count()
-    bnrm2 = norm(rows[:k])
+    k = runs.count
+    bnrm2 = runs.norm(rows)
     atol = params.tol * bnrm2
     if bnrm2 == 0.0 or bnrm2 < atol:  # b = 0, or rtol > 1 accepts x = 0
         rel = 1.0 if bnrm2 else 0.0
@@ -184,8 +181,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
         is brought onto the runs the matvec leaves."""
         arg[:k] = v
         w = np.reshape(matvec(arg.reshape(b.shape)), rows.shape)
-        if runs is not None:
-            runs.fill(k, *stores)
+        runs.fill(k, *stores)
         return w
 
     r, rnorm = rows[:k], bnrm2
@@ -200,7 +196,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
         growth = 1.0
         for col in range(min(restart, params.max_iters - used)):
             w = apply(V[col, :k], V[: col + 1], x, rows)
-            k = count()
+            k = runs.count
             basis, v_new = V[: col + 1, :k].reshape(col + 1, -1), V[col + 1, :k]
             v_flat = v_new.reshape(-1)
             w = w[:k]
@@ -245,9 +241,9 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
             y[0] /= R[0, 0]
         x[:k] += np.matmul(y, basis, out=tmp[: basis.shape[1]]).reshape(k, -1)
         w = apply(x[:k], x, rows)
-        k = count()
+        k = runs.count
         r = np.subtract(rows[:k], w[:k], out=arg[:k])
-        rnorm = norm(r)
+        rnorm = runs.norm(r)
         if rnorm <= atol or breakdown:
             break
         if presid <= ptol:  # the estimate passed but the true residual did not
@@ -294,6 +290,11 @@ def cr_buffers(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.empty_like(f), np.empty_like(f)
 
 
+def _steps_runs(stepper) -> bool:
+    """Whether ``stepper.step`` takes ``runs`` (``steppers`` module notes)."""
+    return getattr(stepper, "steps_runs", False)
+
+
 def _rows(a: np.ndarray, runs: Runs | None) -> np.ndarray:
     """The rows that hold a state: all of a grid array, the first runs.count of a run-stored one."""
     return a if runs is None else a[: runs.count]
@@ -327,9 +328,10 @@ def cr_map(
     A non-finite sum raises NumericalError naming its first such cell.
 
     With ``runs``, every state is stored by those runs (``steppers.Runs``)
-    and the stepper steps it with ``step(values, out, runs=runs)``, which
-    cuts the runs; the sum, f0 and, unless it is ``out``, f_guess are then
-    brought onto the cut runs (``Runs.fill``).
+    and a stepper that sets ``steps_runs`` steps it with ``step(values, out,
+    runs=runs)``, which cuts the runs; the sum, f0 and, unless it is ``out``,
+    f_guess are then brought onto the cut runs (``Runs.fill``).  Any other
+    stepper is given ``runs`` of one row each, which ``step`` never cuts.
 
     ``naive_P`` switches the reset to the inverse-based projector P of
     ``naive_projector`` (failure-study mode); by default the QR projector is
@@ -342,7 +344,8 @@ def cr_map(
         raise ValueError("f0 and f_guess must share shapes")
     w = cr_weights(order_m)
     a, b = cr_buffers(f_guess) if work is None else work
-    step = stepper.step if runs is None else partial(stepper.step, runs=runs)
+    by_runs = runs is not None and _steps_runs(stepper)
+    step = partial(stepper.step, runs=runs) if by_runs else stepper.step
     since = 0 if runs is None else runs.count
     cur = step(f_guess, out=a)
     f_pre = np.empty_like(f_guess) if out is None else out
@@ -435,13 +438,12 @@ def cr_lift(
     Newton solves it by GMRES with J the matrix-free ``cr_jvp``, a forward
     difference of the CR map; Picard takes J = 0, so f <- C_m(r0, f).
 
-    A stepper whose ``step`` takes ``runs`` steps every state stored by one
-    ``steppers.Runs``: the rows of f0 (and of ``f_guess``) are compared once,
+    Every state is stored by one ``steppers.Runs``.  For a stepper that sets
+    ``steps_runs``, the rows of f0 (and of ``f_guess``) are compared once,
     every step cuts the runs without comparing its input, the norms weigh
     each row by its run's length, and the lifted state is expanded once, at
-    the end.
-    ``LiftReport.runs`` is the number of its stored rows.  Any other stepper
-    steps the (N, q) grid arrays, each row a run of its own.
+    the end.  Any other stepper steps the (N, q) grid arrays, each row a run
+    of its own.  ``LiftReport.runs`` is the number of stored rows.
 
     Every failure raises ConvergenceError with the residual history: a CR
     map that fails (also inside a GMRES matvec), GMRES stagnation, a stall
@@ -457,12 +459,12 @@ def cr_lift(
     newton = cfg.solver == "newton"
     name = cfg.solver.capitalize()
     tol, budget = (cfg.newton_tol, MAX_NEWTON_ITERS) if newton else (cfg.picard_tol, MAX_PICARD_ITERS)
-    start = f0 if f_guess is None else f_guess
-    runs = None
-    if "runs" in inspect.signature(stepper.step).parameters:
+    if not _steps_runs(stepper):
+        runs = Runs.each_row(len(f0))
+    else:
         runs = Runs(f0) if f_guess is None else Runs(f0, f_guess)
-    f = start.copy() if runs is None else runs.store(start)
-    target = f0 if runs is None or runs.cells else runs.store(f0)
+    f = runs.store(f0 if f_guess is None else f_guess)
+    target = f0 if runs.cells else runs.store(f0)
     # one block for all five: glibc's trim threshold follows the largest
     # block freed, so the next lift reuses this one, where separate arrays
     # may be trimmed and faulted in again (median minor faults per
@@ -473,6 +475,10 @@ def cr_lift(
     history: list[float] = []
     before = math.inf  # the smallest residual before the last three
     gmres_total = 0
+
+    def held(a):
+        """The rows of ``a`` that hold its state: one per run."""
+        return a[: runs.count]
 
     def failure(message):
         return ConvergenceError(message, residual=history[-1] if history else None, history=history)
@@ -489,20 +495,19 @@ def cr_lift(
 
     def matvec(v):
         cr_jvp(apply_map, f, Cf, v, out=jvp, runs=runs)
-        Jv = _rows(jvp, runs)
-        np.subtract(_rows(v, runs), Jv, out=Jv)
+        np.subtract(held(v), held(jvp), out=held(jvp))
         return jvp
 
     for it in range(budget + 1):
         apply_map(f, Cf)
-        np.subtract(_rows(f, runs), _rows(Cf, runs), out=_rows(g, runs))
-        resid = _norm(g, runs)
+        np.subtract(held(f), held(Cf), out=held(g))
+        resid = runs.norm(g)
         history.append(resid)
         if resid < tol:
-            state, f0_rows = _rows(f, runs), _rows(target, runs)
-            reset_conserved(basis, state, f0_rows, out=state, work=_rows(g, runs))
+            state, f0_rows = held(f), held(target)
+            reset_conserved(basis, state, f0_rows, out=state, work=held(g))
             drift = conserved_drift(basis, state, f0_rows)
-            lifted = f if runs is None else runs.expand(f)
+            lifted = runs.expand(f)
             return lifted, LiftReport(
                 solver=cfg.solver,
                 iterations=it,
@@ -521,7 +526,7 @@ def cr_lift(
         rising = len(last) == 3 and last[0] < last[1] < resid
         if stalled or rising:
             residuals = "residuals " + ", ".join(f"{r:.3e}" for r in last)
-            floor = ROUNDING_FLOOR * np.finfo(float).eps * _norm(f, runs)
+            floor = ROUNDING_FLOOR * np.finfo(float).eps * runs.norm(f)
             if stalled and max(last) <= floor:
                 raise failure(
                     f"{name} CR iteration stalled at the rounding floor: {residuals} lie "
@@ -530,10 +535,10 @@ def cr_lift(
             if rising and resid > floor:
                 raise failure(f"{name} CR iteration diverging: {residuals} (m = {cfg.order_m})")
         if not newton:
-            np.copyto(_rows(f, runs), _rows(Cf, runs))
+            np.copyto(held(f), held(Cf))
             continue
 
-        np.negative(_rows(g, runs), out=_rows(g, runs))
+        np.negative(held(g), out=held(g))
         solve = gmres(matvec, g, cfg.gmres, runs)
         gmres_total += solve.iterations
         if solve.info != 0:
@@ -542,7 +547,7 @@ def cr_lift(
                 f"{solve.iterations} inner iterations, estimated relative residual "
                 f"{solve.estimate:.3e} and true relative residual {solve.residual:.3e} "
                 f"against rtol {cfg.gmres.tol:g}")
-        np.add(_rows(f, runs), _rows(solve.x, runs), out=_rows(f, runs))
+        np.add(held(f), held(solve.x), out=held(f))
 
     raise failure(
         f"{name} CR iteration did not reach {tol:g} "

@@ -3,9 +3,11 @@
 A stepper is any object with ``step(values, out=None) -> out`` on (N, q)
 arrays: the output depends only on the input values and is written to
 ``out`` (a fresh array when None), which must not overlap ``values``; that
-is all the constrained-runs machinery needs.  A stepper whose ``step`` also
-takes ``runs`` steps states stored by their runs (``Runs``), as both steppers
-here do, and the lift then keeps every state stored that way.  The finite-volume
+is all the constrained-runs machinery needs.  A stepper whose class sets
+``steps_runs`` also takes ``runs`` in ``step`` and steps states stored by
+their runs (``Runs``), as both steppers here do, and the lift then keeps
+every state stored that way.  The flag is a class attribute, so a wrapper
+of ``step`` keeps it.  The finite-volume
 step follows the integrated form
 f_i(x_j, t+dt) = f_i - (dt/dx)(phi_{i,j+1/2} - phi_{i,j-1/2}) + dt w (f_eq - f_i)
 with first-order upwind fluxes and equilibrium ghost cells; upwind is the one
@@ -48,7 +50,13 @@ from .kinetic import (
 # cells they save.  On helium_L30000 states (N = 1600, Nv = 56, 2 vCPUs) the
 # two paths broke even between 21 % and 27 % of the cells dropped (the
 # 7,000- and 6,500-step states; packed over full 1.01 and 0.96).  ``Runs``
-# makes every row a run of its own below the same share of equal rows.
+# makes every row a run of its own when no more than this share of the
+# neighbouring pairs are equal, where a lift by runs and a lift of the grid
+# arrays broke even too.  Lifted by runs over by the grid, at m = 0..3 with
+# the shipped settings (helium_L30000 reference states, one BLAS thread, the
+# median of 5 alternating lifts each): 1.10-1.25 at 1-11 % equal pairs
+# (steps 8,950-8,000), 1.00-1.13 at 21 %, 0.86-1.08 at 25 %, 0.89-0.99 at
+# 31 % and 0.81-0.87 at 40 % (steps 7,250, 6,750, 6,250 and 5,500).
 MIN_DROPPED_SHARE = 0.25
 # The explicit step's share of its stability bound (see ``stable_dt``).
 CFL_SAFETY = 0.9
@@ -73,6 +81,12 @@ def equal_neighbours(rows: np.ndarray, most: float = -1) -> np.ndarray | None:
     and -0.0 equals +0.0.  Neighbouring rows with equal middle entries are
     the candidates, which an exact compare of the rows confirms.  None when
     no more than ``most`` pairs are candidates, at the cost of that test only.
+
+    This is the rule for rows that come in as a grid array.  ``Runs.refine``
+    joins a step's output rows by a second, stricter rule, equal bit for
+    bit: a joined run's one stored row stands for every cell of the run, and
+    must expand to the grid step's own output in each, where -0.0 and +0.0
+    differ.  (Its rows are finite, as a non-finite step output raises.)
     """
     middle = rows[:, rows.shape[1] // 2]
     same = middle[1:] == middle[:-1]
@@ -107,8 +121,9 @@ class Runs:
         numbered from the first row.
 
         When no more than MIN_DROPPED_SHARE of the neighbouring pairs are
-        equal, every row is a run of its own: a step's gather and scatter by
-        runs would then cost more than the rows it saves.
+        equal, every row is a run of its own: the gathers, cuts and weighted
+        norms of a lift by runs would then cost more than the rows they save
+        (see MIN_DROPPED_SHARE for the measured break-even).
         """
         n = len(arrays[0])
         most = MIN_DROPPED_SHARE * (n - 1)
@@ -118,7 +133,17 @@ class Runs:
             same &= False if equal is None else equal
         if np.count_nonzero(same) <= most:
             same[:] = False
-        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+        self._number(np.flatnonzero(np.concatenate(([True], ~same))), n)
+
+    @classmethod
+    def each_row(cls, n: int) -> Runs:
+        """Every one of n rows a run of its own (``cells``), found without a compare."""
+        runs = cls.__new__(cls)
+        runs._number(np.arange(n), n)
+        return runs
+
+    def _number(self, starts: np.ndarray, n: int) -> None:
+        """Runs from the first rows ``starts`` of n, numbered from the first row."""
         self.count = len(starts)
         self.cells = self.count == n
         self.order = np.arange(self.count)
@@ -292,6 +317,8 @@ class BGKStepper:
     it names the cell of the grid.
     """
 
+    steps_runs = True  # ``step`` takes ``runs`` (see the module notes)
+
     def __init__(
         self,
         grid: SpatialGrid,
@@ -386,6 +413,8 @@ class D1Q3Stepper:
 
     One step relaxes toward rho/3, then streams periodically.
     """
+
+    steps_runs = True
 
     def __init__(self, omega: float):
         if not 0.0 < omega < 2.0:

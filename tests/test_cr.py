@@ -30,7 +30,7 @@ from klift.cr import GMRESResult, conserved_drift, cr_buffers, cr_jvp, gmres
 from klift.errors import NumericalError
 from klift.kinetic import DistributionField, discrete_equilibrium, equilibrium_field
 from klift.moments import basis_from_matrix, naive_projector, reset_conserved
-from klift.steppers import D1Q3Stepper, Runs
+from klift.steppers import BGKStepper, D1Q3Stepper, Runs
 
 from conftest import IdentityStepper, LinearODEStepper, load_shipped
 
@@ -242,11 +242,11 @@ class TestPicard:
         class FailingStepper(D1Q3Stepper):
             steps = 0
 
-            def step(self, values, out=None):
+            def step(self, values, out=None, **runs):
                 self.steps += 1
                 if self.steps > 4:
                     raise NumericalError("unphysical state entering a step")
-                return super().step(values, out)
+                return super().step(values, out, **runs)
 
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)
         cfg = CRConfig(order_m=0, solver=solver, picard_tol=1e-16, newton_tol=1e-16)
@@ -795,6 +795,25 @@ class TestRunStoredLift:
         _, plain = cr_lift(stepper, basis, f0, cfg)
         assert compares == [sc.n_cells] * 3
         assert report.runs > plain.runs
+
+
+    def test_a_wrapped_step_still_steps_runs(self, monkeypatch):
+        # the lift reads ``steps_runs`` from the stepper, so a wrapper of
+        # ``step`` that hides its signature keeps the run-stored path
+        sc, stepper, basis, macro, common = desk_lift_problem()
+        cfg = sc.cr_config(1)
+        _, plain = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
+        given = []
+
+        def wrapped(self, *args, step=BGKStepper.step, **kwargs):
+            given.append(kwargs.get("runs"))
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(BGKStepper, "step", wrapped)
+        _, report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
+        assert given and all(runs is not None and not runs.cells for runs in given)
+        assert report.runs == plain.runs < sc.n_cells
+        assert report.residual_history == plain.residual_history
 
 
 class RecordingStepper:
