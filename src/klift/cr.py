@@ -10,17 +10,20 @@ The lift carries every state stored by one ``steppers.Runs``.  With a
 stepper that sets ``steps_runs``, that is one row per run of equal
 consecutive cell rows, found once by comparing the rows of f0; with any
 other, every row is a run of its own and a stored state is the grid array.
-Each step cuts the runs where its output needs it, and every call that
-steps (``cr_map``, ``cr_jvp``, ``gmres``) brings the other states it was
-given onto the cut runs (``Runs.fill``).  The map, the reset, the JVP,
-GMRES and the norms (which weigh a row by its run's length) work on the
-stored rows alone, and the lifted state is expanded to the grid once.  The
-lift allocates every grid-sized array of its inner loop once and passes it
-down as ``out=`` (and the CR map's two step buffers as ``work=``); a stored
-state uses the first ``runs.count`` rows of such an array.  A call with
-``None`` for them does the same arithmetic in fresh arrays.  ``cr_map`` and
-``cr_jvp`` called without ``runs``, as ``diagnostics`` calls them, step grid
-arrays by plain ``step``.
+A CR map of stored states gathers the rows of the runs' layout for m + 1
+steps once, steps them m + 1 times with no compare, builds the
+extrapolation sum on them and cuts the runs once, where neighbouring rows of
+that sum differ (``Runs.layout``, ``Runs.refine``); every call that maps
+(``cr_map``, ``cr_jvp``, ``gmres``) then brings the other states it was
+given onto the cut runs (``Runs.fill``).  The reset, the JVP, GMRES and the
+norms (which weigh a row by its run's length) work on the stored rows
+alone, and the lifted state is expanded to the grid once.  The lift
+allocates every grid-sized array of its inner loop once and passes it down
+as ``out=`` (and the CR map's two step buffers and its sum's buffer as
+``work=``); a stored state uses the first ``runs.count`` rows of such an
+array, a layout its first rows.  A call with ``None`` for them does the
+same arithmetic in fresh arrays.  ``cr_map`` and ``cr_jvp`` called without
+``runs``, as ``diagnostics`` calls them, step grid arrays by plain ``step``.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
     b, x and every Arnoldi vector are states stored by ``runs``
     (``steppers.Runs``), one row per run, and inner products are weighted by
     run length: c = V (w * weights) and ||w||^2 = w . (w * weights).  A
-    matvec may cut the runs, as the steps of a CR map do, and returns A v
+    matvec may cut the runs, as a CR map does, and returns A v
     stored by the cut runs; every vector of the basis, x and b (which is
     written to) then copy each parent run's row into its new runs
     (``Runs.fill``), so each stays exact and nothing is expanded.  Runs of
@@ -285,8 +288,9 @@ class LiftReport:
 
 
 def cr_buffers(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for ``cr_map(work=)`` on states like f: the two step outputs,
-    used in turn."""
+    """Scratch for ``cr_map(work=)`` on grid arrays like f: the two step
+    outputs, used in turn.  A map of run-stored states also takes a third
+    buffer like f, for its sum."""
     return np.empty_like(f), np.empty_like(f)
 
 
@@ -314,7 +318,7 @@ def cr_map(
     *,
     naive_P: np.ndarray | None = None,
     out: np.ndarray | None = None,
-    work: tuple[np.ndarray, np.ndarray] | None = None,
+    work: tuple[np.ndarray, ...] | None = None,
     runs: Runs | None = None,
 ) -> np.ndarray:
     """One CR step C_m: m+1 micro-steps, backward extrapolation, moment reset.
@@ -327,11 +331,17 @@ def cr_map(
     ``f0``, which the reset reads after the sum is built, nor a work buffer.
     A non-finite sum raises NumericalError naming its first such cell.
 
-    With ``runs``, every state is stored by those runs (``steppers.Runs``)
-    and a stepper that sets ``steps_runs`` steps it with ``step(values, out,
-    runs=runs)``, which cuts the runs; the sum, f0 and, unless it is ``out``,
-    f_guess are then brought onto the cut runs (``Runs.fill``).  Any other
-    stepper is given ``runs`` of one row each, which ``step`` never cuts.
+    With ``runs``, every state is stored by those runs (``steppers.Runs``).
+    Unless every row is a run of its own, the stepper must set
+    ``steps_runs``: the map gathers the rows of ``runs.layout(m + 1)`` into
+    a work buffer once, steps them m + 1 times with ``step(rows, out,
+    runs=runs)`` and builds the sum on them in a third ``work`` buffer (all
+    three allocated when ``work`` is None), with no compare; ``Runs.refine`` then cuts
+    the runs where the sum's rows differ and stores it in ``out``, and f0
+    and, unless it is ``out``, f_guess are brought onto the cut runs
+    (``Runs.fill``).  An error there reruns the map on the expanded grid
+    arrays, so it names the cell of the grid.  With every row a run of its
+    own, the stored state is the grid array, stepped as it is.
 
     ``naive_P`` switches the reset to the inverse-based projector P of
     ``naive_projector`` (failure-study mode); by default the QR projector is
@@ -342,38 +352,66 @@ def cr_map(
     """
     if f0.shape != f_guess.shape:
         raise ValueError("f0 and f_guess must share shapes")
+    if runs is not None and not runs.cells:
+        return _map_runs(stepper, basis, f0, f_guess, order_m, runs, naive_P, out, work)
     w = cr_weights(order_m)
-    a, b = cr_buffers(f_guess) if work is None else work
-    by_runs = runs is not None and _steps_runs(stepper)
-    step = partial(stepper.step, runs=runs) if by_runs else stepper.step
-    since = 0 if runs is None else runs.count
+    a, b = cr_buffers(f_guess) if work is None else work[:2]
+    step = stepper.step if runs is None or not _steps_runs(stepper) else partial(
+        stepper.step, runs=runs)
     cur = step(f_guess, out=a)
     f_pre = np.empty_like(f_guess) if out is None else out
-    pre = np.multiply(_rows(cur, runs), w[0], out=_rows(f_pre, runs))
+    np.multiply(cur, w[0], out=f_pre)
     for wj in w[1:]:
         # the step reads the last output and writes the other buffer, which
         # then holds wj times the new state until the next step overwrites it
         a, b = b, a
-        count = 0 if runs is None else runs.count
         cur = step(cur, out=a)
-        if runs is not None:  # the sum so far onto the runs the step cut
-            runs.fill(count, f_pre)
-            pre = _rows(f_pre, runs)
-        pre += np.multiply(_rows(cur, runs), wj, out=_rows(b, runs))
-    if not np.all(np.isfinite(pre)):
-        bad = ~np.isfinite(pre).all(axis=1)
-        cell = int(np.flatnonzero(bad)[0] if runs is None else runs.first[: runs.count][bad].min())
+        f_pre += np.multiply(cur, wj, out=b)
+    if not np.all(np.isfinite(f_pre)):
+        cell = int(np.flatnonzero(~np.isfinite(f_pre).all(axis=1))[0])
         raise NumericalError(
             f"non-finite extrapolation in CR map (order {order_m}), first in cell {cell}")
-    if runs is not None:
-        runs.fill(since, f0, *(() if f_guess is out else (f_guess,)))
-    target, scratch = _rows(f0, runs), _rows(b, runs)
+    _reset(basis, f_pre, f0, b, naive_P)
+    return f_pre
+
+
+def _map_runs(stepper, basis, f0, f_guess, order_m, runs, naive_P, out, work):
+    """``cr_map`` of states stored by ``runs``, on their layout (see ``cr_map``)."""
+    w = cr_weights(order_m)
+    a, b, total = (*cr_buffers(f_guess), np.empty_like(f_guess)) if work is None else work
+    since = runs.count
+    index = runs.layout(len(w))
+    n = len(index)
+    # mode="raise" would buffer ``out``; every index is in range
+    cur = np.take(f_guess, index, axis=0, out=b[:n], mode="clip")
+    pre = total[:n]
+    try:
+        cur = stepper.step(cur, out=a[:n], runs=runs)
+        np.multiply(cur, w[0], out=pre)
+        for wj in w[1:]:  # the buffers alternate as in ``cr_map``
+            a, b = b, a
+            cur = stepper.step(cur, out=a[:n], runs=runs)
+            pre += np.multiply(cur, wj, out=b[:n])
+        if not np.all(np.isfinite(pre)):
+            raise NumericalError(f"non-finite extrapolation in CR map (order {order_m})")
+    except KliftError:
+        # the grid map fails the same way and names the cell of the grid
+        cr_map(stepper, basis, runs.expand(f0), runs.expand(f_guess), order_m, naive_P=naive_P)
+        raise
+    f_pre = runs.refine(pre, np.empty_like(f_guess) if out is None else out)
+    runs.fill(since, f0, *(() if f_guess is out else (f_guess,)))
+    k = runs.count
+    _reset(basis, f_pre[:k], f0[:k], b[:k], naive_P)
+    return f_pre
+
+
+def _reset(basis, pre, target, scratch, naive_P):
+    """Reset the conserved moments of ``pre`` in place to those of ``target``."""
     if naive_P is None:
         reset_conserved(basis, pre, target, out=pre, work=scratch)
     else:
         np.matmul(pre, naive_P.T, out=scratch)
         np.add(scratch, target @ (np.eye(basis.q) - naive_P).T, out=pre)
-    return f_pre
 
 
 def fd_step(f: np.ndarray, vnorm: float = 1.0, runs: Runs | None = None) -> float:
@@ -440,10 +478,11 @@ def cr_lift(
 
     Every state is stored by one ``steppers.Runs``.  For a stepper that sets
     ``steps_runs``, the rows of f0 (and of ``f_guess``) are compared once,
-    every step cuts the runs without comparing its input, the norms weigh
-    each row by its run's length, and the lifted state is expanded once, at
-    the end.  Any other stepper steps the (N, q) grid arrays, each row a run
-    of its own.  ``LiftReport.runs`` is the number of stored rows.
+    every CR map steps the runs' layout and cuts the runs once, from its
+    sum, the norms weigh each row by its run's length, and the lifted state
+    is expanded once, at the end.  Any other stepper steps the (N, q) grid
+    arrays, each row a run of its own.  ``LiftReport.runs`` is the number of
+    stored rows.
 
     Every failure raises ConvergenceError with the residual history: a CR
     map that fails (also inside a GMRES matvec), GMRES stagnation, a stall
@@ -451,9 +490,10 @@ def cr_lift(
     is below the smallest before them, so the tolerance lies below what
     rounding allows), divergence (three rising residuals above that floor),
     and a budget of MAX_NEWTON_ITERS or MAX_PICARD_ITERS corrections spent.
-    Every grid-sized array of the loop is allocated once per lift: the CR
-    map's two step buffers, C(f), the residual, and the JVP, which forms the
-    perturbed state in its own output.
+    Every grid-sized array of the loop is allocated once per lift, as one
+    block: the CR map's two step buffers and the buffer its sum is built in
+    on a layout, C(f), the residual, and the JVP, which forms the perturbed
+    state in its own output.  A map allocates no grid-sized array.
     """
     t0 = _time.perf_counter()
     newton = cfg.solver == "newton"
@@ -465,13 +505,13 @@ def cr_lift(
         runs = Runs(f0) if f_guess is None else Runs(f0, f_guess)
     f = runs.store(f0 if f_guess is None else f_guess)
     target = f0 if runs.cells else runs.store(f0)
-    # one block for all five: glibc's trim threshold follows the largest
+    # one block for all six: glibc's trim threshold follows the largest
     # block freed, so the next lift reuses this one, where separate arrays
     # may be trimmed and faulted in again (median minor faults per
     # full-scale lift: the block 53.5-54 in each of 6 runs, five arrays
     # 71.5-82 in each of 4)
-    a, b, Cf, g, jvp = np.empty((5,) + f0.shape)
-    work = (a, b)
+    a, b, total, Cf, g, jvp = np.empty((6,) + f0.shape)
+    work = (a, b, total)
     history: list[float] = []
     before = math.inf  # the smallest residual before the last three
     gmres_total = 0

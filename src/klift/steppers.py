@@ -4,10 +4,11 @@ A stepper is any object with ``step(values, out=None) -> out`` on (N, q)
 arrays: the output depends only on the input values and is written to
 ``out`` (a fresh array when None), which must not overlap ``values``; that
 is all the constrained-runs machinery needs.  A stepper whose class sets
-``steps_runs`` also takes ``runs`` in ``step`` and steps states stored by
-their runs (``Runs``), as both steppers here do, and the lift then keeps
-every state stored that way.  The flag is a class attribute, so a wrapper
-of ``step`` keeps it.  The finite-volume
+``steps_runs`` declares that ``step(rows, out, runs=runs)`` steps the rows
+it is given as one row sequence between its boundary rows, however few,
+with no compare, as both steppers here do; the lift then keeps every state
+stored by its runs (``Runs``) and steps their layout.  The flag is a class
+attribute, so a wrapper of ``step`` keeps it.  The finite-volume
 step follows the integrated form
 f_i(x_j, t+dt) = f_i - (dt/dx)(phi_{i,j+1/2} - phi_{i,j-1/2}) + dt w (f_eq - f_i)
 with first-order upwind fluxes and equilibrium ghost cells; upwind is the one
@@ -15,18 +16,17 @@ flux, as forward Euler with a centred flux is unstable for advection.
 
 The step is local and translation invariant: output row j is one and the same
 function of rows j - 1, j and j + 1 at every cell, where row -1 and row N are
-the ghost rows (or, on a periodic ring, rows N - 1 and 0).  So a run of L
-equal consecutive rows, such as the undisturbed ambient gas ahead of an
-expansion, has at most three distinct output rows: its first, its interior
-and its last.  A state stored by its runs, one row per run, is stepped as
-min(L, 3) rows per run, side by side as on the grid (``Runs.stencils``), and
-the output's runs follow from the input's without a compare of its rows: each
-run is cut into its first, interior and last rows, except where two of these
-step to the same row bit for bit (``Runs.refine``).  Runs are found by
-comparing rows (``equal_neighbours``) only where a grid array comes in: once
-per lift, and at every step of a grid array (``_kept_cells``).  The
-three-speed diffusive lattice Boltzmann model is kept as a small exact
-oracle for the constrained-runs machinery.
+the ghost rows (or, on a periodic ring, rows N - 1 and 0).  So after s steps
+a run of L equal consecutive rows, such as the undisturbed ambient gas ahead
+of an expansion, differs from its interior only in its s first and s last
+rows.  A CR map of s steps of a state stored by its runs, one row per run,
+steps min(L, 2s + 1) rows per run, side by side as on the grid
+(``Runs.layout``), s times with no compare between steps, and cuts the runs
+once, where neighbouring rows of its result differ bit for bit
+(``Runs.refine``).  Runs are found by comparing rows (``equal_neighbours``)
+only where a grid array comes in: once per lift, and at every step of a grid
+array (``_kept_cells``).  The three-speed diffusive lattice Boltzmann model
+is kept as a small exact oracle for the constrained-runs machinery.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ def equal_neighbours(rows: np.ndarray, most: float = -1) -> np.ndarray | None:
     no more than ``most`` pairs are candidates, at the cost of that test only.
 
     This is the rule for rows that come in as a grid array.  ``Runs.refine``
-    joins a step's output rows by a second, stricter rule, equal bit for
-    bit: a joined run's one stored row stands for every cell of the run, and
-    must expand to the grid step's own output in each, where -0.0 and +0.0
-    differ.  (Its rows are finite, as a non-finite step output raises.)
+    joins the rows of a CR map's sum by a second, stricter rule, equal bit
+    for bit: a joined run's one stored row stands for every cell of the run,
+    and must expand to the grid map's own sum in each, where -0.0 and +0.0
+    differ.  (Its rows are finite, as a non-finite sum raises.)
     """
     middle = rows[:, rows.shape[1] // 2]
     same = middle[1:] == middle[:-1]
@@ -109,8 +109,9 @@ class Runs:
     spare.  Run j covers ``lengths[j]`` rows (``weights[j]`` as a float) from
     row ``first[j]``, and ``order`` lists the run numbers from the first row
     to the last.  Runs
-    are only ever cut, never joined: a cut run keeps its number on its first
-    part and each new run takes the next free number, so every state stored
+    are only ever cut, once per CR map (``layout``, ``refine``), and never
+    joined across a cut: a cut run keeps its number on its first part and
+    each new run takes the next free number, so every state stored
     by the coarser runs stays exact once ``fill`` has copied each parent's
     row into its new runs.  ``cells`` is true when every run is one row in
     grid order, so that a stored state is the grid's own array.
@@ -188,55 +189,53 @@ class Runs:
         for store in stores:
             store[..., since: self.count, :] = store[..., source, :]
 
-    def stencils(self) -> np.ndarray:
-        """The stored row of each row a step computes, in grid order.
+    def layout(self, steps: int) -> np.ndarray:
+        """The stored row of each row a map of ``steps`` steps computes, in grid order.
 
         A step's output row depends only on its input rows j - 1, j and
-        j + 1, so a run of L >= 3 rows has at most three distinct output
-        rows: its first, its interior and its last.  The step computes
-        min(L, 3) rows of each run, its own row repeated, and these stand
-        side by side exactly as the grid's rows do: each has the neighbours
-        the cell it stands for has in the grid.  A run of one row gives one
-        and a run of two gives two.  ``refine`` takes their outputs.
+        j + 1, so after s steps a run of L equal rows differs from its
+        interior only in its s first and s last rows.  The layout holds
+        min(L, 2s + 1) copies of each run's row: its s first rows, one
+        interior row and its s last rows, or all L.  These stand side by
+        side as the grid's rows do, and the s rows on either side of each
+        hold what the s rows on either side of its grid cell hold, so s steps
+        of the layout as one row sequence compute each of its rows as s grid
+        steps compute that cell.  The layout has at most N rows.  ``refine``
+        takes the map's result.
         """
-        self._reps = np.minimum(self.lengths[self.order], 3)
+        self._steps = steps
+        self._reps = np.minimum(self.lengths[self.order], 2 * steps + 1)
         self._heads = np.cumsum(self._reps) - self._reps  # each run's first row there
         return np.repeat(self.order, self._reps)
 
-    def stencil_cells(self) -> np.ndarray:
-        """The grid row each row at ``stencils`` stands for (the first, for an interior)."""
-        reps, order = self._reps, self.order
-        part = np.arange(reps.sum()) - np.repeat(self._heads, reps)
-        last = np.repeat(self.lengths[order] - 1, reps)
-        return np.repeat(self.first[order], reps) + np.where(part == 2, last, part)
-
     def refine(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Cut the runs for a step's output ``rows``, computed at ``stencils``,
-        and store that output in ``out``.
+        """Cut the runs for a map's result ``rows``, computed on the
+        ``layout`` rows, and store that result in ``out``.
 
-        The first, interior and last rows of a run become runs of 1, L - 2
-        and 1 rows, except that a part whose output row equals, bit for bit,
-        that of the part before it in the same run stays joined to it: a
-        difference that a step rounds away does not cut.  Only these pairs,
-        at most two per run, are compared.
+        A layout row stands for one cell of its run, its interior row for
+        all L - 2s cells between the s first and s last.  Neighbouring
+        layout rows of one run stay in one run when they are equal bit for
+        bit (see ``equal_neighbours``), and are cut apart otherwise, so each
+        output run is the coarsest that holds equal rows: a difference that
+        the steps in between round away does not cut.
         """
         order, reps, heads = self.order, self._reps, self._heads
-        long = np.flatnonzero(reps > 1)
-        second = heads[long] + 1
-        parts = np.concatenate((second, second[reps[long] == 3] + 1))
         bits = rows.view(np.int64)
-        differ = (bits[parts] != bits[parts - 1]).any(axis=1)
-        cuts = parts[differ]  # the second parts that cut, then the third parts
+        differ = np.zeros(len(rows), dtype=bool)  # from the row before
+        np.any(bits[1:] != bits[:-1], axis=1, out=differ[1:])
+        differ[heads] = False  # a run's first row starts it already
+        cuts = np.flatnonzero(differ)  # the rows that start a new run
         position = np.empty(self.count + cuts.size, np.intp)  # each run's output row
         position[order] = heads
         if cuts.size:
             new = np.arange(self.count, len(position))
             position[new] = cuts
-            cut = self.parent[new] = order[np.searchsorted(heads, cuts, side="right") - 1]
-            # a second part starts at its run's second row, a third at its last
-            self.first[new] = self.first[cut] + 1
-            seconds = np.count_nonzero(differ[: len(second)])
-            self.first[new[seconds:]] += self.lengths[cut[seconds:]] - 2
+            at = np.searchsorted(heads, cuts, side="right") - 1
+            cut = self.parent[new] = order[at]
+            # a part past the interior row stands for a row counted from the run's end
+            part = cuts - heads[at]
+            self.first[new] = self.first[cut] + part + np.where(
+                part > self._steps, self.lengths[cut] - reps[at], 0)
             self.count = len(position)
             self.order = order = np.argsort(self.first[: self.count])
             first = self.first[order]
@@ -307,17 +306,17 @@ class BGKStepper:
     two arrays hold the kept rows only, fewer than (1 - MIN_DROPPED_SHARE) N.
     One stepper must not step from two threads at once.
 
-    ``step(rows, out, runs=runs)`` steps a state stored by ``runs`` into
-    ``out``, stored by the cut runs: restriction, flux, equilibrium and
-    update run on the rows at ``runs.stencils()`` alone, with no share to
-    reach and no compare of the input.  From the maximal runs these are the
-    rows ``_kept_cells`` keeps, so the grid's packed step gives the same
-    output bit for bit.  With every row a run of its own the stored state is
-    the grid array, stepped as it is.  An error reruns the expanded grid, so
-    it names the cell of the grid.
+    ``step(rows, out, runs=runs)`` steps the rows of the layout of ``runs``
+    (``Runs.layout``), at most N of them, as one row sequence between the
+    ghost rows (or as a ring of their own): restriction, flux, equilibrium
+    and update run on those rows alone, with no share to reach and no
+    compare of the input, and ``out`` holds as many rows.  With every row a
+    run of its own the rows are the grid array, stepped as it is.  An error
+    names the row of the layout; ``cr.cr_map`` reruns the grid to name the
+    cell.
     """
 
-    steps_runs = True  # ``step`` takes ``runs`` (see the module notes)
+    steps_runs = True  # ``step(rows, out, runs=runs)`` steps a layout (see the module notes)
 
     def __init__(
         self,
@@ -350,20 +349,13 @@ class BGKStepper:
     def step(self, values: np.ndarray, out: np.ndarray | None = None,
              runs: Runs | None = None) -> np.ndarray:
         shape = (self.grid.n_cells, self.vgrid.n_velocities)
-        if values.shape != shape:
+        # the rows of a layout (``Runs.layout``) are at most N
+        n_rows = shape[0] if runs is None else min(len(values), shape[0])
+        if values.shape != (n_rows, shape[1]):
             raise ValueError(f"values shape {values.shape} != {shape}")
         new = _step_output(values, out)
         if runs is not None:
-            if runs.cells:
-                return self._update(values, new)
-            stencils = runs.stencils()
-            try:
-                rows = self._update(np.take(values, stencils, axis=0),
-                                    np.empty((len(stencils), shape[1])))
-            except KliftError:
-                # the grid fails the same way and names the cell of the state
-                rows = self._update(runs.expand(values), np.empty(shape))[runs.stencil_cells()]
-            return runs.refine(rows, new)
+            return self._update(values, new)
         keep = _kept_cells(values)
         if keep is not None:
             # the packed row holding each cell's output: its own, or that of
@@ -411,7 +403,9 @@ class BGKStepper:
 class D1Q3Stepper:
     """Three-speed diffusive LBM on (N, 3) populations ordered (f_+1, f_0, f_-1).
 
-    One step relaxes toward rho/3, then streams periodically.
+    One step relaxes toward rho/3, then streams periodically over the rows
+    it is given, so ``step(rows, out, runs=runs)`` steps the rows of a
+    layout as it steps a grid.
     """
 
     steps_runs = True
@@ -426,9 +420,6 @@ class D1Q3Stepper:
         if values.ndim != 2 or values.shape[1] != 3:
             raise ValueError("populations must have shape (N, 3)")
         out = _step_output(values, out)
-        if runs is not None and not runs.cells:
-            # the stencil rows stand side by side as on the ring, so they stream alike
-            return runs.refine(self.step(np.take(values, runs.stencils(), axis=0)), out)
         rho = values.sum(axis=1)
         post = (1.0 - self.omega) * values + self.omega * (rho[:, None] / 3.0)
         out[:, 0] = np.roll(post[:, 0], 1)   # speed +1

@@ -677,10 +677,10 @@ class TestGMRES:
             return linear(v) + norm_term * max(0.0, float(np.linalg.norm(v)) - 2.0) * upper
 
         def stored_matvec(v):
-            # the operator is a step's stencil: it acts on the rows a step
-            # computes, which it stores by the runs it cuts
+            # the operator is one step's stencil: it acts on the rows of a
+            # one-step layout, and its result is stored by the runs it cuts
             term = norm_term * max(0.0, runs.norm(v) - 2.0)
-            out = runs.refine(linear(np.take(v, runs.stencils(), axis=0)), np.empty_like(v))
+            out = runs.refine(linear(np.take(v, runs.layout(1), axis=0)), np.empty_like(v))
             out[: runs.count] += term * (runs.first[: runs.count] >= 150)[:, None]
             return out
 
@@ -799,21 +799,63 @@ class TestRunStoredLift:
 
     def test_a_wrapped_step_still_steps_runs(self, monkeypatch):
         # the lift reads ``steps_runs`` from the stepper, so a wrapper of
-        # ``step`` that hides its signature keeps the run-stored path
+        # ``step`` that hides its signature keeps the run-stored path: each
+        # CR map takes m + 1 steps, each of its layout's rows (min(L, 2m + 3)
+        # per run) into a row block of the lift's one scratch block
         sc, stepper, basis, macro, common = desk_lift_problem()
         cfg = sc.cr_config(1)
         _, plain = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
-        given = []
+        given, maps = [], []
 
         def wrapped(self, *args, step=BGKStepper.step, **kwargs):
-            given.append(kwargs.get("runs"))
+            given.append((len(args[0]), kwargs.get("out"), kwargs.get("runs")))
             return step(self, *args, **kwargs)
 
+        def counted(*args, cr_map=klift.cr.cr_map, **kwargs):
+            runs, first = kwargs["runs"], len(given)
+            rows = int(np.minimum(runs.lengths[: runs.count], 2 * cfg.order_m + 3).sum())
+            result = cr_map(*args, **kwargs)
+            maps.append((rows, given[first:]))
+            return result
+
         monkeypatch.setattr(BGKStepper, "step", wrapped)
+        monkeypatch.setattr(klift.cr, "cr_map", counted)
         _, report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
-        assert given and all(runs is not None and not runs.cells for runs in given)
+        assert maps and len(given) == (cfg.order_m + 1) * len(maps)
+        block = given[0][1].base
+        assert block.shape == (6, sc.n_cells, sc.vgrid.n_velocities)
+        for rows, steps in maps:
+            assert len(steps) == cfg.order_m + 1 and rows < sc.n_cells
+            assert all(n == rows and out.base is block and not runs.cells
+                       for n, out, runs in steps)
         assert report.runs == plain.runs < sc.n_cells
         assert report.residual_history == plain.residual_history
+
+    @pytest.mark.parametrize("order_m", [0, 3])
+    def test_an_error_on_the_layout_names_the_grid_cell(self, order_m):
+        # an unphysical row behind a long run sits at a layout row before its
+        # cell; the map then reruns the grid, so the lift fails with the grid
+        # map's own message, naming the cell
+        sc, stepper, basis, macro, _ = desk_lift_problem()
+        f0 = equilibrium_field(macro, sc.grid, sc.vgrid, sc.gas, scale=sc.scale).values
+        guess = f0.copy()
+        guess[60] *= -1.0  # a negative density inside f0's undisturbed run
+        runs = Runs(f0, guess)
+        planted = int(np.flatnonzero(runs.first[: runs.count] == 60)[0])
+        assert np.flatnonzero(runs.layout(order_m + 1) == planted)[0] < 60
+        with pytest.raises(NumericalError, match="cell 60 ") as grid:
+            cr_map(stepper, basis, f0, guess, order_m)
+        with pytest.raises(ConvergenceError) as lift:
+            cr_lift(stepper, basis, f0, sc.cr_config(order_m), f_guess=guess)
+        assert str(lift.value).endswith(f"(last residual none, m = {order_m}): {grid.value}")
+        assert type(lift.value.__cause__) is NumericalError
+        # a map in place, as the JVP's, leaves the state as it was
+        state, target = runs.store(guess), runs.store(f0)
+        kept = state.copy()
+        with pytest.raises(NumericalError) as stored:
+            cr_map(stepper, basis, target, state, order_m, out=state, runs=runs)
+        assert str(stored.value) == str(grid.value)
+        assert state[: runs.count].tobytes() == kept[: runs.count].tobytes()
 
 
 class RecordingStepper:
@@ -861,11 +903,11 @@ class TestLiftBuffers:
         first_map = {data_address(out) for out in outs[:2]}
         assert len(first_map) == 2
         assert {data_address(out) for out in outs} == first_map
-        # both are rows of the lift's one (5, N, Nv) scratch block: freed as one
+        # both are rows of the lift's one (6, N, Nv) scratch block: freed as one
         # block, it is reused by the next lift instead of trimmed and faulted in again
         block = outs[0].base
         assert block is not None and outs[1].base is block
-        assert block.shape == (5,) + lifted.values.shape
+        assert block.shape == (6,) + lifted.values.shape
 
         ref, ref_report = lift_macro(FreshCopyStepper(stepper), basis, macro, sc.gas, cfg,
                                      **common)
