@@ -695,9 +695,13 @@ def layout_map(stepper, runs, stored, order_m):
 
 def rounds_by_position():
     """Whether this BLAS kernel rounds a column of the equilibrium's moment
-    product differently at another column position.  Nehalem, Prescott and
-    Haswell do, SkylakeX and Sandybridge do not; where it does, a step of a
-    row laid out elsewhere than on the grid may differ in its last bits."""
+    product differently at another column position, in products of 40 to 48
+    columns.  Nehalem, Prescott and Haswell do, SkylakeX and Sandybridge do
+    not; where it does, a step of a row laid out elsewhere than on the grid
+    may differ in its last bits.  (Every kernel also rounds a product of
+    fewer than 8 columns apart from wider ones, which a Newton iteration of
+    the equilibrium on a few unconverged cells may take; the states here
+    step to the same bits on SkylakeX and Sandybridge all the same.)"""
     vgrid = load_shipped("helium_desk.cfg").vgrid
     E = np.random.default_rng(0).random((40, vgrid.n_velocities))
     base = vgrid.moments.T @ E.T
