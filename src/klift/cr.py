@@ -340,8 +340,10 @@ def cr_map(
     the runs where the sum's rows differ and stores it in ``out``, and f0
     and, unless it is ``out``, f_guess are brought onto the cut runs
     (``Runs.fill``).  An error there reruns the map on the expanded grid
-    arrays, so it names the cell of the grid.  With every row a run of its
-    own, the stored state is the grid array, stepped as it is.
+    arrays, which fail the same way and name the cell of the grid; were the
+    grid map to pass, NumericalError says that the layout alone failed.
+    With every row a run of its own, the stored state is the grid array,
+    stepped as it is.
 
     ``naive_P`` switches the reset to the inverse-based projector P of
     ``naive_projector`` (failure-study mode); by default the QR projector is
@@ -354,54 +356,56 @@ def cr_map(
         raise ValueError("f0 and f_guess must share shapes")
     if runs is not None and not runs.cells:
         return _map_runs(stepper, basis, f0, f_guess, order_m, runs, naive_P, out, work)
-    w = cr_weights(order_m)
     a, b = cr_buffers(f_guess) if work is None else work[:2]
     step = stepper.step if runs is None or not _steps_runs(stepper) else partial(
         stepper.step, runs=runs)
-    cur = step(f_guess, out=a)
     f_pre = np.empty_like(f_guess) if out is None else out
-    np.multiply(cur, w[0], out=f_pre)
+    scratch = _extrapolate(step, f_guess, order_m, a, b, f_pre)
+    _reset(basis, f_pre, f0, scratch, naive_P)
+    return f_pre
+
+
+def _extrapolate(step, start, order_m, a, b, pre):
+    """Build the extrapolation sum of order_m + 1 steps from ``start`` in
+    ``pre``, stepping into the buffers ``a`` and ``b`` in turn, and return
+    the one that does not hold the last state.  A non-finite sum raises
+    NumericalError naming its first such row."""
+    w = cr_weights(order_m)
+    cur = step(start, out=a)
+    np.multiply(cur, w[0], out=pre)
     for wj in w[1:]:
         # the step reads the last output and writes the other buffer, which
         # then holds wj times the new state until the next step overwrites it
         a, b = b, a
         cur = step(cur, out=a)
-        f_pre += np.multiply(cur, wj, out=b)
-    if not np.all(np.isfinite(f_pre)):
-        cell = int(np.flatnonzero(~np.isfinite(f_pre).all(axis=1))[0])
+        pre += np.multiply(cur, wj, out=b)
+    if not np.all(np.isfinite(pre)):
+        cell = int(np.flatnonzero(~np.isfinite(pre).all(axis=1))[0])
         raise NumericalError(
             f"non-finite extrapolation in CR map (order {order_m}), first in cell {cell}")
-    _reset(basis, f_pre, f0, b, naive_P)
-    return f_pre
+    return b
 
 
 def _map_runs(stepper, basis, f0, f_guess, order_m, runs, naive_P, out, work):
     """``cr_map`` of states stored by ``runs``, on their layout (see ``cr_map``)."""
-    w = cr_weights(order_m)
     a, b, total = (*cr_buffers(f_guess), np.empty_like(f_guess)) if work is None else work
     since = runs.count
-    index = runs.layout(len(w))
+    index = runs.layout(order_m + 1)
     n = len(index)
     # mode="raise" would buffer ``out``; every index is in range
-    cur = np.take(f_guess, index, axis=0, out=b[:n], mode="clip")
-    pre = total[:n]
+    start = np.take(f_guess, index, axis=0, out=b[:n], mode="clip")
     try:
-        cur = stepper.step(cur, out=a[:n], runs=runs)
-        np.multiply(cur, w[0], out=pre)
-        for wj in w[1:]:  # the buffers alternate as in ``cr_map``
-            a, b = b, a
-            cur = stepper.step(cur, out=a[:n], runs=runs)
-            pre += np.multiply(cur, wj, out=b[:n])
-        if not np.all(np.isfinite(pre)):
-            raise NumericalError(f"non-finite extrapolation in CR map (order {order_m})")
-    except KliftError:
+        _extrapolate(partial(stepper.step, runs=runs), start, order_m, a[:n], b[:n], total[:n])
+    except KliftError as exc:
         # the grid map fails the same way and names the cell of the grid
         cr_map(stepper, basis, runs.expand(f0), runs.expand(f_guess), order_m, naive_P=naive_P)
-        raise
-    f_pre = runs.refine(pre, np.empty_like(f_guess) if out is None else out)
+        raise NumericalError(
+            f"CR map (order {order_m}) failed on the layout of its runs but not on the "
+            f"grid: {exc} (a row of the layout, not a cell)") from exc
+    f_pre = runs.refine(total[:n], np.empty_like(f_guess) if out is None else out)
     runs.fill(since, f0, *(() if f_guess is out else (f_guess,)))
     k = runs.count
-    _reset(basis, f_pre[:k], f0[:k], b[:k], naive_P)
+    _reset(basis, f_pre[:k], f0[:k], a[:k], naive_P)
     return f_pre
 
 

@@ -22,12 +22,28 @@ BOLTZMANN = 1.380649e-23  # J/K
 EQUILIBRIUM_TOL = 1e-13
 EQUILIBRIUM_MAX_ITER = 50
 EPS = np.finfo(float).eps
-# Restriction multiplies whole blocks of this many rows.  OpenBLAS's matrix
-# product rounds a row of a partial block at the end of a product unlike one
-# of a whole block (Nehalem, Prescott, SkylakeX); in whole blocks a row's
-# moments do not depend on where the row sits, which on Prescott, Nehalem,
-# Sandybridge, Haswell and SkylakeX takes 8 rows.
+# Restriction and the equilibrium multiply whole blocks of this many rows
+# (``row_product``).  OpenBLAS's matrix product rounds a row of a partial
+# block at the end of a product unlike one of a whole block (Nehalem,
+# Prescott, Haswell, SkylakeX); in whole blocks a row's product does not
+# depend on where the row sits, which on Prescott, Nehalem, Sandybridge,
+# Haswell and SkylakeX takes 8 rows, on one BLAS thread and on two.
 ROW_BLOCK = 8
+
+
+def row_product(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``rows @ matrix`` on whole blocks of ROW_BLOCK rows, the last one filled
+    up with copies of the last row, so a row's product is the same bits at
+    every row position and in an array of any number of rows.  Written to
+    ``out`` when given."""
+    n = len(rows)
+    out = np.empty((n, matrix.shape[1])) if out is None else out
+    whole = n - n % ROW_BLOCK
+    np.matmul(rows[:whole], matrix, out=out[:whole])
+    if whole < n:
+        last = rows[np.minimum(np.arange(whole, whole + ROW_BLOCK), n - 1)]
+        out[whole:] = (last @ matrix)[:n - whole]
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,7 +191,10 @@ def discrete_equilibrium(
     iteration builds E in (cells, Nv) row layout by one product of the
     (cells, 3) coefficients (c0, c1, c2) with the grid's (3, Nv) basis
     [1; x; x^2], and takes its moments about the grid midpoint from one
-    ``vgrid.moments.T @ E.T``.  With b = u - v_mid, those give the
+    ``E @ vgrid.moments``; both products run on whole row blocks
+    (``row_product``), so a cell's f_eq is the same bits at every row
+    position and among any other cells, converged or not.  With
+    b = u - v_mid, those give the
     (v - u)-weighted moments G_p = dv sum x^p (v - u) E and
     H_p = dv sum x^p ((v - u)^2 - k_B T / m) E, so F1 = G_0, F2 = H_0 and
     the 2x2 Jacobian in (c1, c2) is [[G_1, G_2], [H_1, H_2]], all
@@ -265,9 +284,9 @@ def discrete_equilibrium(
     for _ in range(EQUILIBRIUM_MAX_ITER):
         coef = np.array((c1 * c1 / (4.0 * c2), c1, c2))
         # (cells, Nv); while every cell is active, E is f_eq itself
-        E = np.matmul(coef.T, vgrid.basis, out=feq if idx.size == n.size else None)
+        E = row_product(coef.T, vgrid.basis, out=feq if idx.size == n.size else None)
         np.exp(E, out=E)
-        M = vgrid.moments.T @ E.T  # (5, cells): dv sum x^p E
+        M = np.ascontiguousarray(row_product(E, vgrid.moments).T)  # (5, cells): dv sum x^p E
         R0 = M[0]
         # a Gaussian whose values on the grid sum to less than eps of its
         # peak of 1 has left the grid, and any 2x2 step from it is rounding
@@ -343,9 +362,9 @@ def restrict(
     n = dv sum f, u = dv sum v f / n, T = (m / (k_B n)) dv sum (v - u)^2 f
     with the one-dimensional normalization, from the moments about the grid
     midpoint ``values @ vgrid.moments[:, :3] / scale``.  The product runs on
-    whole blocks of ROW_BLOCK rows, the last one filled up with copies of the
-    last row, so a row's moments are the same bits at every row position and
-    restricting some rows of an array gives those rows of its restriction.
+    whole row blocks (``row_product``), so a row's moments are the same bits
+    at every row position and restricting some rows of an array gives those
+    rows of its restriction.
     ``f`` is a field, or the (N, Nv) array of scale * f on ``vgrid``, such as
     a step's input.
 
@@ -357,15 +376,8 @@ def restrict(
         f, vgrid, scale = f.values, f.vgrid, f.scale
     elif vgrid is None:
         raise ValueError("restricting an array of values needs its velocity grid as vgrid=")
-    W = vgrid.moments[:, :3]
-    rows = len(f)
-    whole = rows - rows % ROW_BLOCK
     with np.errstate(all="ignore"):  # a bad cell is named below instead
-        M = np.empty((rows, 3))
-        np.matmul(f[:whole], W, out=M[:whole])
-        if whole < rows:  # the last block, filled up with copies of the last row
-            last = f[np.minimum(np.arange(whole, whole + ROW_BLOCK), rows - 1)]
-            M[whole:] = (last @ W)[:rows - whole]
+        M = row_product(f, vgrid.moments[:, :3])
         M /= scale
         n = M[:, 0]
         c = M[:, 1] / n  # u - v_mid

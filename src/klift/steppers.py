@@ -51,12 +51,15 @@ from .kinetic import (
 # two paths broke even between 21 % and 27 % of the cells dropped (the
 # 7,000- and 6,500-step states; packed over full 1.01 and 0.96).  ``Runs``
 # makes every row a run of its own when no more than this share of the
-# neighbouring pairs are equal, where a lift by runs and a lift of the grid
-# arrays broke even too.  Lifted by runs over by the grid, at m = 0..3 with
-# the shipped settings (helium_L30000 reference states, one BLAS thread, the
-# median of 5 alternating lifts each): 1.10-1.25 at 1-11 % equal pairs
-# (steps 8,950-8,000), 1.00-1.13 at 21 %, 0.86-1.08 at 25 %, 0.89-0.99 at
-# 31 % and 0.81-0.87 at 40 % (steps 7,250, 6,750, 6,250 and 5,500).
+# neighbouring pairs are equal, where a lift by runs (each CR map stepping
+# the runs' layout, see ``Runs.layout``) and a lift of the grid arrays break
+# even too.  Lifted by runs over by the grid, at m = 0..3 with the shipped
+# settings (helium_L30000 reference states, one BLAS thread, the median of 5
+# alternating lifts each, in two passes between 18 % and 32 %): 1.05-1.31
+# at 2-12 % equal pairs (steps 8,950-8,000), 0.93-1.34 at 18 %, 0.97-1.16
+# at 21 %, 0.88-1.07 at 24 %, 0.95-1.08 at 26 %, 0.88-1.07 at 29 %,
+# 0.88-1.01 at 32 % and 0.78-0.96 at 41 % (steps 7,500 to 6,250 by 250,
+# and 5,500); the medians over m cross 1 between 24 % and 26 %.
 MIN_DROPPED_SHARE = 0.25
 # The explicit step's share of its stability bound (see ``stable_dt``).
 CFL_SAFETY = 0.9
@@ -296,9 +299,9 @@ class BGKStepper:
     No unphysical input cell is dropped, as a dropped row equals the kept
     row before it.  An error in the packed arithmetic, restriction included,
     reruns the full grid, so it names the cell of the input.  Restriction
-    gives a row the same (n, u, T) at any row position; the result agrees
-    with the full grid's to the rounding of the equilibrium's moment
-    product, which may round a cell differently at another position.
+    and the equilibrium give a row the same bits at any row position
+    (``kinetic.row_product``), so the result is the full grid's bit for bit,
+    as is a step of a run layout.
 
     The stepper owns the face-flux scratch every step reuses, and the
     relaxation source dt omega f_eq is built in the output itself, so a step

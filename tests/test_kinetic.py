@@ -327,6 +327,23 @@ class TestDiscreteEquilibrium:
         feq, want = discrete_equilibrium(*args), weighted_sum_equilibrium(*args)
         assert np.max(np.abs(feq - want)) <= 1e-12 * np.max(want)
 
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_a_cell_is_alike_at_every_position(self, shipped_states, rng, name):
+        # a packed step and a step of a run layout build the equilibrium of
+        # their rows only and must get the grid's f_eq for them, bit for bit,
+        # wherever a cell sits, however many cells there are and whichever of
+        # them the later Newton iterations still carry
+        sc, values = shipped_states[name]
+        macro = restrict(values, sc.gas, vgrid=sc.vgrid, scale=sc.scale)
+        fields = np.stack((macro.number_density, macro.velocity, macro.temperature))
+        for n_rows in (len(values), 37, 8, 3):
+            cells = fields[:, rng.permutation(len(values))[:n_rows]]
+            full = discrete_equilibrium(*cells, sc.vgrid, sc.gas)
+            for _ in range(10):
+                keep = np.sort(rng.choice(n_rows, rng.integers(1, n_rows + 1), replace=False))
+                some = discrete_equilibrium(*cells[:, keep], sc.vgrid, sc.gas)
+                assert some.tobytes() == full[keep].tobytes()
+
 
 class TestRestrict:
     @pytest.mark.parametrize("name", SHIPPED)
