@@ -20,12 +20,14 @@ from .kinetic import DistributionField, equilibrium_field, restrict
 from .moments import BasisKind, build_moment_basis, naive_projector
 from .scenario import Scenario, config_hash, load_scenario
 from .snapshots import read_snapshot, write_snapshot
+from .steppers import advance
 
 EXIT_OK = 0
 EXIT_ARG = 2
 EXIT_NUMERICAL = 3
 
 CONSERVED_MOMENTS = 3  # density, momentum, energy
+REPORT_STEPS = 100  # steps between the totals ``run-reference`` prints
 REPORT_HEADER = ("iter", "residual", "drift", "seconds")
 
 
@@ -108,23 +110,23 @@ def cmd_run_reference(args, scenario: Scenario) -> None:
     values = field.values
     tmp_path = str(args.out) + ".partial"
     try:
-        for k in range(steps):
-            values = stepper.step(values)
-            if (k + 1) % 100 == 0 or k + 1 == steps:
-                # sum first, then divide by the scale: a finite sum may not stay
-                # finite once divided
-                column = values.sum(axis=0)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    totals = dv * dx * np.array([column.sum(), column @ v,
-                                                 column @ (0.5 * v * v)]) / field.scale
-                mass, momentum, energy = totals
-                if not np.all(np.isfinite(totals)):
-                    raise NumericalError(
-                        f"non-finite totals after step {k + 1}: mass {mass:.3e}, "
-                        f"momentum {momentum:.3e}, energy {energy:.3e}"
-                    )
-                print(f"step {k + 1:6d}  mass {mass:.9e}  momentum {momentum:.6e}  "
-                      f"energy {energy:.6e}")
+        for done in range(0, steps, REPORT_STEPS):
+            k = min(done + REPORT_STEPS, steps)
+            values = advance(stepper, values, k - done)
+            # sum first, then divide by the scale: a finite sum may not stay
+            # finite once divided
+            column = values.sum(axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                totals = dv * dx * np.array([column.sum(), column @ v,
+                                             column @ (0.5 * v * v)]) / field.scale
+            mass, momentum, energy = totals
+            if not np.all(np.isfinite(totals)):
+                raise NumericalError(
+                    f"non-finite totals after step {k}: mass {mass:.3e}, "
+                    f"momentum {momentum:.3e}, energy {energy:.3e}"
+                )
+            print(f"step {k:6d}  mass {mass:.9e}  momentum {momentum:.6e}  "
+                  f"energy {energy:.6e}")
         out_field = field.with_values(values, time=steps * scenario.dt)
         write_snapshot(tmp_path, out_field)
         os.replace(tmp_path, args.out)
@@ -241,9 +243,7 @@ def cmd_sweep(args, scenario: Scenario) -> None:
         gas = scen.gas
         stepper = scen.make_stepper()
         field = scen.initial_field()
-        values = field.values
-        for _ in range(steps):
-            values = stepper.step(values)
+        values = advance(stepper, field.values, steps)
         reference = field.with_values(values, time=steps * scen.dt)
         macro = restrict(reference, gas)
         for m, cfg in zip(orders, cfgs):

@@ -22,8 +22,8 @@ allocates every grid-sized array of its inner loop once and passes it down
 as ``out=`` (and the CR map's two step buffers and its sum's buffer as
 ``work=``); a stored state uses the first ``runs.count`` rows of such an
 array, a layout its first rows.  A call with ``None`` for them does the
-same arithmetic in fresh arrays.  ``cr_map`` and ``cr_jvp`` called without
-``runs``, as ``diagnostics`` calls them, step grid arrays by plain ``step``.
+same arithmetic in fresh arrays.  ``cr_map``, ``cr_jvp`` and ``gmres`` take
+run-stored states only, each row a run of its own when ``runs`` is None.
 """
 
 from __future__ import annotations
@@ -294,21 +294,6 @@ def cr_buffers(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.empty_like(f), np.empty_like(f)
 
 
-def _steps_runs(stepper) -> bool:
-    """Whether ``stepper.step`` takes ``runs`` (``steppers`` module notes)."""
-    return getattr(stepper, "steps_runs", False)
-
-
-def _rows(a: np.ndarray, runs: Runs | None) -> np.ndarray:
-    """The rows that hold a state: all of a grid array, the first runs.count of a run-stored one."""
-    return a if runs is None else a[: runs.count]
-
-
-def _norm(a: np.ndarray, runs: Runs | None) -> float:
-    """The two-norm of a state's grid array."""
-    return float(np.linalg.norm(a)) if runs is None else runs.norm(a)
-
-
 def cr_map(
     stepper,
     basis: MomentBasis,
@@ -331,9 +316,9 @@ def cr_map(
     ``f0``, which the reset reads after the sum is built, nor a work buffer.
     A non-finite sum raises NumericalError naming its first such cell.
 
-    With ``runs``, every state is stored by those runs (``steppers.Runs``).
-    Unless every row is a run of its own, the stepper must set
-    ``steps_runs``: the map gathers the rows of ``runs.layout(m + 1)`` into
+    Every state is stored by ``runs`` (``steppers.Runs``; every row a run of
+    its own when None).  Unless every row is a run of its own, the stepper
+    must set ``steps_runs``: the map gathers the rows of ``runs.layout(m + 1)`` into
     a work buffer once, steps them m + 1 times with ``step(rows, out,
     runs=runs)`` and builds the sum on them in a third ``work`` buffer (all
     three allocated when ``work`` is None), with no compare; ``Runs.refine`` then cuts
@@ -343,7 +328,7 @@ def cr_map(
     arrays, which fail the same way and name the cell of the grid; were the
     grid map to pass, NumericalError says that the layout alone failed.
     With every row a run of its own, the stored state is the grid array,
-    stepped as it is.
+    stepped as it is, with ``runs`` and no compare if ``steps_runs`` is set.
 
     ``naive_P`` switches the reset to the inverse-based projector P of
     ``naive_projector`` (failure-study mode); by default the QR projector is
@@ -354,11 +339,12 @@ def cr_map(
     """
     if f0.shape != f_guess.shape:
         raise ValueError("f0 and f_guess must share shapes")
-    if runs is not None and not runs.cells:
+    runs = Runs.each_row(len(f0)) if runs is None else runs
+    if not runs.cells:
         return _map_runs(stepper, basis, f0, f_guess, order_m, runs, naive_P, out, work)
     a, b = cr_buffers(f_guess) if work is None else work[:2]
-    step = stepper.step if runs is None or not _steps_runs(stepper) else partial(
-        stepper.step, runs=runs)
+    steps_runs = getattr(stepper, "steps_runs", False)  # see the ``steppers`` module notes
+    step = partial(stepper.step, runs=runs) if steps_runs else stepper.step
     f_pre = np.empty_like(f_guess) if out is None else out
     scratch = _extrapolate(step, f_guess, order_m, a, b, f_pre)
     _reset(basis, f_pre, f0, scratch, naive_P)
@@ -418,9 +404,10 @@ def _reset(basis, pre, target, scratch, naive_P):
         np.add(scratch, target @ (np.eye(basis.q) - naive_P).T, out=pre)
 
 
-def fd_step(f: np.ndarray, vnorm: float = 1.0, runs: Runs | None = None) -> float:
-    """Forward-difference step FD_EPSILON (1 + ||f||) / vnorm for a direction of norm vnorm."""
-    return FD_EPSILON * (1.0 + _norm(f, runs)) / vnorm
+def fd_step(f: np.ndarray, runs: Runs, vnorm: float = 1.0) -> float:
+    """Forward-difference step FD_EPSILON (1 + ||f||) / vnorm for the state f
+    stored by ``runs`` and a direction of norm vnorm."""
+    return FD_EPSILON * (1.0 + runs.norm(f)) / vnorm
 
 
 def cr_jvp(
@@ -436,29 +423,27 @@ def cr_jvp(
 
     ``Cf`` is apply_map(f), and ``apply_map(state, out)`` writes the map of
     state to ``out``, which may be the state itself (as ``cr_map`` allows).
-    The step h = fd_step(f, ||v||) makes the perturbation h v of norm
+    The step h = fd_step(f, runs, ||v||) makes the perturbation h v of norm
     FD_EPSILON (1 + ||f||) whatever the length of v.  A zero direction
     returns zeros without running the map.  f + h v is formed in ``out``,
     allocated when None, and mapped in place; ``out`` must not be f or Cf.
-    With ``runs``, the states are stored by them, and f, Cf and v are
-    brought onto the runs the map leaves.
+    The states are stored by ``runs`` (every row a run of its own when
+    None), and f, Cf and v are brought onto the runs the map leaves.
     """
+    runs = Runs.each_row(len(f)) if runs is None else runs
     out = np.empty_like(v) if out is None else out
-    vnorm = _norm(v, runs)
+    vnorm = runs.norm(v)
     if vnorm == 0.0:
         out.fill(0.0)
         return out
-    h = fd_step(f, vnorm, runs)
-    state = np.multiply(_rows(v, runs), h, out=_rows(out, runs))
-    state += _rows(f, runs)
-    if runs is not None:
-        since = runs.count
-        apply_map(out, out)
-        runs.fill(since, f, Cf, v)
-        state = _rows(out, runs)
-    else:
-        apply_map(out, out)
-    state -= _rows(Cf, runs)
+    h = fd_step(f, runs, vnorm)
+    since = runs.count
+    state = np.multiply(v[:since], h, out=out[:since])
+    state += f[:since]
+    apply_map(out, out)
+    runs.fill(since, f, Cf, v)
+    state = out[: runs.count]
+    state -= Cf[: runs.count]
     state /= h
     return out
 
@@ -503,7 +488,7 @@ def cr_lift(
     newton = cfg.solver == "newton"
     name = cfg.solver.capitalize()
     tol, budget = (cfg.newton_tol, MAX_NEWTON_ITERS) if newton else (cfg.picard_tol, MAX_PICARD_ITERS)
-    if not _steps_runs(stepper):
+    if not getattr(stepper, "steps_runs", False):
         runs = Runs.each_row(len(f0))
     else:
         runs = Runs(f0) if f_guess is None else Runs(f0, f_guess)

@@ -35,6 +35,7 @@ import numpy as np
 from .cr import CRConfig, cr_buffers, cr_jvp, cr_map, fd_step
 from .errors import NumericalError
 from .moments import MomentBasis, naive_projector
+from .steppers import Runs
 
 DENSE_SPECTRUM_CAP = 2000
 PROJECTOR_DIM_CAP = 512
@@ -178,9 +179,10 @@ def cr_jacobian_matrix(
     give a cell half-bandwidth b = m + 1; the columns are assembled by ring
     colouring in colours * (q - k) + 2 CR maps (the base map and one check
     map; see ``ring_colors``), each column with the unit-direction step
-    ``fd_step(f0)``.  The check map is ``cr_jvp`` along a fixed random
-    direction z and raises NumericalError when it disagrees with J z beyond
-    ``BAND_CHECK_RTOL``, i.e. when the stepper couples cells further apart.
+    ``fd_step(f0, runs)``, every row a run of its own (``Runs.each_row``).
+    The check map is ``cr_jvp`` along a fixed random direction z and raises
+    NumericalError when it disagrees with J z beyond ``BAND_CHECK_RTOL``,
+    i.e. when the stepper couples cells further apart.
     J is returned as a new array, which ``cr_jacobian_spectrum`` may split in place.
 
     ``threads`` does nothing.  It is kept so that callers which still pass
@@ -194,16 +196,17 @@ def cr_jacobian_matrix(
     J = np.zeros((dim, dim))
 
     work = cr_buffers(f0)
+    runs = Runs.each_row(n_cells)
 
     def apply_map(state, out=None):
         return cr_map(stepper, basis, f0, state, cfg.order_m, naive_P=naive_P,
-                      out=out, work=work)
+                      out=out, work=work, runs=runs)
 
     base_out = apply_map(f0)
-    _colored_jacobian(apply_map, base_out, f0, U, fd_step(f0), cfg.order_m + 1, J)
+    _colored_jacobian(apply_map, base_out, f0, U, fd_step(f0, runs), cfg.order_m + 1, J)
 
     z = np.random.default_rng(0).standard_normal(dim)
-    fd = (cr_jvp(apply_map, f0, base_out, z.reshape(n_cells, -1) @ U.T) @ U).ravel()
+    fd = (cr_jvp(apply_map, f0, base_out, z.reshape(n_cells, -1) @ U.T, runs=runs) @ U).ravel()
     Jz = J @ z
     scale = max(float(np.linalg.norm(Jz)), float(np.linalg.norm(fd)), np.finfo(float).tiny)
     mismatch = float(np.linalg.norm(fd - Jz)) / scale

@@ -19,14 +19,13 @@ function of rows j - 1, j and j + 1 at every cell, where row -1 and row N are
 the ghost rows (or, on a periodic ring, rows N - 1 and 0).  So after s steps
 a run of L equal consecutive rows, such as the undisturbed ambient gas ahead
 of an expansion, differs from its interior only in its s first and s last
-rows.  A CR map of s steps of a state stored by its runs, one row per run,
-steps min(L, 2s + 1) rows per run, side by side as on the grid
-(``Runs.layout``), s times with no compare between steps, and cuts the runs
-once, where neighbouring rows of its result differ bit for bit
-(``Runs.refine``).  Runs are found by comparing rows (``equal_neighbours``)
-only where a grid array comes in: once per lift, and at every step of a grid
-array (``_kept_cells``).  The three-speed diffusive lattice Boltzmann model
-is kept as a small exact oracle for the constrained-runs machinery.
+rows, and every path that skips equal rows steps min(L, 2s + 1) rows per
+run, side by side as on the grid (``Runs.layout``), s times with no compare.
+A grid array's step (s = 1) and ``advance`` (blocks of BLOCK_STEPS steps)
+compare the rows first (``Runs``) and spread the result to the grid
+(``Runs.spread``); a CR map of a run-stored state cuts the runs once, from
+its sum (``Runs.refine``).  The three-speed diffusive lattice Boltzmann
+model is kept as a small exact oracle for the constrained-runs machinery.
 """
 
 from __future__ import annotations
@@ -45,24 +44,28 @@ from .kinetic import (
     restrict,
 )
 
-# A step computes only the kept cells when more than this share of the grid
-# drops; otherwise the row compare, gather and scatter cost more than the
-# cells they save.  On helium_L30000 states (N = 1600, Nv = 56, 2 vCPUs) the
-# two paths broke even between 21 % and 27 % of the cells dropped (the
-# 7,000- and 6,500-step states; packed over full 1.01 and 0.96).  ``Runs``
-# makes every row a run of its own when no more than this share of the
-# neighbouring pairs are equal, where a lift by runs (each CR map stepping
-# the runs' layout, see ``Runs.layout``) and a lift of the grid arrays break
-# even too.  Lifted by runs over by the grid, at m = 0..3 with the shipped
-# settings (helium_L30000 reference states, one BLAS thread, the median of 5
-# alternating lifts each, in two passes between 18 % and 32 %): 1.05-1.31
-# at 2-12 % equal pairs (steps 8,950-8,000), 0.93-1.34 at 18 %, 0.97-1.16
-# at 21 %, 0.88-1.07 at 24 %, 0.95-1.08 at 26 %, 0.88-1.07 at 29 %,
-# 0.88-1.01 at 32 % and 0.78-0.96 at 41 % (steps 7,500 to 6,250 by 250,
-# and 5,500); the medians over m cross 1 between 24 % and 26 %.
+# Rows are stepped by their runs (``Runs``) only when more than this share of
+# the neighbouring pairs are equal; otherwise every row is a run of its own,
+# as the compare, gathers, cuts and weighted norms would cost more than the
+# rows they save.  Lifted by runs over by the grid, at m = 0..3 with the
+# shipped settings (helium_L30000 reference states, one BLAS thread, the
+# median of 5 alternating lifts each, in two passes between 18 % and 32 %):
+# 1.05-1.31 at 2-12 % equal pairs (steps 8,950-8,000), 0.93-1.34 at 18 %,
+# 0.97-1.16 at 21 %, 0.88-1.07 at 24 %, 0.95-1.08 at 26 %, 0.88-1.07 at
+# 29 %, 0.88-1.01 at 32 % and 0.78-0.96 at 41 % (steps 7,500 to 6,250 by
+# 250, and 5,500); the medians over m cross 1 between 24 % and 26 %.  A grid
+# step of the layout over one of the grid array (2 vCPUs, medians of 15
+# alternating rounds): 1.33 at 17 %, 1.11 at 21 %, 0.91-1.10 at 23-25 %,
+# 1.01 at 28 %, 0.96-0.97 at 31-34 % and 0.94 at 40 %.
 MIN_DROPPED_SHARE = 0.25
 # The explicit step's share of its stability bound (see ``stable_dt``).
 CFL_SAFETY = 0.9
+# Steps ``advance`` takes on one layout between row compares; it divides the
+# 100 steps between ``klift run-reference``'s reports.  On helium_L30000
+# (2 vCPUs, medians of 5 rounds) blocks of 4, 5, 10 and 20 steps took 0.251,
+# 0.244, 0.228 and 0.251 ms a step over steps 0-1,000 and 0.86, 0.86, 0.89
+# and 0.79 ms over 6,000-7,000; a compare at every step, 0.368 and 1.30 ms.
+BLOCK_STEPS = 10
 
 
 def _step_output(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -122,22 +125,19 @@ class Runs:
 
     def __init__(self, *arrays: np.ndarray):
         """The runs of rows equal in every one of ``arrays`` (``equal_neighbours``),
-        numbered from the first row.
-
-        When no more than MIN_DROPPED_SHARE of the neighbouring pairs are
-        equal, every row is a run of its own: the gathers, cuts and weighted
-        norms of a lift by runs would then cost more than the rows they save
-        (see MIN_DROPPED_SHARE for the measured break-even).
+        numbered from the first row; every row is a run of its own when no
+        more than MIN_DROPPED_SHARE of the neighbouring pairs are equal.
         """
         n = len(arrays[0])
         most = MIN_DROPPED_SHARE * (n - 1)
-        same = np.ones(n - 1, dtype=bool)
-        for rows in arrays:
-            equal = equal_neighbours(rows, most)  # None when too few are candidates
-            same &= False if equal is None else equal
-        if np.count_nonzero(same) <= most:
-            same[:] = False
-        self._number(np.flatnonzero(np.concatenate(([True], ~same))), n)
+        same = equal_neighbours(arrays[0], most)  # None when too few are candidates
+        for rows in arrays[1:]:
+            equal = equal_neighbours(rows, most)
+            same = None if same is None or equal is None else same & equal
+        start = np.ones(n, dtype=bool)  # whether each row starts a run
+        if same is not None and np.count_nonzero(same) > most:
+            np.logical_not(same, out=start[1:])
+        self._number(np.flatnonzero(start), n)
 
     @classmethod
     def each_row(cls, n: int) -> Runs:
@@ -151,12 +151,12 @@ class Runs:
         self.count = len(starts)
         self.cells = self.count == n
         self.order = np.arange(self.count)
-        self.first = np.zeros(n, np.intp)
+        # ``parent`` holds the run each run that ``refine`` appends was cut from
+        self.first, self.lengths, self.parent = np.zeros((3, n), np.intp)
         self.first[: self.count] = starts
-        self.lengths = np.zeros(n, np.intp)
-        self.lengths[: self.count] = np.diff(starts, append=n)
+        np.subtract(starts[1:], starts[:-1], out=self.lengths[: self.count - 1])
+        self.lengths[self.count - 1] = n - starts[-1]
         self.weights = self.lengths.astype(float)
-        self.parent = np.arange(n)
 
     def store(self, rows: np.ndarray) -> np.ndarray:
         """The run-stored form of the (N, q) ``rows``, which must be equal within each run."""
@@ -204,12 +204,23 @@ class Runs:
         hold what the s rows on either side of its grid cell hold, so s steps
         of the layout as one row sequence compute each of its rows as s grid
         steps compute that cell.  The layout has at most N rows.  ``refine``
-        takes the map's result.
+        takes the map's result, and ``spread`` gives the grid its rows.
         """
+        lengths = self.lengths[self.order]
         self._steps = steps
-        self._reps = np.minimum(self.lengths[self.order], 2 * steps + 1)
+        self._reps = np.minimum(lengths, 2 * steps + 1)
+        self._drop = lengths - self._reps  # the middle rows of each run it leaves out
         self._heads = np.cumsum(self._reps) - self._reps  # each run's first row there
         return np.repeat(self.order, self._reps)
+
+    def spread(self) -> np.ndarray:
+        """The row of the last ``layout(s)`` that holds each grid cell after
+        up to s steps of it, as N row numbers: a run's interior row for its
+        L - 2s middle cells, each other row for its own cell.
+        """
+        counts = np.ones(self._heads[-1] + self._reps[-1], np.intp)
+        counts[self._heads + self._reps // 2] += self._drop  # a run's interior row
+        return np.repeat(np.arange(len(counts)), counts)
 
     def refine(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Cut the runs for a map's result ``rows``, computed on the
@@ -238,7 +249,7 @@ class Runs:
             # a part past the interior row stands for a row counted from the run's end
             part = cuts - heads[at]
             self.first[new] = self.first[cut] + part + np.where(
-                part > self._steps, self.lengths[cut] - reps[at], 0)
+                part > self._steps, self._drop[at], 0)
             self.count = len(position)
             self.order = order = np.argsort(self.first[: self.count])
             first = self.first[order]
@@ -247,27 +258,6 @@ class Runs:
         # mode="raise" would buffer ``out``; every index is in range
         np.take(rows, position, axis=0, out=out[: self.count], mode="clip")
         return out
-
-
-def _kept_cells(values: np.ndarray) -> np.ndarray | None:
-    """The cells a step must compute, as a mask, or None to compute them all.
-
-    Cell c (2 <= c <= N - 2) is dropped when its rows c - 2 .. c + 1 are
-    equal (``equal_neighbours``): its stencil c - 1 .. c + 1 is then its left
-    neighbour's, and so is its output.  Cells 0, 1 and N - 1 are always kept,
-    as their stencils or their left neighbour's hold a ghost (or periodic)
-    row.  None unless more than MIN_DROPPED_SHARE of the cells drop.
-    """
-    most = MIN_DROPPED_SHARE * len(values)
-    same = equal_neighbours(values, most)
-    if same is None:
-        return None
-    drop = same[:-2] & same[1:-1] & same[2:]
-    if np.count_nonzero(drop) <= most:
-        return None
-    keep = np.ones(len(values), dtype=bool)
-    keep[2:-1] = ~drop
-    return keep
 
 
 def stable_dt(vgrid: VelocityGrid, dx: float, omega0: np.ndarray) -> float:
@@ -289,24 +279,22 @@ class BGKStepper:
     NaN or +-inf entry gives; a step whose output overflows raises it naming
     the first cell with a non-finite output.
 
-    Identical stencils are stepped once: when more than MIN_DROPPED_SHARE of
-    the cells sit inside runs of equal rows, restriction, flux, equilibrium
-    and update run on the kept rows only (see ``_kept_cells``), packed
-    together, and each dropped cell copies the output of the last kept cell
-    before it.  Packing the kept rows is exact: two kept cells with only
-    dropped cells between them sit in one run of equal rows, so the face
-    between them carries the flux of either of their own faces into the run.
-    No unphysical input cell is dropped, as a dropped row equals the kept
-    row before it.  An error in the packed arithmetic, restriction included,
-    reruns the full grid, so it names the cell of the input.  Restriction
-    and the equilibrium give a row the same bits at any row position
-    (``kinetic.row_product``), so the result is the full grid's bit for bit,
-    as is a step of a run layout.
+    Identical stencils are stepped once: ``step(values)`` finds the runs of
+    equal rows of ``values`` (``Runs``) and, unless every row is a run of its
+    own, runs restriction, flux, equilibrium and update on the rows of
+    ``layout(1)`` alone (the first, one interior and the last row of each
+    run) and spreads them to the grid with one ``np.take``
+    (``Runs.spread``).  No unphysical input cell is skipped, as a skipped row
+    equals the layout row before it.  An error on the layout, restriction
+    included, reruns the full grid, so it names the cell of the input.
+    Restriction and the equilibrium give a row the same bits at any row
+    position (``kinetic.row_product``), so the result is the full grid's
+    bit for bit.
 
     The stepper owns the face-flux scratch every step reuses, and the
     relaxation source dt omega f_eq is built in the output itself, so a step
-    given ``out`` allocates nothing the size of the grid: the packed step's
-    two arrays hold the kept rows only, fewer than (1 - MIN_DROPPED_SHARE) N.
+    given ``out`` allocates nothing the size of the grid but a layout's two
+    arrays, which hold its rows only.
     One stepper must not step from two threads at once.
 
     ``step(rows, out, runs=runs)`` steps the rows of the layout of ``runs``
@@ -315,8 +303,8 @@ class BGKStepper:
     and update run on those rows alone, with no share to reach and no
     compare of the input, and ``out`` holds as many rows.  With every row a
     run of its own the rows are the grid array, stepped as it is.  An error
-    names the row of the layout; ``cr.cr_map`` reruns the grid to name the
-    cell.
+    names the row of the layout; ``cr.cr_map`` and ``advance`` rerun the
+    grid to name the cell.
     """
 
     steps_runs = True  # ``step(rows, out, runs=runs)`` steps a layout (see the module notes)
@@ -357,20 +345,18 @@ class BGKStepper:
         if values.shape != (n_rows, shape[1]):
             raise ValueError(f"values shape {values.shape} != {shape}")
         new = _step_output(values, out)
-        if runs is not None:
-            return self._update(values, new)
-        keep = _kept_cells(values)
-        if keep is not None:
-            # the packed row holding each cell's output: its own, or that of
-            # the last kept cell before it
-            rows = np.cumsum(keep) - 1
-            try:
-                result = self._update(values[keep], np.empty((rows[-1] + 1, shape[1])))
-            except KliftError:
-                pass  # the full grid fails the same way and names the cell of ``values``
-            else:
-                # mode="raise" would buffer ``out``; every row index is in range
-                return np.take(result, rows, axis=0, out=new, mode="clip")
+        if runs is None:
+            runs = Runs(values)
+            if not runs.cells:
+                # a run's first row stands for all of its rows
+                rows = np.take(values, runs.first[runs.layout(1)], axis=0)
+                try:
+                    result = self._update(rows, np.empty(rows.shape))
+                except KliftError:
+                    pass  # the full grid fails the same way and names the cell of ``values``
+                else:
+                    # mode="raise" would buffer ``out``; every row index is in range
+                    return np.take(result, runs.spread(), axis=0, out=new, mode="clip")
         return self._update(values, new)
 
     def _update(self, values: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -429,3 +415,28 @@ class D1Q3Stepper:
         out[:, 1] = post[:, 1]               # rest
         out[:, 2] = np.roll(post[:, 2], -1)  # speed -1
         return out
+
+
+def advance(stepper, values: np.ndarray, steps: int) -> np.ndarray:
+    """The grid array ``steps`` steps after ``values``, in blocks of BLOCK_STEPS.
+
+    Each block of s steps compares the rows once (``Runs``), so runs that
+    became equal join again, steps the rows of ``layout(s)`` s times with
+    ``step(rows, runs=runs)`` and spreads them to the grid (``Runs.spread``).
+    ``stepper`` must set ``steps_runs``.  An error on a layout reruns the
+    block by plain steps, which name the cell of the grid.  The result is
+    the grid steps' bit for bit (see the module notes).
+    """
+    for done in range(0, steps, BLOCK_STEPS):
+        s = min(BLOCK_STEPS, steps - done)
+        runs = Runs(values)
+        rows = np.take(values, runs.first[runs.layout(s)], axis=0)
+        try:
+            for _ in range(s):
+                rows = stepper.step(rows, runs=runs)
+        except KliftError:
+            for _ in range(s):  # the grid fails the same way and names the cell
+                values = stepper.step(values)
+        else:
+            values = np.take(rows, runs.spread(), axis=0)
+    return values

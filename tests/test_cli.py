@@ -107,6 +107,13 @@ def no_step(self, values):
     raise AssertionError("a step was taken before the arguments were checked")
 
 
+def plain_steps(stepper, values, steps):
+    """``steps`` calls of ``stepper.step``, the loop ``steppers.advance`` stands for."""
+    for _ in range(steps):
+        values = stepper.step(values)
+    return values
+
+
 def read_rows(path):
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
@@ -326,6 +333,42 @@ class TestCLI:
             assert main(["run-reference", "--config", str(cfg), "--steps", "10",
                          "--out", str(out)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_run_reference_blocks_are_its_steps(self, tmp_path, capsys, monkeypatch):
+        # 250 steps, no multiple of a block: the same reports and the same
+        # snapshot bytes as 250 plain steps
+        cfg = scenario_path("helium_desk.cfg")
+        printed = {}
+        for name in ("blocks", "steps"):
+            with monkeypatch.context() as patch:
+                if name == "steps":
+                    patch.setattr("klift.cli.advance", plain_steps)
+                assert main(["run-reference", "--config", str(cfg), "--steps", "250",
+                             "--out", str(tmp_path / name)]) == EXIT_OK
+            printed[name] = capsys.readouterr().out.splitlines()
+        assert printed["blocks"][:-1] == printed["steps"][:-1]
+        assert [line.split()[1] for line in printed["blocks"][1:-1]] == ["100", "200", "250"]
+        assert (tmp_path / "blocks").read_bytes() == (tmp_path / "steps").read_bytes()
+
+    def test_sweep_reference_blocks_are_its_steps(self, tmp_path, monkeypatch):
+        cfg = scenario_path("helium_desk.cfg")
+        states = []
+
+        def recorded(field, gas, restrict=klift.cli.restrict):
+            states.append(field.values.tobytes())
+            return restrict(field, gas)
+
+        def fails(*args, **kwargs):
+            raise NumericalError("no lift")
+
+        monkeypatch.setattr("klift.cli.restrict", recorded)
+        monkeypatch.setattr("klift.cli.lift_macro", fails)
+        argv = ["sweep", "--config", str(cfg), "--grid-sizes", "100", "--orders", "0",
+                "--steps", "250", "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr("klift.cli.advance", plain_steps)
+        assert main(argv) == EXIT_OK
+        assert len(states) == 2 and states[0] == states[1]
 
     def test_lift_outputs(self, tmp_path, capsys):
         cfg, _ = tiny_config(tmp_path)

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from klift import BasisKind, CRConfig, build_moment_basis, cr_lift
+from klift import diagnostics
 from klift.cr import cr_jvp, cr_map, fd_step
 from klift.diagnostics import (
     cr_jacobian_matrix,
@@ -17,7 +18,7 @@ from klift.diagnostics import (
 )
 from klift.errors import NumericalError
 from klift.moments import basis_from_matrix, naive_projector
-from klift.steppers import D1Q3Stepper
+from klift.steppers import D1Q3Stepper, Runs
 
 from conftest import IdentityStepper, load_shipped, reference_vgrid
 
@@ -76,7 +77,7 @@ def fd_reference_jacobian(stepper, basis, f0, order_m):
     """Per-column forward differences with the step cr_jacobian_matrix uses."""
     U = basis.U
     n_cells, r = f0.shape[0], U.shape[1]
-    h = fd_step(f0)
+    h = fd_step(f0, Runs.each_row(n_cells))
     base = cr_map(stepper, basis, f0, f0, order_m)
     J = np.empty((n_cells * r, n_cells * r))
     for j in range(n_cells):
@@ -95,6 +96,8 @@ class RaisingStepper:
 
 class MeanCoupledStepper(D1Q3Stepper):
     """D1Q3 plus a tenth of the cell mean: every cell couples to every other."""
+
+    steps_runs = False  # not local, so it cannot step a layout
 
     def step(self, values, out=None):
         out = super().step(values, out)
@@ -168,6 +171,23 @@ class TestCRJacobian:
         J = cr_jacobian_matrix(st, basis, f0, CRConfig(order_m=order_m))
         J_ref = fd_reference_jacobian(st, basis, f0, order_m)
         np.testing.assert_allclose(J, J_ref, rtol=0, atol=1e-12)
+
+    def test_every_map_goes_through_the_traced_name(self, monkeypatch, rng):
+        # the benchmark's tracer patches ``diagnostics.cr_map``, where the
+        # assembly looks it up: every map of the Jacobian goes through it and
+        # steps the grid arrays, each row a run of its own
+        calls = []
+
+        def counted(*args, cr_map=diagnostics.cr_map, **kwargs):
+            calls.append(kwargs["runs"].count)
+            return cr_map(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "cr_map", counted)
+        basis = build_moment_basis(BasisKind.D1Q3, None, 1)
+        f0 = rng.random((12, 3)) + 0.5
+        cr_jacobian_matrix(D1Q3Stepper(omega=1.3), basis, f0, CRConfig(order_m=0))
+        colours = ring_colors(12, 1).max() + 1
+        assert calls == [12] * (colours * (basis.q - basis.k) + 2)
 
     @pytest.mark.parametrize("half_band", [1, 2, 3])
     def test_ring_colors_keep_distance(self, half_band):

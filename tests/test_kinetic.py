@@ -329,8 +329,8 @@ class TestDiscreteEquilibrium:
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_a_cell_is_alike_at_every_position(self, shipped_states, rng, name):
-        # a packed step and a step of a run layout build the equilibrium of
-        # their rows only and must get the grid's f_eq for them, bit for bit,
+        # a grid step and a CR map on a run layout build the equilibrium of
+        # their layout's rows only and must get the grid's f_eq for them, bit for bit,
         # wherever a cell sits, however many cells there are and whichever of
         # them the later Newton iterations still carry
         sc, values = shipped_states[name]
@@ -360,7 +360,7 @@ class TestRestrict:
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_a_row_restricts_alike_at_every_position(self, shipped_states, rng, name):
-        # the packed step restricts its kept rows only and must get the full
+        # a step of a run layout restricts its rows only and must get the full
         # grid's (n, u, T) for them, bit for bit, wherever a row sits in
         # either array and however many rows each has
         sc, values = shipped_states[name]

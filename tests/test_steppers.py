@@ -18,6 +18,7 @@ from klift import (
     stable_dt,
 )
 from klift import BasisKind, build_moment_basis, steppers
+from klift.cli import REPORT_STEPS
 from klift.cr import cr_map, cr_weights
 from klift.steppers import Runs
 from klift.errors import ConvergenceError, NumericalError
@@ -29,7 +30,8 @@ from conftest import KB, helium_gas, load_shipped
 def tiled(row, n_cells, perturbed=(), rng=None):
     """``row`` on ``n_cells`` cells, each cell in ``perturbed`` scaled entry by entry on its own.
 
-    The unperturbed cells form runs of equal rows, which the step packs.
+    The unperturbed cells form runs of equal rows, which the step steps once
+    each, on their layout.
     """
     values = np.tile(row, (n_cells, 1))
     for c in perturbed:
@@ -192,7 +194,7 @@ class TestFvStep:
 
     def test_step_is_pure(self, rng):
         # stepping another state in between must not change the result for
-        # the first: uniform rows and rows with runs take the packed step,
+        # the first: uniform rows and rows with runs step their layout,
         # entry-by-entry perturbed rows the full grid
         sc = load_shipped("helium_desk.cfg").with_overrides(n_cells=20)
         stepper = sc.make_stepper()
@@ -215,7 +217,7 @@ class TestFvStep:
         f = sc.initial_field().values
         a = f * (1 + 0.05 * rng.random(f.shape))
         b = f * (1 + 0.05 * rng.random(f.shape))
-        c = tiled(f[0], 20, (5, 12), rng)  # takes the packed step
+        c = tiled(f[0], 20, (5, 12), rng)  # steps its layout
         a0, b0, c0 = a.copy(), b.copy(), c.copy()
         out_a = stepper.step(a)
         out_b = stepper.step(b)
@@ -338,7 +340,8 @@ def desk_case(n_cells, rng, *, periodic=False, dt_factor=1.0):
 
 
 def full_grid_step(stepper, values):
-    """The step with no cell dropped: no grid has more than all of its cells drop."""
+    """The step with every row a run of its own: no grid has more than all of
+    its neighbouring pairs equal."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(steppers, "MIN_DROPPED_SHARE", 1.0)
         return stepper.step(values)
@@ -347,7 +350,7 @@ def full_grid_step(stepper, values):
 def assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, kept):
     """The step equals the step-order oracle within 1e-14 and computed ``kept`` cells.
 
-    Restriction and the equilibrium each see the kept rows only.
+    Restriction and the equilibrium each see the rows of the one-step layout only.
     """
     ghosts = (values[-1], values[0]) if stepper._ghosts is None else stepper._ghosts
     want = where_flux_step(stepper, ghosts, values)
@@ -358,25 +361,27 @@ def assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_ro
 
 
 class TestPackedStep:
-    """Cells inside runs of equal rows are stepped once; the result is the full grid's."""
+    """Cells inside runs of equal rows are stepped once, on the one-step
+    layout of the runs; the result is the full grid's."""
 
     @pytest.fixture(autouse=True)
-    def any_drop_packs(self, monkeypatch):
-        # pack whenever a cell drops, whatever the break-even share
+    def any_equal_pair_steps_the_layout(self, monkeypatch):
+        # step the layout whenever two rows are equal, whatever the break-even share
         monkeypatch.setattr(steppers, "MIN_DROPPED_SHARE", 0.0)
 
     @pytest.mark.parametrize("periodic", [False, True], ids=["ghost", "periodic"])
     def test_runs_at_both_ends(self, rng, equilibrium_rows, restrict_rows, periodic):
-        # rows 0-5 and 14-19 equal: cells 2-4 and 16-18 drop; cells 0, 1 and
-        # 19 stay although their rows are in a run, as their stencils or
-        # their left neighbour's reach a ghost or wrapped row
+        # rows 0-5 and 14-19 equal: the layout holds the first, one interior
+        # and the last row of each run, cells 0, 1, 5, 14, 15 and 19, so
+        # cells 2-4 and 16-18 drop
         stepper, row = desk_case(20, rng, periodic=periodic)
         values = tiled(row, 20, range(6, 14), rng)
         assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, 14)
 
     def test_run_wrapping_past_the_last_cell(self, rng, equilibrium_rows, restrict_rows):
-        # on the ring, rows 14-19 and 0-3 form one run of ten; only the cells
-        # whose four rows lie inside the grid drop: 2 and 16-18
+        # on the ring, rows 14-19 and 0-3 form one run of ten, but runs do
+        # not wrap: only the cells whose four rows lie inside the grid drop,
+        # 2 and 16-18
         stepper, row = desk_case(20, rng, periodic=True)
         values = tiled(row, 20, range(4, 14), rng)
         assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, 16)
@@ -384,7 +389,7 @@ class TestPackedStep:
     @pytest.mark.parametrize("periodic", [False, True], ids=["ghost", "periodic"])
     @pytest.mark.parametrize("n_cells,kept", [(1, 1), (2, 2), (3, 3), (4, 3), (5, 3)])
     def test_tiny_grids(self, rng, equilibrium_rows, restrict_rows, periodic, n_cells, kept):
-        # one row on every cell: cells 2 .. N - 2 drop, which needs N >= 4
+        # one row on every cell: one run, laid out as min(N, 3) rows
         stepper, row = desk_case(n_cells, rng, periodic=periodic)
         assert_step_matches_full_grid(stepper, tiled(row, n_cells), equilibrium_rows,
                                       restrict_rows, kept)
@@ -411,37 +416,41 @@ class TestPackedStepChoice:
     """The shipped break-even share, the full-scale run, and errors naming the input's cell."""
 
     def test_too_few_drops_step_the_full_grid(self, rng, equilibrium_rows, restrict_rows):
-        # rows 0-6 equal: cells 2-5 drop, 4 of 20, not more than the share
-        assert 4 <= steppers.MIN_DROPPED_SHARE * 20
+        # rows 0-4 equal: 4 of 19 neighbouring pairs, not more than the
+        # share, so every row is a run of its own; with row 5 equal too, 5
+        # pairs are, and the layout holds 3 rows of that run and 14 others
+        assert 4 <= steppers.MIN_DROPPED_SHARE * 19 < 5
         stepper, row = desk_case(20, rng)
-        values = tiled(row, 20, range(7, 20), rng)
+        values = tiled(row, 20, range(5, 20), rng)
         assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, 20)
+        values[5] = values[4]
+        assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, 17)
 
     def test_full_scale_trajectory(self, equilibrium_rows, restrict_rows):
         # 1,000 steps of the expanding gas from the uniform ambient state: the
-        # packed rows restrict and relax as they do on the full grid, so the
+        # layout's rows restrict and relax as they do on the full grid, so the
         # trajectory is the full grid's bit for bit
         sc = load_shipped("helium_L30000.cfg")
         stepper = sc.make_stepper()
-        packed = full = sc.initial_field().values
+        stepped = full = sc.initial_field().values
         kept = []
         for k in range(1, 1001):
             del equilibrium_rows[:], restrict_rows[:]
-            packed = stepper.step(packed)
+            stepped = stepper.step(stepped)
             assert restrict_rows == equilibrium_rows, k
             kept.append(equilibrium_rows[0])
             full = full_grid_step(stepper, full)
             if k % 100 == 0:
-                assert packed.tobytes() == full.tobytes(), k
-        # the uniform input keeps cells 0, 1 and N - 1; the front then
-        # widens the kept part, which stays under a fifth of the grid
+                assert stepped.tobytes() == full.tobytes(), k
+        # the uniform input is one run of three layout rows; the front then
+        # widens the layout, which stays under a fifth of the grid
         assert kept[0] == 3
         assert max(kept) < 0.2 * sc.grid.n_cells
 
     def test_failed_equilibrium_names_the_cell_of_the_input(self, rng, equilibrium_rows, restrict_rows):
         # cell 15 holds mass only at the two extreme velocities, which no
         # discrete Maxwellian on the grid matches; it follows a run whose
-        # cells 2-13 drop, so it is packed row 3 but named as cell 15
+        # cells 2-13 drop, so it is layout row 3 but named as cell 15
         stepper, row = desk_case(20, rng)
         values = tiled(row, 20)
         values[15] = 0.0
@@ -453,7 +462,7 @@ class TestPackedStepChoice:
         with pytest.raises(ConvergenceError) as got:
             stepper.step(values)
         assert str(got.value) == str(want.value)
-        # the packed cells, then the full grid on the failure path
+        # the layout's rows, then the full grid on the failure path
         assert equilibrium_rows == restrict_rows == [7, 20]
 
     def test_underflowing_gaussian_names_the_cell_of_the_input(self, equilibrium_rows,
@@ -481,8 +490,8 @@ class TestPackedStepChoice:
     def test_repeated_infinite_rows_name_the_first_cell(self, rng, equilibrium_rows,
                                                         restrict_rows, bad):
         # rows 8-15 are one infinite row, so cells 10-14 drop with their
-        # copies; the first, cell 8, is kept, as a dropped row equals the
-        # kept row before it.  The packed restriction fails at packed row 3
+        # copies; the first, cell 8, is laid out, as a dropped row equals the
+        # layout row before it.  The layout's restriction fails at its row 3
         # and the full grid's names cell 8.
         stepper, row = desk_case(20, rng)
         values = tiled(row, 20)
@@ -509,8 +518,8 @@ class TestPackedStepChoice:
     def test_non_finite_output_names_the_input_cell(self, rng, equilibrium_rows):
         # cell 14 holds 1e160 times the density of the rest: it restricts to a
         # finite state, but its relaxation term, quadratic in the density,
-        # overflows.  It is packed row 3 of the 7 kept cells, and the full
-        # grid's rerun names it by its place in the input.
+        # overflows.  It is row 3 of the 7 layout rows, and the full grid's
+        # rerun names it by its place in the input.
         stepper, row = desk_case(20, rng)
         values = tiled(row, 20)
         values[14] *= 1e160
@@ -565,7 +574,7 @@ def any_equal_pair_is_a_run(monkeypatch):
 
 
 class TestEqualNeighbours:
-    """One rule finds equal neighbouring rows for the packed step and for the lift's runs."""
+    """One rule finds equal neighbouring rows for the grid step and for the lift's runs."""
 
     def test_nan_equals_nothing_and_signed_zeros_are_equal(self):
         rows = np.array([[0.0, 0.0, 1.0], [-0.0, -0.0, 1.0], [np.nan, 2.0, 1.0],
@@ -622,21 +631,24 @@ class TestEqualNeighbours:
         assert not runs.cells and runs.count == 15
 
     @pytest.mark.parametrize("n_rows, q", ORACLE_SHAPES)
+    @pytest.mark.usefixtures("any_equal_pair_is_a_run")
     def test_kept_cells_drop_the_cells_inside_runs(self, n_rows, q):
-        masks = 0
+        # a grid step computes the rows of the one-step layout: the cells
+        # that remain once cell c drops wherever rows c - 2 .. c + 1 are
+        # equal (2 <= c <= N - 2), as its stencil and output are then its
+        # left neighbour's.  Each layout row holds the first cell it spreads to.
         for seed in range(20):
             values = planted_rows(np.random.default_rng(seed), n_rows, q)
             equal = equal_pairs(values)
-            # cell c drops when rows c - 2 .. c + 1 are equal, 2 <= c <= N - 2
             drop = np.zeros(n_rows, dtype=bool)
             drop[2:-1] = equal[:-2] & equal[1:-1] & equal[2:]
-            keep = steppers._kept_cells(values)
-            if keep is None:
-                assert np.count_nonzero(drop) <= steppers.MIN_DROPPED_SHARE * n_rows
-            else:
-                masks += 1
-                assert keep.tolist() == (~drop).tolist()
-        assert masks > 0 or n_rows < 7
+            runs = Runs(values)
+            rows = runs.layout(1)
+            spread = runs.spread()
+            assert np.diff(spread, prepend=-1).tolist() == (~drop).astype(int).tolist()
+            assert len(rows) == np.count_nonzero(~drop) == spread[-1] + 1
+            # every cell takes a row of its own run
+            assert rows[spread].tolist() == run_owner(runs).tolist()
 
 
 RUN_STEPPERS = ("bgk-inflow", "bgk-ring", "d1q3")
@@ -811,6 +823,116 @@ class TestRunStoredStep:
             assert str(got.value) == str(want.value) and "cell 1 " in str(got.value)
 
 
+def block_lengths(s):
+    """Runs of 1, 2, 3, 2s + 1, 2s + 2 and 40 rows, at both ends and side by
+    side, for blocks of s steps."""
+    return (2 * s + 2, 1, 2, 3, 2 * s + 1, 40, 1, 2 * s + 2, 2, 2 * s + 1)
+
+
+def grid_steps(stepper, values, steps):
+    """``steps`` steps of the grid array, every row stepped, with no compare."""
+    each = Runs.each_row(len(values))
+    for _ in range(steps):
+        values = stepper.step(values, runs=each)
+    return values
+
+
+BLOCKS = sorted({1, 2, 3, 4, 5, steppers.BLOCK_STEPS})
+
+
+@pytest.mark.parametrize("kind", RUN_STEPPERS)
+class TestBlockStepping:
+    """``advance`` compares the rows once per block of s steps and steps the
+    layout of s steps s times; the result is the grid steps' bit for bit."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_blocks_are_the_grid_steps(self, kind, rng, monkeypatch, block):
+        # one whole block, and two whole blocks and one step
+        monkeypatch.setattr(steppers, "BLOCK_STEPS", block)
+        stepper, values = run_state(kind, rng, block_lengths(block))
+        runs = Runs(values)
+        assert not runs.cells and len(runs.layout(block)) < len(values)
+        for steps in (block, 2 * block + 1):
+            got = steppers.advance(stepper, values, steps)
+            assert got.tobytes() == grid_steps(stepper, values, steps).tobytes(), steps
+
+    def test_shipped_blocks_over_many_steps(self, kind, rng):
+        # whole and partial blocks, as a reference run takes them
+        assert REPORT_STEPS % steppers.BLOCK_STEPS == 0  # the reports fall on block ends
+        stepper, values = run_state(kind, rng, block_lengths(steppers.BLOCK_STEPS))
+        steps = 3 * steppers.BLOCK_STEPS + 7
+        got = steppers.advance(stepper, values, steps)
+        assert got.tobytes() == grid_steps(stepper, values, steps).tobytes()
+
+    def test_rows_without_runs_step_the_grid(self, kind, rng):
+        stepper, values = run_state(kind, rng, (1,) * 12)
+        assert Runs(values).cells
+        got = steppers.advance(stepper, values, steppers.BLOCK_STEPS + 1)
+        assert got.tobytes() == grid_steps(stepper, values, steppers.BLOCK_STEPS + 1).tobytes()
+        assert steppers.advance(stepper, values, 0) is values
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["ghost", "periodic"])
+def test_an_unphysical_row_behind_a_long_run_names_its_cell(rng, periodic):
+    # cell 43 has a negative density behind a run of 40 rows, so it is row
+    # 2s + 4 of the layout; the block reruns on the grid, which names cell 43
+    lengths = (3, 40, 1, 6)
+    stepper, row = desk_case(sum(lengths), rng, periodic=periodic)
+    values = np.concatenate([np.tile(row * (1 + 0.05 * rng.random(len(row))), (n, 1))
+                             for n in lengths])
+    values[43] *= -1.0
+    assert len(Runs(values).layout(steppers.BLOCK_STEPS)) < 43
+    with pytest.raises(NumericalError) as want:
+        grid_steps(stepper, values, 1)
+    assert str(want.value).startswith("unphysical state: cell 43 has density -")
+    with pytest.raises(NumericalError) as got:
+        steppers.advance(stepper, values, steppers.BLOCK_STEPS)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_cell_that_fails_inside_a_block_is_named(monkeypatch):
+    # 10 times the stable step drives a cell's temperature negative within a
+    # few steps of the desk's expansion, inside a block of its layout: the
+    # error names the cell that plain steps name
+    monkeypatch.setattr(steppers, "CFL_SAFETY", 10.0 * steppers.CFL_SAFETY)
+    sc = load_shipped("helium_desk.cfg")
+    values = sc.initial_field().values
+    assert not Runs(values).cells
+    with pytest.raises(NumericalError) as want:
+        stepper, state = sc.make_stepper(), values
+        for _ in range(50):
+            state = stepper.step(state)
+    assert re.search(r"cell \d+ .* temperature", str(want.value))
+    with pytest.raises(NumericalError) as got:
+        steppers.advance(sc.make_stepper(), values, 50)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_traced_step_is_one_step_call(monkeypatch, rng, equilibrium_rows, restrict_rows):
+    # the benchmark's tracer wraps ``BGKStepper.step`` at class level and
+    # counts a call as a step, and patches ``steppers.restrict`` and
+    # ``steppers.discrete_equilibrium`` where the step looks them up: a step
+    # of a state with runs calls ``step`` once, and those once each, also
+    # when its layout fails and the grid reruns
+    calls = []
+
+    def traced(self, *args, step=BGKStepper.step, **kwargs):
+        calls.append(len(args[0]))
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(BGKStepper, "step", traced)
+    stepper, row = desk_case(20, rng)
+    values = tiled(row, 20, (5, 12), rng)
+    assert not Runs(values).cells
+    del equilibrium_rows[:], restrict_rows[:]  # the ghost rows' equilibria
+    stepper.step(values)
+    assert calls == [20] and equilibrium_rows == restrict_rows == [11]
+    values[12] *= -1.0
+    with pytest.raises(NumericalError, match="cell 12 "):
+        stepper.step(values)
+    assert calls == [20, 20] and restrict_rows == [11, 11, 20]
+
+
 class TestD1Q3:
     def test_equilibrium_invariant(self):
         f = np.full((10, 3), 0.7)
@@ -870,7 +992,7 @@ STEPPERS = ("bgk-ring", "bgk-inflow", "d1q3", "bgk-ring-runs", "bgk-inflow-runs"
 def stepper_case(kind, rng):
     """A factory of like-built steppers of one kind, and a state for them to step.
 
-    The "-runs" states keep runs of equal rows, so their step is the packed one.
+    The "-runs" states keep runs of equal rows, so their step steps a layout.
     """
     if kind == "d1q3":
         return (lambda: D1Q3Stepper(omega=1.3)), rng.random((12, 3)) + 0.5
