@@ -7,23 +7,24 @@ backward-extrapolates with the order-m weights, and resets the conserved
 moments to those of the target state f0.
 
 The lift carries every state stored by one ``steppers.Runs``.  With a
-stepper that sets ``steps_runs``, that is one row per run of equal
-consecutive cell rows, found once by comparing the rows of f0; with any
-other, every row is a run of its own and a stored state is the grid array.
-A CR map of stored states gathers the rows of the runs' layout for m + 1
-steps once, steps them m + 1 times with no compare, builds the
-extrapolation sum on them and cuts the runs once, where neighbouring rows of
-that sum differ (``Runs.layout``, ``Runs.refine``); every call that maps
-(``cr_map``, ``cr_jvp``, ``gmres``) then brings the other states it was
-given onto the cut runs (``Runs.fill``).  The reset, the JVP, GMRES and the
-norms (which weigh a row by its run's length) work on the stored rows
-alone, and the lifted state is expanded to the grid once.  The lift
-allocates every grid-sized array of its inner loop once and passes it down
-as ``out=`` (and the CR map's two step buffers and its sum's buffer as
-``work=``); a stored state uses the first ``runs.count`` rows of such an
-array, a layout its first rows.  A call with ``None`` for them does the
-same arithmetic in fresh arrays.  ``cr_map``, ``cr_jvp`` and ``gmres`` take
-run-stored states only, each row a run of its own when ``runs`` is None.
+stepper that sets ``steps_runs``, that is one row per run of consecutive
+cell rows equal bit for bit, found once by comparing the rows of f0; with
+any other, every row is a run of its own and a stored state is the grid
+array.  ``cr_map`` has one body: it steps the rows of the runs' layout for
+m + 1 steps m + 1 times with no compare, builds the extrapolation sum on
+them and cuts the runs once, where neighbouring rows of that sum differ
+(``Runs.layout``, ``Runs.refine``); a grid array takes the same steps with
+no gather and no cut.  Every call that maps (``cr_map``, ``cr_jvp``,
+``gmres``) then brings the other states it was given onto the cut runs
+(``Runs.fill``).  The reset, the JVP, GMRES and the norms (which weigh a
+row by its run's integer length) work on the stored rows alone, and the
+lifted state is expanded to the grid once.  The lift allocates every
+grid-sized array of its inner loop once and passes it down as ``out=``,
+and a CR map's three buffers (step, step, sum) as ``work=``; a stored
+state uses the first ``runs.count`` rows of such an array, a layout its
+first rows.  A call with ``None`` for them does the same arithmetic in
+fresh arrays.  ``cr_map``, ``cr_jvp`` and ``gmres`` take run-stored states
+only, each row a run of its own when ``runs`` is None.
 """
 
 from __future__ import annotations
@@ -117,13 +118,13 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
     Krylov space.  A cycle that ends early still counts, as in scipy.
 
     b, x and every Arnoldi vector are states stored by ``runs``
-    (``steppers.Runs``), one row per run, and inner products are weighted by
-    run length: c = V (w * weights) and ||w||^2 = w . (w * weights).  A
-    matvec may cut the runs, as a CR map does, and returns A v
-    stored by the cut runs; every vector of the basis, x and b (which is
-    written to) then copy each parent run's row into its new runs
-    (``Runs.fill``), so each stays exact and nothing is expanded.  Runs of
-    one row each have weights of 1.0, and the products are the plain ones.
+    (``steppers.Runs``), one row per run, and inner products weigh each row
+    by its run's integer length: c = V (w * lengths) and
+    ||w||^2 = w . (w * lengths).  A matvec may cut the runs, as a CR map
+    does, and returns A v stored by the cut runs; every vector of the basis,
+    x and b (which is written to) then copy each parent run's row into its
+    new runs (``Runs.fill``), so each stays exact and nothing is expanded.
+    With runs of one row each, the products are the plain ones.
     Without ``runs``, each row of b (the one row of a 1-D b) is a run of its
     own, so b of any shape is one vector.  ``runs`` is the number of runs at
     the end.
@@ -159,9 +160,9 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
     def weigh(v):
         """v times its run lengths (in tmp) as one row, and v's weighted norm."""
         flat = v.reshape(-1)
-        if runs.cells:  # weights of one: no multiply
+        if runs.cells:  # lengths of one: no multiply
             return flat, math.sqrt(float(np.dot(flat, flat)))
-        wv = np.multiply(v, runs.weights[: len(v), None], out=tmp[: v.size].reshape(v.shape))
+        wv = np.multiply(v, runs.lengths[: len(v), None], out=tmp[: v.size].reshape(v.shape))
         return wv.reshape(-1), math.sqrt(float(np.dot(flat, wv.reshape(-1))))
 
     k = runs.count
@@ -287,13 +288,6 @@ class LiftReport:
     runs: int = 0  # stored rows of the lifted state: its runs of equal cell rows
 
 
-def cr_buffers(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for ``cr_map(work=)`` on grid arrays like f: the two step
-    outputs, used in turn.  A map of run-stored states also takes a third
-    buffer like f, for its sum."""
-    return np.empty_like(f), np.empty_like(f)
-
-
 def cr_map(
     stepper,
     basis: MomentBasis,
@@ -303,32 +297,34 @@ def cr_map(
     *,
     naive_P: np.ndarray | None = None,
     out: np.ndarray | None = None,
-    work: tuple[np.ndarray, ...] | None = None,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     runs: Runs | None = None,
 ) -> np.ndarray:
     """One CR step C_m: m+1 micro-steps, backward extrapolation, moment reset.
 
-    The steps run in the two ``work`` buffers from ``cr_buffers``; the
-    extrapolation sum is built in ``out`` and reset in place, with the step
-    buffer that does not hold the last state as scratch.  Either is
-    allocated when None.  The first step has read ``f_guess`` before ``out``
-    is written, so ``out`` may be ``f_guess`` itself; it must be neither
-    ``f0``, which the reset reads after the sum is built, nor a work buffer.
-    A non-finite sum raises NumericalError naming its first such cell.
-
     Every state is stored by ``runs`` (``steppers.Runs``; every row a run of
-    its own when None).  Unless every row is a run of its own, the stepper
-    must set ``steps_runs``: the map gathers the rows of ``runs.layout(m + 1)`` into
-    a work buffer once, steps them m + 1 times with ``step(rows, out,
-    runs=runs)`` and builds the sum on them in a third ``work`` buffer (all
-    three allocated when ``work`` is None), with no compare; ``Runs.refine`` then cuts
-    the runs where the sum's rows differ and stores it in ``out``, and f0
-    and, unless it is ``out``, f_guess are brought onto the cut runs
-    (``Runs.fill``).  An error there reruns the map on the expanded grid
-    arrays, which fail the same way and name the cell of the grid; were the
-    grid map to pass, NumericalError says that the layout alone failed.
-    With every row a run of its own, the stored state is the grid array,
-    stepped as it is, with ``runs`` and no compare if ``steps_runs`` is set.
+    its own when None).  The map gathers the rows of ``runs.layout(m + 1)``
+    into the second of the three ``work`` buffers (step, step, sum), steps
+    them m + 1 times into the two step buffers in turn, with ``step(rows,
+    out, runs=runs)`` and no compare, and builds the extrapolation sum in
+    the third; ``Runs.refine`` then cuts the runs where the sum's rows
+    differ and stores it in ``out``, and f0 and, unless it is ``out``,
+    f_guess are brought onto the cut runs (``Runs.fill``).  The reset works
+    in place on the stored rows, with the first step buffer as scratch.
+    ``work`` and ``out`` are allocated when None.  With every row a run of
+    its own (``cells``) the stored state is the grid array: the same steps
+    run on it with no gather, and the sum is built in ``out``, with no cut.
+    Unless every row is a run of its own, the stepper must set
+    ``steps_runs``; with it, ``runs`` goes to every step, so no step
+    compares rows.
+
+    The first step has read ``f_guess`` before ``out`` is written, so
+    ``out`` may be ``f_guess`` itself; it must be neither ``f0``, which the
+    reset reads after the sum is built, nor a work buffer.  A non-finite sum
+    raises NumericalError naming its first such row.  An error on a layout
+    reruns the map on the expanded grid arrays, which fail the same way and
+    name the cell of the grid; were the grid map to pass, NumericalError
+    says that the layout alone failed.
 
     ``naive_P`` switches the reset to the inverse-based projector P of
     ``naive_projector`` (failure-study mode); by default the QR projector is
@@ -340,22 +336,40 @@ def cr_map(
     if f0.shape != f_guess.shape:
         raise ValueError("f0 and f_guess must share shapes")
     runs = Runs.each_row(len(f0)) if runs is None else runs
-    if not runs.cells:
-        return _map_runs(stepper, basis, f0, f_guess, order_m, runs, naive_P, out, work)
-    a, b = cr_buffers(f_guess) if work is None else work[:2]
+    a, b, total = np.empty((3,) + f_guess.shape) if work is None else work
+    f_pre = np.empty_like(f_guess) if out is None else out
     steps_runs = getattr(stepper, "steps_runs", False)  # see the ``steppers`` module notes
     step = partial(stepper.step, runs=runs) if steps_runs else stepper.step
-    f_pre = np.empty_like(f_guess) if out is None else out
-    scratch = _extrapolate(step, f_guess, order_m, a, b, f_pre)
-    _reset(basis, f_pre, f0, scratch, naive_P)
+    since = n = runs.count
+    if runs.cells:  # the stored state is the grid array: no gather, and no cut
+        start, total = f_guess, f_pre
+    else:
+        index = runs.layout(order_m + 1)
+        n = len(index)
+        # mode="raise" would buffer ``out``; every index is in range
+        start = np.take(f_guess, index, axis=0, out=b[:n], mode="clip")
+    try:
+        _extrapolate(step, start, order_m, a[:n], b[:n], total[:n])
+    except KliftError as exc:
+        if runs.cells:
+            raise
+        # the grid map fails the same way and names the cell of the grid
+        cr_map(stepper, basis, runs.expand(f0), runs.expand(f_guess), order_m, naive_P=naive_P)
+        raise NumericalError(
+            f"CR map (order {order_m}) failed on the layout of its runs but not on the "
+            f"grid: {exc} (a row of the layout, not a cell)") from exc
+    if not runs.cells:
+        runs.refine(total[:n], f_pre)
+        runs.fill(since, f0, *(() if f_guess is out else (f_guess,)))
+    k = runs.count
+    _reset(basis, f_pre[:k], f0[:k], a[:k], naive_P)
     return f_pre
 
 
 def _extrapolate(step, start, order_m, a, b, pre):
     """Build the extrapolation sum of order_m + 1 steps from ``start`` in
-    ``pre``, stepping into the buffers ``a`` and ``b`` in turn, and return
-    the one that does not hold the last state.  A non-finite sum raises
-    NumericalError naming its first such row."""
+    ``pre``, stepping into the buffers ``a`` and ``b`` in turn.  A
+    non-finite sum raises NumericalError naming its first such row."""
     w = cr_weights(order_m)
     cur = step(start, out=a)
     np.multiply(cur, w[0], out=pre)
@@ -369,30 +383,6 @@ def _extrapolate(step, start, order_m, a, b, pre):
         cell = int(np.flatnonzero(~np.isfinite(pre).all(axis=1))[0])
         raise NumericalError(
             f"non-finite extrapolation in CR map (order {order_m}), first in cell {cell}")
-    return b
-
-
-def _map_runs(stepper, basis, f0, f_guess, order_m, runs, naive_P, out, work):
-    """``cr_map`` of states stored by ``runs``, on their layout (see ``cr_map``)."""
-    a, b, total = (*cr_buffers(f_guess), np.empty_like(f_guess)) if work is None else work
-    since = runs.count
-    index = runs.layout(order_m + 1)
-    n = len(index)
-    # mode="raise" would buffer ``out``; every index is in range
-    start = np.take(f_guess, index, axis=0, out=b[:n], mode="clip")
-    try:
-        _extrapolate(partial(stepper.step, runs=runs), start, order_m, a[:n], b[:n], total[:n])
-    except KliftError as exc:
-        # the grid map fails the same way and names the cell of the grid
-        cr_map(stepper, basis, runs.expand(f0), runs.expand(f_guess), order_m, naive_P=naive_P)
-        raise NumericalError(
-            f"CR map (order {order_m}) failed on the layout of its runs but not on the "
-            f"grid: {exc} (a row of the layout, not a cell)") from exc
-    f_pre = runs.refine(total[:n], np.empty_like(f_guess) if out is None else out)
-    runs.fill(since, f0, *(() if f_guess is out else (f_guess,)))
-    k = runs.count
-    _reset(basis, f_pre[:k], f0[:k], a[:k], naive_P)
-    return f_pre
 
 
 def _reset(basis, pre, target, scratch, naive_P):
@@ -467,11 +457,11 @@ def cr_lift(
 
     Every state is stored by one ``steppers.Runs``.  For a stepper that sets
     ``steps_runs``, the rows of f0 (and of ``f_guess``) are compared once,
-    every CR map steps the runs' layout and cuts the runs once, from its
-    sum, the norms weigh each row by its run's length, and the lifted state
-    is expanded once, at the end.  Any other stepper steps the (N, q) grid
-    arrays, each row a run of its own.  ``LiftReport.runs`` is the number of
-    stored rows.
+    bit for bit, every CR map steps the runs' layout and cuts the runs once,
+    from its sum, the norms weigh each row by its run's integer length, and
+    the lifted state is expanded once, at the end.  Any other stepper steps
+    the (N, q) grid arrays, each row a run of its own.  ``LiftReport.runs``
+    is the number of stored rows.
 
     Every failure raises ConvergenceError with the residual history: a CR
     map that fails (also inside a GMRES matvec), GMRES stagnation, a stall
@@ -480,9 +470,9 @@ def cr_lift(
     rounding allows), divergence (three rising residuals above that floor),
     and a budget of MAX_NEWTON_ITERS or MAX_PICARD_ITERS corrections spent.
     Every grid-sized array of the loop is allocated once per lift, as one
-    block: the CR map's two step buffers and the buffer its sum is built in
-    on a layout, C(f), the residual, and the JVP, which forms the perturbed
-    state in its own output.  A map allocates no grid-sized array.
+    block: the CR map's three ``work`` buffers (step, step, sum), C(f), the
+    residual, and the JVP, which forms the perturbed state in its own
+    output.  A map allocates no grid-sized array.
     """
     t0 = _time.perf_counter()
     newton = cfg.solver == "newton"
@@ -493,7 +483,7 @@ def cr_lift(
     else:
         runs = Runs(f0) if f_guess is None else Runs(f0, f_guess)
     f = runs.store(f0 if f_guess is None else f_guess)
-    target = f0 if runs.cells else runs.store(f0)
+    target = runs.store(f0)
     # one block for all six: glibc's trim threshold follows the largest
     # block freed, so the next lift reuses this one, where separate arrays
     # may be trimmed and faulted in again (median minor faults per

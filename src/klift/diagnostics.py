@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cr import CRConfig, cr_buffers, cr_jvp, cr_map, fd_step
+from .cr import CRConfig, cr_jvp, cr_map, fd_step
 from .errors import NumericalError
 from .moments import MomentBasis, naive_projector
 from .steppers import Runs
@@ -195,7 +195,7 @@ def cr_jacobian_matrix(
     U = basis.U
     J = np.zeros((dim, dim))
 
-    work = cr_buffers(f0)
+    work = tuple(np.empty((3,) + f0.shape))  # cr_map's step, step and sum buffers
     runs = Runs.each_row(n_cells)
 
     def apply_map(state, out=None):

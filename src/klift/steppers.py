@@ -24,7 +24,9 @@ run, side by side as on the grid (``Runs.layout``), s times with no compare.
 A grid array's step (s = 1) and ``advance`` (blocks of BLOCK_STEPS steps)
 compare the rows first (``Runs``) and spread the result to the grid
 (``Runs.spread``); a CR map of a run-stored state cuts the runs once, from
-its sum (``Runs.refine``).  The three-speed diffusive lattice Boltzmann
+its sum (``Runs.refine``).  Every one of these compares rows by one rule,
+equal bit for bit (``equal_neighbours``), and a stored row weighs in a norm
+by its run's integer length.  The three-speed diffusive lattice Boltzmann
 model is kept as a small exact oracle for the constrained-runs machinery.
 """
 
@@ -83,26 +85,24 @@ def _step_output(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
 def equal_neighbours(rows: np.ndarray, most: float = -1) -> np.ndarray | None:
     """Whether each row of the (N, q) ``rows`` equals the next, as N - 1 flags.
 
-    Rows are equal when every entry is, so a row holding a NaN equals none,
-    and -0.0 equals +0.0.  Neighbouring rows with equal middle entries are
-    the candidates, which an exact compare of the rows confirms.  None when
-    no more than ``most`` pairs are candidates, at the cost of that test only.
-
-    This is the rule for rows that come in as a grid array.  ``Runs.refine``
-    joins the rows of a CR map's sum by a second, stricter rule, equal bit
-    for bit: a joined run's one stored row stands for every cell of the run,
-    and must expand to the grid map's own sum in each, where -0.0 and +0.0
-    differ.  (Its rows are finite, as a non-finite sum raises.)
+    Rows are equal when they are equal bit for bit, so two rows of the same
+    NaNs are equal and -0.0 differs from +0.0: one stored row then stands
+    for every cell of a run, bit for bit, whatever the cells' values.
+    Neighbouring rows with equal middle entries are the candidates, which an
+    exact compare of the rows confirms.  None when no more than ``most``
+    pairs are candidates, at the cost of that test only.  This is the one
+    row compare: ``Runs`` finds its runs, and ``Runs.refine`` its cuts, by it.
     """
-    middle = rows[:, rows.shape[1] // 2]
+    bits = rows.view(f"u{rows.itemsize}")  # float or bool rows alike
+    middle = bits[:, bits.shape[1] // 2]
     same = middle[1:] == middle[:-1]
     if np.count_nonzero(same) <= most:
         return None
     # a candidate whose rows differ in any entry is no pair; flagging the
     # unequal entries costs less than a per-row reduction
-    differ = rows[1:] != rows[:-1]
+    differ = bits[1:] != bits[:-1]
     differ[~same] = False
-    same[np.flatnonzero(differ) // rows.shape[1]] = False
+    same[np.flatnonzero(differ) // bits.shape[1]] = False
     return same
 
 
@@ -112,15 +112,17 @@ class Runs:
 
     A run-stored state is an (N, q) array whose row j, for j < ``count``,
     holds the row every cell of run j shares; the rows past ``count`` are
-    spare.  Run j covers ``lengths[j]`` rows (``weights[j]`` as a float) from
-    row ``first[j]``, and ``order`` lists the run numbers from the first row
-    to the last.  Runs
-    are only ever cut, once per CR map (``layout``, ``refine``), and never
-    joined across a cut: a cut run keeps its number on its first part and
-    each new run takes the next free number, so every state stored
-    by the coarser runs stays exact once ``fill`` has copied each parent's
-    row into its new runs.  ``cells`` is true when every run is one row in
-    grid order, so that a stored state is the grid's own array.
+    spare.  Run j covers ``lengths[j]`` rows from row ``first[j]``, and
+    ``order`` lists the run numbers from the first row to the last; the
+    integer lengths are also the weights of a stored row in the norms.  Rows
+    are equal when they are equal bit for bit (``equal_neighbours``), both
+    where the runs are found and where ``refine`` cuts them.  Runs are only
+    ever cut, once per CR map (``layout``, ``refine``), and never joined
+    across a cut: a cut run keeps its number on its first part and each new
+    run takes the next free number, so every state stored by the coarser
+    runs stays exact once ``fill`` has copied each parent's row into its new
+    runs.  ``cells`` is true when every run is one row in grid order, so
+    that a stored state is the grid's own array.
     """
 
     def __init__(self, *arrays: np.ndarray):
@@ -156,7 +158,6 @@ class Runs:
         self.first[: self.count] = starts
         np.subtract(starts[1:], starts[:-1], out=self.lengths[: self.count - 1])
         self.lengths[self.count - 1] = n - starts[-1]
-        self.weights = self.lengths.astype(float)
 
     def store(self, rows: np.ndarray) -> np.ndarray:
         """The run-stored form of the (N, q) ``rows``, which must be equal within each run."""
@@ -173,9 +174,9 @@ class Runs:
     def norm(self, stored: np.ndarray) -> float:
         """The two-norm of the grid array of a run-stored state."""
         rows = stored[: self.count]
-        if self.cells:  # weights of one: the plain norm, with no multiply
+        if self.cells:  # lengths of one: the plain norm, with no multiply
             return float(np.linalg.norm(rows))
-        return math.sqrt(float(np.dot(self.weights[: self.count],
+        return math.sqrt(float(np.dot(self.lengths[: self.count],
                                       np.einsum("ij,ij->i", rows, rows))))
 
     def fill(self, since: int, *stores: np.ndarray) -> None:
@@ -228,15 +229,14 @@ class Runs:
 
         A layout row stands for one cell of its run, its interior row for
         all L - 2s cells between the s first and s last.  Neighbouring
-        layout rows of one run stay in one run when they are equal bit for
-        bit (see ``equal_neighbours``), and are cut apart otherwise, so each
-        output run is the coarsest that holds equal rows: a difference that
-        the steps in between round away does not cut.
+        layout rows of one run stay in one run when they are equal
+        (``equal_neighbours``), and are cut apart otherwise, so each output
+        run is the coarsest that holds equal rows: a difference that the
+        steps in between round away does not cut.
         """
-        order, reps, heads = self.order, self._reps, self._heads
-        bits = rows.view(np.int64)
+        order, heads = self.order, self._heads
         differ = np.zeros(len(rows), dtype=bool)  # from the row before
-        np.any(bits[1:] != bits[:-1], axis=1, out=differ[1:])
+        np.logical_not(equal_neighbours(rows), out=differ[1:])
         differ[heads] = False  # a run's first row starts it already
         cuts = np.flatnonzero(differ)  # the rows that start a new run
         position = np.empty(self.count + cuts.size, np.intp)  # each run's output row
@@ -254,7 +254,6 @@ class Runs:
             self.order = order = np.argsort(self.first[: self.count])
             first = self.first[order]
             self.lengths[order] = np.append(first[1:], len(self.first)) - first
-            self.weights[order] = self.lengths[order]
         # mode="raise" would buffer ``out``; every index is in range
         np.take(rows, position, axis=0, out=out[: self.count], mode="clip")
         return out
@@ -423,20 +422,25 @@ def advance(stepper, values: np.ndarray, steps: int) -> np.ndarray:
     Each block of s steps compares the rows once (``Runs``), so runs that
     became equal join again, steps the rows of ``layout(s)`` s times with
     ``step(rows, runs=runs)`` and spreads them to the grid (``Runs.spread``).
-    ``stepper`` must set ``steps_runs``.  An error on a layout reruns the
-    block by plain steps, which name the cell of the grid.  The result is
-    the grid steps' bit for bit (see the module notes).
+    An error on a layout reruns the block by plain steps, which name the
+    cell of the grid.  The result is the grid steps' bit for bit (see the
+    module notes).  A stepper that does not set ``steps_runs`` takes plain
+    steps of the grid array throughout, as it need not be local.
     """
+    steps_runs = getattr(stepper, "steps_runs", False)
     for done in range(0, steps, BLOCK_STEPS):
         s = min(BLOCK_STEPS, steps - done)
-        runs = Runs(values)
-        rows = np.take(values, runs.first[runs.layout(s)], axis=0)
-        try:
-            for _ in range(s):
-                rows = stepper.step(rows, runs=runs)
-        except KliftError:
-            for _ in range(s):  # the grid fails the same way and names the cell
-                values = stepper.step(values)
-        else:
-            values = np.take(rows, runs.spread(), axis=0)
+        if steps_runs:
+            runs = Runs(values)
+            rows = np.take(values, runs.first[runs.layout(s)], axis=0)
+            try:
+                for _ in range(s):
+                    rows = stepper.step(rows, runs=runs)
+            except KliftError:
+                pass  # the grid fails the same way and names the cell
+            else:
+                values = np.take(rows, runs.spread(), axis=0)
+                continue
+        for _ in range(s):
+            values = stepper.step(values)
     return values

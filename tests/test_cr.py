@@ -26,7 +26,7 @@ from klift import (
     restrict_lift_error,
 )
 from klift.cli import lift_report_rows
-from klift.cr import GMRESResult, conserved_drift, cr_buffers, cr_jvp, gmres
+from klift.cr import GMRESResult, conserved_drift, cr_jvp, gmres
 from klift.errors import NumericalError
 from klift.kinetic import DistributionField, discrete_equilibrium, equilibrium_field
 from klift.moments import basis_from_matrix, naive_projector, reset_conserved
@@ -738,6 +738,19 @@ class TestGMRES:
                                        atol=1e-12 * np.abs(ref.values).max())
 
 
+def count_grid_compares(patch):
+    """The rows of each grid array compared to find runs (``Runs(*arrays)``),
+    one tuple per partition; a CR map's cut compares a layout, not a grid."""
+    compares, init = [], Runs.__init__
+
+    def counting(self, *arrays):
+        compares.append(tuple(map(len, arrays)))
+        init(self, *arrays)
+
+    patch.setattr(Runs, "__init__", counting)
+    return compares
+
+
 class TestRunStoredLift:
     """The lift carries every state stored by one set of runs, which only its steps cut."""
 
@@ -752,16 +765,10 @@ class TestRunStoredLift:
         sc, stepper, basis, macro, common = desk_lift_problem()
         for m in (0, 1, 3):
             cfg = sc.cr_config(m)
-            compares = []
-
-            def counting(rows, most=-1, original=steppers.equal_neighbours):
-                compares.append(len(rows))
-                return original(rows, most)
-
             with monkeypatch.context() as patch:
-                patch.setattr(steppers, "equal_neighbours", counting)
+                compares = count_grid_compares(patch)
                 stored, report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
-            assert compares == [sc.n_cells]  # f0's rows, once
+            assert compares == [(sc.n_cells,)]  # f0's rows, once
             with monkeypatch.context() as patch:
                 patch.setattr(steppers, "equal_neighbours", self._no_equal_rows)
                 free, free_report = lift_macro(stepper, basis, macro, sc.gas, cfg, **common)
@@ -783,17 +790,11 @@ class TestRunStoredLift:
         f0 = equilibrium_field(macro, sc.grid, sc.vgrid, sc.gas, scale=sc.scale).values
         guess = f0.copy()
         guess[60] *= 1.0 + 1e-9  # inside f0's undisturbed run
-        compares = []
-
-        def counting(rows, most=-1, original=steppers.equal_neighbours):
-            compares.append(len(rows))
-            return original(rows, most)
-
-        monkeypatch.setattr(steppers, "equal_neighbours", counting)
+        compares = count_grid_compares(monkeypatch)
         cfg = sc.cr_config(1)
         _, report = cr_lift(stepper, basis, f0, cfg, f_guess=guess)
         _, plain = cr_lift(stepper, basis, f0, cfg)
-        assert compares == [sc.n_cells] * 3
+        assert compares == [(sc.n_cells, sc.n_cells), (sc.n_cells,)]
         assert report.runs > plain.runs
 
 
@@ -922,7 +923,7 @@ class TestLiftBuffers:
         sc, stepper, basis, macro, _ = desk_lift_problem()
         f0 = equilibrium_field(macro, sc.grid, sc.vgrid, sc.gas, scale=sc.scale).values
         guess = f0 * (1 + 1e-3 * rng.random(f0.shape))
-        work = cr_buffers(f0)
+        work = np.empty((3,) + f0.shape)  # step, step and sum
         out = np.full_like(f0, np.nan)
         got = cr_map(stepper, basis, f0, guess, order_m, out=out, work=work)
         assert got is out

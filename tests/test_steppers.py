@@ -554,8 +554,8 @@ def planted_rows(rng, n_rows, q):
 
 
 def equal_pairs(rows):
-    """Whether each row equals the next, entry by entry, one pair at a time."""
-    return np.array([bool(np.all(rows[i] == rows[i + 1])) for i in range(len(rows) - 1)],
+    """Whether each row equals the next bit for bit, one pair at a time."""
+    return np.array([rows[i].tobytes() == rows[i + 1].tobytes() for i in range(len(rows) - 1)],
                     dtype=bool)
 
 
@@ -574,14 +574,38 @@ def any_equal_pair_is_a_run(monkeypatch):
 
 
 class TestEqualNeighbours:
-    """One rule finds equal neighbouring rows for the grid step and for the lift's runs."""
+    """One rule, equal bit for bit, finds equal neighbouring rows for the
+    grid step, the reference blocks, the lift's runs and a CR map's cuts."""
 
-    def test_nan_equals_nothing_and_signed_zeros_are_equal(self):
-        rows = np.array([[0.0, 0.0, 1.0], [-0.0, -0.0, 1.0], [np.nan, 2.0, 1.0],
-                         [np.nan, 2.0, 1.0], [3.0, np.nan, 1.0], [3.0, np.nan, 1.0],
+    def test_same_nans_are_equal_and_signed_zeros_differ(self):
+        nan = np.float64(np.nan)
+        rows = np.array([[0.0, 0.0, 1.0], [-0.0, -0.0, 1.0], [-0.0, -0.0, 1.0],
+                         [nan, 2.0, 1.0], [nan, 2.0, 1.0], [3.0, nan, 1.0], [3.0, -nan, 1.0],
                          [3.0, 2.0, 4.0]])
-        assert steppers.equal_neighbours(rows).tolist() == [True, False, False, False, False,
-                                                            False]
+        want = [False, True, False, True, False, False, False]
+        assert steppers.equal_neighbours(rows).tolist() == want == equal_pairs(rows).tolist()
+
+    def test_float32_rows(self, rng):
+        rows = rng.random((12, 5)).astype(np.float32)
+        rows[3:7] = rows[3]
+        rows[8, 0], rows[9] = 0.0, rows[8]
+        rows[9, 0] = -0.0
+        rows[10], rows[11] = rows[1], rows[1]
+        rows[11, 4] = np.nextafter(rows[11, 4], np.float32(2))  # one ulp off
+        want = [False, False, False, True, True, True, False, False, False, False, False]
+        assert steppers.equal_neighbours(rows).tolist() == want == equal_pairs(rows).tolist()
+
+    @pytest.mark.usefixtures("any_equal_pair_is_a_run")
+    def test_bool_masks(self, rng):
+        # a mask of which entries lie in a band compares as rows of bools
+        mask = rng.random((30, 4)) < 0.5
+        mask[10:20] = [True, False, False, True]
+        equal = equal_pairs(mask)
+        assert equal[10:19].all()
+        assert steppers.equal_neighbours(mask).tolist() == equal.tolist()
+        runs = Runs(mask)
+        assert runs.count == 1 + np.count_nonzero(~equal)
+        assert run_owner(runs).tolist() == np.concatenate(([0], np.cumsum(~equal))).tolist()
 
     @pytest.mark.parametrize("n_rows, q", ORACLE_SHAPES)
     @pytest.mark.usefixtures("any_equal_pair_is_a_run")
@@ -599,7 +623,7 @@ class TestEqualNeighbours:
             assert runs.cells == (runs.count == n_rows)
             starts = np.flatnonzero(np.concatenate(([True], ~equal)))
             assert runs.first[: runs.count].tolist() == starts.tolist()
-            assert runs.weights[: runs.count].tolist() == np.diff(starts, append=n_rows).tolist()
+            assert runs.lengths[: runs.count].tolist() == np.diff(starts, append=n_rows).tolist()
             stored = runs.store(rows)
             assert runs.expand(stored).tobytes() == rows[starts[owner]].tobytes()
 
@@ -665,7 +689,8 @@ def map_lengths(order_m):
 def run_state(kind, rng, lengths, *, signed_zero=False):
     """A stepper of ``kind`` and a state of blocks of equal rows, the i-th
     ``lengths[i]`` rows long; ``signed_zero`` gives two neighbouring blocks
-    one row, with +0.0 and -0.0 in its first entry, which makes them one run."""
+    one row but for +0.0 and -0.0 in its first entry, which differ bit for
+    bit, so the blocks stay two runs."""
     n_cells = sum(lengths)
     if kind == "d1q3":
         stepper, row = D1Q3Stepper(omega=1.3), rng.random(3) + 0.5
@@ -745,7 +770,7 @@ class TestRunStoredStep:
             for _ in range(3):
                 stepper, values = run_state(kind, rng, lengths, signed_zero=signed_zero)
                 runs = Runs(values)
-                assert runs.count == len(lengths) - signed_zero
+                assert runs.count == len(lengths)
                 stored = runs.store(values)
                 grid = runs.expand(stored)
                 before, count = run_owner(runs), runs.count
@@ -798,7 +823,7 @@ class TestRunStoredStep:
         assert runs.count == len(values)
 
     def test_a_nan_row(self, kind, rng):
-        # a NaN row equals none, so it is a run of its own; D1Q3 carries it
+        # a NaN row between finite rows is a run of its own; D1Q3 carries it
         # bit for bit, and the BGK step fails on the layout as on the grid,
         # where a CR map of the stored state names the cell as the grid's map does
         for order_m in ORDERS:
@@ -870,6 +895,39 @@ class TestBlockStepping:
         got = steppers.advance(stepper, values, steppers.BLOCK_STEPS + 1)
         assert got.tobytes() == grid_steps(stepper, values, steppers.BLOCK_STEPS + 1).tobytes()
         assert steppers.advance(stepper, values, 0) is values
+
+
+class MeanCoupledD1Q3(D1Q3Stepper):
+    """D1Q3 plus a tenth of the cell mean: not local, so it sets no
+    ``steps_runs``, though its ``step`` takes (and drops) a ``runs``."""
+
+    steps_runs = False
+
+    def step(self, values, out=None, **kwargs):
+        out = super().step(values, out)
+        out += 0.1 * values.mean(axis=0)
+        return out
+
+
+class PlainMeanCoupledD1Q3(MeanCoupledD1Q3):
+    """The same map, by a ``step`` that takes no ``runs``."""
+
+    def step(self, values, out=None):
+        return super().step(values, out)
+
+
+@pytest.mark.parametrize("stepper_class", [MeanCoupledD1Q3, PlainMeanCoupledD1Q3])
+def test_a_stepper_without_steps_runs_advances_by_plain_steps(rng, stepper_class):
+    # a layout's rows would miss the mean of the grid's: every block takes
+    # plain steps of the grid array, bit for bit
+    stepper = stepper_class(omega=1.3)
+    _, values = run_state("d1q3", rng, block_lengths(steppers.BLOCK_STEPS))
+    assert not Runs(values).cells
+    steps = 2 * steppers.BLOCK_STEPS + 3
+    want = values
+    for _ in range(steps):
+        want = stepper.step(want)
+    assert steppers.advance(stepper, values, steps).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("periodic", [False, True], ids=["ghost", "periodic"])
