@@ -5,6 +5,13 @@ All quantities are SI.  Distribution values are number density per velocity,
 molecular mass) that is carried on the field so restriction stays
 scale-aware.  The discrete equilibrium is exp(c0 + c1 x + c2 x^2) in
 x = v - v_mid, scaled to the cell's density; Newton solves for (c1, c2).
+
+At the sizes a step's layout has, tens to a few hundred rows, a call costs
+mostly its count of numpy calls, not its arithmetic.  So restriction and the
+equilibrium check their input with a few whole-array reductions and run the
+per-cell test only to name the cell that failed one, and the equilibrium
+keeps the Newton state of its unconverged cells in one array, gathered by
+one take.
 """
 
 from __future__ import annotations
@@ -35,14 +42,16 @@ def row_product(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray | None = N
     """``rows @ matrix`` on whole blocks of ROW_BLOCK rows, the last one filled
     up with copies of the last row, so a row's product is the same bits at
     every row position and in an array of any number of rows.  Written to
-    ``out`` when given."""
+    ``out`` when given.  Rows that fill whole blocks, as a step's padded
+    layout and the equilibrium's padded Newton set do, are one matmul."""
     n = len(rows)
-    out = np.empty((n, matrix.shape[1])) if out is None else out
     whole = n - n % ROW_BLOCK
+    if whole == n:
+        return np.matmul(rows, matrix, out=out)
+    out = np.empty((n, matrix.shape[1])) if out is None else out
     np.matmul(rows[:whole], matrix, out=out[:whole])
-    if whole < n:
-        last = rows[np.minimum(np.arange(whole, whole + ROW_BLOCK), n - 1)]
-        out[whole:] = (last @ matrix)[:n - whole]
+    last = rows[np.minimum(np.arange(whole, whole + ROW_BLOCK), n - 1)]
+    out[whole:] = (last @ matrix)[:n - whole]
     return out
 
 
@@ -205,14 +214,18 @@ def discrete_equilibrium(
     c2 = -m / (2 k_B T), c1 = -2 c2 b.  Vectorized over cells: a cell whose
     residual is below the tolerance has its A E written to f_eq and leaves
     the iteration, so the 2x2 update and later iterations see only the
-    unconverged cells.  A cell whose E sums on the grid to less than eps of
-    its peak, such as a Gaussian colder than the grid resolves or an
-    iterate that left the grid, raises ConvergenceError naming the cell, as
-    does one whose |u - v_mid| or k_B T / m reaches the grid's half-width h
-    or h^2, which no distribution on the grid has, or whose k_B T / m is at
-    most eps h^2, a Gaussian too narrow for a grid of fewer than a million
-    velocities to resolve; n <= 0, T <= 0 or a non-finite n, u or T raises
-    ValueError.
+    unconverged cells.  Their Newton state is one array with a row per
+    quantity, which one take gathers, padded to whole row blocks with copies
+    of the last cell so that both products of a later evaluation are one
+    matmul.  A cell whose E sums on the grid to less than eps of its peak,
+    such as a Gaussian colder than the grid resolves or an iterate that left
+    the grid, raises ConvergenceError naming the cell, as does one whose
+    |u - v_mid| or k_B T / m reaches the grid's half-width h or h^2, which no
+    distribution on the grid has, or whose k_B T / m is at most eps h^2, a
+    Gaussian too narrow for a grid of fewer than a million velocities to
+    resolve; n <= 0, T <= 0 or a non-finite n, u or T raises ValueError.
+    These checks are whole-array reductions that a valid input passes; only
+    when one fails does a per-cell test run, to name the first bad cell.
 
     The product form rounds the exponent to about (|u - v_mid| / v_th)^2 eps
     absolute, the same law as the moment shift; on a grid centred near the
@@ -240,17 +253,30 @@ def discrete_equilibrium(
         return f"cell {j}: n {n[j]:.3e} 1/m^3, u {u[j]:.3e} m/s, T {T[j]:.3e} K"
 
     kB, m = BOLTZMANN, gas.molecular_mass
-    b = u - vgrid.v_mid
+    cells = n.size
+    # The Newton state, one row per quantity and one column per cell still
+    # iterating, so that one take keeps the unconverged cells: n w,
+    # b = u - v_mid, theta = k_B T / m, the thermal speed, the exponent's
+    # coefficients (c0, c1, c2), and the last evaluation's G_0..G_3, H_0..H_2
+    # and residual.
+    S = np.empty((15, cells))
+    nw, b, theta, vt, c0, c1, c2 = S[:7]
+    np.subtract(u, vgrid.v_mid, out=b)
     # no distribution on the grid has |u - v_mid| or k_B T / m reaching its
     # half-width h or h^2, and at k_B T / m <= eps h^2 the starting Gaussian
     # is zero at every velocity but the one nearest u, so the solve cannot
     # fit T; such a cell is named here, before a hot, cold or fast state can
-    # overflow the solve's arithmetic
+    # overflow the solve's arithmetic.  Two reductions over n, T and b give
+    # the least and the largest of each, which pass a valid input (a NaN
+    # fails them); the per-cell test names the cell.
     h = 0.5 * (vgrid.v_max - vgrid.v_min)
     T_max = h * h * m / kB
     T_min = EPS * T_max
-    ok = (n > 0.0) & np.isfinite(n) & (T > T_min) & (T < T_max) & (np.abs(b) < h)
-    if not ok.all():
+    nTb = np.array((n, T, b))
+    lo, hi = nTb.min(axis=1, initial=math.inf), nTb.max(axis=1, initial=-math.inf)
+    if not (0.0 < lo[0] and hi[0] < math.inf and T_min < lo[1] and hi[1] < T_max
+            and -h < lo[2] and hi[2] < h):
+        ok = (n > 0.0) & np.isfinite(n) & (T > T_min) & (T < T_max) & (np.abs(b) < h)
         valid = (n > 0.0) & (T > 0.0) & np.isfinite(n) & np.isfinite(u) & np.isfinite(T)
         if not valid.all():
             j = int(np.flatnonzero(~valid)[0])
@@ -264,67 +290,74 @@ def discrete_equilibrium(
             f"|u - v_mid| >= {h:.3e} m/s or T >= {T_max:.3e} K, and resolves none with "
             f"T <= {T_min:.3e} K)")
 
-    feq = np.empty((n.size, vgrid.n_velocities)) if out is None else out
-    if feq.shape != (n.size, vgrid.n_velocities):
+    feq = np.empty((cells, vgrid.n_velocities)) if out is None else out
+    if feq.shape != (cells, vgrid.n_velocities):
         raise ValueError(f"out has shape {feq.shape}, the equilibrium needs "
-                         f"{(n.size, vgrid.n_velocities)}")
-    nw = n
-    if weight is not None:
+                         f"{(cells, vgrid.n_velocities)}")
+    if weight is None:
+        nw[:] = n
+    else:
         weight = np.atleast_1d(np.asarray(weight, dtype=float))
         if weight.shape != n.shape:
             raise ValueError(f"weight has shape {weight.shape}, the equilibrium needs {n.shape}")
-        nw = n * weight
-    # per unconverged cell: its index into feq, its (n w, u - v_mid, T) and Newton unknowns
-    idx = np.arange(n.size)
-    theta = kB * T / m
-    vt = np.sqrt(theta)  # thermal speed scale
-    c2 = -m / (2.0 * kB * T)
-    c1 = -2.0 * c2 * b
+        np.multiply(n, weight, out=nw)
+    if not cells:
+        return feq
+    np.divide(kB * T, m, out=theta)
+    np.sqrt(theta, out=vt)
+    np.divide(-m, 2.0 * kB * T, out=c2)
+    np.multiply(-2.0 * c2, b, out=c1)
 
+    # in the first evaluation column j of S is cell j and E is f_eq itself;
+    # from the first take on, ``idx`` maps S's columns to the rows of f_eq
+    idx, E = None, feq
     for _ in range(EQUILIBRIUM_MAX_ITER):
-        coef = np.array((c1 * c1 / (4.0 * c2), c1, c2))
-        # (cells, Nv); while every cell is active, E is f_eq itself
-        E = row_product(coef.T, vgrid.basis, out=feq if idx.size == n.size else None)
+        np.multiply(c1, c1, out=c0)
+        c0 /= 4.0 * c2
+        E = row_product(S[4:7].T, vgrid.basis, out=E)  # (cells, Nv)
         np.exp(E, out=E)
         M = np.ascontiguousarray(row_product(E, vgrid.moments).T)  # (5, cells): dv sum x^p E
         R0 = M[0]
         # a Gaussian whose values on the grid sum to less than eps of its
         # peak of 1 has left the grid, and any 2x2 step from it is rounding
-        lost = ~((R0 > EPS * vgrid.dv) & (R0 < np.inf))
-        if lost.any():
-            k = int(np.flatnonzero(lost)[0])
+        if not (R0.min() > EPS * vgrid.dv and R0.max() < math.inf):
+            k = int(np.flatnonzero(~((R0 > EPS * vgrid.dv) & (R0 < math.inf)))[0])
             raise ConvergenceError(
-                f"equilibrium Newton solve lost the discrete Gaussian in {state(int(idx[k]))} "
+                f"equilibrium Newton solve lost the discrete Gaussian in "
+                f"{state(k if idx is None else int(idx[k]))} "
                 f"(its values on the velocity grid sum to {R0[k] / vgrid.dv:.3e} of its peak)")
-        G = M[1:] - b * M[:-1]  # G_p = dv sum x^p (v - u) E
-        H = G[1:] - b * G[:-1] - theta * M[:-2]  # H_p = dv sum x^p ((v - u)^2 - theta) E
-        F1, F2 = G[0], H[0]
-        res = np.maximum(np.abs(F1) / (R0 * vt), np.abs(F2) / (R0 * theta))
+        G, H, res = S[7:11], S[11:14], S[14]
+        np.multiply(b, M[:-1], out=G)
+        np.subtract(M[1:], G, out=G)  # G_p = dv sum x^p (v - u) E
+        np.multiply(b, G[:-1], out=H)
+        np.subtract(G[1:], H, out=H)
+        H -= theta * M[:-2]  # H_p = dv sum x^p ((v - u)^2 - theta) E
+        np.maximum(np.abs(G[0]) / (R0 * vt), np.abs(H[0]) / (R0 * theta), out=res)
         active = res > EQUILIBRIUM_TOL
         # every evaluated cell is written; an active one is overwritten later
         E *= (nw / R0)[:, None]
-        if E is not feq:
+        if idx is not None:
             feq[idx] = E
         if not active.any():
             return feq
 
-        G1, G2, H1, H2 = G[1], G[2], H[1], H[2]
-        if not active.all():
-            keep = np.flatnonzero(active)
-            idx, nw, b, theta, vt, c1, c2, res, F1, F2, G1, G2, H1, H2 = (
-                x[keep] for x in (idx, nw, b, theta, vt, c1, c2, res, F1, F2, G1, G2, H1, H2)
-            )
+        # the unconverged cells, padded to whole row blocks with copies of
+        # the last, so that both products of the next evaluation are one matmul
+        keep = active.nonzero()[0]
+        keep = keep.take(np.arange(-(-keep.size // ROW_BLOCK) * ROW_BLOCK), mode="clip")
+        S = S.take(keep, axis=1)
+        idx = keep if idx is None else idx[keep]
+        E = None
+        nw, b, theta, vt, c0, c1, c2, F1, G1, G2, _, F2, H1, H2, res = S
         det = G1 * H2 - G2 * H1
-        singular = np.flatnonzero(det == 0.0)
-        if singular.size:
+        if not det.all():
+            k = int(np.flatnonzero(det == 0.0)[0])
             raise NumericalError(
-                f"singular Jacobian in equilibrium Newton solve in {state(int(idx[singular[0]]))}")
-        c1 = c1 - (F1 * H2 - F2 * G2) / det
+                f"singular Jacobian in equilibrium Newton solve in {state(int(idx[k]))}")
+        c1 -= (F1 * H2 - F2 * G2) / det
         c2n = c2 - (G1 * F2 - H1 * F1) / det
         # keep c2 negative; halve it instead of crossing zero
-        bad = c2n >= 0.0
-        c2n[bad] = 0.5 * c2[bad]
-        c2 = c2n
+        c2[:] = np.where(c2n >= 0.0, 0.5 * c2, c2n)
 
     k = int(np.argmax(res))  # the worst unconverged cell
     raise ConvergenceError(
@@ -370,7 +403,8 @@ def restrict(
 
     This is the one check that a state is physical: NumericalError names the
     first cell whose n or T is not positive and finite, which is also where
-    a non-finite value lands.
+    a non-finite value lands.  Two whole-array reductions pass a physical
+    state; the per-cell test runs only to name the cell when they fail.
     """
     if isinstance(f, DistributionField):
         f, vgrid, scale = f.values, f.vgrid, f.scale
@@ -379,12 +413,14 @@ def restrict(
     with np.errstate(all="ignore"):  # a bad cell is named below instead
         M = row_product(f, vgrid.moments[:, :3])
         M /= scale
-        n = M[:, 0]
+        n, T = M[:, 0], M[:, 2]
         c = M[:, 1] / n  # u - v_mid
-        T = (gas.molecular_mass / (BOLTZMANN * n)) * (M[:, 2] - c * M[:, 1])
-    bad = np.flatnonzero(~((n > 0.0) & (T > 0.0) & np.isfinite(n) & np.isfinite(T)))
-    if bad.size:
-        j = int(bad[0])
+        np.multiply(gas.molecular_mass / (BOLTZMANN * n), T - c * M[:, 1], out=T)
+    # two whole-array reductions pass a physical state (a NaN fails them), and
+    # the per-cell test names the cell
+    nT = M[:, ::2]
+    if len(M) and not (nT.min() > 0.0 and nT.max() < math.inf):
+        j = int(np.flatnonzero(~((n > 0.0) & (T > 0.0) & np.isfinite(n) & np.isfinite(T)))[0])
         raise NumericalError(
             f"unphysical state: cell {j} has density {n[j]:.3e} 1/m^3 "
             f"and temperature {T[j]:.3e} K")

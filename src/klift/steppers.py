@@ -26,8 +26,12 @@ compare the rows first (``Runs``) and spread the result to the grid
 (``Runs.spread``); a CR map of a run-stored state cuts the runs once, from
 its sum (``Runs.refine``).  Every one of these compares rows by one rule,
 equal bit for bit (``equal_neighbours``), and a stored row weighs in a norm
-by its run's integer length.  The three-speed diffusive lattice Boltzmann
-model is kept as a small exact oracle for the constrained-runs machinery.
+by its run's integer length.  At a layout's size, a few to a few hundred
+rows, a step costs mostly its count of numpy calls, so a grid array's step
+pads its gather of the layout to whole ``kinetic.ROW_BLOCK``s, which makes
+each product of restriction and of the equilibrium one matmul.  The
+three-speed diffusive lattice Boltzmann model is kept as a small exact
+oracle for the constrained-runs machinery.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import numpy as np
 
 from .errors import KliftError, NumericalError
 from .kinetic import (
+    ROW_BLOCK,
     GasParams,
     SpatialGrid,
     VelocityGrid,
@@ -88,22 +93,25 @@ def equal_neighbours(rows: np.ndarray, most: float = -1) -> np.ndarray | None:
     Rows are equal when they are equal bit for bit, so two rows of the same
     NaNs are equal and -0.0 differs from +0.0: one stored row then stands
     for every cell of a run, bit for bit, whatever the cells' values.
-    Neighbouring rows with equal middle entries are the candidates, which an
-    exact compare of the rows confirms.  None when no more than ``most``
-    pairs are candidates, at the cost of that test only.  This is the one
-    row compare: ``Runs`` finds its runs, and ``Runs.refine`` its cuts, by it.
+    Neighbouring rows with equal middle entries are the candidates; None
+    when no more than ``most`` pairs are candidates, at the cost of that
+    test only.  Otherwise every pair is compared entry by entry, and a row's
+    unequal-entry flags, padded to whole 8-byte words, are OR-ed as words,
+    which costs about the same whether few or most pairs are candidates.
+    This is the one row compare: ``Runs`` finds its runs, and
+    ``Runs.refine`` its cuts, by it.
     """
     bits = rows.view(f"u{rows.itemsize}")  # float or bool rows alike
     middle = bits[:, bits.shape[1] // 2]
     same = middle[1:] == middle[:-1]
     if np.count_nonzero(same) <= most:
         return None
-    # a candidate whose rows differ in any entry is no pair; flagging the
-    # unequal entries costs less than a per-row reduction
-    differ = bits[1:] != bits[:-1]
-    differ[~same] = False
-    same[np.flatnonzero(differ) // bits.shape[1]] = False
-    return same
+    q = bits.shape[1]
+    flags = np.zeros((len(same), -(-q // 8) * 8), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=flags[:, :q])
+    # one row per word, so that the OR runs over whole rows of pairs
+    words = flags.view(np.uint64).T.copy()
+    return np.bitwise_or.reduce(words, axis=0) == 0
 
 
 class Runs:
@@ -139,7 +147,7 @@ class Runs:
         start = np.ones(n, dtype=bool)  # whether each row starts a run
         if same is not None and np.count_nonzero(same) > most:
             np.logical_not(same, out=start[1:])
-        self._number(np.flatnonzero(start), n)
+        self._number(start.nonzero()[0], n)
 
     @classmethod
     def each_row(cls, n: int) -> Runs:
@@ -211,8 +219,8 @@ class Runs:
         self._steps = steps
         self._reps = np.minimum(lengths, 2 * steps + 1)
         self._drop = lengths - self._reps  # the middle rows of each run it leaves out
-        self._heads = np.cumsum(self._reps) - self._reps  # each run's first row there
-        return np.repeat(self.order, self._reps)
+        self._heads = self._reps.cumsum() - self._reps  # each run's first row there
+        return self.order.repeat(self._reps)
 
     def spread(self) -> np.ndarray:
         """The row of the last ``layout(s)`` that holds each grid cell after
@@ -220,8 +228,8 @@ class Runs:
         L - 2s middle cells, each other row for its own cell.
         """
         counts = np.ones(self._heads[-1] + self._reps[-1], np.intp)
-        counts[self._heads + self._reps // 2] += self._drop  # a run's interior row
-        return np.repeat(np.arange(len(counts)), counts)
+        counts[self._heads + self._reps // 2] = self._drop + 1  # a run's interior row
+        return np.arange(len(counts)).repeat(counts)
 
     def refine(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Cut the runs for a map's result ``rows``, computed on the
@@ -282,18 +290,20 @@ class BGKStepper:
     equal rows of ``values`` (``Runs``) and, unless every row is a run of its
     own, runs restriction, flux, equilibrium and update on the rows of
     ``layout(1)`` alone (the first, one interior and the last row of each
-    run) and spreads them to the grid with one ``np.take``
-    (``Runs.spread``).  No unphysical input cell is skipped, as a skipped row
-    equals the layout row before it.  An error on the layout, restriction
-    included, reruns the full grid, so it names the cell of the input.
-    Restriction and the equilibrium give a row the same bits at any row
-    position (``kinetic.row_product``), so the result is the full grid's
-    bit for bit.
+    run) and spreads them to the grid with one take (``Runs.spread``).  Its
+    gather of the layout is padded to whole ``ROW_BLOCK``s with copies of
+    the last row, so restriction's and the equilibrium's products are one
+    matmul each; the flux and the update use the layout's own rows only.
+    No unphysical input cell is skipped, as a skipped row equals the layout
+    row before it.  An error on the layout, restriction included, reruns
+    the full grid, so it names the cell of the input.  Restriction and the
+    equilibrium give a row the same bits at any row position
+    (``kinetic.row_product``), so the result is the full grid's bit for bit.
 
     The stepper owns the face-flux scratch every step reuses, and the
     relaxation source dt omega f_eq is built in the output itself, so a step
     given ``out`` allocates nothing the size of the grid but a layout's two
-    arrays, which hold its rows only.
+    arrays, which hold its padded rows only.
     One stepper must not step from two threads at once.
 
     ``step(rows, out, runs=runs)`` steps the rows of the layout of ``runs``
@@ -347,42 +357,51 @@ class BGKStepper:
         if runs is None:
             runs = Runs(values)
             if not runs.cells:
-                # a run's first row stands for all of its rows
-                rows = np.take(values, runs.first[runs.layout(1)], axis=0)
+                # a run's first row stands for all of its rows; the gather is
+                # padded to whole ROW_BLOCKs with copies of the last row, so
+                # restriction's and the equilibrium's products are one matmul
+                index = runs.first[runs.layout(1)]
+                padded = np.arange(-(-len(index) // ROW_BLOCK) * ROW_BLOCK)
+                rows = values.take(index.take(padded, mode="clip"), axis=0)
                 try:
-                    result = self._update(rows, np.empty(rows.shape))
+                    result = self._update(rows, np.empty(rows.shape), len(index))
                 except KliftError:
                     pass  # the full grid fails the same way and names the cell of ``values``
                 else:
                     # mode="raise" would buffer ``out``; every row index is in range
-                    return np.take(result, runs.spread(), axis=0, out=new, mode="clip")
-        return self._update(values, new)
+                    return result.take(runs.spread(), axis=0, out=new, mode="clip")
+        return self._update(values, new, len(values))
 
-    def _update(self, values: np.ndarray, new: np.ndarray) -> np.ndarray:
-        """The step's arithmetic from rows ``values`` into ``new``."""
+    def _update(self, values: np.ndarray, new: np.ndarray, n: int) -> np.ndarray:
+        """The step's arithmetic from the first n rows of ``values`` into those
+        of ``new``.  Restriction and the equilibrium run on every row, so rows
+        past n pad their products to whole row blocks."""
         macro = restrict(values, self.gas, vgrid=self.vgrid, scale=self.scale)
-        left, right = (values[-1], values[0]) if self._ghosts is None else self._ghosts
-        # flux[j] is (dt/dx) times the flux on face j - 1/2, between rows j - 1
-        # and j; faces 0 and N take the ghost (or periodic) rows.  ``new`` holds
-        # v- f_right until the equilibrium overwrites it.
-        vp, vm, flux = self._v_plus, self._v_minus, self._flux[:len(values) + 1]
-        np.multiply(values[:-1], vp, out=flux[1:-1])
-        flux[1:-1] += np.multiply(values[1:], vm, out=new[:-1])
-        flux[0] = vp * left + vm * values[0]
-        flux[-1] = vp * values[-1] + vm * right
+        dt_omega = self.dt * relaxation_frequency(macro, self.gas)
+        rows = values[:n]
+        left, right = (rows[-1], rows[0]) if self._ghosts is None else self._ghosts
+        # flux[j] is (dt/dx) times the flux on face j - 1/2, v+ f_{j-1} + v- f_j;
+        # faces 0 and n take the ghost (or periodic) rows.  ``new`` holds v- f
+        # of every row until the equilibrium overwrites it.
+        vp, vm, flux = self._v_plus, self._v_minus, self._flux[:n + 1]
+        np.multiply(rows, vp, out=flux[1:])
+        np.multiply(rows, vm, out=new[:n])
+        flux[1:-1] += new[1:n]
+        np.add(vp * left, new[0], out=flux[0])
+        flux[-1] += vm * right
 
         # dt omega f_eq + (dt/dx)(flux_{j-1/2} - flux_{j+1/2}) + (1 - dt omega) values
-        dt_omega = self.dt * relaxation_frequency(macro, self.gas)
         discrete_equilibrium(
             macro.number_density, macro.velocity, macro.temperature, self.vgrid, self.gas,
             out=new, weight=self.scale * dt_omega,
         )
-        new += flux[:-1]
-        new -= flux[1:]
+        result = new[:n]
+        result += flux[:-1]
+        result -= flux[1:]
         # flux[1:] is spent, so it holds the last term
-        new += np.multiply(values, (1.0 - dt_omega)[:, None], out=flux[1:])
-        if not np.all(np.isfinite(new)):
-            cell = int(np.flatnonzero(~np.isfinite(new).all(axis=1))[0])
+        result += np.multiply(rows, (1.0 - dt_omega[:n])[:, None], out=flux[1:])
+        if not np.isfinite(result).all():
+            cell = int(np.flatnonzero(~np.isfinite(result).all(axis=1))[0])
             raise NumericalError(
                 f"finite-volume step produced non-finite values, first in cell {cell}")
         return new

@@ -445,6 +445,134 @@ class TestRestrict:
             restrict(np.ones((3, 4)), helium_gas())
 
 
+# The first, a middle, a tail-block and the last of 19 cells: two whole row
+# blocks and a tail block of three (cells 16-18) that the products pad.
+BAD_CELLS = (0, 9, 17, 18)
+NAN, INF = math.nan, math.inf
+
+
+def raised(call, *args, **kwargs):
+    """The exception ``call`` raises, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as got:
+            call(*args, **kwargs)
+    return got.value
+
+
+def cells(j, bad, good=(1e25, 0.0, 300.0)):
+    """(n, u, T) over 19 cells, all ``good`` but cell j, which is ``bad``."""
+    n, u, T = (np.full(19, x) for x in good)
+    n[j], u[j], T[j] = bad
+    return n, u, T
+
+
+class TestFailuresAreNamed:
+    """Restriction and the equilibrium name each failure by its cell and
+    state, with one message wherever the cell sits among the others: first,
+    in the middle, in the padded tail block or last.  The checks' whole-array
+    reductions pass a valid input and send any other to the per-cell test."""
+
+    @pytest.mark.parametrize("j", BAD_CELLS)
+    @pytest.mark.parametrize("row, density, temperature", [
+        ([0.0, 0.0, 0.0, 0.0], 0.0, NAN),
+        ([-1.0, -1.0, -1.0, -1.0], -2.0, None),  # the temperature of a row of ones
+        # n = 0.5 and a negative energy: T = (m / (k_B n)) (-0.21875), exactly
+        ([-0.5, 1.0, 1.0, -0.5], 0.5, 6.6464731e-27 / (KB * 0.5) * -0.21875),
+        ([1.0, NAN, 1.0, 1.0], NAN, NAN),
+        ([1.0, INF, 1.0, 1.0], INF, NAN),
+        ([1.0, -INF, 1.0, 1.0], -INF, NAN),
+    ], ids=["zero", "negative", "negative-energy", "nan", "inf", "-inf"])
+    def test_restrict(self, j, row, density, temperature):
+        gas = helium_gas()
+        vg = build_velocity_grid(-1.0, 1.0, 4)
+        values = np.ones((19, 4))
+        if temperature is None:
+            temperature = restrict(values[:1], gas, vgrid=vg).temperature[0]
+        values[j] = row
+        error = raised(restrict, values, gas, vgrid=vg)
+        assert type(error) is NumericalError
+        assert str(error) == (f"unphysical state: cell {j} has density {density:.3e} 1/m^3 "
+                              f"and temperature {temperature:.3e} K")
+
+    @pytest.mark.parametrize("j", BAD_CELLS)
+    @pytest.mark.parametrize("bad", [
+        (0.0, 0.0, 300.0), (-1e25, 0.0, 300.0), (1e25, 0.0, 0.0), (1e25, 0.0, -5.0),
+        (NAN, 0.0, 300.0), (1e25, NAN, 300.0), (1e25, 0.0, NAN),
+        (INF, 0.0, 300.0), (-INF, 0.0, 300.0), (1e25, INF, 300.0), (1e25, -INF, 300.0),
+        (1e25, 0.0, INF),
+    ])
+    def test_equilibrium_input(self, j, bad):
+        error = raised(discrete_equilibrium, *cells(j, bad), reference_vgrid(24), helium_gas())
+        assert type(error) is ValueError
+        n, u, T = bad
+        assert str(error) == (f"the equilibrium needs positive finite n and T and finite u: "
+                              f"cell {j} has n {n:.3e} 1/m^3, u {u:.3e} m/s, T {T:.3e} K")
+
+    @pytest.mark.parametrize("j", BAD_CELLS)
+    @pytest.mark.parametrize("where", ["u = v_max", "u = v_min", "T = T_max", "T = T_min"])
+    def test_equilibrium_off_the_grid(self, j, where):
+        gas, vg = helium_gas(), reference_vgrid(24)
+        h = 0.5 * (vg.v_max - vg.v_min)
+        T_max = h * h * gas.molecular_mass / KB
+        T_min = np.finfo(float).eps * T_max
+        bad = {"u = v_max": (1e25, vg.v_max, 300.0), "u = v_min": (1e25, vg.v_min, 300.0),
+               "T = T_max": (1e25, 0.0, T_max), "T = T_min": (1e25, 0.0, T_min)}[where]
+        error = raised(discrete_equilibrium, *cells(j, bad), vg, gas)
+        assert type(error) is ConvergenceError
+        n, u, T = bad
+        assert str(error) == (
+            f"no discrete equilibrium on the velocity grid in cell {j}: n {n:.3e} 1/m^3, "
+            f"u {u:.3e} m/s, T {T:.3e} K (the grid [{vg.v_min:.3e}, {vg.v_max:.3e}] m/s "
+            f"holds no distribution with |u - v_mid| >= {h:.3e} m/s or T >= {T_max:.3e} K, "
+            f"and resolves none with T <= {T_min:.3e} K)")
+
+    @pytest.mark.parametrize("j", BAD_CELLS)
+    @pytest.mark.parametrize("case", ["lost at once", "lost later", "unconverged"])
+    def test_equilibrium_newton(self, j, case):
+        # on the 16-velocity desk grid, among cells at rest at 300 K that
+        # converge in a few evaluations: a 0.01 K Gaussian between two
+        # velocities underflows in the first evaluation, a 600 K one at
+        # -0.99 v_max after its first 2x2 step, and a 300 K one at 0.9 v_max
+        # has no discrete equilibrium to converge to
+        sc = load_shipped("helium_desk.cfg").with_overrides(n_velocities=16)
+        vg = sc.vgrid
+        between = 0.5 * (vg.velocities[10] + vg.velocities[11])
+        bad, tail = {
+            "lost at once": ((2e25, between, 0.01), "(its values on the velocity grid sum to "
+                                                    "0.000e+00 of its peak)"),
+            "lost later": ((1e25, -0.99 * vg.v_max, 600.0), "(its values on the velocity grid "
+                                                            "sum to 2.700e-285 of its peak)"),
+            "unconverged": ((1e25, 0.9 * vg.v_max, 300.0), "(residual 7.595e-02)"),
+        }[case]
+        error = raised(discrete_equilibrium, *cells(j, bad), vg, sc.gas)
+        assert type(error) is ConvergenceError
+        n, u, T = bad
+        what = "did not converge" if case == "unconverged" else "lost the discrete Gaussian"
+        assert str(error) == (f"equilibrium Newton solve {what} in cell {j}: n {n:.3e} 1/m^3, "
+                              f"u {u:.3e} m/s, T {T:.3e} K {tail}")
+        if case == "unconverged":  # its last digits differ between BLAS kernels
+            assert error.residual == pytest.approx(0.0759476609151, rel=1e-10)
+
+    def test_equilibrium_weight_and_out_shapes(self):
+        gas, vg = helium_gas(), reference_vgrid(24)
+        n, u, T = cells(0, (1e25, 0.0, 300.0))
+        error = raised(discrete_equilibrium, n, u, T, vg, gas, weight=np.ones(2))
+        assert type(error) is ValueError
+        assert str(error) == "weight has shape (2,), the equilibrium needs (19,)"
+        error = raised(discrete_equilibrium, n, u, T, vg, gas, out=np.empty((16, 24)))
+        assert type(error) is ValueError
+        assert str(error) == "out has shape (16, 24), the equilibrium needs (19, 24)"
+
+    def test_no_cells(self):
+        # an empty input passes every check and has an empty equilibrium
+        gas = helium_gas()
+        vg = reference_vgrid(24)
+        assert discrete_equilibrium(np.empty(0), 0.0, 300.0, vg, gas).shape == (0, 24)
+        macro = restrict(np.empty((0, 24)), gas, vgrid=vg)
+        assert macro.number_density.shape == macro.temperature.shape == (0,)
+
+
 class TestGasRelations:
     def test_relaxation_at_reference_temperature(self):
         gas = helium_gas()

@@ -22,7 +22,7 @@ from klift.cli import REPORT_STEPS
 from klift.cr import cr_map, cr_weights
 from klift.steppers import Runs
 from klift.errors import ConvergenceError, NumericalError
-from klift.kinetic import DistributionField, MacroFields
+from klift.kinetic import ROW_BLOCK, DistributionField, MacroFields
 
 from conftest import KB, helium_gas, load_shipped
 
@@ -347,17 +347,27 @@ def full_grid_step(stepper, values):
         return stepper.step(values)
 
 
+def padded(rows):
+    """The rows a step's gather of ``rows`` layout rows holds: whole row blocks."""
+    return -(-rows // ROW_BLOCK) * ROW_BLOCK
+
+
 def assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, kept):
     """The step equals the step-order oracle within 1e-14 and computed ``kept`` cells.
 
-    Restriction and the equilibrium each see the rows of the one-step layout only.
+    Restriction and the equilibrium each see the rows of the one-step layout
+    only, padded to whole row blocks; with every row a run of its own, the
+    grid's rows as they are.
     """
     ghosts = (values[-1], values[0]) if stepper._ghosts is None else stepper._ghosts
     want = where_flux_step(stepper, ghosts, values)
+    runs = Runs(values)
+    rows = len(values) if runs.cells else len(runs.layout(1))
+    assert rows == kept
     del equilibrium_rows[:], restrict_rows[:]
     got = stepper.step(values)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert equilibrium_rows == restrict_rows == [kept]
+    assert equilibrium_rows == restrict_rows == [rows if runs.cells else padded(rows)]
 
 
 class TestPackedStep:
@@ -411,6 +421,23 @@ class TestPackedStep:
         values = tiled(row, 20, range(20), rng)
         assert_step_matches_full_grid(stepper, values, equilibrium_rows, restrict_rows, 20)
 
+    @pytest.mark.parametrize("periodic", [False, True], ids=["ghost", "periodic"])
+    @pytest.mark.parametrize("rows", range(1, 18))
+    def test_padded_layout_is_the_grid_update(self, rng, restrict_rows, periodic, rows):
+        # layouts of every size modulo ROW_BLOCK: one run of two rows, or a run
+        # of ten (three layout rows) and rows - 3 rows of their own; one row
+        # is a grid of one cell.  The step pads the layout's gather to whole
+        # row blocks, and its result is the grid update's bit for bit.
+        n_cells = 10 + rows - 3 if rows > 2 else rows
+        stepper, row = desk_case(n_cells, rng, periodic=periodic)
+        values = tiled(row, n_cells, range(10, n_cells), rng)
+        want = stepper._update(values, np.empty(values.shape), n_cells)
+        del restrict_rows[:]
+        assert stepper.step(values).tobytes() == want.tobytes()
+        if rows > 1:
+            assert len(Runs(values).layout(1)) == rows
+            assert restrict_rows == [padded(rows)]
+
 
 class TestPackedStepChoice:
     """The shipped break-even share, the full-scale run, and errors naming the input's cell."""
@@ -435,10 +462,10 @@ class TestPackedStepChoice:
         stepped = full = sc.initial_field().values
         kept = []
         for k in range(1, 1001):
+            kept.append(len(Runs(stepped).layout(1)))
             del equilibrium_rows[:], restrict_rows[:]
             stepped = stepper.step(stepped)
-            assert restrict_rows == equilibrium_rows, k
-            kept.append(equilibrium_rows[0])
+            assert restrict_rows == equilibrium_rows == [padded(kept[-1])], k
             full = full_grid_step(stepper, full)
             if k % 100 == 0:
                 assert stepped.tobytes() == full.tobytes(), k
@@ -462,8 +489,8 @@ class TestPackedStepChoice:
         with pytest.raises(ConvergenceError) as got:
             stepper.step(values)
         assert str(got.value) == str(want.value)
-        # the layout's rows, then the full grid on the failure path
-        assert equilibrium_rows == restrict_rows == [7, 20]
+        # the layout's 7 rows padded to a row block, then the full grid on the failure path
+        assert equilibrium_rows == restrict_rows == [padded(7), 20]
 
     def test_underflowing_gaussian_names_the_cell_of_the_input(self, equilibrium_rows,
                                                                restrict_rows):
@@ -484,7 +511,7 @@ class TestPackedStepChoice:
         with pytest.raises(ConvergenceError) as got:
             stepper.step(values)
         assert str(got.value) == str(want.value)
-        assert equilibrium_rows == restrict_rows == [7, 20]
+        assert equilibrium_rows == restrict_rows == [padded(7), 20]
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf], ids=["inf", "-inf"])
     def test_repeated_infinite_rows_name_the_first_cell(self, rng, equilibrium_rows,
@@ -501,7 +528,7 @@ class TestPackedStepChoice:
             stepper.step(values)
         assert str(got.value) == (f"unphysical state: cell 8 has density {bad:.3e} 1/m^3 "
                                   "and temperature nan K")
-        assert restrict_rows == [9, 20] and equilibrium_rows == []
+        assert restrict_rows == [padded(9), 20] and equilibrium_rows == []
 
     def test_non_finite_output_reruns_the_full_grid(self, rng, equilibrium_rows, restrict_rows):
         # values 1e265 times the desk's, a time step 1e300 times too long:
@@ -513,7 +540,7 @@ class TestPackedStepChoice:
                 NumericalError,
                 match=r"^finite-volume step produced non-finite values, first in cell 0$"):
             stepper.step(values)
-        assert equilibrium_rows == restrict_rows == [11, 20]
+        assert equilibrium_rows == restrict_rows == [padded(11), 20]
 
     def test_non_finite_output_names_the_input_cell(self, rng, equilibrium_rows):
         # cell 14 holds 1e160 times the density of the rest: it restricts to a
@@ -528,7 +555,7 @@ class TestPackedStepChoice:
                 NumericalError,
                 match=r"^finite-volume step produced non-finite values, first in cell 14$"):
             stepper.step(values)
-        assert equilibrium_rows == [7, 20]
+        assert equilibrium_rows == [padded(7), 20]
 
 
 def planted_rows(rng, n_rows, q):
@@ -642,6 +669,27 @@ class TestEqualNeighbours:
             assert runs.count == 1 + np.count_nonzero(~equal)
             assert runs.norm(runs.store(arrays[0])) == pytest.approx(
                 np.linalg.norm(runs.expand(runs.store(arrays[0]))), rel=1e-14, nan_ok=True)
+
+    @pytest.mark.parametrize("q", [3, 57])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    def test_rows_of_any_width(self, q, dtype):
+        # the unequal-entry flags of a row fill whole 8-byte words only when
+        # q is a multiple of 8; at q = 3 and 57 the padding past q must not
+        # count, and a difference in the last entry, in the padded word, must
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rows = planted_rows(rng, 64, q)
+            rows = (rows > 0) if dtype is bool else rows.astype(dtype)
+            for k in rng.choice(63, 4, replace=False):  # pairs unequal in entry 0 or q - 1 only
+                e = (0, q - 1)[k % 2]
+                rows[k + 1] = rows[k]
+                rows[k + 1, e] = ~rows[k, e] if dtype is bool else rows[k, e] + 1
+            assert steppers.equal_neighbours(rows).tolist() == equal_pairs(rows).tolist()
+            # None when no more than ``most`` pairs are candidates, the flags otherwise
+            candidates = np.count_nonzero(equal_pairs(rows[:, [q // 2]]))
+            assert steppers.equal_neighbours(rows, candidates) is None
+            flags = steppers.equal_neighbours(rows, candidates - 1)
+            assert flags.tolist() == equal_pairs(rows).tolist()
 
     def test_too_few_equal_rows_make_every_row_a_run(self, rng):
         # 4 of 19 neighbouring pairs equal, no more than a quarter: storing by
@@ -984,11 +1032,11 @@ def test_a_traced_step_is_one_step_call(monkeypatch, rng, equilibrium_rows, rest
     assert not Runs(values).cells
     del equilibrium_rows[:], restrict_rows[:]  # the ghost rows' equilibria
     stepper.step(values)
-    assert calls == [20] and equilibrium_rows == restrict_rows == [11]
+    assert calls == [20] and equilibrium_rows == restrict_rows == [padded(11)]
     values[12] *= -1.0
     with pytest.raises(NumericalError, match="cell 12 "):
         stepper.step(values)
-    assert calls == [20, 20] and restrict_rows == [11, 11, 20]
+    assert calls == [20, 20] and restrict_rows == [padded(11), padded(11), 20]
 
 
 class TestD1Q3:
