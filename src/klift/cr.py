@@ -149,6 +149,20 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
     the second pass on 40 of 534 vectors with every count unchanged.
     ``reorthogonalized`` counts the second passes.
 
+    The basis V is one allocation of restart + 1 vectors of b's size.
+    Vector j keeps its k rows, one per run, at row j cap of it, so the rows
+    in use stand side by side.  ``cap`` starts at twice b's runs, at most
+    b's rows (so with every row a run of its own a vector has b's rows);
+    when a matvec cuts the runs past it, ``cap`` doubles until they fit, at
+    most to b's rows, and the vectors in use move up in place, the last
+    first, before ``Runs.fill``.  numpy advises huge pages for an array of
+    4 MiB or more, so vectors b's size apart would each fault in most of a
+    2 MiB page for their few rows: the m = 3 solve of the 300-step
+    ``helium_L30000`` state (61 vectors of up to 339 runs) raised RSS by
+    42.6 MB that way and by 18.5 MB this way.  A fresh array per growth
+    would raise glibc's mmap threshold, and the next lift's blocks would
+    come from a heap it keeps.
+
     Each ``matvec`` result is used up before the next call, so ``matvec``
     may return the same buffer every time.  Its argument is one scratch
     buffer of b's shape, refilled from V or from x before every call.
@@ -174,18 +188,34 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
     eps = np.finfo(float).eps
     limit = ORTHOGONALITY_MARGIN * params.tol / eps
     restart = min(params.restart or params.max_iters, params.max_iters, n)
-    V = np.empty((restart + 1,) + rows.shape)  # rows never reached are never touched
+    space = np.empty((restart + 1) * n)  # V's one allocation
+
+    def spaced(cap):
+        """V with its vectors ``cap`` rows apart in ``space``."""
+        return space[: (restart + 1) * cap * rows.shape[1]].reshape(restart + 1, cap, -1)
+
+    V = spaced(min(2 * k, len(rows)))
     R = np.zeros((restart, restart))  # R[j, :j+1] = rotated Hessenberg column j
     x = np.zeros(rows.shape)
     arg = np.empty(rows.shape)  # the matvec argument, and b - A x
     tmp = np.empty(n)  # each vector times its run lengths, c @ basis, and y @ V
 
-    def apply(v, *stores):
-        """A v (in the matvec's buffer) from ``arg``, holding v; each store
-        is brought onto the runs the matvec leaves."""
+    def apply(v, vectors, *stores):
+        """A v (in the matvec's buffer) from ``arg``, holding v; the first
+        ``vectors`` of V and each store are brought onto the runs the matvec
+        leaves."""
+        nonlocal V
         arg[:k] = v
         w = np.reshape(matvec(arg.reshape(b.shape)), rows.shape)
-        runs.fill(k, *stores)
+        cap = V.shape[1]
+        if runs.count > cap:
+            while cap < runs.count:
+                cap = min(2 * cap, len(rows))
+            grown = spaced(cap)
+            for j in reversed(range(vectors)):  # the last first: each moves up
+                grown[j, :k] = V[j, :k]
+            V = grown
+        runs.fill(k, V[:vectors], *stores)
         return w
 
     r, rnorm = rows[:k], bnrm2
@@ -199,7 +229,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
         breakdown = False
         growth = 1.0
         for col in range(min(restart, params.max_iters - used)):
-            w = apply(V[col, :k], V[: col + 1], x, rows)
+            w = apply(V[col, :k], col + 1, x, rows)
             k = runs.count
             basis, v_new = V[: col + 1, :k].reshape(col + 1, -1), V[col + 1, :k]
             v_flat = v_new.reshape(-1)
@@ -244,7 +274,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
         if y[0] != 0.0:
             y[0] /= R[0, 0]
         x[:k] += np.matmul(y, basis, out=tmp[: basis.shape[1]]).reshape(k, -1)
-        w = apply(x[:k], x, rows)
+        w = apply(x[:k], 0, x, rows)
         k = runs.count
         r = np.subtract(rows[:k], w[:k], out=arg[:k])
         rnorm = runs.norm(r)

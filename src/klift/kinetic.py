@@ -39,19 +39,24 @@ ROW_BLOCK = 8
 
 
 def row_product(rows: np.ndarray, matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``rows @ matrix`` on whole blocks of ROW_BLOCK rows, the last one filled
-    up with copies of the last row, so a row's product is the same bits at
-    every row position and in an array of any number of rows.  Written to
-    ``out`` when given.  Rows that fill whole blocks, as a step's padded
-    layout and the equilibrium's padded Newton set do, are one matmul."""
+    """``rows @ matrix`` on whole blocks of ROW_BLOCK rows, so a row's
+    product is the same bits at every row position and in an array of any
+    number of rows.  Written to ``out`` when given.  Rows that fill whole
+    blocks, as a step's padded layout and the equilibrium's padded Newton
+    set do, are one matmul; otherwise a second matmul takes the last
+    ROW_BLOCK rows, a whole block that overlaps the one before it and gives
+    its rows the same bits again.  Fewer than ROW_BLOCK rows are filled up
+    to a block with copies of the last row."""
     n = len(rows)
     whole = n - n % ROW_BLOCK
     if whole == n:
         return np.matmul(rows, matrix, out=out)
     out = np.empty((n, matrix.shape[1])) if out is None else out
+    if not whole:
+        out[:] = (rows[np.minimum(np.arange(ROW_BLOCK), n - 1)] @ matrix)[:n]
+        return out
     np.matmul(rows[:whole], matrix, out=out[:whole])
-    last = rows[np.minimum(np.arange(whole, whole + ROW_BLOCK), n - 1)]
-    out[whole:] = (last @ matrix)[:n - whole]
+    np.matmul(rows[n - ROW_BLOCK:], matrix, out=out[n - ROW_BLOCK:])
     return out
 
 

@@ -697,6 +697,46 @@ class TestGMRES:
         # b's 6 runs are cut as the vectors spread, but the far rows never differ
         assert ours.runs == runs.count and 6 < ours.runs < len(b)
 
+    @pytest.mark.parametrize("restart", [None, 7])
+    def test_runs_that_outgrow_the_basis_match_scipy(self, restart):
+        # the basis holds twice b's runs per vector at first and grows as the
+        # matvecs cut the runs: past that inside the first cycle, and at its
+        # true-residual matvec up to every row a run, through a term that is
+        # zero on the unit Arnoldi vectors, nonzero on x and different on
+        # every row
+        linear, b = self._spreading_system()
+        ramp = (np.arange(len(b)) / len(b))[:, None]
+        runs = Runs(b)
+        k0, log = runs.count, []
+
+        def matvec(v):
+            return linear(v) + 0.01 * max(0.0, float(np.linalg.norm(v)) - 2.0) * ramp
+
+        def stored_matvec(v):
+            # a layout of len(v) steps holds every row of the grid, in order
+            vnorm = runs.norm(v)
+            rows = linear(np.take(v, runs.layout(len(v)), axis=0))
+            out = runs.refine(rows + 0.01 * max(0.0, vnorm - 2.0) * ramp, np.empty_like(v))
+            log.append((runs.count, abs(vnorm - 1.0) > 1e-9))  # the runs it leaves; v is x
+            return out
+
+        params = GMRESParams(tol=1e-10, max_iters=200, restart=restart)
+        ours = gmres(stored_matvec, runs.store(b), params, runs)
+        ref = scipy_gmres(matvec, b, params)
+        assert (ours.info, ours.iterations) == (ref.info, ref.iterations)
+        x = runs.expand(ours.x)
+        assert np.linalg.norm(x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
+        # the rows per vector after each matvec: 2 k0 at first, doubled, at
+        # most N, until the runs fit
+        caps = [2 * k0]
+        for count, _ in log:
+            caps.append(caps[-1])
+            while caps[-1] < count:
+                caps[-1] = min(2 * caps[-1], len(b))
+        first = next(i for i, (_, is_x) in enumerate(log) if is_x)
+        assert len(set(caps[: first + 1])) >= 3  # grown twice or more in the first cycle
+        assert caps[first] < caps[first + 1] == ours.runs == len(b)  # and at its x, to N
+
     def test_rows_without_runs_solve_bit_for_bit_as_one_row(self, rng):
         N, q = 30, 4
         A = np.eye(N * q) + rng.standard_normal((N * q, N * q)) / math.sqrt(N * q)

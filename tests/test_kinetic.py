@@ -345,6 +345,29 @@ class TestDiscreteEquilibrium:
                 assert some.tobytes() == full[keep].tobytes()
 
 
+class TestRowProduct:
+    @pytest.mark.parametrize("caller", ["equilibrium basis", "equilibrium moments", "restrict"])
+    def test_every_row_has_its_bits_from_a_whole_block(self, rng, caller):
+        # a partial last block is taken as a whole block overlapping the one
+        # before it, and fewer rows than a block are filled up to one: either
+        # way each row gets the bits one matmul of whole blocks gives it.
+        # The rows and matrices are laid out as each caller's are.
+        block, vgrid = kinetic.ROW_BLOCK, reference_vgrid(56)
+        if caller == "equilibrium basis":  # the (cells, 3) coefficients, transposed
+            pool, matrix = rng.standard_normal((3, 5 * block)).T, vgrid.basis
+        else:
+            pool = rng.standard_normal((5 * block, vgrid.n_velocities))
+            matrix = vgrid.moments if caller == "equilibrium moments" else vgrid.moments[:, :3]
+        whole = np.matmul(pool, matrix)
+        for n in range(1, 3 * block + 2):
+            for start in range(len(pool) - n + 1):
+                rows, want = pool[start: start + n], whole[start: start + n].tobytes()
+                assert kinetic.row_product(rows, matrix).tobytes() == want, (n, start)
+                out = np.full((n, matrix.shape[1]), np.nan)
+                assert kinetic.row_product(rows, matrix, out=out) is out
+                assert out.tobytes() == want, (n, start)
+
+
 class TestRestrict:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_matches_weighted_sums(self, shipped_states, name):
@@ -446,7 +469,8 @@ class TestRestrict:
 
 
 # The first, a middle, a tail-block and the last of 19 cells: two whole row
-# blocks and a tail block of three (cells 16-18) that the products pad.
+# blocks and a tail of three (cells 16-18) that the products take in a last
+# block overlapping the one before.
 BAD_CELLS = (0, 9, 17, 18)
 NAN, INF = math.nan, math.inf
 
@@ -470,8 +494,9 @@ def cells(j, bad, good=(1e25, 0.0, 300.0)):
 class TestFailuresAreNamed:
     """Restriction and the equilibrium name each failure by its cell and
     state, with one message wherever the cell sits among the others: first,
-    in the middle, in the padded tail block or last.  The checks' whole-array
-    reductions pass a valid input and send any other to the per-cell test."""
+    in the middle, in the overlapping last block or last.  The checks'
+    whole-array reductions pass a valid input and send any other to the
+    per-cell test."""
 
     @pytest.mark.parametrize("j", BAD_CELLS)
     @pytest.mark.parametrize("row, density, temperature", [
