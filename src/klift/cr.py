@@ -29,7 +29,9 @@ only, each row a run of its own when ``runs`` is None.
 
 from __future__ import annotations
 
+import errno
 import math
+import mmap
 import time as _time
 from dataclasses import dataclass, field
 from functools import partial
@@ -149,19 +151,11 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
     the second pass on 40 of 534 vectors with every count unchanged.
     ``reorthogonalized`` counts the second passes.
 
-    The basis V is one allocation of restart + 1 vectors of b's size.
-    Vector j keeps its k rows, one per run, at row j cap of it, so the rows
-    in use stand side by side.  ``cap`` starts at twice b's runs, at most
-    b's rows (so with every row a run of its own a vector has b's rows);
-    when a matvec cuts the runs past it, ``cap`` doubles until they fit, at
-    most to b's rows, and the vectors in use move up in place, the last
-    first, before ``Runs.fill``.  numpy advises huge pages for an array of
-    4 MiB or more, so vectors b's size apart would each fault in most of a
-    2 MiB page for their few rows: the m = 3 solve of the 300-step
-    ``helium_L30000`` state (61 vectors of up to 339 runs) raised RSS by
-    42.6 MB that way and by 18.5 MB this way.  A fresh array per growth
-    would raise glibc's mmap threshold, and the next lift's blocks would
-    come from a heap it keeps.
+    The basis V holds restart + 1 vectors of b's shape, each using its
+    first k rows, in a mapping of its own in 4 KiB pages (``_scratch``): a
+    vector's rows fault in only the pages they fill, where numpy's huge
+    pages would fault in most of 2 MiB per vector, and all go back to the
+    kernel when the solve returns.
 
     Each ``matvec`` result is used up before the next call, so ``matvec``
     may return the same buffer every time.  Its argument is one scratch
@@ -188,13 +182,7 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
     eps = np.finfo(float).eps
     limit = ORTHOGONALITY_MARGIN * params.tol / eps
     restart = min(params.restart or params.max_iters, params.max_iters, n)
-    space = np.empty((restart + 1) * n)  # V's one allocation
-
-    def spaced(cap):
-        """V with its vectors ``cap`` rows apart in ``space``."""
-        return space[: (restart + 1) * cap * rows.shape[1]].reshape(restart + 1, cap, -1)
-
-    V = spaced(min(2 * k, len(rows)))
+    V = _scratch((restart + 1,) + rows.shape)
     R = np.zeros((restart, restart))  # R[j, :j+1] = rotated Hessenberg column j
     x = np.zeros(rows.shape)
     arg = np.empty(rows.shape)  # the matvec argument, and b - A x
@@ -204,17 +192,8 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
         """A v (in the matvec's buffer) from ``arg``, holding v; the first
         ``vectors`` of V and each store are brought onto the runs the matvec
         leaves."""
-        nonlocal V
         arg[:k] = v
         w = np.reshape(matvec(arg.reshape(b.shape)), rows.shape)
-        cap = V.shape[1]
-        if runs.count > cap:
-            while cap < runs.count:
-                cap = min(2 * cap, len(rows))
-            grown = spaced(cap)
-            for j in reversed(range(vectors)):  # the last first: each moves up
-                grown[j, :k] = V[j, :k]
-            V = grown
         runs.fill(k, V[:vectors], *stores)
         return w
 
@@ -288,6 +267,28 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
     info = 0 if rnorm <= atol else cycles
     return GMRESResult(x.reshape(b.shape), info, used, presid / bnrm2, rnorm / bnrm2,
                        reorthogonalized, k)
+
+
+def _scratch(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array of ``shape`` in a private anonymous
+    mapping of its own, advised to 4 KiB pages where the platform allows:
+    only the pages written become resident (numpy advises 2 MiB pages from
+    4 MiB up), and they go back to the kernel when the array is freed."""
+    size = math.prod(shape) * 8
+    flags = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
+             if hasattr(mmap, "MAP_ANONYMOUS") else {})  # mmap.mmap(-1, n) alone is shared
+    try:
+        buf = mmap.mmap(-1, size, **flags)
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"Unable to allocate {size / 2**20:.3g} MiB for an array with "
+                          f"shape {shape} and data type float64") from None
+    try:
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    except (AttributeError, OSError):  # no such advice here, or a kernel without THP
+        pass
+    return np.ndarray(shape, buffer=buf)
 
 
 @dataclass(frozen=True)
@@ -514,12 +515,9 @@ def cr_lift(
         runs = Runs(f0) if f_guess is None else Runs(f0, f_guess)
     f = runs.store(f0 if f_guess is None else f_guess)
     target = runs.store(f0)
-    # one block for all six: glibc's trim threshold follows the largest
-    # block freed, so the next lift reuses this one, where separate arrays
-    # may be trimmed and faulted in again (median minor faults per
-    # full-scale lift: the block 53.5-54 in each of 6 runs, five arrays
-    # 71.5-82 in each of 4)
-    a, b, total, Cf, g, jvp = np.empty((6,) + f0.shape)
+    # one block for all six, in 4 KiB pages: each buffer uses its first
+    # runs.count rows, and huge pages would fault in most of 2 MiB for them
+    a, b, total, Cf, g, jvp = _scratch((6,) + f0.shape)
     work = (a, b, total)
     history: list[float] = []
     before = math.inf  # the smallest residual before the last three

@@ -1,6 +1,7 @@
 """Scenario configs, snapshots, and the command-line harness."""
 
 import csv
+import errno
 import math
 import os
 import re
@@ -8,11 +9,13 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import klift
+import klift.cr
 from klift import (
     BGKStepper,
     DistributionField,
@@ -867,6 +870,23 @@ class TestCLI:
         report = read_rows(f"{prefix}_report.csv")
         assert report[0] == ["iter", "residual", "drift", "seconds"]
         assert len(report) > 1
+
+    def test_lift_scratch_out_of_memory_is_arg_error(self, tmp_path, monkeypatch, capsys):
+        # the lift's buffer block and GMRES's basis are mappings of their own
+        # (``cr._scratch``); one the kernel refuses reads as numpy's failure
+        cfg, _ = tiny_config(tmp_path)
+        ref = tmp_path / "ref.snap"
+        main(["run-reference", "--config", str(cfg), "--steps", "5", "--out", str(ref)])
+
+        def no_memory(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(klift.cr, "mmap", SimpleNamespace(mmap=no_memory))
+        capsys.readouterr()
+        assert main(["lift", "--config", str(cfg), "--reference", str(ref),
+                     "--out", str(tmp_path / "lift")]) == EXIT_ARG
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
 
     def test_csv_comment_headers_carry_hash(self, tmp_path):
         cfg, sc = tiny_config(tmp_path)

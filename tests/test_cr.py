@@ -1,8 +1,12 @@
 """Constrained-runs weights, the CR map, and the Picard/Newton lifts."""
 
+import errno
 import math
-
+import mmap
+import os
 import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -698,11 +702,10 @@ class TestGMRES:
         assert ours.runs == runs.count and 6 < ours.runs < len(b)
 
     @pytest.mark.parametrize("restart", [None, 7])
-    def test_runs_that_outgrow_the_basis_match_scipy(self, restart):
-        # the basis holds twice b's runs per vector at first and grows as the
-        # matvecs cut the runs: past that inside the first cycle, and at its
-        # true-residual matvec up to every row a run, through a term that is
-        # zero on the unit Arnoldi vectors, nonzero on x and different on
+    def test_runs_cut_to_every_row_match_scipy(self, restart):
+        # the matvecs cut the runs past twice b's inside the first cycle, and
+        # at its true-residual matvec to every row a run, through a term that
+        # is zero on the unit Arnoldi vectors, nonzero on x and different on
         # every row
         linear, b = self._spreading_system()
         ramp = (np.arange(len(b)) / len(b))[:, None]
@@ -726,16 +729,36 @@ class TestGMRES:
         assert (ours.info, ours.iterations) == (ref.info, ref.iterations)
         x = runs.expand(ours.x)
         assert np.linalg.norm(x - ref.x) <= 1e-12 * np.linalg.norm(ref.x)
-        # the rows per vector after each matvec: 2 k0 at first, doubled, at
-        # most N, until the runs fit
-        caps = [2 * k0]
-        for count, _ in log:
-            caps.append(caps[-1])
-            while caps[-1] < count:
-                caps[-1] = min(2 * caps[-1], len(b))
+        counts = [count for count, _ in log]
         first = next(i for i, (_, is_x) in enumerate(log) if is_x)
-        assert len(set(caps[: first + 1])) >= 3  # grown twice or more in the first cycle
-        assert caps[first] < caps[first + 1] == ours.runs == len(b)  # and at its x, to N
+        assert counts[0] < 2 * k0 < counts[first - 1]  # past twice b's in the first cycle
+        assert counts[first - 1] < counts[first] == ours.runs == len(b)  # and at its x, to N
+
+    def test_a_tall_run_stored_basis_holds_only_its_rows(self):
+        # each of the 20 vectors uses 4 rows of its 1 MiB; RSS rises by the
+        # pages those rows fill (a numpy basis at b's stride, in huge pages,
+        # read 18.5-21.5 MB)
+        statm = Path("/proc/self/statm")
+        if not statm.exists():
+            pytest.skip("no /proc/self/statm")
+        page = os.sysconf("SC_PAGE_SIZE")
+        N, q = 16384, 8
+        rng = np.random.default_rng(3)
+        b = np.repeat(rng.standard_normal((4, q)), N // 4, axis=0)
+        runs = Runs(b)
+        diagonal = np.linspace(1.0, 4.0, 4 * q).reshape(4, q)  # constant on each run
+        out, resident = np.empty((N, q)), []
+
+        def matvec(v):
+            resident.append(int(statm.read_text().split()[1]) * page)
+            np.multiply(v[: runs.count], diagonal, out=out[: runs.count])
+            return out
+
+        stored = runs.store(b)
+        before = int(statm.read_text().split()[1]) * page
+        solve = gmres(matvec, stored, GMRESParams(tol=1e-10, max_iters=200), runs)
+        assert runs.count == 4 and solve.info == 0 and solve.iterations >= 15
+        assert max(resident) - before < 4 * 2**20, max(resident) - before
 
     def test_rows_without_runs_solve_bit_for_bit_as_one_row(self, rng):
         N, q = 30, 4
@@ -999,3 +1022,83 @@ class TestLiftBuffers:
         fresh = gmres(lambda v: A @ v, b, params)
         assert (reused.info, reused.iterations) == (fresh.info, fresh.iterations)
         assert reused.x.tobytes() == fresh.x.tobytes()
+
+
+class TestScratch:
+    """``cr._scratch``: uninitialized float64 arrays in a private mapping of 4 KiB pages."""
+
+    @staticmethod
+    def vm_flags(a):
+        """The VmFlags of the mapping that holds ``a``'s data, from /proc/self/smaps."""
+        address, inside = data_address(a), False
+        for line in Path("/proc/self/smaps").read_text().splitlines():
+            head = line.split()[0]
+            if re.fullmatch(r"[0-9a-f]+-[0-9a-f]+", head):
+                lo, hi = (int(x, 16) for x in head.split("-"))
+                inside = lo <= address < hi
+            elif inside and head == "VmFlags:":
+                return line.split()[1:]
+        raise AssertionError("no mapping holds the array")
+
+    def test_a_private_mapping_advised_to_small_pages(self):
+        a = klift.cr._scratch((3, 5, 2))
+        assert a.shape == (3, 5, 2) and a.dtype == np.float64 and a.flags.writeable
+        assert isinstance(a.base, mmap.mmap)
+        a[...] = 1.0
+        assert a.sum() == 30.0
+        if not Path("/proc/self/smaps").exists():
+            pytest.skip("no /proc/self/smaps")
+        flags = self.vm_flags(a)
+        assert "sh" not in flags  # private, not shared memory
+        if Path("/sys/kernel/mm/transparent_hugepage").exists():
+            assert "nh" in flags  # MADV_NOHUGEPAGE
+
+    def test_no_advice_without_the_constant(self, monkeypatch):
+        monkeypatch.delattr(mmap, "MADV_NOHUGEPAGE")  # as on macOS
+        a = klift.cr._scratch((4, 3))
+        a[...] = 2.0
+        assert isinstance(a.base, mmap.mmap) and a.sum() == 24.0
+
+    def test_no_advice_without_madvise_or_mapping_flags(self, monkeypatch):
+        # as on Windows: no MAP_* flags, and a mapping without ``madvise``
+        calls = []
+
+        def windows_mmap(fileno, length):
+            calls.append((fileno, length))
+            return bytearray(length)
+
+        monkeypatch.setattr(klift.cr, "mmap", SimpleNamespace(mmap=windows_mmap))
+        a = klift.cr._scratch((2, 3))
+        a[...] = 1.5
+        assert calls == [(-1, 48)] and a.sum() == 9.0
+
+    def test_no_advice_where_the_kernel_refuses_it(self, monkeypatch):
+        advised = []
+
+        class WithoutTHP(mmap.mmap):
+            def madvise(self, *args):
+                advised.append(args)
+                raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(mmap, "mmap", WithoutTHP)
+        a = klift.cr._scratch((2, 2))
+        a[...] = 1.0
+        assert advised == [(mmap.MADV_NOHUGEPAGE,)] and a.sum() == 4.0
+
+    def test_out_of_memory_is_numpys_memory_error(self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        with pytest.raises(MemoryError, match=r"^Unable to allocate 2\.5 MiB for an array with "
+                                              r"shape \(5, 65536\) and data type float64$"):
+            klift.cr._scratch((5, 65536))
+
+    def test_other_mapping_errors_pass_through(self, monkeypatch):
+        def denied(*args, **kwargs):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(mmap, "mmap", denied)
+        with pytest.raises(OSError) as raised:
+            klift.cr._scratch((5, 4))
+        assert raised.value.errno == errno.EACCES  # not a MemoryError
