@@ -270,11 +270,16 @@ def gmres(matvec, b: np.ndarray, params: GMRESParams, runs: Runs | None = None) 
 
 
 def _scratch(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float64 array of ``shape`` in a private anonymous
-    mapping of its own, advised to 4 KiB pages where the platform allows:
-    only the pages written become resident (numpy advises 2 MiB pages from
-    4 MiB up), and they go back to the kernel when the array is freed."""
+    """A float64 array of ``shape`` in a private anonymous mapping of its own,
+    advised to 4 KiB pages where the platform allows: only the pages written
+    become resident (numpy advises 2 MiB pages from 4 MiB up), and they go
+    back to the kernel when the array is freed.  It reads as zeros, as every
+    fresh anonymous mapping does (POSIX ``MAP_ANONYMOUS``, and Windows'
+    pagefile-backed mappings); an array of no entries, which mmap refuses,
+    is a plain empty one."""
     size = math.prod(shape) * 8
+    if not size:
+        return np.empty(shape)
     flags = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
              if hasattr(mmap, "MAP_ANONYMOUS") else {})  # mmap.mmap(-1, n) alone is shared
     try:

@@ -28,11 +28,12 @@ J itself (``REFLECTION_RTOL``).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cr import CRConfig, cr_jvp, cr_map, fd_step
+from .cr import CRConfig, _scratch, cr_jvp, cr_map, fd_step
 from .errors import NumericalError
 from .moments import MomentBasis, naive_projector
 from .steppers import Runs
@@ -40,9 +41,10 @@ from .steppers import Runs
 DENSE_SPECTRUM_CAP = 2000
 PROJECTOR_DIM_CAP = 512
 # Relative mismatch |FD(z) - J z| / max(|J z|, |FD(z)|) allowed along the
-# random check direction.  Forward-difference truncation alone reaches 4.5e-4
-# (helium_L30.cfg at N = 20..60, Nv = 16..32, m = 0..3, QR and naive resets);
-# a stepper that also adds 0.1 x the cell mean reads 0.1-0.25.
+# check direction z.  Forward-difference truncation alone reaches 4.6e-4
+# (helium_L30.cfg's initial state at N = 20..60, Nv = 16..32, m = 0..3, QR
+# and naive resets; the most at QR, m = 3, Nv = 16); a D1Q3 stepper that
+# also adds 0.1 x the cell mean reads 0.08-0.18 (12 cells, m = 0..2).
 BAND_CHECK_RTOL = 1e-2
 # J commutes with the mirror reflection R when every row block J[p] differs
 # from its mirror image (R J R)[p] by at most this fraction of max|J|; the
@@ -180,10 +182,15 @@ def cr_jacobian_matrix(
     colouring in colours * (q - k) + 2 CR maps (the base map and one check
     map; see ``ring_colors``), each column with the unit-direction step
     ``fd_step(f0, runs)``, every row a run of its own (``Runs.each_row``).
-    The check map is ``cr_jvp`` along a fixed random direction z and raises
+    The check map is ``cr_jvp`` along a fixed direction z of standard normal
+    entries from the standard library's ``random.Random(0)`` (``numpy.random``
+    would load OpenSSL's libcrypto for this one vector) and raises
     NumericalError when it disagrees with J z beyond ``BAND_CHECK_RTOL``,
     i.e. when the stepper couples cells further apart.
-    J is returned as a new array, which ``cr_jacobian_spectrum`` may split in place.
+    J is returned in a zero-filled mapping of its own in 4 KiB pages
+    (``cr._scratch``): only the pages of the band the colouring writes become
+    resident, about one a row, and they go back to the kernel when J is
+    freed.  ``cr_jacobian_spectrum`` may split J in place.
 
     ``threads`` does nothing.  It is kept so that callers which still pass
     it (the benchmark's spectrum workload) keep working; the thread pool it
@@ -193,7 +200,7 @@ def cr_jacobian_matrix(
     n_cells = f0.shape[0]
     dim = check_dense_dimension(n_cells, basis)
     U = basis.U
-    J = np.zeros((dim, dim))
+    J = _scratch((dim, dim))
 
     work = tuple(np.empty((3,) + f0.shape))  # cr_map's step, step and sum buffers
     runs = Runs.each_row(n_cells)
@@ -205,7 +212,8 @@ def cr_jacobian_matrix(
     base_out = apply_map(f0)
     _colored_jacobian(apply_map, base_out, f0, U, fd_step(f0, runs), cfg.order_m + 1, J)
 
-    z = np.random.default_rng(0).standard_normal(dim)
+    rng = random.Random(0)
+    z = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
     fd = (cr_jvp(apply_map, f0, base_out, z.reshape(n_cells, -1) @ U.T, runs=runs) @ U).ravel()
     Jz = J @ z
     scale = max(float(np.linalg.norm(Jz)), float(np.linalg.norm(fd)), np.finfo(float).tiny)

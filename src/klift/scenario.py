@@ -9,7 +9,6 @@ alone; the gas, the two grids and the time step are built once per scenario,
 at first use, and kept.
 """
 
-import hashlib
 import math
 from functools import cached_property
 import numbers
@@ -276,6 +275,9 @@ def serialize_config(d: dict) -> str:
 
 
 def config_hash(scenario: Scenario) -> str:
+    """The first 16 hex digits of the SHA-256 of the scenario's serialized config."""
+    import hashlib  # here, not at import: hashlib loads OpenSSL's libcrypto
+
     return hashlib.sha256(serialize_config(scenario.to_dict()).encode()).hexdigest()[:16]
 
 

@@ -158,6 +158,8 @@ class Runs:
 
     def _number(self, starts: np.ndarray, n: int) -> None:
         """Runs from the first rows ``starts`` of n, numbered from the first row."""
+        if not n:
+            raise ValueError("no runs in a grid of no cells (N = 0)")
         self.count = len(starts)
         self.cells = self.count == n
         self.order = np.arange(self.count)

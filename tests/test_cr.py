@@ -846,6 +846,13 @@ class TestRunStoredLift:
             assert free.values.tobytes() == grid.values.tobytes()
             assert free_report.residual_history == grid_report.residual_history
 
+    @pytest.mark.parametrize("stepper", [D1Q3Stepper(omega=1.3), IdentityStepper()],
+                             ids=["runs", "grid"])
+    def test_a_grid_of_no_cells_is_named(self, stepper):
+        basis = build_moment_basis(BasisKind.D1Q3, None, 1)
+        with pytest.raises(ValueError, match=r"grid of no cells \(N = 0\)"):
+            cr_lift(stepper, basis, np.empty((0, 3)), CRConfig())
+
     def test_guess_runs_refine_the_target_runs(self, monkeypatch):
         # a guess is compared once too, and the lift stores both by the runs
         # of rows equal in each
@@ -1052,6 +1059,16 @@ class TestScratch:
         assert "sh" not in flags  # private, not shared memory
         if Path("/sys/kernel/mm/transparent_hugepage").exists():
             assert "nh" in flags  # MADV_NOHUGEPAGE
+
+    def test_a_fresh_array_reads_as_zeros(self):
+        # what the CR Jacobian relies on: an anonymous mapping is zero-filled
+        a = klift.cr._scratch((4, 1024))
+        assert isinstance(a.base, mmap.mmap) and not a.any()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)], ids=["0x3", "3x0", "0"])
+    def test_no_entries_is_a_plain_empty_array(self, shape):
+        a = klift.cr._scratch(shape)  # mmap refuses 0 bytes with EINVAL
+        assert a.shape == shape and a.dtype == np.float64
 
     def test_no_advice_without_the_constant(self, monkeypatch):
         monkeypatch.delattr(mmap, "MADV_NOHUGEPAGE")  # as on macOS

@@ -1,7 +1,9 @@
 """Projector and CR-Jacobian spectra and FD Jacobian assembly."""
 
 import math
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +226,28 @@ class TestCRJacobian:
         f0 = rng.random((1001, 3))
         with pytest.raises(ValueError, match="dense cap"):
             cr_jacobian_matrix(RaisingStepper(), basis, f0, CRConfig(order_m=0))
+
+    def test_a_grid_of_no_cells_is_named(self):
+        basis = build_moment_basis(BasisKind.D1Q3, None, 1)
+        with pytest.raises(ValueError, match=r"grid of no cells \(N = 0\)"):
+            cr_jacobian_matrix(D1Q3Stepper(omega=1.3), basis, np.empty((0, 3)),
+                               CRConfig(order_m=0))
+
+    def test_jacobian_at_the_cap_holds_only_its_band(self, rng):
+        # N (q - k) = 1000 * 2 = 2000: J is 32 MB, of which the colouring
+        # writes a band of 6 entries a row, about one 4 KiB page; zeroed numpy
+        # memory in 2 MiB pages raised RSS by 30.9 MB, the band's pages by 9.3 MB
+        statm = Path("/proc/self/statm")
+        if not statm.exists():
+            pytest.skip("no /proc/self/statm")
+        page = os.sysconf("SC_PAGE_SIZE")
+        basis = build_moment_basis(BasisKind.D1Q3, None, 1)
+        f0 = rng.random((1000, 3)) + 0.5
+        before = int(statm.read_text().split()[1]) * page
+        J = cr_jacobian_matrix(D1Q3Stepper(omega=1.3), basis, f0, CRConfig(order_m=0))
+        rise = int(statm.read_text().split()[1]) * page - before
+        assert J.shape == (2000, 2000)
+        assert rise < J.nbytes / 2, rise
 
     def test_picard_rate_bounded_by_radius(self, rng):
         basis = build_moment_basis(BasisKind.D1Q3, None, 1)

@@ -802,6 +802,13 @@ def assert_coarsest(before, runs, stored):
             assert stored[after[c]].tobytes() != stored[after[c - 1]].tobytes(), c
 
 
+def test_a_grid_of_no_cells_has_no_runs():
+    # both constructors number their runs in one place, which names the empty grid
+    for make in (lambda: Runs(np.empty((0, 3))), lambda: Runs.each_row(0)):
+        with pytest.raises(ValueError, match=r"^no runs in a grid of no cells \(N = 0\)$"):
+            make()
+
+
 @pytest.mark.parametrize("kind", RUN_STEPPERS)
 class TestRunStoredStep:
     """A CR map of order m = 0..3 steps a state stored by its runs on their
